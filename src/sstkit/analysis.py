@@ -790,8 +790,8 @@ def amplify_valuedness(
     unmarked sequence t_1..t_m, the runs marked at each position all read
     the same input; the scan stops at the first assignment making their
     outputs pairwise distinct.  Returns None only on budget exhaustion.
-    All reported outputs are re-verified against the enumerated output set
-    of the input.
+    All reported outputs are re-verified against the output set of the
+    input.
     """
     if m < 1:
         raise SstKitError("need m >= 1 outputs")

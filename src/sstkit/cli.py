@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .decompose import (
     check_equivalence_bounded,
-    decompose_selectors,
+    ranked_outputs,
     semantic_cover,
 )
 from .delay import delay as run_delay
@@ -299,13 +299,15 @@ def _cmd_delay(args, report) -> int:
 
 def _cmd_decompose(args, report) -> int:
     sst = _load(args.file)
-    selectors = decompose_selectors(sst, args.k, args.budget)
+    if args.k < 1:
+        raise SstKitError("need at least one selector")
     table = []
     header = "input      | cover | " + " | ".join(f"sel_{i + 1}" for i in range(args.k))
     report.say(header)
     for u in words_over(sst.alphabet, 0, args.max_len):
         cover = semantic_cover(sst, u, args.C, args.D, Budget(args.budget))
-        picks = [sel(u) for sel in selectors]
+        ranked = ranked_outputs(sst, u, Budget(args.budget))
+        picks = [ranked[i] if i < len(ranked) else None for i in range(args.k)]
         if not cover and all(p is None for p in picks):
             continue
         row = {"input": u, "cover_size": len(cover), "selected": picks}

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .delay import delay
 from .errors import InputMismatchError, SstKitError
-from .model import Budget, Run, Sst, enumerate_runs, outputs, words_over
+from .model import Budget, Run, Sst, _frontier, _scan, enumerate_runs
 
 
 def lex_compare(r1: Run, r2: Run) -> int:
@@ -62,10 +62,7 @@ def semantic_cover(
 
 def ranked_outputs(sst: Sst, word: str, budget: Budget | int | None = None) -> list[str]:
     """Distinct outputs of ``word`` ordered by their least witnessing run."""
-    seen: dict[str, None] = {}
-    for run in enumerate_runs(sst, word, budget):
-        seen.setdefault(run.output, None)
-    return list(seen)
+    return list(sst._engine.outputs(_frontier(sst, word, budget)))
 
 
 def decompose_selectors(
@@ -110,7 +107,14 @@ def check_equivalence_bounded(
     if set(a.alphabet) != set(b.alphabet):
         raise SstKitError("transducers must share an alphabet")
     shared = Budget.ensure(budget)
-    for u in words_over(a.alphabet, min_len, max_len):
-        if outputs(a, u, shared) != outputs(b, u, shared):
-            return u
-    return None
+    ea, eb = a._engine, b._engine
+
+    def step(pair, letter):
+        fa, fb = ea.step(pair[0], letter, shared), eb.step(pair[1], letter, shared)
+        return (fa, fb) if fa or fb else ()
+
+    def differs(pair) -> int:
+        return int(ea.outputs(pair[0]).keys() != eb.outputs(pair[1]).keys())
+
+    found, witness = _scan(a.alphabet, min_len, max_len, (ea.start, eb.start), step, differs, top=1)
+    return witness if found else None

@@ -8,9 +8,14 @@ letters and variables whose value at the end of an accepting run is the
 produced word.  Nondeterminism makes the realized object a relation: one
 input may map to several outputs.
 
-Beyond the model itself this module provides the brute-force substrate the
-rest of the package is checked against: exhaustive run enumeration and the
-valuedness / ambiguity oracles.
+Beyond the model itself this module provides two evaluators.  Exhaustive
+run enumeration is the run-level reference the rest of the package is
+checked against; budgets charge it one unit per partial-run extension.
+The configuration engine answers output-level questions (``outputs``, the
+valuedness / ambiguity oracles, and through them ranked outputs and
+bounded equivalence) on frontiers of distinct (state, variable contents)
+configurations, without enumerating runs; budgets charge it one unit per
+configuration carried over one input letter.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ DEFAULT_NODE_BUDGET = 10_000_000
 class Budget:
     """Mutable expansion counter shared across one enumeration.
 
-    Enumerations charge one unit per partial-run extension (or per search
-    node) and fail loudly instead of truncating silently.
+    Run enumeration charges one unit per partial-run extension, the
+    configuration engine one per configuration expansion, searches one per
+    node; all fail loudly instead of truncating silently.
     """
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
@@ -270,6 +276,11 @@ class Sst:
     def state_index(self, state: str) -> int:
         return self._state_index[state]
 
+    @cached_property
+    def _engine(self) -> "_Engine":
+        """The configuration engine, compiled on first use."""
+        return _Engine(self)
+
     def run(self, start: str, steps: Iterable[int]) -> "Run":
         return Run(self, start, tuple(steps))
 
@@ -470,11 +481,6 @@ def enumerate_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> l
     return found
 
 
-def outputs(sst: Sst, word: str, budget: Budget | int | None = None) -> set[str]:
-    """The set of words produced on ``word`` (deduplicated)."""
-    return {run.output for run in enumerate_runs(sst, word, budget)}
-
-
 def words_over(alphabet: Sequence[str], min_len: int, max_len: int) -> Iterator[str]:
     """Words in length-lexicographic order, letters in declared order."""
     for n in range(min_len, max_len + 1):
@@ -482,23 +488,156 @@ def words_over(alphabet: Sequence[str], min_len: int, max_len: int) -> Iterator[
             yield "".join(tup)
 
 
-def _extremal_scan(
-    sst: Sst,
-    max_len: int,
-    measure: Callable[[str, Budget], int],
-    budget: Budget | int | None,
+# -- configuration frontiers ----------------------------------------------
+#
+# The relation of a copyless SST depends only on the configurations
+# (state, variable contents) reachable on an input, not on how many runs
+# reach them, so output-level questions are answered on frontiers of
+# distinct configurations instead of on runs.
+#
+# A frontier is a dict whose keys are the configurations reached on one
+# input prefix, in the canonical order of the least run reaching each.
+# That order carries over from one position to the next without keys:
+# expanding configurations in frontier order, and each one's transitions
+# in rank order, generates the candidate runs of the successors in
+# canonical order (equal-length rank sequences compare lexicographically,
+# and at position 0 the start-state tie break agrees with the rank of the
+# first transition), so a successor first appears through its least run.
+
+
+def _compile_image(var_index: Mapping[str, int], image: Sequence[str]) -> tuple:
+    """Variables as ints, each run of consecutive letters as one string."""
+    ops: list = []
+    for tok in image:
+        op = var_index.get(tok, tok)
+        if type(op) is str and ops and type(ops[-1]) is str:
+            ops[-1] += op
+        else:
+            ops.append(op)
+    return tuple(ops)
+
+
+def _ground(image: tuple, values: tuple[str, ...]) -> str:
+    return "".join([values[op] if type(op) is int else op for op in image])
+
+
+class _Engine:
+    """The updates of one ``Sst`` as index programs, and the frontier
+    operations over them.  Each operation charges its budget one unit per
+    configuration it expands."""
+
+    def __init__(self, sst: Sst):
+        var = sst._var_index
+        self.moves = {
+            key: tuple(
+                (sst.transitions[i].target,
+                 tuple(_compile_image(var, image) for image in sst.transitions[i].update.images))
+                for i in ids
+            )
+            for key, ids in sst._by_source.items()
+        }
+        self.finals = {q: _compile_image(var, expr) for q, expr in sst.final_output.items()}
+        initials = sorted(sst.initials, key=sst.state_index)
+        values = tuple(sst.initial_assignment[v] for v in sst.variables)
+        self.start = dict.fromkeys((q, values) for q in initials)
+        self.start_counts = dict.fromkeys(initials, 1)
+
+    def step(self, frontier: dict, letter: str, budget: Budget) -> dict:
+        budget.charge(len(frontier))
+        moves = self.moves
+        return dict.fromkeys([
+            (target, tuple([_ground(image, values) for image in program]))
+            for state, values in frontier
+            for target, program in moves.get((state, letter), ())
+        ])
+
+    def outputs(self, frontier: dict) -> dict[str, None]:
+        """Outputs of the final configurations, in the order of their least
+        runs."""
+        finals = self.finals
+        return dict.fromkeys([
+            _ground(finals[state], values) for state, values in frontier if state in finals
+        ])
+
+    def count_step(self, counts: dict[str, int], letter: str, budget: Budget) -> dict[str, int]:
+        """Run counts per state, one letter further."""
+        budget.charge(len(counts))
+        fresh: dict[str, int] = {}
+        for state, n in counts.items():
+            for target, _ in self.moves.get((state, letter), ()):
+                fresh[target] = fresh.get(target, 0) + n
+        return fresh
+
+    def accepting_runs(self, counts: dict[str, int]) -> int:
+        return sum(n for state, n in counts.items() if state in self.finals)
+
+
+def _frontier(sst: Sst, word: str, budget: Budget | int | None) -> dict:
+    """The frontier reached on ``word``."""
+    for c in word:
+        if c not in sst._letter_index:
+            raise UnknownSymbolError(f"input letter {c!r} is not in the alphabet")
+    engine, b = sst._engine, Budget.ensure(budget)
+    frontier = engine.start
+    for letter in word:
+        frontier = engine.step(frontier, letter, b)
+    return frontier
+
+
+def outputs(sst: Sst, word: str, budget: Budget | int | None = None) -> set[str]:
+    """The set of words produced on ``word`` (deduplicated)."""
+    return set(sst._engine.outputs(_frontier(sst, word, budget)))
+
+
+def _scan(
+    alphabet: Sequence[str],
     min_len: int,
+    max_len: int,
+    root,
+    step: Callable,
+    measure: Callable,
+    top: int | None = None,
 ) -> tuple[int, str | None]:
-    b = Budget.ensure(budget)
-    best = -1
-    witness: str | None = None
-    for u in words_over(sst.alphabet, min_len, max_len):
-        n = measure(u, b)
-        if n > best:
-            best, witness = n, u
-    if best < 0:
+    """Max of ``measure`` over the frontiers of the inputs u with min_len <=
+    |u| <= max_len, plus the first such u reaching it in length-lexicographic
+    order; (0, None) when there is no such input.
+
+    Walks the prefix trie depth-first in letter order, extending a frontier
+    by one letter with ``step``, so it holds one frontier per depth.  A falsy
+    frontier is dead: it and all its extensions measure 0.  Once the maximum
+    reaches ``top``, only shorter inputs can still displace the witness.
+    """
+    best, witness = -1, None
+    if min_len > max_len:
         return 0, None
-    return best, witness
+
+    def offer(n: int, word: str) -> None:
+        nonlocal best, witness
+        # depth-first visits inputs of one length in lexicographic order
+        if n > best or (n == best and len(word) < len(witness)):
+            best, witness = n, word
+
+    def settled(depth: int) -> bool:
+        return depth >= max_len or (best == top and depth + 1 >= len(witness))
+
+    # one (prefix, its frontier, the letters not yet tried after it) per depth
+    path = [("", root, iter(alphabet))]
+    if min_len == 0:
+        offer(measure(root) if root else 0, "")
+    while path:
+        word, frontier, letters = path[-1]
+        letter = next(letters, None)
+        if letter is None or not frontier or settled(len(word)):
+            if not frontier and alphabet and len(word) < min_len:
+                offer(0, word + alphabet[0] * (min_len - len(word)))
+            path.pop()
+            continue
+        word += letter
+        frontier = step(frontier, letter)
+        if len(word) >= min_len:
+            offer(measure(frontier) if frontier else 0, word)
+        path.append((word, frontier, iter(alphabet)))
+    return (0, None) if best < 0 else (best, witness)
 
 
 def valuedness_oracle(
@@ -514,7 +653,12 @@ def valuedness_oracle(
     input is excluded from the default report.  Pass ``min_len=0`` to
     include it.
     """
-    return _extremal_scan(sst, max_len, lambda u, b: len(outputs(sst, u, b)), budget, min_len)
+    engine, b = sst._engine, Budget.ensure(budget)
+    return _scan(
+        sst.alphabet, min_len, max_len, engine.start,
+        lambda frontier, letter: engine.step(frontier, letter, b),
+        lambda frontier: len(engine.outputs(frontier)),
+    )
 
 
 def ambiguity_oracle(
@@ -524,7 +668,12 @@ def ambiguity_oracle(
     min_len: int = 1,
 ) -> tuple[int, str | None]:
     """Like ``valuedness_oracle`` but counting accepting runs."""
-    return _extremal_scan(sst, max_len, lambda u, b: len(enumerate_runs(sst, u, b)), budget, min_len)
+    engine, b = sst._engine, Budget.ensure(budget)
+    return _scan(
+        sst.alphabet, min_len, max_len, engine.start_counts,
+        lambda counts, letter: engine.count_step(counts, letter, b),
+        engine.accepting_runs,
+    )
 
 
 # -- reachability ---------------------------------------------------------

@@ -16,7 +16,8 @@ Inside an update a bare variable name is a variable occurrence and any
 declared letter is a constant; the empty word is written as an empty
 right-hand side.  Variables not mentioned in a ``trans`` update keep their
 value (identity); write ``X :=`` with nothing after it to erase one.
-Letters are single characters.  The ``alphabet:``, ``vars:``, ``states:``
+Letters are single characters.  The tokens ``; { } := -> =`` are reserved
+and cannot be letters, variables or states.  The ``alphabet:``, ``vars:``, ``states:``
 and ``initial:`` lines must appear before any line that uses them.
 """
 
@@ -28,6 +29,8 @@ from .errors import CopylessError, ParseError, UnknownSymbolError
 from .model import Sst, Transition, Update
 
 _TOKEN = re.compile(r"\S+")
+# the punctuation of the format, which no letter, variable or state may be named
+_RESERVED = frozenset({";", "{", "}", ":=", "->", "="})
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -114,6 +117,8 @@ def _declare_header(doc: _DocBuilder, attr: str, rest: list[tuple[str, int]], li
         raise ParseError(f"'{attr}' declaration is empty", lineno, col)
     names = [tok for tok, _ in rest]
     for tok, c in rest:
+        if tok in _RESERVED:
+            raise ParseError(f"reserved token {tok!r} cannot be declared in '{attr}'", lineno, c)
         if names.count(tok) > 1:
             raise ParseError(f"duplicate name {tok!r}", lineno, c)
     setattr(doc, attr, names)

@@ -1,0 +1,173 @@
+"""The configuration-frontier engine against brute force over enumerated runs.
+
+``outputs``, ``ranked_outputs``, both oracles and ``check_equivalence_bounded``
+answer from frontiers of distinct configurations; the brute-force versions
+here derive the same answers from ``enumerate_runs`` word by word.
+"""
+
+from __future__ import annotations
+
+import random
+from functools import lru_cache
+
+import pytest
+
+from sstkit import (
+    BudgetExceededError,
+    Sst,
+    Transition,
+    Update,
+    UnknownSymbolError,
+    ambiguity_oracle,
+    check_equivalence_bounded,
+    enumerate_runs,
+    fixtures,
+    outputs,
+    ranked_outputs,
+    valuedness_oracle,
+    words_over,
+)
+
+from helpers import random_sst
+
+MAX_LEN = 6
+SEEDS = range(40)
+
+
+@lru_cache(maxsize=None)
+def brute(sst: Sst, word: str) -> tuple[list[str], int]:
+    """Distinct outputs in the order of their least runs, and the run count."""
+    runs = enumerate_runs(sst, word)
+    return list(dict.fromkeys(run.output for run in runs)), len(runs)
+
+
+def brute_outputs(sst: Sst, word: str) -> set[str]:
+    return set(brute(sst, word)[0])
+
+
+def brute_ranked(sst: Sst, word: str) -> list[str]:
+    return brute(sst, word)[0]
+
+
+def brute_extremal(sst: Sst, measure, max_len: int, min_len: int):
+    best, witness = -1, None
+    for u in words_over(sst.alphabet, min_len, max_len):
+        n = measure(sst, u)
+        if n > best:
+            best, witness = n, u
+    return (0, None) if best < 0 else (best, witness)
+
+
+def brute_equivalence(a: Sst, b: Sst, max_len: int, min_len: int):
+    for u in words_over(a.alphabet, min_len, max_len):
+        if brute_outputs(a, u) != brute_outputs(b, u):
+            return u
+    return None
+
+
+def without_last_transition(sst: Sst) -> Sst:
+    return Sst(
+        sst.alphabet, sst.variables, sst.states, sst.initials, sst.finals,
+        sst.final_output, sst.transitions[:-1], sst.initial_assignment,
+    )
+
+
+def two_initials() -> Sst:
+    """Initial states declared against state order, each with its own output
+    on the empty input: the empty runs are ordered by start-state index."""
+    ident = Update.identity(("X",))
+    return Sst(
+        alphabet=("a",), variables=("X",), states=("p", "q"),
+        initials=("q", "p"), finals=("p", "q"),
+        final_output={"p": ("a", "X"), "q": ("X",)},
+        transitions=(Transition("q", "a", ident, "q"),
+                     Transition("p", "a", Update.make(("X",), {"X": ("X", "a")}), "p")),
+    )
+
+
+MACHINES = {name: fixtures.load(name) for name in fixtures.names()}
+MACHINES["two-initials"] = two_initials()
+MACHINES.update({f"random{s}": random_sst(random.Random(s)) for s in SEEDS})
+TRIMMED = {name: without_last_transition(sst) for name, sst in MACHINES.items()}
+
+
+@pytest.mark.parametrize("name", list(MACHINES))
+def test_outputs_and_ranking_match_runs(name):
+    sst = MACHINES[name]
+    for u in words_over(sst.alphabet, 0, MAX_LEN):
+        assert outputs(sst, u) == brute_outputs(sst, u), u
+        assert ranked_outputs(sst, u) == brute_ranked(sst, u), u
+
+
+@pytest.mark.parametrize("name", list(MACHINES))
+def test_oracles_match_runs(name):
+    sst = MACHINES[name]
+    for min_len in (0, 1, 3):
+        assert valuedness_oracle(sst, MAX_LEN, min_len=min_len) == brute_extremal(
+            sst, lambda m, u: len(brute_outputs(m, u)), MAX_LEN, min_len)
+        assert ambiguity_oracle(sst, MAX_LEN, min_len=min_len) == brute_extremal(
+            sst, lambda m, u: brute(m, u)[1], MAX_LEN, min_len)
+
+
+def equivalence_pairs():
+    pairs = [("FIX-TSC", "FIX-TSC1"), ("FIX-TSC", "FIX-R2"), ("FIX-ID", "FIX-AMB"),
+             ("FIX-TSC", "FIX-TSC")]
+    for s in SEEDS:
+        pairs += [(f"random{s}", f"random{s}"), (f"random{s}", f"random{(s + 1) % len(SEEDS)}"),
+                  (f"random{s}", "minus-last")]
+    return pairs
+
+
+@pytest.mark.parametrize("left, right", equivalence_pairs())
+def test_equivalence_matches_runs(left, right):
+    a = MACHINES[left]
+    b = TRIMMED[left] if right == "minus-last" else MACHINES[right]
+    for min_len in (0, 1):
+        assert check_equivalence_bounded(a, b, MAX_LEN, min_len=min_len) == brute_equivalence(
+            a, b, MAX_LEN, min_len)
+
+
+def test_empty_input_ranked_by_start_state():
+    sst = two_initials()
+    assert ranked_outputs(sst, "") == ["a", ""]
+    assert brute_ranked(sst, "") == ["a", ""]
+
+
+def test_scan_past_the_recursion_limit():
+    # the scans keep their prefix path on an explicit stack
+    sst = two_initials()
+    assert valuedness_oracle(sst, 2_000) == (2, "a")
+    assert ambiguity_oracle(sst, 2_000) == (2, "a")
+
+
+def test_empty_length_range():
+    no_initials = Sst(("a",), ("X",), ("p",), (), (), {}, ())
+    for sst in (no_initials, two_initials()):
+        assert valuedness_oracle(sst, 2, min_len=3) == (0, None)
+        assert ambiguity_oracle(sst, 2, min_len=3) == (0, None)
+        assert check_equivalence_bounded(sst, no_initials, 2, min_len=3) is None
+    assert valuedness_oracle(no_initials, 2, min_len=1) == (0, "a")
+    assert check_equivalence_bounded(two_initials(), no_initials, 2, min_len=1) == "a"
+
+
+def test_unknown_input_letter():
+    sst = fixtures.load("FIX-TSC")
+    with pytest.raises(UnknownSymbolError):
+        outputs(sst, "012")
+    with pytest.raises(UnknownSymbolError):
+        ranked_outputs(sst, "0x")
+
+
+def test_tiny_budget_raises():
+    tsc = fixtures.load("FIX-TSC")
+    calls = [
+        lambda b: outputs(tsc, "000000", b),
+        lambda b: ranked_outputs(tsc, "000000", b),
+        lambda b: valuedness_oracle(tsc, 6, b),
+        lambda b: ambiguity_oracle(tsc, 6, b),
+        lambda b: check_equivalence_bounded(tsc, fixtures.load("FIX-TSC"), 6, b),
+    ]
+    for call in calls:
+        with pytest.raises(BudgetExceededError):
+            call(3)
+        call(10_000)

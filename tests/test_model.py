@@ -92,6 +92,33 @@ def test_parse_rejects_multichar_letters():
         parse_sst("alphabet: ab\nvars: X1\nstates: q\ninitial: q\n")
 
 
+RESERVED_TOKENS = (";", "{", "}", ":=", "->", "=")
+
+
+@pytest.mark.parametrize("token", RESERVED_TOKENS)
+def test_parse_rejects_reserved_letters(token):
+    doc = f"alphabet: {token} a\nvars: X1\nstates: q\ninitial: q\nfinal q -> X1\n"
+    with pytest.raises(ParseError) as err:
+        parse_sst(doc)
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("token", RESERVED_TOKENS)
+def test_parse_rejects_reserved_variables(token):
+    doc = f"alphabet: a\nvars: X1 {token}\nstates: q\ninitial: q\nfinal q -> X1\n"
+    with pytest.raises(ParseError) as err:
+        parse_sst(doc)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("token", RESERVED_TOKENS)
+def test_parse_rejects_reserved_states(token):
+    doc = f"alphabet: a\nvars: X1\nstates: q {token}\ninitial: q\nfinal q -> X1\n"
+    with pytest.raises(ParseError) as err:
+        parse_sst(doc)
+    assert err.value.line == 3
+
+
 # -- update algebra -----------------------------------------------------------
 
 
