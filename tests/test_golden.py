@@ -1,0 +1,28 @@
+"""Verdicts, witnesses, budget counts and CLI reports equal the committed
+golden file (see ``regen_golden.py``)."""
+
+import json
+
+import pytest
+
+from regen_golden import GOLDEN, analyses, cli_reports
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_golden_analyses(golden):
+    got = json.loads(json.dumps(analyses()))
+    assert sorted(got) == sorted(golden["analyses"])
+    for label, value in got.items():
+        assert value == golden["analyses"][label], label
+
+
+def test_golden_cli_reports(golden):
+    got = cli_reports()
+    assert sorted(got) == sorted(golden["cli"])
+    for key, value in got.items():
+        assert value == golden["cli"][key], key
