@@ -37,7 +37,6 @@ from .model import (
     enumerate_runs,
     eval_run,
     outputs,
-    output_of,
     output_via_updates,
     reachable_states,
     valuedness_oracle,

@@ -37,6 +37,9 @@ from .model import (
     Run,
     Sst,
     Update,
+    _apply,
+    _compile_update,
+    _ground,
     compose_updates,
     concat_runs,
     coreachable_states,
@@ -47,6 +50,7 @@ from .model import (
     valuedness_oracle,
 )
 from .skeletons import (
+    SKELETON_MONOID_CAP,
     Skeleton,
     compose_skeletons,
     is_idempotent,
@@ -54,8 +58,6 @@ from .skeletons import (
     skeleton_of,
     transition_skeletons,
 )
-
-SKELETON_MONOID_CAP = 1_000_000
 
 
 # -- dumbbells: exact finite-ambiguity decision -----------------------------
@@ -163,43 +165,46 @@ def find_dumbbell(
     return None
 
 
+def _sync_moves(sst, skels, states, accs):
+    """One synchronized step of the tracks at ``states``, whose runs so far
+    have skeletons ``accs``: for each letter in declared order, every
+    combination of one transition per track reading it, in lexicographic
+    order, as one (transition, target, skeleton after it) triple per track."""
+    transitions = sst.transitions
+    for a in sst.alphabet:
+        yield from product(*(
+            [(i, transitions[i].target, compose_skeletons(skels[i], acc))
+             for i in sst.transitions_from(q, a)]
+            for q, acc in zip(states, accs)
+        ))
+
+
 def _dumbbell_bfs(sst, q1, q2, ident, skels, budget):
-    start = (q1, ident, q1, ident, q2, ident, False)
+    start = ((q1, q1, q2), (ident,) * 3, False)
+    goal = (q1, q2, q2)
     parents: dict = {start: None}
     queue = deque([start])
     while queue:
         node = queue.popleft()
         budget.charge()
-        p1, s1, p2, s2, p3, s3, diff = node
-        if diff and p1 == q1 and p2 == q2 and p3 == q2 and is_idempotent(s1) and is_idempotent(s3):
+        states, accs, diff = node
+        if diff and states == goal and is_idempotent(accs[0]) and is_idempotent(accs[2]):
             return _rebuild_triple(parents, node)
-        for a in sst.alphabet:
-            for i1 in sst.transitions_from(p1, a):
-                n1 = sst.transitions[i1].target
-                t1 = compose_skeletons(skels[i1], s1)
-                for i2 in sst.transitions_from(p2, a):
-                    n2 = sst.transitions[i2].target
-                    t2 = compose_skeletons(skels[i2], s2)
-                    for i3 in sst.transitions_from(p3, a):
-                        n3 = sst.transitions[i3].target
-                        t3 = compose_skeletons(skels[i3], s3)
-                        child = (
-                            n1, t1, n2, t2, n3, t3,
-                            diff or not (i1 == i2 == i3),
-                        )
-                        if child not in parents:
-                            parents[child] = (node, i1, i2, i3)
-                            queue.append(child)
+        for moves in _sync_moves(sst, skels, states, accs):
+            ids, targets, skeletons = zip(*moves)
+            child = (targets, skeletons, diff or not (ids[0] == ids[1] == ids[2]))
+            if child not in parents:
+                parents[child] = (node, ids)
+                queue.append(child)
     return None
 
 
 def _rebuild_triple(parents, node):
     paths: tuple[list[int], list[int], list[int]] = ([], [], [])
     while parents[node] is not None:
-        node, i1, i2, i3 = parents[node]
-        paths[0].append(i1)
-        paths[1].append(i2)
-        paths[2].append(i3)
+        node, ids = parents[node]
+        for path, i in zip(paths, ids):
+            path.append(i)
     return tuple(tuple(reversed(p)) for p in paths)
 
 
@@ -324,21 +329,20 @@ class _PatternEvaluator:
     """Fast W-run outputs for a pattern.
 
     The per-leg block updates (entry . loop^x . exit) are composed once and
-    compiled into index programs; marked runs are then evaluated over
-    tuples of concrete variable contents instead of being materialized,
-    sharing common prefixes across the tuple scan.
+    compiled into the configuration engine's index programs; marked runs
+    are then evaluated over tuples of concrete variable contents instead of
+    being materialized, sharing common prefixes across the tuple scan.
     """
 
     def __init__(self, sst: Sst, alpha: Update, legs, omega: Update, end_state: str):
         # legs: three (entry, loop, exit) update triples
-        self.sst = sst
         self._var_pos = sst._var_index
         self._legs = legs
         self._block_progs: dict[tuple[int, int], tuple] = {}
         base = tuple(sst.initial_assignment[v] for v in sst.variables)
-        self._base = self._run_prog(self._compile(alpha.images), base)
-        self._omega_prog = self._compile(omega.images)
-        self._final_prog = self._compile((sst.final_output[end_state],))[0]
+        self._base = _apply(_compile_update(self._var_pos, alpha), base)
+        self._omega_prog = _compile_update(self._var_pos, omega)
+        self._final_prog = sst._engine.finals[end_state]
 
     @classmethod
     def for_pattern(cls, sst: Sst, pattern: WPattern) -> "_PatternEvaluator":
@@ -358,22 +362,6 @@ class _PatternEvaluator:
             pattern.rho4.end,
         )
 
-    def _compile(self, images) -> tuple:
-        """Token sequences to programs: a variable becomes its content
-        index, a letter stays a string."""
-        pos = self._var_pos
-        return tuple(
-            tuple(pos[tok] if tok in pos else tok for tok in image)
-            for image in images
-        )
-
-    @staticmethod
-    def _run_prog(prog: tuple, contents: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(
-            "".join(contents[op] if type(op) is int else op for op in ops)
-            for ops in prog
-        )
-
     def block_prog(self, leg: int, x: int) -> tuple:
         key = (leg, x)
         if key not in self._block_progs:
@@ -382,21 +370,18 @@ class _PatternEvaluator:
             for _ in range(x):
                 acc = compose_updates(loop, acc)
             acc = compose_updates(exit_, acc)
-            self._block_progs[key] = self._compile(acc.images)
+            self._block_progs[key] = _compile_update(self._var_pos, acc)
         return self._block_progs[key]
 
     def output(self, values, mark: int) -> str:
         contents = self._base
         for idx, x in enumerate(values):
             leg = 0 if idx < mark else (1 if idx == mark else 2)
-            contents = self._run_prog(self.block_prog(leg, x), contents)
+            contents = _apply(self.block_prog(leg, x), contents)
         return self._finish(contents)
 
     def _finish(self, contents: tuple[str, ...]) -> str:
-        contents = self._run_prog(self._omega_prog, contents)
-        return "".join(
-            contents[op] if type(op) is int else op for op in self._final_prog
-        )
+        return _ground(self._final_prog, _apply(self._omega_prog, contents))
 
     def outputs_for_all_tuples(self, mark: int) -> dict[tuple[int, ...], str]:
         """Outputs of every tuple in {1,2}^5 for one mark, sharing content
@@ -411,7 +396,7 @@ class _PatternEvaluator:
             for x in (1, 2):
                 rec(
                     idx + 1,
-                    self._run_prog(self.block_prog(legs[idx], x), contents),
+                    _apply(self.block_prog(legs[idx], x), contents),
                     prefix + (x,),
                 )
 
@@ -435,29 +420,33 @@ def is_simply_divergent(sst: Sst, pattern: WPattern) -> tuple[int, ...] | None:
     A positive answer is confirmed by rebuilding both runs and comparing
     their evaluated outputs before it is returned.
     """
-    if _legs_identical(pattern):
+    groups = (pattern.entries, pattern.loops, pattern.exits)
+    if _legs_identical(*([r.steps for r in group] for group in groups)):
         return None
-    ev = _PatternEvaluator.for_pattern(sst, pattern)
-    tup = ev.first_divergent_tuple()
+    tup = _PatternEvaluator.for_pattern(sst, pattern).first_divergent_tuple()
     if tup is None:
         return None
-    run_a = build_wrun(sst, pattern, tup, 3)
-    run_b = build_wrun(sst, pattern, tup, 1)
-    if run_a.input != run_b.input:
-        raise SstKitError("marked runs consumed different inputs; pattern is broken")
-    if run_a.output == run_b.output:
-        raise SstKitError("evaluator disagrees with update composition on a witness")
+    _confirm_divergence(sst, pattern, tup)
     return tup
 
 
-def _legs_identical(pattern: WPattern) -> bool:
-    """All three legs are the same transition sequences, so every pair of
-    marked runs coincides and divergence is impossible."""
-    return (
-        pattern.entries[0].steps == pattern.entries[1].steps == pattern.entries[2].steps
-        and pattern.loops[0].steps == pattern.loops[1].steps == pattern.loops[2].steps
-        and pattern.exits[0].steps == pattern.exits[1].steps == pattern.exits[2].steps
-    )
+def _legs_identical(*components) -> bool:
+    """All three legs follow the same transitions in every component
+    (entry, loop, exit paths), so every pair of marked runs coincides and
+    divergence is impossible."""
+    return all(paths[0] == paths[1] == paths[2] for paths in components)
+
+
+def _confirm_divergence(sst: Sst, pattern: WPattern, tup: tuple[int, ...]) -> "DivergentPattern":
+    """Rebuild the two marked runs of ``tup`` and check through the core
+    evaluator that they read one input and produce different outputs."""
+    run_mid = build_wrun(sst, pattern, tup, 1)
+    run_late = build_wrun(sst, pattern, tup, 3)
+    if run_mid.input != run_late.input:
+        raise SstKitError("marked runs consumed different inputs; pattern is broken")
+    if run_mid.output == run_late.output:
+        raise SstKitError("evaluator disagrees with update composition on a witness")
+    return DivergentPattern(pattern, tup, run_mid.input, run_mid.output, run_late.output)
 
 
 @dataclass(frozen=True)
@@ -525,22 +514,10 @@ class _TripleLevels:
         while len(self.levels) <= depth:
             fresh: list[tuple] = []
             for paths, states, accs in self.levels[-1]:
-                for a in sst.alphabet:
-                    for i1 in sst.transitions_from(states[0], a):
-                        s1 = compose_skeletons(skels[i1], accs[0])
-                        for i2 in sst.transitions_from(states[1], a):
-                            s2 = compose_skeletons(skels[i2], accs[1])
-                            for i3 in sst.transitions_from(states[2], a):
-                                self.budget.charge()
-                                fresh.append((
-                                    (paths[0] + (i1,), paths[1] + (i2,), paths[2] + (i3,)),
-                                    (
-                                        sst.transitions[i1].target,
-                                        sst.transitions[i2].target,
-                                        sst.transitions[i3].target,
-                                    ),
-                                    (s1, s2, compose_skeletons(skels[i3], accs[2])),
-                                ))
+                for moves in _sync_moves(sst, skels, states, accs):
+                    self.budget.charge()
+                    ids, targets, skeletons = zip(*moves)
+                    fresh.append((tuple(p + (i,) for p, i in zip(paths, ids)), targets, skeletons))
             self.levels.append(fresh)
         return self.levels[depth]
 
@@ -631,10 +608,8 @@ def _pattern_candidates(sst: Sst, max_len: int, budget: Budget):
                                                + e_paths[1] + l_paths[1] + x_paths[1]
                                                + e_paths[2] + l_paths[2] + x_paths[2]):
                                         continue  # fully empty pattern cannot diverge
-                                    if (e_paths[0] == e_paths[1] == e_paths[2]
-                                            and l_paths[0] == l_paths[1] == l_paths[2]
-                                            and x_paths[0] == x_paths[1] == x_paths[2]):
-                                        continue  # identical legs: marked runs coincide
+                                    if _legs_identical(e_paths, l_paths, x_paths):
+                                        continue
                                     yield _RawCandidate(
                                         q1, q2, stations,
                                         e_paths, l_paths, x_paths,
@@ -663,17 +638,12 @@ def _search_divergent_pattern(sst: Sst, sb: SearchBudget):
                 sst, raw.rho0.induced_update, raw.legs,
                 raw.rho4.induced_update, raw.rho4.end,
             )
-            if ev.first_divergent_tuple() is None:
+            tup = ev.first_divergent_tuple()
+            if tup is None:
                 continue
             pattern = raw.build_pattern(sst)
-            tup = is_simply_divergent(sst, pattern)  # re-derives and re-verifies
-            if tup is None:
-                raise SstKitError("search and pattern evaluators disagree")
-            run_mid = build_wrun(sst, pattern, tup, 1)
-            run_late = build_wrun(sst, pattern, tup, 3)
-            witness = DivergentPattern(
-                pattern, tup, run_mid.input, run_mid.output, run_late.output
-            )
+            pattern.verify(sst)
+            witness = _confirm_divergence(sst, pattern, tup)
             report["candidates_used"] = budget.used
             return witness, report
     except BudgetExceededError:
@@ -747,11 +717,6 @@ def analyze_valuedness(sst: Sst, budget: SearchBudget | None = None) -> Verdict:
         )
     witness, report = _search_divergent_pattern(sst, sb)
     if witness is not None:
-        witness.pattern.verify(sst)
-        run_mid = build_wrun(sst, witness.pattern, witness.values, 1)
-        run_late = build_wrun(sst, witness.pattern, witness.values, 3)
-        if run_mid.input != run_late.input or run_mid.output == run_late.output:
-            raise SstKitError("divergence witness failed re-verification")
         return Verdict(
             "Infinite", witness, dumbbell,
             {"search": report},

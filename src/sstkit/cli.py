@@ -62,8 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("file_a", help="first transducer document")
             p.add_argument("file_b", help="second transducer document")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--seed", type=int, default=None,
-                       help="echoed into the report; reserved for replaying randomized corpora")
         return p
 
     add("validate", "parse and validate a document")
@@ -132,7 +130,6 @@ class _Report:
         self.data: dict = {
             "command": args.command,
             "files": {path: _digest(path) for path in files},
-            "seed": args.seed,
             "knobs": {
                 name: getattr(args, name)
                 for name in self._KNOBS

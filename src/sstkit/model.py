@@ -281,6 +281,20 @@ class Sst:
         """The configuration engine, compiled on first use."""
         return _Engine(self)
 
+    @cached_property
+    def _adjacency(self) -> tuple[dict, dict]:
+        """Successors and predecessors of each state as (transition, state)
+        pairs, successors in (letter, rank) order; built on first use."""
+        succ: dict[str, list] = {q: [] for q in self.states}
+        pred: dict[str, list] = {q: [] for q in self.states}
+        for a in self.alphabet:
+            for q in self.states:
+                for i in self.transitions_from(q, a):
+                    target = self.transitions[i].target
+                    succ[q].append((i, target))
+                    pred[target].append((i, q))
+        return succ, pred
+
     def run(self, start: str, steps: Iterable[int]) -> "Run":
         return Run(self, start, tuple(steps))
 
@@ -370,29 +384,11 @@ class Run:
         if not self.accepting:
             raise RunError("annotated output is only defined for accepting runs")
         sst = self.sst
-        varset = sst._var_index
-        contents: dict[str, list[tuple[str, int]]] = {
-            v: [(c, 0) for c in sst.initial_assignment[v]] for v in sst.variables
-        }
+        engine = sst._engine
+        contents = [[(c, 0) for c in sst.initial_assignment[v]] for v in sst.variables]
         for step, i in enumerate(self.steps, start=1):
-            update = sst.transitions[i].update
-            fresh: dict[str, list[tuple[str, int]]] = {}
-            for v in sst.variables:
-                items: list[tuple[str, int]] = []
-                for tok in update.image(v):
-                    if tok in varset:
-                        items.extend(contents[tok])
-                    else:
-                        items.append((tok, step))
-                fresh[v] = items
-            contents = fresh
-        last = len(self.steps)
-        out: list[tuple[str, int]] = []
-        for tok in sst.final_output[self.end]:
-            if tok in varset:
-                out.extend(contents[tok])
-            else:
-                out.append((tok, last))
+            contents = _substitute(engine.programs[i], contents, step)
+        (out,) = _substitute((engine.finals[self.end],), contents, len(self.steps))
         return tuple(out)
 
     @cached_property
@@ -412,10 +408,6 @@ def eval_run(sst: Sst, run: Run) -> tuple[tuple[str, int], ...]:
     if not run.accepting:
         raise RunError("run is not accepting: it must go from an initial to a final state")
     return run.annotated_output
-
-
-def output_of(sst: Sst, run: Run) -> str:
-    return "".join(c for c, _ in eval_run(sst, run))
 
 
 def output_via_updates(sst: Sst, run: Run) -> str:
@@ -517,8 +509,33 @@ def _compile_image(var_index: Mapping[str, int], image: Sequence[str]) -> tuple:
     return tuple(ops)
 
 
+def _compile_update(var_index: Mapping[str, int], update: Update) -> tuple:
+    return tuple(_compile_image(var_index, image) for image in update.images)
+
+
 def _ground(image: tuple, values: tuple[str, ...]) -> str:
     return "".join([values[op] if type(op) is int else op for op in image])
+
+
+def _apply(program: tuple, values: tuple[str, ...]) -> tuple[str, ...]:
+    """Variable contents after a compiled update."""
+    return tuple([_ground(image, values) for image in program])
+
+
+def _substitute(program: tuple, contents: Sequence[list], tag) -> list[list]:
+    """``program`` applied to variable contents held as item lists: each
+    variable is replaced by its items and each letter by the pair (letter,
+    ``tag``)."""
+    out = []
+    for image in program:
+        items: list = []
+        for op in image:
+            if type(op) is int:
+                items += contents[op]
+            else:
+                items += [(c, tag) for c in op]
+        out.append(items)
+    return out
 
 
 class _Engine:
@@ -528,12 +545,9 @@ class _Engine:
 
     def __init__(self, sst: Sst):
         var = sst._var_index
+        self.programs = tuple(_compile_update(var, t.update) for t in sst.transitions)
         self.moves = {
-            key: tuple(
-                (sst.transitions[i].target,
-                 tuple(_compile_image(var, image) for image in sst.transitions[i].update.images))
-                for i in ids
-            )
+            key: tuple((sst.transitions[i].target, self.programs[i]) for i in ids)
             for key, ids in sst._by_source.items()
         }
         self.finals = {q: _compile_image(var, expr) for q, expr in sst.final_output.items()}
@@ -546,7 +560,7 @@ class _Engine:
         budget.charge(len(frontier))
         moves = self.moves
         return dict.fromkeys([
-            (target, tuple([_ground(image, values) for image in program]))
+            (target, _apply(program, values))
             for state, values in frontier
             for target, program in moves.get((state, letter), ())
         ])
@@ -679,69 +693,43 @@ def ambiguity_oracle(
 # -- reachability ---------------------------------------------------------
 
 
+def _bfs(adjacency: Mapping[str, list], sources: Iterable[str]) -> dict:
+    """Breadth-first search from ``sources``: every state reached, in visiting
+    order, mapped to the (state, transition) pair it was first reached by,
+    or to None for a source."""
+    parents: dict = dict.fromkeys(sources)
+    order = list(parents)
+    for q in order:
+        for i, nxt in adjacency[q]:
+            if nxt not in parents:
+                parents[nxt] = (q, i)
+                order.append(nxt)
+    return parents
+
+
 def reachable_states(sst: Sst) -> tuple[str, ...]:
     """States reachable from some initial state, in declaration order."""
-    seen = set(sst.initials)
-    frontier = list(sst.initials)
-    while frontier:
-        q = frontier.pop()
-        for t in sst.transitions:
-            if t.source == q and t.target not in seen:
-                seen.add(t.target)
-                frontier.append(t.target)
+    seen = _bfs(sst._adjacency[0], sst.initials)
     return tuple(q for q in sst.states if q in seen)
 
 
 def coreachable_states(sst: Sst) -> tuple[str, ...]:
     """States from which some final state is reachable, in declaration order."""
-    seen = set(sst.finals)
-    frontier = list(sst.finals)
-    while frontier:
-        q = frontier.pop()
-        for t in sst.transitions:
-            if t.target == q and t.source not in seen:
-                seen.add(t.source)
-                frontier.append(t.source)
+    seen = _bfs(sst._adjacency[1], sst.finals)
     return tuple(q for q in sst.states if q in seen)
 
 
 def shortest_access_run(sst: Sst, target: str) -> Run | None:
     """A shortest run from an initial state to ``target`` (BFS, deterministic)."""
-    parents: dict[str, tuple[str, int] | None] = {q: None for q in sst.initials}
-    order = list(sst.initials)
-    pos = 0
-    while pos < len(order):
-        q = order[pos]
-        pos += 1
-        if q == target:
-            return _rebuild(sst, parents, q)
-        for a in sst.alphabet:
-            for i in sst.transitions_from(q, a):
-                tgt = sst.transitions[i].target
-                if tgt not in parents:
-                    parents[tgt] = (q, i)
-                    order.append(tgt)
-    return None
+    parents = _bfs(sst._adjacency[0], sst.initials)
+    return _rebuild(sst, parents, target) if target in parents else None
 
 
 def shortest_exit_run(sst: Sst, source: str) -> Run | None:
     """A shortest run from ``source`` to a final state (BFS, deterministic)."""
-    finals = set(sst.finals)
-    parents: dict[str, tuple[str, int] | None] = {source: None}
-    order = [source]
-    pos = 0
-    while pos < len(order):
-        q = order[pos]
-        pos += 1
-        if q in finals:
-            return _rebuild(sst, parents, q)
-        for a in sst.alphabet:
-            for i in sst.transitions_from(q, a):
-                tgt = sst.transitions[i].target
-                if tgt not in parents:
-                    parents[tgt] = (q, i)
-                    order.append(tgt)
-    return None
+    parents = _bfs(sst._adjacency[0], (source,))
+    end = next((q for q in parents if q in sst.finals), None)
+    return None if end is None else _rebuild(sst, parents, end)
 
 
 def _rebuild(sst: Sst, parents: dict, state: str) -> Run:

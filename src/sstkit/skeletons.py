@@ -23,7 +23,7 @@ from .errors import (
     RunError,
     SstKitError,
 )
-from .model import Run, Sst, Update, compose_updates
+from .model import Run, Sst, Update, _compile_update, _substitute, compose_updates
 from .wordcomb import ParamWord
 
 SKELETON_MONOID_CAP = 1_000_000
@@ -97,21 +97,22 @@ def skeleton_monoid(sst: Sst, cap: int = SKELETON_MONOID_CAP) -> frozenset[Skele
                 f"skeleton monoid has {len(cached)} elements, cap is {cap}"
             )
         return cached
-    generators = [skeleton_of(t.update) for t in sst.transitions]
+    generators = transition_skeletons(sst)
+    # every element is a product of generators, so closing from the identity
+    # under one-sided multiplication reaches them all
     closure: set[Skeleton] = {Skeleton.identity(sst.variables)}
-    closure.update(generators)
     frontier = list(closure)
     while frontier:
         s = frontier.pop()
         for g in generators:
-            for prod in (compose_skeletons(s, g), compose_skeletons(g, s)):
-                if prod not in closure:
-                    closure.add(prod)
-                    frontier.append(prod)
-                    if len(closure) > cap:
-                        raise BudgetExceededError(
-                            f"skeleton monoid exceeded the cap of {cap} elements"
-                        )
+            prod = compose_skeletons(g, s)
+            if prod not in closure:
+                closure.add(prod)
+                frontier.append(prod)
+                if len(closure) > cap:
+                    raise BudgetExceededError(
+                        f"skeleton monoid exceeded the cap of {cap} elements"
+                    )
     result = frozenset(closure)
     sst._skeleton_monoid_cache = result  # safe: plain attribute, set once
     return result
@@ -279,70 +280,43 @@ def pumped_output_expr(sst: Sst, run: Run, loops: LoopSet) -> PumpedOutputExpr:
     if not run.accepting:
         raise RunError("pumped outputs are only defined for accepting runs")
     params = tuple(f"p{k + 1}" for k in range(len(loops.intervals)))
-    varset = sst._var_index
 
-    Lit = str  # items are either a literal letter or a (word, param) power
-    contents: dict[str, list] = {
-        v: [c for c in sst.initial_assignment[v]] for v in sst.variables
-    }
+    var, programs = sst._var_index, sst._engine.programs
+    # items are (word, param) pairs: a power word^param, or a literal letter
+    # when param is None
+    contents = [[(c, None) for c in sst.initial_assignment[v]] for v in sst.variables]
 
-    def apply_plain(update: Update) -> None:
+    def apply(program: tuple, sides=(), param: str | None = None) -> None:
+        """One step; a pumped loop puts its repeated side words around each
+        image, a plain step has no sides."""
         nonlocal contents
-        fresh: dict[str, list] = {}
-        for v in sst.variables:
-            items: list = []
-            for tok in update.image(v):
-                if tok in varset:
-                    items.extend(contents[tok])
-                else:
-                    items.append(tok)
-            fresh[v] = items
-        contents = fresh
-
-    def apply_pumped(update: Update, param: str) -> None:
-        nonlocal contents
-        sides = {v: idempotent_power_words(update, v) for v in sst.variables}
-        fresh: dict[str, list] = {}
-        for v in sst.variables:
-            left, right = sides[v]
-            items: list = []
+        contents = _substitute(program, contents, None)
+        for items, (left, right) in zip(contents, sides):
             if left:
-                items.append((left, param))
-            for tok in update.image(v):
-                if tok in varset:
-                    items.extend(contents[tok])
-                else:
-                    items.append(tok)
+                items.insert(0, (left, param))
             if right:
                 items.append((right, param))
-            fresh[v] = items
-        contents = fresh
 
     pos = 0
     for (i, j), update, param in zip(loops.intervals, loops.updates, params):
         for idx in run.steps[pos:i]:
-            apply_plain(sst.transitions[idx].update)
-        apply_pumped(update, param)
+            apply(programs[idx])
+        sides = [idempotent_power_words(update, v) for v in sst.variables]
+        apply(_compile_update(var, update), sides, param)
         pos = j
     for idx in run.steps[pos:]:
-        apply_plain(sst.transitions[idx].update)
+        apply(programs[idx])
 
-    items: list = []
-    for tok in sst.final_output[run.end]:
-        if tok in varset:
-            items.extend(contents[tok])
-        else:
-            items.append(tok)
-
+    (items,) = _substitute((sst._engine.finals[run.end],), contents, None)
     constants: list[str] = []
     factors: list[tuple[str, str]] = []
     buf: list[str] = []
-    for item in items:
-        if isinstance(item, Lit):
-            buf.append(item)
+    for word, param in items:
+        if param is None:
+            buf.append(word)
         else:
             constants.append("".join(buf))
             buf = []
-            factors.append(item)
+            factors.append((word, param))
     constants.append("".join(buf))
     return PumpedOutputExpr(ParamWord(tuple(constants), tuple(factors)), params)

@@ -16,8 +16,9 @@ Inside an update a bare variable name is a variable occurrence and any
 declared letter is a constant; the empty word is written as an empty
 right-hand side.  Variables not mentioned in a ``trans`` update keep their
 value (identity); write ``X :=`` with nothing after it to erase one.
-Letters are single characters.  The tokens ``; { } := -> =`` are reserved
-and cannot be letters, variables or states.  The ``alphabet:``, ``vars:``, ``states:``
+Letters are single characters, and no name is both a letter and a
+variable.  The tokens ``; { } := -> =`` are reserved and cannot be letters,
+variables or states.  The ``alphabet:``, ``vars:``, ``states:``
 and ``initial:`` lines must appear before any line that uses them.
 """
 
@@ -31,6 +32,8 @@ from .model import Sst, Transition, Update
 _TOKEN = re.compile(r"\S+")
 # the punctuation of the format, which no letter, variable or state may be named
 _RESERVED = frozenset({";", "{", "}", ":=", "->", "="})
+# a token inside an update is a variable or a letter, never both
+_DISJOINT = {"alphabet": "variables", "variables": "alphabet"}
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -116,11 +119,14 @@ def _declare_header(doc: _DocBuilder, attr: str, rest: list[tuple[str, int]], li
     if not rest:
         raise ParseError(f"'{attr}' declaration is empty", lineno, col)
     names = [tok for tok, _ in rest]
+    other = _DISJOINT.get(attr)
     for tok, c in rest:
         if tok in _RESERVED:
             raise ParseError(f"reserved token {tok!r} cannot be declared in '{attr}'", lineno, c)
         if names.count(tok) > 1:
             raise ParseError(f"duplicate name {tok!r}", lineno, c)
+        if other and tok in (getattr(doc, other) or ()):
+            raise ParseError(f"{tok!r} is declared both in '{other}' and in '{attr}'", lineno, c)
     setattr(doc, attr, names)
 
 

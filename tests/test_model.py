@@ -119,6 +119,17 @@ def test_parse_rejects_reserved_states(token):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("header, column", [
+    ("alphabet: a b\nvars: a X1\n", 7),  # the variable line repeats a letter
+    ("vars: X1 a\nalphabet: b a\n", 13),  # the alphabet line repeats a variable
+])
+def test_parse_rejects_name_both_letter_and_variable(header, column):
+    doc = header + "states: q\ninitial: q\nfinal q -> X1\n"
+    with pytest.raises(ParseError) as err:
+        parse_sst(doc)
+    assert (err.value.line, err.value.column) == (2, column)
+
+
 # -- update algebra -----------------------------------------------------------
 
 
