@@ -22,13 +22,23 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_witnesses.json")
 sys.path.insert(0, HERE)
 
-from sstkit import SearchBudget, analyze_valuedness, find_dumbbell, fixtures  # noqa: E402
+from sstkit import (  # noqa: E402
+    BudgetExceededError,
+    SearchBudget,
+    analyze_valuedness,
+    find_dumbbell,
+    fixtures,
+)
 from sstkit.cli import main  # noqa: E402
 
 from helpers import random_sst  # noqa: E402
 
 SEEDS = range(40)
 VALUEDNESS_BUDGET = dict(component_length=2, candidates=200, node_budget=5000, oracle_max_len=5)
+# a deeper search on the fixtures, and a tight dumbbell budget on larger
+# draws, so that budget stops are pinned as well as answers
+DEEP_BUDGET = dict(component_length=3, candidates=2000, node_budget=5000, oracle_max_len=5)
+SMALL_NODE_BUDGET = 1000
 WORDS = {"a": "aaa", "0": "0110"}  # eval/runs input, by a fixture's first letter
 
 
@@ -48,6 +58,30 @@ def analyses() -> dict:
             "valuedness": analyze_valuedness(m, SearchBudget(**VALUEDNESS_BUDGET)).to_json(),
         }
     return out
+
+
+def wide_dumbbells() -> dict:
+    """``find_dumbbell`` at a node budget of 1,000 on 6-state, 4-variable
+    draws; a budget stop is recorded as such."""
+    out = {}
+    for s in SEEDS:
+        m = random_sst(random.Random(s), max_states=6, max_vars=4)
+        try:
+            dumbbell = find_dumbbell(m, node_budget=SMALL_NODE_BUDGET)
+        except BudgetExceededError as err:
+            out[f"random_sst({s}, 6, 4)"] = {"budget_stop": str(err)}
+            continue
+        out[f"random_sst({s}, 6, 4)"] = {
+            "dumbbell": None if dumbbell is None else dumbbell.describe()
+        }
+    return out
+
+
+def deep_analyses() -> dict:
+    return {
+        name: analyze_valuedness(fixtures.load(name), SearchBudget(**DEEP_BUDGET)).to_json()
+        for name in fixtures.names()
+    }
 
 
 def cli_argvs(name: str, path: str) -> dict[str, list[str]]:
@@ -87,7 +121,12 @@ def cli_reports() -> dict:
 
 
 def cases() -> dict:
-    return {"analyses": analyses(), "cli": cli_reports()}
+    return {
+        "analyses": analyses(),
+        "cli": cli_reports(),
+        "deep_analyses": deep_analyses(),
+        "wide_dumbbells": wide_dumbbells(),
+    }
 
 
 if __name__ == "__main__":

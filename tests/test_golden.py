@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from regen_golden import GOLDEN, analyses, cli_reports
+from regen_golden import GOLDEN, analyses, cli_reports, deep_analyses, wide_dumbbells
 
 
 @pytest.fixture(scope="module")
@@ -26,3 +26,14 @@ def test_golden_cli_reports(golden):
     assert sorted(got) == sorted(golden["cli"])
     for key, value in got.items():
         assert value == golden["cli"][key], key
+
+
+@pytest.mark.parametrize("section, compute", [
+    ("deep_analyses", deep_analyses),
+    ("wide_dumbbells", wide_dumbbells),
+])
+def test_golden_budgeted(golden, section, compute):
+    got = json.loads(json.dumps(compute()))
+    assert sorted(got) == sorted(golden[section])
+    for label, value in got.items():
+        assert value == golden[section][label], label
