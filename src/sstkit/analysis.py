@@ -38,6 +38,7 @@ from .model import (
     Sst,
     Update,
     _apply,
+    _compile_image,
     _compile_update,
     _ground,
     compose_updates,
@@ -51,12 +52,10 @@ from .model import (
 )
 from .skeletons import (
     SKELETON_MONOID_CAP,
-    Skeleton,
-    compose_skeletons,
+    _monoid_table,
     is_idempotent,
     skeleton_monoid,
     skeleton_of,
-    transition_skeletons,
 )
 
 
@@ -131,20 +130,20 @@ def find_dumbbell(
 
     Three tracks consume the same input in lockstep: track 1 must loop at
     q1, track 2 must move q1 -> q2, track 3 must loop at q2.  Each track
-    accumulates the skeleton of its induced update; a boolean records
-    whether the tracks have ever disagreed.  The product is finite (states
-    times skeleton monoid, cubed), so exhaustion is a proof of absence.
+    accumulates the skeleton of its induced update, as an element id of the
+    numbered skeleton monoid; a boolean records whether the tracks have ever
+    disagreed.  The product is finite (states times skeleton monoid, cubed),
+    so exhaustion is a proof of absence.
     """
     skeleton_monoid(sst, monoid_cap)  # loud failure if the monoid is oversized
+    table = _monoid_table(sst, monoid_cap)
     budget = Budget(node_budget)
-    skels = transition_skeletons(sst)
-    ident = Skeleton.identity(sst.variables)
     reach = reachable_states(sst)
     coreach = set(coreachable_states(sst))
 
     for q1 in reach:
         for q2 in (q for q in sst.states if q in coreach):
-            found = _dumbbell_bfs(sst, q1, q2, ident, skels, budget)
+            found = _dumbbell_bfs(sst, q1, q2, table, budget)
             if found is None:
                 continue
             path1, path2, path3 = found
@@ -165,32 +164,34 @@ def find_dumbbell(
     return None
 
 
-def _sync_moves(sst, skels, states, accs):
+def _sync_moves(sst, times, states, accs):
     """One synchronized step of the tracks at ``states``, whose runs so far
     have skeletons ``accs``: for each letter in declared order, every
     combination of one transition per track reading it, in lexicographic
-    order, as one (transition, target, skeleton after it) triple per track."""
+    order, as one (transition, target, skeleton after it) triple per track.
+    Skeletons are element ids of the numbered skeleton monoid, whose table
+    by transitions is ``times``."""
     transitions = sst.transitions
     for a in sst.alphabet:
         yield from product(*(
-            [(i, transitions[i].target, compose_skeletons(skels[i], acc))
-             for i in sst.transitions_from(q, a)]
+            [(i, transitions[i].target, times[i][acc]) for i in sst.transitions_from(q, a)]
             for q, acc in zip(states, accs)
         ))
 
 
-def _dumbbell_bfs(sst, q1, q2, ident, skels, budget):
-    start = ((q1, q1, q2), (ident,) * 3, False)
+def _dumbbell_bfs(sst, q1, q2, table, budget):
+    start = ((q1, q1, q2), (0, 0, 0), False)
     goal = (q1, q2, q2)
+    times, idempotent = table.times, table.idempotent
     parents: dict = {start: None}
     queue = deque([start])
     while queue:
         node = queue.popleft()
         budget.charge()
         states, accs, diff = node
-        if diff and states == goal and is_idempotent(accs[0]) and is_idempotent(accs[2]):
+        if diff and states == goal and idempotent[accs[0]] and idempotent[accs[2]]:
             return _rebuild_triple(parents, node)
-        for moves in _sync_moves(sst, skels, states, accs):
+        for moves in _sync_moves(sst, times, states, accs):
             ids, targets, skeletons = zip(*moves)
             child = (targets, skeletons, diff or not (ids[0] == ids[1] == ids[2]))
             if child not in parents:
@@ -341,8 +342,8 @@ class _PatternEvaluator:
         self._block_progs: dict[tuple[int, int], tuple] = {}
         base = tuple(sst.initial_assignment[v] for v in sst.variables)
         self._base = _apply(_compile_update(self._var_pos, alpha), base)
-        self._omega_prog = _compile_update(self._var_pos, omega)
-        self._final_prog = sst._engine.finals[end_state]
+        # the exit run and the final output, as one image
+        self._final = _compile_image(self._var_pos, omega.apply_to(sst.final_output[end_state]))
 
     @classmethod
     def for_pattern(cls, sst: Sst, pattern: WPattern) -> "_PatternEvaluator":
@@ -381,7 +382,7 @@ class _PatternEvaluator:
         return self._finish(contents)
 
     def _finish(self, contents: tuple[str, ...]) -> str:
-        return _ground(self._final_prog, _apply(self._omega_prog, contents))
+        return _ground(self._final, contents)
 
     def outputs_for_all_tuples(self, mark: int) -> dict[tuple[int, ...], str]:
         """Outputs of every tuple in {1,2}^5 for one mark, sharing content
@@ -498,23 +499,24 @@ class SearchBudget:
 class _TripleLevels:
     """Synchronized run triples from a fixed start triple, generated level
     by level: level d holds every triple over one shared input of length
-    exactly d, in lexicographic path order.  Lazy, so shallow candidates
-    are tested before deeper triples are ever generated."""
+    exactly d, in lexicographic path order, as (paths, end states, skeleton
+    ids in the numbered monoid whose table by transitions is ``times``).
+    Lazy, so shallow candidates are tested before deeper triples are ever
+    generated."""
 
-    def __init__(self, sst: Sst, starts, budget: Budget):
+    def __init__(self, sst: Sst, starts, budget: Budget, times):
         self.sst = sst
         self.budget = budget
-        ident = Skeleton.identity(sst.variables)
+        self.times = times
         self.budget.charge()
-        self.levels: list[list[tuple]] = [[(((), (), ()), tuple(starts), (ident,) * 3)]]
+        self.levels: list[list[tuple]] = [[(((), (), ()), tuple(starts), (0, 0, 0))]]
 
     def level(self, depth: int) -> list[tuple]:
-        sst = self.sst
-        skels = transition_skeletons(sst)
+        sst, times = self.sst, self.times
         while len(self.levels) <= depth:
             fresh: list[tuple] = []
             for paths, states, accs in self.levels[-1]:
-                for moves in _sync_moves(sst, skels, states, accs):
+                for moves in _sync_moves(sst, times, states, accs):
                     self.budget.charge()
                     ids, targets, skeletons = zip(*moves)
                     fresh.append((tuple(p + (i,) for p, i in zip(paths, ids)), targets, skeletons))
@@ -535,6 +537,9 @@ class _RawCandidate:
     legs: tuple  # three (entry, loop, exit) update triples
     rho0: Run = field(repr=False)
     rho4: Run = field(repr=False)
+    # what the divergence test depends on: ids of the rho0 update, the nine
+    # leg updates and the rho4 update, and the end state
+    signature: tuple = field(repr=False)
 
     def build_pattern(self, sst: Sst) -> WPattern:
         entry_starts = (self.q1, self.q1, self.q2)
@@ -547,7 +552,9 @@ class _RawCandidate:
         )
 
 
-def _pattern_candidates(sst: Sst, max_len: int, budget: Budget):
+def _pattern_candidates(
+    sst: Sst, max_len: int, budget: Budget, monoid_cap: int = SKELETON_MONOID_CAP
+):
     """Candidate W-pattern shapes in a fixed, deterministic order.
 
     Station shapes are pruned by the loop/composite idempotency
@@ -555,29 +562,42 @@ def _pattern_candidates(sst: Sst, max_len: int, budget: Budget):
     """
     reach = reachable_states(sst)
     coreach = set(coreachable_states(sst))
+    table = _monoid_table(sst, monoid_cap)
+    idempotent, product = table.idempotent, table.product
     levels_memo: dict = {}
-    update_cache: dict[tuple, Update] = {}
     step_updates = tuple(t.update for t in sst.transitions)
     identity = Update.identity(sst.variables)
+    # updates are interned: equal updates get one id
+    update_ids: dict[Update, int] = {}
+    updates: list[Update] = []
+    path_ids: dict[tuple, int] = {}
 
     def levels(starts) -> _TripleLevels:
         if starts not in levels_memo:
-            levels_memo[starts] = _TripleLevels(sst, starts, budget)
+            levels_memo[starts] = _TripleLevels(sst, starts, budget, table.times)
         return levels_memo[starts]
 
-    def path_update(path: tuple) -> Update:
+    def intern(update: Update) -> int:
+        if update not in update_ids:
+            update_ids[update] = len(updates)
+            updates.append(update)
+        return update_ids[update]
+
+    def path_id(path: tuple) -> int:
         # one fold per distinct path; combinations share the cache
-        if path not in update_cache:
+        if path not in path_ids:
             acc = identity
             for i in path:
                 acc = compose_updates(step_updates[i], acc)
-            update_cache[path] = acc
-        return update_cache[path]
+            path_ids[path] = intern(acc)
+        return path_ids[path]
 
     for q1 in reach:
         rho0 = shortest_access_run(sst, q1)
+        alpha = intern(rho0.induced_update)
         for q2 in (q for q in sst.states if q in coreach):
             rho4 = shortest_exit_run(sst, q2)
+            omega = intern(rho4.induced_update)
             for len_e in range(max_len + 1):
                 for e_paths, e_ends, e_accs in levels((q1, q1, q2)).level(len_e):
                     stations = e_ends
@@ -586,7 +606,7 @@ def _pattern_candidates(sst: Sst, max_len: int, budget: Budget):
                         for l_paths, l_ends, l_accs in station_levels.level(len_l):
                             if l_ends != stations:
                                 continue
-                            if not all(is_idempotent(s) for s in l_accs):
+                            if not all(idempotent[s] for s in l_accs):
                                 continue
                             for len_x in range(max_len + 1):
                                 for x_paths, x_ends, x_accs in station_levels.level(len_x):
@@ -594,12 +614,7 @@ def _pattern_candidates(sst: Sst, max_len: int, budget: Budget):
                                     if x_ends != (q1, q2, q2):
                                         continue
                                     composite_ok = all(
-                                        is_idempotent(
-                                            compose_skeletons(
-                                                x_accs[i],
-                                                compose_skeletons(l_accs[i], e_accs[i]),
-                                            )
-                                        )
+                                        idempotent[product(x_accs[i], product(l_accs[i], e_accs[i]))]
                                         for i in range(3)
                                     )
                                     if not composite_ok:
@@ -610,36 +625,42 @@ def _pattern_candidates(sst: Sst, max_len: int, budget: Budget):
                                         continue  # fully empty pattern cannot diverge
                                     if _legs_identical(e_paths, l_paths, x_paths):
                                         continue
+                                    leg_ids = tuple(
+                                        (path_id(e_paths[i]), path_id(l_paths[i]), path_id(x_paths[i]))
+                                        for i in range(3)
+                                    )
                                     yield _RawCandidate(
                                         q1, q2, stations,
                                         e_paths, l_paths, x_paths,
-                                        tuple(
-                                            (
-                                                path_update(e_paths[i]),
-                                                path_update(l_paths[i]),
-                                                path_update(x_paths[i]),
-                                            )
-                                            for i in range(3)
-                                        ),
+                                        tuple(tuple(updates[k] for k in leg) for leg in leg_ids),
                                         rho0, rho4,
+                                        (alpha, leg_ids, omega, rho4.end),
                                     )
 
 
 def _search_divergent_pattern(sst: Sst, sb: SearchBudget):
+    """The first candidate with a divergent tuple, in candidate order.  The
+    divergence test depends on the candidate's signature only, so a
+    signature already found non-divergent is skipped untested; the budget
+    is charged for it all the same."""
     budget = Budget(sb.candidates)
     report = {
         "component_length": sb.component_length,
         "candidate_budget": sb.candidates,
         "exhausted": False,
     }
+    non_divergent: set[tuple] = set()
     try:
-        for raw in _pattern_candidates(sst, sb.component_length, budget):
+        for raw in _pattern_candidates(sst, sb.component_length, budget, sb.monoid_cap):
+            if raw.signature in non_divergent:
+                continue
             ev = _PatternEvaluator(
                 sst, raw.rho0.induced_update, raw.legs,
                 raw.rho4.induced_update, raw.rho4.end,
             )
             tup = ev.first_divergent_tuple()
             if tup is None:
+                non_divergent.add(raw.signature)
                 continue
             pattern = raw.build_pattern(sst)
             pattern.verify(sst)

@@ -87,35 +87,99 @@ def is_idempotent(s: Skeleton) -> bool:
     return compose_skeletons(s, s) == s
 
 
+class _MonoidTable:
+    """The skeleton monoid of one transducer, numbered.
+
+    ``elements[k]`` is the element with id k, 0 being the identity;
+    ``times[t][k]`` is the id of ``compose_skeletons(skeleton of transition
+    t, elements[k])``, the skeleton of a run with id k extended by
+    transition t; ``idempotent[k]`` says whether element k is idempotent.
+    Products are computed on images of variable indices (``_compose``), and
+    a ``Skeleton`` is built once per element.
+    """
+
+    def __init__(self, names: tuple[str, ...], raw: list[tuple], times: tuple[list[int], ...]):
+        self.elements = [Skeleton(names, tuple(tuple(names[i] for i in image) for image in r))
+                         for r in raw]
+        self.members = frozenset(self.elements)
+        self.times = times
+        self.idempotent = tuple(_compose(r, r) == r for r in raw)
+        self._raw = raw
+        self._ids = {r: k for k, r in enumerate(raw)}
+        self._products: dict[tuple[int, int], int] = {}
+
+    def product(self, a: int, b: int) -> int:
+        """Id of ``compose_skeletons(elements[a], elements[b])``, memoized."""
+        key = (a, b)
+        prod = self._products.get(key)
+        if prod is None:
+            prod = self._products[key] = self._ids[_compose(self._raw[a], self._raw[b])]
+        return prod
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """``compose_skeletons`` on images of variable indices."""
+    return tuple([tuple([x for i in image for x in b[i]]) for image in a])
+
+
+def _monoid_table(sst: Sst, cap: int = SKELETON_MONOID_CAP) -> _MonoidTable:
+    """The numbered skeleton monoid of ``sst``, computed once and cached on
+    it; raises ``BudgetExceededError`` whenever the monoid has more than
+    ``cap`` elements, on the first call and on cached calls alike."""
+    table = getattr(sst, "_skeleton_table", None)
+    if table is None:
+        table = _close(sst, cap)
+        sst._skeleton_table = table  # safe: plain attribute, set once
+    if len(table.elements) > cap:
+        raise _over_cap(cap)
+    return table
+
+
+def _over_cap(cap: int) -> BudgetExceededError:
+    return BudgetExceededError(f"skeleton monoid exceeded the cap of {cap} elements")
+
+
+def _close(sst: Sst, cap: int) -> _MonoidTable:
+    # every element is a product of generators, so closing from the identity
+    # under one-sided multiplication reaches them all; transitions with equal
+    # skeletons share one row of the table
+    if cap < 1:
+        raise _over_cap(cap)
+    var = sst._var_index
+    rows: dict[tuple, list[int]] = {}
+    times = tuple(
+        rows.setdefault(tuple(tuple(var[v] for v in image) for image in g.images), [])
+        for g in transition_skeletons(sst)
+    )
+    raw = [tuple((i,) for i in range(len(var)))]
+    ids = {raw[0]: 0}
+    k = 0
+    while k < len(raw):
+        s = raw[k]
+        for g, row in rows.items():
+            prod = _compose(g, s)
+            pid = ids.get(prod)
+            if pid is None:
+                pid = ids[prod] = len(raw)
+                raw.append(prod)
+                if len(raw) > cap:
+                    raise _over_cap(cap)
+            row.append(pid)
+        k += 1
+    return _MonoidTable(sst.variables, raw, times)
+
+
 def skeleton_monoid(sst: Sst, cap: int = SKELETON_MONOID_CAP) -> frozenset[Skeleton]:
     """Closure of the transition skeletons under composition, plus the
-    identity.  Memoized per transducer; fails loudly beyond ``cap``."""
-    cached = getattr(sst, "_skeleton_monoid_cache", None)
-    if cached is not None:
-        if len(cached) > cap:
-            raise BudgetExceededError(
-                f"skeleton monoid has {len(cached)} elements, cap is {cap}"
-            )
-        return cached
-    generators = transition_skeletons(sst)
-    # every element is a product of generators, so closing from the identity
-    # under one-sided multiplication reaches them all
-    closure: set[Skeleton] = {Skeleton.identity(sst.variables)}
-    frontier = list(closure)
-    while frontier:
-        s = frontier.pop()
-        for g in generators:
-            prod = compose_skeletons(g, s)
-            if prod not in closure:
-                closure.add(prod)
-                frontier.append(prod)
-                if len(closure) > cap:
-                    raise BudgetExceededError(
-                        f"skeleton monoid exceeded the cap of {cap} elements"
-                    )
-    result = frozenset(closure)
-    sst._skeleton_monoid_cache = result  # safe: plain attribute, set once
-    return result
+    identity.
+
+    The closure numbers its elements and keeps the multiplication table by
+    generators (``_MonoidTable``), which the ambiguity and valuedness
+    searches run on.  Both are memoized per transducer, so repeat calls
+    return the same set.  Any monoid with more than ``cap`` elements raises
+    ``BudgetExceededError``, on every call.
+    """
+    return _monoid_table(sst, cap).members
 
 
 def transition_skeletons(sst: Sst) -> tuple[Skeleton, ...]:
