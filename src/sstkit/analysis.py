@@ -136,7 +136,7 @@ def find_dumbbell(
     so exhaustion is a proof of absence.
     """
     skeleton_monoid(sst, monoid_cap)  # loud failure if the monoid is oversized
-    table = _monoid_table(sst, monoid_cap)
+    table = _monoid_table(sst, monoid_cap)  # cached by the call above
     budget = Budget(node_budget)
     reach = reachable_states(sst)
     coreach = set(coreachable_states(sst))
