@@ -95,10 +95,16 @@ def cli_argvs(name: str, path: str) -> dict[str, list[str]]:
     }
 
 
-def cli_reports() -> dict:
-    """``--json`` reports on the fixtures, minus ``wall_time_s``; the
-    documents are written under relative names so the report keys do not
-    depend on where the files live."""
+def valuedness_argv(path: str) -> list[str]:
+    return ["valuedness", path, "--budget", "200", "--component-len", "2",
+            "--max-len", "5", "--amplify", "3"]
+
+
+def _json_reports(argvs) -> dict:
+    """``--json`` reports on the fixtures, minus ``wall_time_s``, keyed by
+    "<command> <fixture>"; ``argvs(name, path)`` maps each command to its
+    argument list.  The documents are written under relative names so the
+    report keys do not depend on where the files live."""
     out = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,7 +114,7 @@ def cli_reports() -> dict:
                 path = name.lower().replace("-", "_") + ".sst"
                 with open(path, "w", encoding="utf-8") as handle:
                     handle.write(fixtures.source(name))
-                for command, argv in cli_argvs(name, path).items():
+                for command, argv in argvs(name, path).items():
                     buf = io.StringIO()
                     with contextlib.redirect_stdout(buf):
                         code = main(argv + ["--json"])
@@ -120,11 +126,22 @@ def cli_reports() -> dict:
     return out
 
 
+def cli_reports() -> dict:
+    return _json_reports(cli_argvs)
+
+
+def valuedness_reports() -> dict:
+    """``valuedness --json`` with amplification on the fixtures, which pins
+    the budget report and the amplified outputs."""
+    return _json_reports(lambda name, path: {"valuedness": valuedness_argv(path)})
+
+
 def cases() -> dict:
     return {
         "analyses": analyses(),
         "cli": cli_reports(),
         "deep_analyses": deep_analyses(),
+        "valuedness_cli": valuedness_reports(),
         "wide_dumbbells": wide_dumbbells(),
     }
 

@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from regen_golden import GOLDEN, analyses, cli_reports, deep_analyses, wide_dumbbells
+from regen_golden import (
+    GOLDEN,
+    analyses,
+    cli_reports,
+    deep_analyses,
+    valuedness_reports,
+    wide_dumbbells,
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +38,7 @@ def test_golden_cli_reports(golden):
 @pytest.mark.parametrize("section, compute", [
     ("deep_analyses", deep_analyses),
     ("wide_dumbbells", wide_dumbbells),
+    ("valuedness_cli", valuedness_reports),
 ])
 def test_golden_budgeted(golden, section, compute):
     got = json.loads(json.dumps(compute()))
