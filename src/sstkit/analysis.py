@@ -121,11 +121,7 @@ def _expect_endpoints(run: Run, start: str, end: str, name: str) -> None:
         )
 
 
-def find_dumbbell(
-    sst: Sst,
-    monoid_cap: int = SKELETON_MONOID_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Dumbbell | None:
+def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell | None:
     """Exact search for a dumbbell, or None if the transducer has none.
 
     Three tracks consume the same input in lockstep: track 1 must loop at
@@ -135,8 +131,10 @@ def find_dumbbell(
     disagreed.  The product is finite (states times skeleton monoid, cubed),
     so exhaustion is a proof of absence.
     """
-    skeleton_monoid(sst, monoid_cap)  # loud failure if the monoid is oversized
-    table = _monoid_table(sst, monoid_cap)  # cached by the call above
+    # close the monoid through skeleton_monoid, so that a traced run counts
+    # its cost and size there; the table is then read from the cache
+    skeleton_monoid(sst)
+    table = _monoid_table(sst)
     budget = Budget(node_budget)
     reach = reachable_states(sst)
     coreach = set(coreachable_states(sst))
@@ -209,13 +207,9 @@ def _rebuild_triple(parents, node):
     return tuple(tuple(reversed(p)) for p in paths)
 
 
-def is_finite_ambiguous(
-    sst: Sst,
-    monoid_cap: int = SKELETON_MONOID_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> bool:
+def is_finite_ambiguous(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Exact: true iff the transducer admits no dumbbell."""
-    return find_dumbbell(sst, monoid_cap=monoid_cap, node_budget=node_budget) is None
+    return find_dumbbell(sst, node_budget=node_budget) is None
 
 
 # -- W-patterns --------------------------------------------------------------
@@ -323,94 +317,120 @@ def build_wrun(sst: Sst, pattern: WPattern, values, mark: int) -> Run:
     return concat_runs(sst, segments)
 
 
-_TUPLES: tuple[tuple[int, ...], ...] = tuple(product((1, 2), repeat=5))
+class _UpdatePool:
+    """The updates met by one W-pattern search, interned: equal updates get
+    one id.  The pumped blocks entry . loop^x . exit are composed and
+    compiled once per (leg ids, x) for the whole search."""
 
+    def __init__(self, sst: Sst):
+        self.sst = sst
+        self.updates: list[Update] = []
+        self._ids: dict[Update, int] = {}
+        self._path_ids: dict[tuple, int] = {}
+        self._blocks: dict[tuple, tuple] = {}
+        self._steps = tuple(t.update for t in sst.transitions)
+        self._identity = Update.identity(sst.variables)
 
-class _PatternEvaluator:
-    """Fast W-run outputs for a pattern.
+    def intern(self, update: Update) -> int:
+        if update not in self._ids:
+            self._ids[update] = len(self.updates)
+            self.updates.append(update)
+        return self._ids[update]
 
-    The per-leg block updates (entry . loop^x . exit) are composed once and
-    compiled into the configuration engine's index programs; marked runs
-    are then evaluated over tuples of concrete variable contents instead of
-    being materialized, sharing common prefixes across the tuple scan.
-    """
+    def path_id(self, path: tuple) -> int:
+        """Id of the update induced by a path of transitions; one fold per
+        distinct path."""
+        if path not in self._path_ids:
+            acc = self._identity
+            for i in path:
+                acc = compose_updates(self._steps[i], acc)
+            self._path_ids[path] = self.intern(acc)
+        return self._path_ids[path]
 
-    def __init__(self, sst: Sst, alpha: Update, legs, omega: Update, end_state: str):
-        # legs: three (entry, loop, exit) update triples
-        self._var_pos = sst._var_index
-        self._legs = legs
-        self._block_progs: dict[tuple[int, int], tuple] = {}
-        base = tuple(sst.initial_assignment[v] for v in sst.variables)
-        self._base = _apply(_compile_update(self._var_pos, alpha), base)
-        # the exit run and the final output, as one image
-        self._final = _compile_image(self._var_pos, omega.apply_to(sst.final_output[end_state]))
-
-    @classmethod
-    def for_pattern(cls, sst: Sst, pattern: WPattern) -> "_PatternEvaluator":
-        legs = tuple(
-            (
-                pattern.entries[i].induced_update,
-                pattern.loops[i].induced_update,
-                pattern.exits[i].induced_update,
-            )
-            for i in range(3)
+    def legs(self, entry_paths, loop_paths, exit_paths) -> tuple:
+        """Ids of the nine leg updates, as three (entry, loop, exit) triples."""
+        return tuple(
+            (self.path_id(e), self.path_id(l), self.path_id(x))
+            for e, l, x in zip(entry_paths, loop_paths, exit_paths)
         )
-        return cls(
-            sst,
-            pattern.rho0.induced_update,
-            legs,
-            pattern.rho4.induced_update,
+
+    def signature(self, pattern: WPattern) -> tuple:
+        return (
+            self.path_id(pattern.rho0.steps),
+            self.legs(*([r.steps for r in group]
+                        for group in (pattern.entries, pattern.loops, pattern.exits))),
+            self.path_id(pattern.rho4.steps),
             pattern.rho4.end,
         )
 
-    def block_prog(self, leg: int, x: int) -> tuple:
+    def block(self, leg: tuple, x: int) -> tuple:
+        """The compiled update of entry . loop^x . exit for a leg given as
+        (entry, loop, exit) ids."""
         key = (leg, x)
-        if key not in self._block_progs:
-            entry, loop, exit_ = self._legs[leg]
+        if key not in self._blocks:
+            entry, loop, exit_ = (self.updates[k] for k in leg)
             acc = entry
             for _ in range(x):
                 acc = compose_updates(loop, acc)
             acc = compose_updates(exit_, acc)
-            self._block_progs[key] = _compile_update(self._var_pos, acc)
-        return self._block_progs[key]
+            self._blocks[key] = _compile_update(self.sst._var_index, acc)
+        return self._blocks[key]
+
+
+# the leg each of the five blocks takes when the mark is at position 2 (mid)
+# or at position 4 (late) of the sequence
+_MID_LEGS = (0, 1, 2, 2, 2)
+_LATE_LEGS = (0, 0, 0, 1, 2)
+
+
+class _PatternEvaluator:
+    """Fast W-run outputs for a candidate signature: the ids of the rho0
+    update, the nine leg updates and the rho4 update in ``pool``, and the
+    end state.  Marked runs are evaluated over concrete variable contents
+    with the pool's compiled blocks instead of being materialized."""
+
+    def __init__(self, pool: _UpdatePool, signature: tuple):
+        alpha, self._legs, omega, end_state = signature
+        self._pool = pool
+        sst = pool.sst
+        base = tuple(sst.initial_assignment[v] for v in sst.variables)
+        self._base = _apply(_compile_update(sst._var_index, pool.updates[alpha]), base)
+        # the exit run and the final output, as one image
+        self._final = _compile_image(
+            sst._var_index, pool.updates[omega].apply_to(sst.final_output[end_state])
+        )
 
     def output(self, values, mark: int) -> str:
         contents = self._base
         for idx, x in enumerate(values):
             leg = 0 if idx < mark else (1 if idx == mark else 2)
-            contents = _apply(self.block_prog(leg, x), contents)
-        return self._finish(contents)
-
-    def _finish(self, contents: tuple[str, ...]) -> str:
+            contents = _apply(self._pool.block(self._legs[leg], x), contents)
         return _ground(self._final, contents)
 
-    def outputs_for_all_tuples(self, mark: int) -> dict[tuple[int, ...], str]:
-        """Outputs of every tuple in {1,2}^5 for one mark, sharing content
-        prefixes along the enumeration tree."""
-        legs = tuple(0 if i < mark else (1 if i == mark else 2) for i in range(5))
-        out: dict[tuple[int, ...], str] = {}
-
-        def rec(idx: int, contents: tuple[str, ...], prefix: tuple[int, ...]):
-            if idx == 5:
-                out[prefix] = self._finish(contents)
-                return
-            for x in (1, 2):
-                rec(
-                    idx + 1,
-                    _apply(self.block_prog(legs[idx], x), contents),
-                    prefix + (x,),
-                )
-
-        rec(0, self._base, ())
-        return out
-
     def first_divergent_tuple(self) -> tuple[int, ...] | None:
-        late = self.outputs_for_all_tuples(3)
-        mid = self.outputs_for_all_tuples(1)
-        for tup in _TUPLES:
-            if late[tup] != mid[tup]:
-                return tup
-        return None
+        """The first tuple in {1,2}^5, lexicographic, whose runs marked at
+        position 2 and at position 4 give different outputs.  One
+        depth-first walk carries both contents side by side, so common
+        prefixes are evaluated once."""
+        blocks = [[self._pool.block(leg, x) for x in (1, 2)] for leg in self._legs]
+        final = self._final
+
+        def walk(prefix: tuple, mid: tuple, late: tuple):
+            depth = len(prefix)
+            if depth == 5:
+                return prefix if _ground(final, mid) != _ground(final, late) else None
+            mid_blocks, late_blocks = blocks[_MID_LEGS[depth]], blocks[_LATE_LEGS[depth]]
+            for x in (1, 2):
+                found = walk(
+                    prefix + (x,),
+                    _apply(mid_blocks[x - 1], mid),
+                    _apply(late_blocks[x - 1], late),
+                )
+                if found is not None:
+                    return found
+            return None
+
+        return walk((), self._base, self._base)
 
 
 def is_simply_divergent(sst: Sst, pattern: WPattern) -> tuple[int, ...] | None:
@@ -424,7 +444,8 @@ def is_simply_divergent(sst: Sst, pattern: WPattern) -> tuple[int, ...] | None:
     groups = (pattern.entries, pattern.loops, pattern.exits)
     if _legs_identical(*([r.steps for r in group] for group in groups)):
         return None
-    tup = _PatternEvaluator.for_pattern(sst, pattern).first_divergent_tuple()
+    pool = _UpdatePool(sst)
+    tup = _PatternEvaluator(pool, pool.signature(pattern)).first_divergent_tuple()
     if tup is None:
         return None
     _confirm_divergence(sst, pattern, tup)
@@ -483,7 +504,6 @@ class SearchBudget:
     component_length: int = 4
     candidates: int = 1_000_000
     node_budget: int = DEFAULT_NODE_BUDGET
-    monoid_cap: int = SKELETON_MONOID_CAP
     oracle_max_len: int = 6
 
     def describe(self) -> dict:
@@ -491,7 +511,7 @@ class SearchBudget:
             "component_length": self.component_length,
             "candidates": self.candidates,
             "node_budget": self.node_budget,
-            "monoid_cap": self.monoid_cap,
+            "monoid_cap": SKELETON_MONOID_CAP,
             "oracle_max_len": self.oracle_max_len,
         }
 
@@ -534,9 +554,6 @@ class _RawCandidate:
     entry_paths: tuple
     loop_paths: tuple
     exit_paths: tuple
-    legs: tuple  # three (entry, loop, exit) update triples
-    rho0: Run = field(repr=False)
-    rho4: Run = field(repr=False)
     # what the divergence test depends on: ids of the rho0 update, the nine
     # leg updates and the rho4 update, and the end state
     signature: tuple = field(repr=False)
@@ -545,59 +562,37 @@ class _RawCandidate:
         entry_starts = (self.q1, self.q1, self.q2)
         return WPattern(
             self.q1, self.q2, *self.stations,
-            self.rho0, self.rho4,
+            shortest_access_run(sst, self.q1), shortest_exit_run(sst, self.q2),
             tuple(Run(sst, entry_starts[i], self.entry_paths[i]) for i in range(3)),
             tuple(Run(sst, self.stations[i], self.loop_paths[i]) for i in range(3)),
             tuple(Run(sst, self.stations[i], self.exit_paths[i]) for i in range(3)),
         )
 
 
-def _pattern_candidates(
-    sst: Sst, max_len: int, budget: Budget, monoid_cap: int = SKELETON_MONOID_CAP
-):
-    """Candidate W-pattern shapes in a fixed, deterministic order.
+def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
+    """Candidate W-pattern shapes in a fixed, deterministic order, with
+    signatures in ``pool``.
 
     Station shapes are pruned by the loop/composite idempotency
     requirements before any pattern object is built.
     """
+    sst = pool.sst
     reach = reachable_states(sst)
     coreach = set(coreachable_states(sst))
-    table = _monoid_table(sst, monoid_cap)
+    table = _monoid_table(sst)
     idempotent, product = table.idempotent, table.product
     levels_memo: dict = {}
-    step_updates = tuple(t.update for t in sst.transitions)
-    identity = Update.identity(sst.variables)
-    # updates are interned: equal updates get one id
-    update_ids: dict[Update, int] = {}
-    updates: list[Update] = []
-    path_ids: dict[tuple, int] = {}
 
     def levels(starts) -> _TripleLevels:
         if starts not in levels_memo:
             levels_memo[starts] = _TripleLevels(sst, starts, budget, table.times)
         return levels_memo[starts]
 
-    def intern(update: Update) -> int:
-        if update not in update_ids:
-            update_ids[update] = len(updates)
-            updates.append(update)
-        return update_ids[update]
-
-    def path_id(path: tuple) -> int:
-        # one fold per distinct path; combinations share the cache
-        if path not in path_ids:
-            acc = identity
-            for i in path:
-                acc = compose_updates(step_updates[i], acc)
-            path_ids[path] = intern(acc)
-        return path_ids[path]
-
     for q1 in reach:
-        rho0 = shortest_access_run(sst, q1)
-        alpha = intern(rho0.induced_update)
+        alpha = pool.path_id(shortest_access_run(sst, q1).steps)
         for q2 in (q for q in sst.states if q in coreach):
             rho4 = shortest_exit_run(sst, q2)
-            omega = intern(rho4.induced_update)
+            omega = pool.path_id(rho4.steps)
             for len_e in range(max_len + 1):
                 for e_paths, e_ends, e_accs in levels((q1, q1, q2)).level(len_e):
                     stations = e_ends
@@ -619,22 +614,13 @@ def _pattern_candidates(
                                     )
                                     if not composite_ok:
                                         continue
-                                    if not any(e_paths[0] + l_paths[0] + x_paths[0]
-                                               + e_paths[1] + l_paths[1] + x_paths[1]
-                                               + e_paths[2] + l_paths[2] + x_paths[2]):
-                                        continue  # fully empty pattern cannot diverge
                                     if _legs_identical(e_paths, l_paths, x_paths):
                                         continue
-                                    leg_ids = tuple(
-                                        (path_id(e_paths[i]), path_id(l_paths[i]), path_id(x_paths[i]))
-                                        for i in range(3)
-                                    )
                                     yield _RawCandidate(
                                         q1, q2, stations,
                                         e_paths, l_paths, x_paths,
-                                        tuple(tuple(updates[k] for k in leg) for leg in leg_ids),
-                                        rho0, rho4,
-                                        (alpha, leg_ids, omega, rho4.end),
+                                        (alpha, pool.legs(e_paths, l_paths, x_paths),
+                                         omega, rho4.end),
                                     )
 
 
@@ -649,16 +635,13 @@ def _search_divergent_pattern(sst: Sst, sb: SearchBudget):
         "candidate_budget": sb.candidates,
         "exhausted": False,
     }
+    pool = _UpdatePool(sst)
     non_divergent: set[tuple] = set()
     try:
-        for raw in _pattern_candidates(sst, sb.component_length, budget, sb.monoid_cap):
+        for raw in _pattern_candidates(pool, sb.component_length, budget):
             if raw.signature in non_divergent:
                 continue
-            ev = _PatternEvaluator(
-                sst, raw.rho0.induced_update, raw.legs,
-                raw.rho4.induced_update, raw.rho4.end,
-            )
-            tup = ev.first_divergent_tuple()
+            tup = _PatternEvaluator(pool, raw.signature).first_divergent_tuple()
             if tup is None:
                 non_divergent.add(raw.signature)
                 continue
@@ -720,7 +703,7 @@ def analyze_valuedness(sst: Sst, budget: SearchBudget | None = None) -> Verdict:
     sb = budget or SearchBudget()
     budgets = sb.describe()
     try:
-        dumbbell = find_dumbbell(sst, monoid_cap=sb.monoid_cap, node_budget=sb.node_budget)
+        dumbbell = find_dumbbell(sst, node_budget=sb.node_budget)
     except BudgetExceededError as err:
         return Verdict(
             "Unknown", None, None,
@@ -732,7 +715,7 @@ def analyze_valuedness(sst: Sst, budget: SearchBudget | None = None) -> Verdict:
             "Finite", None, None,
             {
                 "certificate": "no dumbbell: the transducer is finitely ambiguous",
-                "skeleton_monoid_size": len(skeleton_monoid(sst, sb.monoid_cap)),
+                "skeleton_monoid_size": len(skeleton_monoid(sst)),
             },
             budgets, None,
         )
@@ -770,36 +753,49 @@ def amplify_valuedness(
     m: int,
     budget: Budget | int | None = None,
 ) -> tuple[str, list[str]] | None:
-    """Produce one input with at least m pairwise distinct outputs.
+    """Produce one input with m pairwise distinct outputs.
 
     Scans marked-sequence families of the divergent pattern: for a common
-    unmarked sequence t_1..t_m, the runs marked at each position all read
-    the same input; the scan stops at the first assignment making their
-    outputs pairwise distinct.  Returns None only on budget exhaustion.
-    All reported outputs are re-verified against the output set of the
-    input.
+    unmarked sequence t_1..t_n, the runs marked at each position all read
+    the same input.  Lengths n = m, m+1, ..., 2m are scanned in turn.  For
+    each length, loop counts range over 1..c, with c = m plus the larger of
+    2 and the largest count of the divergence tuple, and sequences are
+    scanned by increasing largest count, then lexicographically.  The scan
+    stops at the first sequence whose n marked runs give at least m
+    distinct outputs, and returns its input with the outputs of the marks
+    that first produce m distinct outputs, in mark order.  The budget is
+    charged one unit per sequence scanned.
+
+    Returns None when the budget runs out, and when no sequence in that
+    range gives m distinct outputs.  All reported outputs are re-verified
+    by rebuilding their runs and against the output set of the input.
     """
     if m < 1:
         raise SstKitError("need m >= 1 outputs")
     pattern = divergent.pattern
     b = Budget.ensure(budget)
-    ev = _PatternEvaluator.for_pattern(sst, pattern)
+    pool = _UpdatePool(sst)
+    ev = _PatternEvaluator(pool, pool.signature(pattern))
     top = max(2, max(divergent.values))
     try:
-        for vmax in range(1, top + m + 1):
-            for values in product(range(1, vmax + 1), repeat=m):
-                if max(values) != vmax and vmax > 1:
-                    continue  # already scanned under a smaller cap
-                b.charge()
-                outs = [ev.output(values, h) for h in range(m)]
-                if len(set(outs)) == m:
-                    runs = [build_wrun(sst, pattern, values, h) for h in range(m)]
+        for n in range(m, 2 * m + 1):
+            for vmax in range(1, top + m + 1):
+                for values in product(range(1, vmax + 1), repeat=n):
+                    if max(values) < vmax:
+                        continue  # already scanned under a smaller cap
+                    b.charge()
+                    first_mark: dict[str, int] = {}
+                    for h in range(n):
+                        first_mark.setdefault(ev.output(values, h), h)
+                    if len(first_mark) < m:
+                        continue
+                    outs = list(first_mark)[:m]
+                    runs = [build_wrun(sst, pattern, values, first_mark[o]) for o in outs]
                     word = runs[0].input
                     real = [r.output for r in runs]
                     if real != outs or any(r.input != word for r in runs):
                         raise SstKitError("amplified runs failed re-evaluation")
-                    full = outputs(sst, word, b)
-                    if not set(real) <= full:
+                    if not set(real) <= outputs(sst, word, b):
                         raise SstKitError("amplified outputs not realized by the transducer")
                     return word, real
     except BudgetExceededError:

@@ -254,3 +254,32 @@ def test_dumbbells_on_random_machines_pump_to_many_runs():
             assert len(enumerate_runs(sst, word)) >= n + 1
         found += 1
     assert found >= 5
+
+
+# Divergent patterns whose last marks give equal outputs at every sequence of
+# length m, so amplification needs a longer sequence: random_sst(Random(s))
+# with the search budget at which its witness is found, and the values of m.
+LONGER_SEQUENCE_CASES = [
+    (193, dict(component_length=2, candidates=20_000, oracle_max_len=5), m)
+    for m in (2, 3, 4, 5)
+] + [
+    (s, dict(component_length=2, candidates=200, node_budget=5000, oracle_max_len=5), 3)
+    for s in (562, 1016, 1333, 1349, 2482, 2557, 2758, 2910)
+]
+
+
+@pytest.mark.parametrize("seed, knobs, m", LONGER_SEQUENCE_CASES)
+def test_amplify_uses_longer_sequences(seed, knobs, m):
+    import random
+
+    from helpers import random_sst
+
+    sst = random_sst(random.Random(seed))
+    verdict = analyze_valuedness(sst, SearchBudget(**knobs))
+    assert verdict.kind == "Infinite"
+    result = amplify_valuedness(sst, verdict.witness, m)
+    assert result is not None
+    word, outs = result
+    assert len(outs) == m
+    assert len(set(outs)) == m
+    assert set(outs) <= outputs(sst, word)

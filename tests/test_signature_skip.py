@@ -8,7 +8,12 @@ import pytest
 
 import sstkit
 from sstkit import BudgetExceededError, SearchBudget
-from sstkit.analysis import _PatternEvaluator, _pattern_candidates, _search_divergent_pattern
+from sstkit.analysis import (
+    _PatternEvaluator,
+    _UpdatePool,
+    _pattern_candidates,
+    _search_divergent_pattern,
+)
 from sstkit.model import Budget
 
 from helpers import random_sst
@@ -74,13 +79,10 @@ def reference_search(sst, sb):
     """Test every candidate in order and stop at the first divergent one:
     (candidate, tuple, budget used, exhausted)."""
     budget = Budget(sb.candidates)
+    pool = _UpdatePool(sst)
     try:
-        for raw in _pattern_candidates(sst, sb.component_length, budget):
-            ev = _PatternEvaluator(
-                sst, raw.rho0.induced_update, raw.legs,
-                raw.rho4.induced_update, raw.rho4.end,
-            )
-            tup = ev.first_divergent_tuple()
+        for raw in _pattern_candidates(pool, sb.component_length, budget):
+            tup = _PatternEvaluator(pool, raw.signature).first_divergent_tuple()
             if tup is not None:
                 return raw, tup, budget.used, False
     except BudgetExceededError:
