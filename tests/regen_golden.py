@@ -100,29 +100,44 @@ def valuedness_argv(path: str) -> list[str]:
             "--max-len", "5", "--amplify", "3"]
 
 
-def _json_reports(argvs) -> dict:
-    """``--json`` reports on the fixtures, minus ``wall_time_s``, keyed by
-    "<command> <fixture>"; ``argvs(name, path)`` maps each command to its
-    argument list.  The documents are written under relative names so the
-    report keys do not depend on where the files live."""
-    out = {}
+@contextlib.contextmanager
+def _fixture_dir():
+    """Write the fixture documents into a temporary working directory, under
+    relative names so that reports and messages do not depend on where the
+    files live, and yield a dict from fixture name to file name."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            paths = {}
             for name in fixtures.names():
-                path = name.lower().replace("-", "_") + ".sst"
-                with open(path, "w", encoding="utf-8") as handle:
+                paths[name] = name.lower().replace("-", "_") + ".sst"
+                with open(paths[name], "w", encoding="utf-8") as handle:
                     handle.write(fixtures.source(name))
-                for command, argv in argvs(name, path).items():
-                    buf = io.StringIO()
-                    with contextlib.redirect_stdout(buf):
-                        code = main(argv + ["--json"])
-                    report = json.loads(buf.getvalue())
-                    report.pop("wall_time_s")
-                    out[f"{command} {name}"] = {"exit_code": code, "report": report}
+            yield paths
         finally:
             os.chdir(cwd)
+
+
+def _invoke(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _json_reports(argvs) -> dict:
+    """``--json`` reports on the fixtures, minus ``wall_time_s``, keyed by
+    "<command> <fixture>"; ``argvs(name, path)`` maps each command to its
+    argument list."""
+    out = {}
+    with _fixture_dir() as paths:
+        for name, path in paths.items():
+            for command, argv in argvs(name, path).items():
+                code, stdout, _ = _invoke(argv + ["--json"])
+                report = json.loads(stdout)
+                report.pop("wall_time_s")
+                out[f"{command} {name}"] = {"exit_code": code, "report": report}
     return out
 
 
@@ -136,10 +151,78 @@ def valuedness_reports() -> dict:
     return _json_reports(lambda name, path: {"valuedness": valuedness_argv(path)})
 
 
+# equiv's second document, by a fixture's first letter
+PARTNER = {"a": "FIX-AMB", "0": "FIX-TSC1"}
+BAD_DOC = ("alphabet: a\nvars: X1\nstates: q\ninitial: q\n"
+           "final q -> X1\ntrans q a q { X1 := X1 X1 }\n")
+# error paths, on FIX-TSC (written as fix_tsc.sst), a CRLF copy of it and
+# the copyless-violating BAD_DOC
+ERROR_ARGVS = {
+    "missing file": ["validate", "missing.sst"],
+    "missing second file": ["equiv", "fix_tsc.sst", "missing.sst"],
+    "copyless violation": ["validate", "bad.sst"],
+    "crlf validate": ["validate", "fix_tsc_crlf.sst"],
+    "crlf equiv": ["equiv", "fix_tsc.sst", "fix_tsc_crlf.sst"],
+    "decompose --k 0": ["decompose", "fix_tsc.sst", "--k", "0"],
+    "delay --run2 99": ["delay", "fix_tsc.sst", "--input", "00", "--run2", "99"],
+    "eval unknown letter": ["eval", "fix_tsc.sst", "--input", "z"],
+}
+# argparse's usage text differs between Python versions: exit codes only
+USAGE_ARGVS = {
+    "unknown flag": ["oracle", "fix_tsc.sst", "--no-such-flag"],
+    "no command": [],
+}
+
+
+def cli_all_argvs(name: str, path: str, paths: dict[str, str]) -> dict[str, list[str]]:
+    """All nine subcommands on one fixture."""
+    first = fixtures.load(name).alphabet[0]
+    word = WORDS[first]
+    return {
+        **cli_argvs(name, path),
+        "valuedness": valuedness_argv(path),
+        "delay": ["delay", path, "--input", word, "--C", "1"],
+        "decompose": ["decompose", path, "--k", "2", "--max-len", "2"],
+        "equiv": ["equiv", path, paths[PARTNER[first]], "--max-len", "4"],
+    }
+
+
+def _pinned(argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of one invocation in text mode and in
+    ``--json`` mode; a JSON report is stored parsed, without wall_time_s."""
+    out = {}
+    for mode, extra in (("text", []), ("json", ["--json"])):
+        code, stdout, stderr = _invoke(argv + extra)
+        if mode == "json" and stdout:
+            stdout = json.loads(stdout)
+            stdout.pop("wall_time_s")
+        out[mode] = {"exit_code": code, "stdout": stdout, "stderr": stderr}
+    return out
+
+
+def cli_all() -> dict:
+    """Every subcommand on every fixture, plus error and usage paths."""
+    out = {}
+    with _fixture_dir() as paths:
+        with open("bad.sst", "w", encoding="utf-8") as handle:
+            handle.write(BAD_DOC)
+        with open("fix_tsc_crlf.sst", "wb") as handle:
+            handle.write(fixtures.source("FIX-TSC").replace("\n", "\r\n").encode("utf-8"))
+        for name, path in paths.items():
+            for command, argv in cli_all_argvs(name, path, paths).items():
+                out[f"{command} {name}"] = _pinned(argv)
+        for label, argv in ERROR_ARGVS.items():
+            out[label] = _pinned(argv)
+        for label, argv in USAGE_ARGVS.items():
+            out[label] = {"exit_code": _invoke(argv)[0]}
+    return out
+
+
 def cases() -> dict:
     return {
         "analyses": analyses(),
         "cli": cli_reports(),
+        "cli_all": cli_all(),
         "deep_analyses": deep_analyses(),
         "valuedness_cli": valuedness_reports(),
         "wide_dumbbells": wide_dumbbells(),

@@ -8,6 +8,7 @@ import pytest
 from regen_golden import (
     GOLDEN,
     analyses,
+    cli_all,
     cli_reports,
     deep_analyses,
     valuedness_reports,
@@ -33,6 +34,15 @@ def test_golden_cli_reports(golden):
     assert sorted(got) == sorted(golden["cli"])
     for key, value in got.items():
         assert value == golden["cli"][key], key
+
+
+def test_golden_cli_all(golden):
+    """All nine subcommands on the fixtures in text and --json mode, and the
+    error paths: exit code, stdout and stderr."""
+    got = cli_all()
+    assert sorted(got) == sorted(golden["cli_all"])
+    for key, value in got.items():
+        assert value == golden["cli_all"][key], key
 
 
 @pytest.mark.parametrize("section, compute", [
