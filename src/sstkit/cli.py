@@ -6,11 +6,19 @@ equal, 1 for Infinite / counterexample, 2 for usage, parse, or budget
 problems (Unknown verdicts included).  ``--json`` switches to a key-sorted,
 schema-stable report; repeated invocations on the same inputs produce
 byte-identical reports except for the wall_time_s field.
+
+Each subcommand is declared once in ``_build_parser``, with its handler
+and its document arguments; the parser is built once per process.  Each
+document is read once: its bytes give the sha256 digest in the report, and
+they are decoded as UTF-8 and parsed before the handler runs.  A document
+that is not UTF-8 is a parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -29,8 +37,9 @@ from .decompose import (
     semantic_cover,
 )
 from .delay import delay as run_delay
-from .errors import SstKitError
+from .errors import ParseError, SstKitError
 from .model import (
+    DEFAULT_NODE_BUDGET,
     Budget,
     Sst,
     ambiguity_oracle,
@@ -44,8 +53,15 @@ from .sstformat import parse_sst
 EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_ERROR = 2
+# the help of each document argument, by its name
+_DOCUMENTS = {
+    "file": "transducer document",
+    "file_a": "first transducer document",
+    "file_b": "second transducer document",
+}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sstkit",
@@ -54,30 +70,30 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sstkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, helptext: str, files: int = 1) -> argparse.ArgumentParser:
+    def add(name: str, handler, helptext: str, files=("file",)) -> argparse.ArgumentParser:
+        """A subcommand whose handler gets the parsed documents named by
+        ``files`` after ``(args, report)``."""
         p = sub.add_parser(name, help=helptext)
-        if files == 1:
-            p.add_argument("file", help="transducer document")
-        elif files == 2:
-            p.add_argument("file_a", help="first transducer document")
-            p.add_argument("file_b", help="second transducer document")
+        p.set_defaults(handler=handler, files=files)
+        for dest in files:
+            p.add_argument(dest, help=_DOCUMENTS[dest])
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         return p
 
-    add("validate", "parse and validate a document")
+    add("validate", _cmd_validate, "parse and validate a document")
 
-    p = add("eval", "print the set of outputs for one input")
+    p = add("eval", _cmd_eval, "print the set of outputs for one input")
     p.add_argument("--input", required=True, help="input word")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
-    p = add("runs", "list the accepting runs on one input")
+    p = add("runs", _cmd_runs, "list the accepting runs on one input")
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
-    p = add("ambiguity", "exact finite-ambiguity decision (dumbbell search)")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p = add("ambiguity", _cmd_ambiguity, "exact finite-ambiguity decision (dumbbell search)")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
-    p = add("valuedness", "sound partial finite-valuedness analysis")
+    p = add("valuedness", _cmd_valuedness, "sound partial finite-valuedness analysis")
     p.add_argument("--budget", type=int, default=1_000_000,
                    help="candidate budget for the W-pattern search")
     p.add_argument("--component-len", type=int, default=4,
@@ -87,49 +103,56 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplify", type=int, default=0, metavar="M",
                    help="on Infinite, also search for M pairwise distinct outputs")
 
-    p = add("delay", "weight tables and delay of two runs on one input")
+    p = add("delay", _cmd_delay, "weight tables and delay of two runs on one input")
     p.add_argument("--input", required=True)
     p.add_argument("--C", type=int, default=2, help="cut period bound")
     p.add_argument("--run1", type=int, default=None, help="index into the run list")
     p.add_argument("--run2", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
-    p = add("decompose", "selector table (and cover sizes) up to a length")
+    p = add("decompose", _cmd_decompose, "selector table (and cover sizes) up to a length")
     p.add_argument("--k", type=int, required=True, help="number of selectors")
     p.add_argument("--max-len", type=int, default=3)
     p.add_argument("--C", type=int, default=2)
     p.add_argument("--D", type=int, default=10)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
-    p = add("equiv", "bounded equivalence check of two documents", files=2)
+    p = add("equiv", _cmd_equiv, "bounded equivalence check of two documents",
+            files=("file_a", "file_b"))
     p.add_argument("--max-len", type=int, default=6)
     p.add_argument("--min-len", type=int, default=1)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
-    p = add("oracle", "exhaustive valuedness and ambiguity readings")
+    p = add("oracle", _cmd_oracle, "exhaustive valuedness and ambiguity readings")
     p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
     return parser
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
-def _load(path: str) -> Sst:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_sst(handle.read())
+def _parse_document(path: str, raw: bytes) -> Sst:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 ({err.reason} at byte {err.start})") from None
+    return parse_sst(text)
 
 
 class _Report:
+    """The report of one command.  Opens each of the command's documents
+    once, for its digest and its parsed machine (``machines``)."""
+
     _KNOBS = ("budget", "component_len", "max_len", "min_len", "C", "D", "k", "amplify")
 
-    def __init__(self, args: argparse.Namespace, files: list[str]):
+    def __init__(self, args: argparse.Namespace):
+        paths = [getattr(args, dest) for dest in args.files]
+        raws = []
+        for path in paths:
+            with open(path, "rb") as handle:
+                raws.append(handle.read())
         self.data: dict = {
             "command": args.command,
-            "files": {path: _digest(path) for path in files},
+            "files": {path: hashlib.sha256(raw).hexdigest() for path, raw in zip(paths, raws)},
             "knobs": {
                 name: getattr(args, name)
                 for name in self._KNOBS
@@ -139,6 +162,7 @@ class _Report:
         self.json = args.json
         self.started = time.monotonic()
         self.lines: list[str] = []
+        self.machines = [_parse_document(path, raw) for path, raw in zip(paths, raws)]
 
     def say(self, line: str) -> None:
         self.lines.append(line)
@@ -156,41 +180,20 @@ class _Report:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
-    except SstKitError as err:
+        report = _Report(args)
+        return args.handler(args, report, *report.machines)
+    except (SstKitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    files = [args.file] if hasattr(args, "file") else [args.file_a, args.file_b]
-    report = _Report(args, files)
-    handler = {
-        "validate": _cmd_validate,
-        "eval": _cmd_eval,
-        "runs": _cmd_runs,
-        "ambiguity": _cmd_ambiguity,
-        "valuedness": _cmd_valuedness,
-        "delay": _cmd_delay,
-        "decompose": _cmd_decompose,
-        "equiv": _cmd_equiv,
-        "oracle": _cmd_oracle,
-    }[args.command]
-    return handler(args, report)
-
-
-def _cmd_validate(args, report) -> int:
-    sst = _load(args.file)
+def _cmd_validate(args, report, sst: Sst) -> int:
     summary = sst.describe()
     report.say(f"ok: {args.file}")
     for key, value in summary.items():
@@ -198,8 +201,7 @@ def _cmd_validate(args, report) -> int:
     return report.emit({"result": summary}, EXIT_OK)
 
 
-def _cmd_eval(args, report) -> int:
-    sst = _load(args.file)
+def _cmd_eval(args, report, sst: Sst) -> int:
     values = sorted(outputs(sst, args.input, Budget(args.budget)))
     report.say(f"input: {args.input!r}")
     report.say(f"outputs ({len(values)}):")
@@ -208,8 +210,7 @@ def _cmd_eval(args, report) -> int:
     return report.emit({"result": {"input": args.input, "outputs": values}}, EXIT_OK)
 
 
-def _cmd_runs(args, report) -> int:
-    sst = _load(args.file)
+def _cmd_runs(args, report, sst: Sst) -> int:
     runs = enumerate_runs(sst, args.input, Budget(args.budget))
     report.say(f"input: {args.input!r}, accepting runs: {len(runs)}")
     payload = []
@@ -220,8 +221,7 @@ def _cmd_runs(args, report) -> int:
     return report.emit({"result": {"input": args.input, "runs": payload}}, EXIT_OK)
 
 
-def _cmd_ambiguity(args, report) -> int:
-    sst = _load(args.file)
+def _cmd_ambiguity(args, report, sst: Sst) -> int:
     dumbbell = find_dumbbell(sst, node_budget=args.budget)
     if dumbbell is None:
         report.say("finitely ambiguous: no dumbbell")
@@ -237,8 +237,7 @@ def _cmd_ambiguity(args, report) -> int:
     )
 
 
-def _cmd_valuedness(args, report) -> int:
-    sst = _load(args.file)
+def _cmd_valuedness(args, report, sst: Sst) -> int:
     budget = SearchBudget(
         component_length=args.component_len,
         candidates=args.budget,
@@ -263,14 +262,10 @@ def _cmd_valuedness(args, report) -> int:
     return report.emit(payload, exit_code)
 
 
-def _cmd_delay(args, report) -> int:
-    sst = _load(args.file)
+def _cmd_delay(args, report, sst: Sst) -> int:
     runs = enumerate_runs(sst, args.input, Budget(args.budget))
-    if args.run1 is None and args.run2 is None and len(runs) == 2:
-        first, second = 0, 1
-    else:
-        first = args.run1 if args.run1 is not None else 0
-        second = args.run2 if args.run2 is not None else (1 if len(runs) > 1 else 0)
+    first = args.run1 if args.run1 is not None else 0
+    second = args.run2 if args.run2 is not None else (1 if len(runs) > 1 else 0)
     if not (0 <= first < len(runs) and 0 <= second < len(runs)):
         raise SstKitError(
             f"run indices {first}, {second} out of range: {len(runs)} accepting runs"
@@ -281,21 +276,10 @@ def _cmd_delay(args, report) -> int:
                f"argmax={result.argmax}")
     for line in result.table_lines():
         report.say(line)
-    payload = {
-        "result": {
-            "C": result.C,
-            "cuts": list(result.cuts),
-            "delay": result.delay,
-            "argmax": list(result.argmax),
-            "weights1": [list(r) for r in result.weights1],
-            "weights2": [list(r) for r in result.weights2],
-        }
-    }
-    return report.emit(payload, EXIT_OK)
+    return report.emit({"result": dataclasses.asdict(result)}, EXIT_OK)
 
 
-def _cmd_decompose(args, report) -> int:
-    sst = _load(args.file)
+def _cmd_decompose(args, report, sst: Sst) -> int:
     if args.k < 1:
         raise SstKitError("need at least one selector")
     table = []
@@ -314,9 +298,7 @@ def _cmd_decompose(args, report) -> int:
     return report.emit({"result": {"k": args.k, "C": args.C, "D": args.D, "table": table}}, EXIT_OK)
 
 
-def _cmd_equiv(args, report) -> int:
-    a = _load(args.file_a)
-    b = _load(args.file_b)
+def _cmd_equiv(args, report, a: Sst, b: Sst) -> int:
     counterexample = check_equivalence_bounded(
         a, b, args.max_len, Budget(args.budget), min_len=args.min_len
     )
@@ -337,8 +319,7 @@ def _cmd_equiv(args, report) -> int:
     )
 
 
-def _cmd_oracle(args, report) -> int:
-    sst = _load(args.file)
+def _cmd_oracle(args, report, sst: Sst) -> int:
     val, val_witness = valuedness_oracle(sst, args.max_len, Budget(args.budget))
     amb, amb_witness = ambiguity_oracle(sst, args.max_len, Budget(args.budget))
     report.say(f"inputs of length 1..{args.max_len}:")

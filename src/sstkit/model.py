@@ -447,7 +447,9 @@ def enumerate_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> l
 
     Runs are ordered by the rank sequences of their transitions (see
     ``Sst.transition_rank``), with the start-state index breaking the tie
-    between empty runs from different initial states.
+    between empty runs from different initial states.  The budget is charged
+    one unit per partial run, the empty ones included.  The walk is
+    depth-first on an explicit stack, so the word may be of any length.
     """
     for c in word:
         if c not in sst._letter_index:
@@ -456,19 +458,32 @@ def enumerate_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> l
     finals = set(sst.finals)
     found: list[Run] = []
 
-    def extend(state: str, pos: int, acc: list[int], start: str) -> None:
-        b.charge()
-        if pos == len(word):
-            if state in finals:
-                found.append(Run(sst, start, tuple(acc)))
-            return
-        for i in sst.transitions_from(state, word[pos]):
-            acc.append(i)
-            extend(sst.transitions[i].target, pos + 1, acc, start)
-            acc.pop()
-
     for start in sst.initials:
-        extend(start, 0, [], start)
+        b.charge()
+        if not word:
+            if start in finals:
+                found.append(Run(sst, start, ()))
+            continue
+        # the partial run, and for each of its prefixes the transitions not
+        # yet tried after it
+        steps: list[int] = []
+        pending = [iter(sst.transitions_from(start, word[0]))]
+        while pending:
+            i = next(pending[-1], None)
+            if i is None:
+                pending.pop()
+                if steps:
+                    steps.pop()
+                continue
+            b.charge()
+            steps.append(i)
+            target = sst.transitions[i].target
+            if len(steps) < len(word):
+                pending.append(iter(sst.transitions_from(target, word[len(steps)])))
+                continue
+            if target in finals:
+                found.append(Run(sst, start, tuple(steps)))
+            steps.pop()
     found.sort(key=sst.run_sort_key)
     return found
 

@@ -1,4 +1,8 @@
+import builtins
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +24,9 @@ def docs(tmp_path_factory):
         "final q -> X1\ntrans q a q { X1 := X1 X1 }\n"
     )
     paths["bad"] = str(bad)
+    not_utf8 = root / "not_utf8.sst"
+    not_utf8.write_bytes(sstkit.fixtures.source("FIX-TSC").encode("utf-8") + b"# \xff\n")
+    paths["not_utf8"] = str(not_utf8)
     return paths
 
 
@@ -134,3 +141,57 @@ def test_unknown_arguments_exit_2(docs, capsys):
 def test_missing_file_exits_2(capsys):
     assert main(["validate", "/nonexistent/machine.sst"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["validate", "equiv"])
+def test_non_utf8_document_is_a_parse_error(docs, capsys, command):
+    argv = {"validate": ["validate", docs["not_utf8"]],
+            "equiv": ["equiv", docs["FIX-TSC"], docs["not_utf8"]]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {docs['not_utf8']}: not UTF-8")
+
+
+def test_parser_is_built_once(docs, capsys, monkeypatch):
+    assert main(["validate", docs["FIX-ID"]]) == 0
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("main() built a second parser")
+
+    monkeypatch.setattr("argparse.ArgumentParser", rebuilt)
+    assert main(["validate", docs["FIX-ID"]]) == 0
+    assert main(["oracle", docs["FIX-ID"], "--no-such-flag"]) == 2
+    capsys.readouterr()
+
+
+def test_each_document_is_opened_once(docs, capsys, monkeypatch):
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["equiv", docs["FIX-TSC"], docs["FIX-TSC1"], "--max-len", "2"]) == 1
+    assert main(["validate", docs["FIX-ID"], "--json"]) == 0
+    assert opened == [docs["FIX-TSC"], docs["FIX-TSC1"], docs["FIX-ID"]]
+    capsys.readouterr()
+
+
+def test_python_dash_m_sstkit(docs, capsys):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["validate", docs["FIX-TSC"], "--json"]
+    proc = subprocess.run([sys.executable, "-m", "sstkit", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    code, out = run(capsys, *argv)
+    assert code == 0
+    via_module, via_main = json.loads(proc.stdout), json.loads(out)
+    via_module.pop("wall_time_s"), via_main.pop("wall_time_s")
+    assert via_module == via_main
+    no_command = subprocess.run([sys.executable, "-m", "sstkit"],
+                                capture_output=True, env=env, timeout=60)
+    assert no_command.returncode == 2

@@ -13,6 +13,7 @@ from functools import lru_cache
 import pytest
 
 from sstkit import (
+    Budget,
     BudgetExceededError,
     Sst,
     Transition,
@@ -27,6 +28,7 @@ from sstkit import (
     valuedness_oracle,
     words_over,
 )
+from sstkit.cli import main
 
 from helpers import random_sst
 
@@ -138,6 +140,26 @@ def test_scan_past_the_recursion_limit():
     sst = two_initials()
     assert valuedness_oracle(sst, 2_000) == (2, "a")
     assert ambiguity_oracle(sst, 2_000) == (2, "a")
+
+
+def test_enumerate_runs_past_the_recursion_limit(tmp_path, capsys):
+    # run enumeration keeps its partial run on an explicit stack as well
+    word = "a" * 5000
+    runs = enumerate_runs(fixtures.load("FIX-ID"), word)
+    assert len(runs) == 1 and runs[0].output == word
+    doc = tmp_path / "fix_id.sst"
+    doc.write_text(fixtures.source("FIX-ID"))
+    assert main(["runs", str(doc), "--input", word]) == 0
+    assert "accepting runs: 1" in capsys.readouterr().out
+
+
+def test_enumerate_runs_charges_one_unit_per_partial_run():
+    # FIX-AMB has two runs on every word: a^n has 2^k partial runs of length k
+    sst = fixtures.load("FIX-AMB")
+    for n in range(11):
+        budget = Budget()
+        enumerate_runs(sst, "a" * n, budget)
+        assert budget.used == 2 ** (n + 1) - 1, n
 
 
 def test_empty_length_range():
