@@ -131,9 +131,6 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
     disagreed.  The product is finite (states times skeleton monoid, cubed),
     so exhaustion is a proof of absence.
     """
-    # close the monoid through skeleton_monoid, so that a traced run counts
-    # its cost and size there; the table is then read from the cache
-    skeleton_monoid(sst)
     table = _monoid_table(sst)
     budget = Budget(node_budget)
     reach = reachable_states(sst)
@@ -162,25 +159,27 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
     return None
 
 
-def _sync_moves(sst, times, states, accs):
+def _sync_moves(moves, table, states, accs):
     """One synchronized step of the tracks at ``states``, whose runs so far
     have skeletons ``accs``: for each letter in declared order, every
     combination of one transition per track reading it, in lexicographic
     order, as one (transition, target, skeleton after it) triple per track.
-    Skeletons are element ids of the numbered skeleton monoid, whose table
-    by transitions is ``times``."""
-    transitions = sst.transitions
-    for a in sst.alphabet:
+    ``moves`` is the transducer's ``_moves``; skeletons are element ids of
+    the numbered skeleton monoid ``table``, whose row of an element gives
+    its products by transition."""
+    rows = table.rows
+    track_rows = [rows[k] or table.row(k) for k in accs]
+    for per_track in zip(*[moves[q] for q in states]):
         yield from product(*(
-            [(i, transitions[i].target, times[i][acc]) for i in sst.transitions_from(q, a)]
-            for q, acc in zip(states, accs)
+            [(i, target, row[i]) for i, target in letter_moves]
+            for letter_moves, row in zip(per_track, track_rows)
         ))
 
 
 def _dumbbell_bfs(sst, q1, q2, table, budget):
     start = ((q1, q1, q2), (0, 0, 0), False)
     goal = (q1, q2, q2)
-    times, idempotent = table.times, table.idempotent
+    moves, idempotent = sst._moves, table.idempotent
     parents: dict = {start: None}
     queue = deque([start])
     while queue:
@@ -189,8 +188,8 @@ def _dumbbell_bfs(sst, q1, q2, table, budget):
         states, accs, diff = node
         if diff and states == goal and idempotent[accs[0]] and idempotent[accs[2]]:
             return _rebuild_triple(parents, node)
-        for moves in _sync_moves(sst, times, states, accs):
-            ids, targets, skeletons = zip(*moves)
+        for step in _sync_moves(moves, table, states, accs):
+            ids, targets, skeletons = zip(*step)
             child = (targets, skeletons, diff or not (ids[0] == ids[1] == ids[2]))
             if child not in parents:
                 parents[child] = (node, ids)
@@ -520,25 +519,24 @@ class _TripleLevels:
     """Synchronized run triples from a fixed start triple, generated level
     by level: level d holds every triple over one shared input of length
     exactly d, in lexicographic path order, as (paths, end states, skeleton
-    ids in the numbered monoid whose table by transitions is ``times``).
-    Lazy, so shallow candidates are tested before deeper triples are ever
-    generated."""
+    ids in the numbered monoid ``table``).  Lazy, so shallow candidates are
+    tested before deeper triples are ever generated."""
 
-    def __init__(self, sst: Sst, starts, budget: Budget, times):
+    def __init__(self, sst: Sst, starts, budget: Budget, table):
         self.sst = sst
         self.budget = budget
-        self.times = times
+        self.table = table
         self.budget.charge()
         self.levels: list[list[tuple]] = [[(((), (), ()), tuple(starts), (0, 0, 0))]]
 
     def level(self, depth: int) -> list[tuple]:
-        sst, times = self.sst, self.times
+        moves, table = self.sst._moves, self.table
         while len(self.levels) <= depth:
             fresh: list[tuple] = []
             for paths, states, accs in self.levels[-1]:
-                for moves in _sync_moves(sst, times, states, accs):
+                for step in _sync_moves(moves, table, states, accs):
                     self.budget.charge()
-                    ids, targets, skeletons = zip(*moves)
+                    ids, targets, skeletons = zip(*step)
                     fresh.append((tuple(p + (i,) for p, i in zip(paths, ids)), targets, skeletons))
             self.levels.append(fresh)
         return self.levels[depth]
@@ -585,7 +583,7 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
 
     def levels(starts) -> _TripleLevels:
         if starts not in levels_memo:
-            levels_memo[starts] = _TripleLevels(sst, starts, budget, table.times)
+            levels_memo[starts] = _TripleLevels(sst, starts, budget, table)
         return levels_memo[starts]
 
     for q1 in reach:

@@ -282,16 +282,29 @@ class Sst:
         return _Engine(self)
 
     @cached_property
+    def _moves(self) -> dict[str, tuple]:
+        """``_moves[q][a]`` lists the transitions leaving state q on the a-th
+        letter as (transition, target) pairs, in rank order; built on first
+        use."""
+        transitions = self.transitions
+        return {
+            q: tuple(
+                tuple((i, transitions[i].target) for i in self.transitions_from(q, a))
+                for a in self.alphabet
+            )
+            for q in self.states
+        }
+
+    @cached_property
     def _adjacency(self) -> tuple[dict, dict]:
         """Successors and predecessors of each state as (transition, state)
-        pairs, successors in (letter, rank) order; built on first use."""
-        succ: dict[str, list] = {q: [] for q in self.states}
+        pairs, successors in (letter, rank) order, read off ``_moves``."""
+        moves = self._moves
+        succ = {q: [m for per_letter in moves[q] for m in per_letter] for q in self.states}
         pred: dict[str, list] = {q: [] for q in self.states}
-        for a in self.alphabet:
+        for a in range(len(self.alphabet)):
             for q in self.states:
-                for i in self.transitions_from(q, a):
-                    target = self.transitions[i].target
-                    succ[q].append((i, target))
+                for i, target in moves[q][a]:
                     pred[target].append((i, q))
         return succ, pred
 

@@ -88,33 +88,99 @@ def is_idempotent(s: Skeleton) -> bool:
 
 
 class _MonoidTable:
-    """The skeleton monoid of one transducer, numbered.
+    """The skeleton monoid of one transducer, numbered on demand.
 
-    ``elements[k]`` is the element with id k, 0 being the identity;
-    ``times[t][k]`` is the id of ``compose_skeletons(skeleton of transition
-    t, elements[k])``, the skeleton of a run with id k extended by
-    transition t; ``idempotent[k]`` says whether element k is idempotent.
-    Products are computed on images of variable indices (``_compose``), and
-    a ``Skeleton`` is built once per element.
+    An element gets its id when a search first reaches it, 0 being the
+    identity; ids name skeletons and nothing else, so what a search finds
+    does not depend on what was numbered before it.  ``rows[k]`` is None
+    until ``row(k)`` computes it; then ``rows[k][t]`` is the id of
+    ``compose_skeletons(skeleton of transition t, element k)``, the
+    skeleton of a run with id k extended by transition t.
+    ``idempotent[k]`` says whether element k is idempotent.  Products are
+    computed on images of variable indices (``_compose``), once per
+    distinct transition skeleton.  A search raises ``BudgetExceededError``
+    once the table has numbered more than ``cap`` elements.
     """
 
-    def __init__(self, names: tuple[str, ...], raw: list[tuple], times: tuple[list[int], ...]):
-        self.elements = [Skeleton(names, tuple(tuple(names[i] for i in image) for image in r))
-                         for r in raw]
-        self.members = frozenset(self.elements)
-        self.times = times
-        self.idempotent = tuple(_compose(r, r) == r for r in raw)
-        self._raw = raw
-        self._ids = {r: k for k, r in enumerate(raw)}
+    def __init__(self, sst: Sst, cap: int = SKELETON_MONOID_CAP):
+        var = sst._var_index
+        generators: dict[tuple, int] = {}
+        self._columns = tuple(
+            generators.setdefault(tuple(tuple(var[v] for v in image) for image in g.images),
+                                  len(generators))
+            for g in transition_skeletons(sst)
+        )
+        self._generators = tuple(generators)
+        self._names = sst.variables
+        self.cap = cap
+        self.rows: list[list[int] | None] = []
+        self.idempotent: list[bool] = []
+        self._raw: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
         self._products: dict[tuple[int, int], int] = {}
+        self._members: frozenset[Skeleton] | None = None
+        self._number(tuple((i,) for i in range(len(var))))
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def _number(self, raw: tuple) -> int:
+        k = self._ids.get(raw)
+        if k is None:
+            k = self._ids[raw] = len(self._raw)
+            self._raw.append(raw)
+            self.rows.append(None)
+            self.idempotent.append(_compose(raw, raw) == raw)
+        return k
+
+    def _fill(self, k: int) -> list[int]:
+        s = self._raw[k]
+        by_generator = [self._number(_compose(g, s)) for g in self._generators]
+        row = self.rows[k] = [by_generator[c] for c in self._columns]
+        return row
+
+    def _check_cap(self) -> None:
+        if len(self._raw) > self.cap:
+            raise _over_cap(self.cap)
+
+    def row(self, k: int) -> list[int]:
+        """``rows[k]``, computed on first use; callers on a hot path read
+        ``rows[k] or table.row(k)``."""
+        row = self.rows[k] or self._fill(k)
+        self._check_cap()
+        return row
 
     def product(self, a: int, b: int) -> int:
-        """Id of ``compose_skeletons(elements[a], elements[b])``, memoized."""
+        """Id of ``compose_skeletons(skeleton(a), skeleton(b))``, memoized."""
         key = (a, b)
         prod = self._products.get(key)
         if prod is None:
-            prod = self._products[key] = self._ids[_compose(self._raw[a], self._raw[b])]
+            prod = self._products[key] = self._number(_compose(self._raw[a], self._raw[b]))
+            self._check_cap()
         return prod
+
+    def skeleton(self, k: int) -> Skeleton:
+        names = self._names
+        return Skeleton(names, tuple(tuple(names[i] for i in image) for image in self._raw[k]))
+
+    def close(self, cap: int) -> frozenset[Skeleton]:
+        """Number every element and return them all, as one set cached on
+        the table; raises ``BudgetExceededError`` when there are more than
+        ``cap`` of them."""
+        if self._members is None:
+            # every element is a product of generators, so filling the rows
+            # from the identity on reaches them all
+            k = 0
+            while k < len(self._raw):
+                if len(self._raw) > cap:
+                    raise _over_cap(cap)
+                if self.rows[k] is None:
+                    self._fill(k)
+                k += 1
+            self._members = frozenset(self.skeleton(k) for k in range(len(self._raw)))
+        if len(self._members) > cap:
+            raise _over_cap(cap)
+        return self._members
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
@@ -122,16 +188,14 @@ def _compose(a: tuple, b: tuple) -> tuple:
     return tuple([tuple([x for i in image for x in b[i]]) for image in a])
 
 
-def _monoid_table(sst: Sst, cap: int = SKELETON_MONOID_CAP) -> _MonoidTable:
-    """The numbered skeleton monoid of ``sst``, computed once and cached on
-    it; raises ``BudgetExceededError`` whenever the monoid has more than
-    ``cap`` elements, on the first call and on cached calls alike."""
+def _monoid_table(sst: Sst) -> _MonoidTable:
+    """The numbered skeleton monoid of ``sst``, created empty but for the
+    identity on first use and cached on it; raises ``BudgetExceededError``
+    whenever it already holds more elements than its cap."""
     table = getattr(sst, "_skeleton_table", None)
     if table is None:
-        table = _close(sst, cap)
-        sst._skeleton_table = table  # safe: plain attribute, set once
-    if len(table.elements) > cap:
-        raise _over_cap(cap)
+        table = sst._skeleton_table = _MonoidTable(sst)  # safe: plain attribute, set once
+    table._check_cap()
     return table
 
 
@@ -139,47 +203,19 @@ def _over_cap(cap: int) -> BudgetExceededError:
     return BudgetExceededError(f"skeleton monoid exceeded the cap of {cap} elements")
 
 
-def _close(sst: Sst, cap: int) -> _MonoidTable:
-    # every element is a product of generators, so closing from the identity
-    # under one-sided multiplication reaches them all; transitions with equal
-    # skeletons share one row of the table
-    if cap < 1:
-        raise _over_cap(cap)
-    var = sst._var_index
-    rows: dict[tuple, list[int]] = {}
-    times = tuple(
-        rows.setdefault(tuple(tuple(var[v] for v in image) for image in g.images), [])
-        for g in transition_skeletons(sst)
-    )
-    raw = [tuple((i,) for i in range(len(var)))]
-    ids = {raw[0]: 0}
-    k = 0
-    while k < len(raw):
-        s = raw[k]
-        for g, row in rows.items():
-            prod = _compose(g, s)
-            pid = ids.get(prod)
-            if pid is None:
-                pid = ids[prod] = len(raw)
-                raw.append(prod)
-                if len(raw) > cap:
-                    raise _over_cap(cap)
-            row.append(pid)
-        k += 1
-    return _MonoidTable(sst.variables, raw, times)
-
-
 def skeleton_monoid(sst: Sst, cap: int = SKELETON_MONOID_CAP) -> frozenset[Skeleton]:
     """Closure of the transition skeletons under composition, plus the
     identity.
 
-    The closure numbers its elements and keeps the multiplication table by
-    generators (``_MonoidTable``), which the ambiguity and valuedness
-    searches run on.  Both are memoized per transducer, so repeat calls
-    return the same set.  Any monoid with more than ``cap`` elements raises
-    ``BudgetExceededError``, on every call.
+    The ambiguity and valuedness searches number the elements they reach
+    in a table cached on the transducer (``_MonoidTable``); this function
+    closes that table and returns its elements as a set, memoized, so
+    repeat calls return the same set.  Any monoid with more than ``cap``
+    elements raises ``BudgetExceededError``, on every call.  A search
+    checks its table's own cap, and that cap counts the elements the
+    search numbered, not the whole monoid.
     """
-    return _monoid_table(sst, cap).members
+    return _monoid_table(sst).close(cap)
 
 
 def transition_skeletons(sst: Sst) -> tuple[Skeleton, ...]:

@@ -1,13 +1,23 @@
 """The numbered skeleton monoid: its multiplication table and idempotency
-flags against brute force, and its cap rule."""
+flags against brute force, its cap rule, and searches whose results do
+not depend on the order in which elements were numbered."""
 
 import random
 
 import pytest
 
 import sstkit
-from sstkit import BudgetExceededError, Skeleton, compose_skeletons, is_idempotent, skeleton_monoid
-from sstkit.skeletons import _monoid_table, transition_skeletons
+from sstkit import (
+    BudgetExceededError,
+    SearchBudget,
+    Skeleton,
+    compose_skeletons,
+    find_dumbbell,
+    is_idempotent,
+    skeleton_monoid,
+)
+from sstkit.analysis import _search_divergent_pattern
+from sstkit.skeletons import _monoid_table, _MonoidTable, transition_skeletons
 
 from helpers import random_sst
 
@@ -38,17 +48,19 @@ def brute_monoid(sst) -> set:
 @pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
 def test_table_matches_compose_skeletons(label, make):
     sst = make()
+    members = skeleton_monoid(sst)  # closes the table
     table = _monoid_table(sst)
-    elements = table.elements
+    elements = [table.skeleton(k) for k in range(len(table))]
     ids = {s: k for k, s in enumerate(elements)}
     assert len(ids) == len(elements)
     assert elements[0] == Skeleton.identity(sst.variables)
-    assert set(elements) == table.members == skeleton_monoid(sst) == brute_monoid(sst)
+    assert set(elements) == members == brute_monoid(sst)
+    for k in range(len(elements)):
+        assert len(table.row(k)) == len(sst.transitions)
     for t, g in enumerate(transition_skeletons(sst)):
-        assert len(table.times[t]) == len(elements)
         for k, s in enumerate(elements):
-            assert table.times[t][k] == ids[compose_skeletons(g, s)]
-    assert table.idempotent == tuple(is_idempotent(s) for s in elements)
+            assert table.row(k)[t] == ids[compose_skeletons(g, s)]
+    assert table.idempotent == [is_idempotent(s) for s in elements]
     sample = range(min(len(elements), 25))
     for a in sample:
         for b in sample:
@@ -86,3 +98,54 @@ def test_cap_check_is_the_same_on_every_call(label, make, small_first):
         else:
             assert first is full and again is full, cap
         assert skeleton_monoid(sst) is full
+
+
+def dumbbell_or_stop(sst):
+    try:
+        found = find_dumbbell(sst, node_budget=1000)
+    except BudgetExceededError as err:
+        return ("stopped", str(err))
+    return None if found is None else found.describe()
+
+
+def pattern_search(sst):
+    witness, report = _search_divergent_pattern(
+        sst, SearchBudget(component_length=2, candidates=2000))
+    return (None if witness is None else witness.describe()), report
+
+
+@pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
+def test_searches_do_not_depend_on_element_ids(label, make):
+    # a fresh transducer numbers elements in the order the searches reach
+    # them; one closed by skeleton_monoid first numbers them in closure order
+    fresh, closed = make(), make()
+    skeleton_monoid(closed)
+    assert dumbbell_or_stop(fresh) == dumbbell_or_stop(closed)
+    assert pattern_search(fresh) == pattern_search(closed)
+
+
+def test_dumbbell_search_numbers_only_what_it_reaches():
+    draws = [random_sst(random.Random(s), max_states=6, max_vars=4) for s in range(40)]
+    numbered, sizes = [], []
+    for sst in draws:
+        dumbbell_or_stop(sst)
+        numbered.append(len(_monoid_table(sst)))
+        sizes.append(len(skeleton_monoid(sst)))
+    assert all(n <= size for n, size in zip(numbered, sizes))
+    assert any(n < size for n, size in zip(numbered, sizes))
+
+
+@pytest.mark.parametrize("label, make", CAP_CASES, ids=[c[0] for c in CAP_CASES])
+def test_search_cap_counts_the_elements_it_numbered(label, make):
+    sst = make()
+    expected = dumbbell_or_stop(sst)
+    numbered = len(_monoid_table(sst))
+    capped = make()
+    capped._skeleton_table = _MonoidTable(capped, cap=numbered - 1)
+    with pytest.raises(BudgetExceededError, match=f"cap of {numbered - 1} elements"):
+        find_dumbbell(capped, node_budget=1000)
+    with pytest.raises(BudgetExceededError, match=f"cap of {numbered - 1} elements"):
+        find_dumbbell(capped, node_budget=1000)
+    enough = make()
+    enough._skeleton_table = _MonoidTable(enough, cap=numbered)
+    assert dumbbell_or_stop(enough) == expected
