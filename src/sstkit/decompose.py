@@ -47,16 +47,14 @@ def semantic_cover(
     produce the same output set as the full run set, and every surviving
     pair either differs in output or has delay greater than D.
     """
-    runs = enumerate_runs(sst, word, budget)  # already in lexicographic order
     survivors: list[Run] = []
-    for idx, run in enumerate(runs):
-        suppressed = False
-        for earlier in runs[:idx]:
-            if earlier.output == run.output and delay(earlier, run, C).delay <= D:
-                suppressed = True
-                break
-        if not suppressed:
+    # the runs so far of each output, in lexicographic order
+    earlier: dict[str, list[Run]] = {}
+    for run in enumerate_runs(sst, word, budget):  # already in lexicographic order
+        same_output = earlier.setdefault(run.output, [])
+        if not any(delay(e, run, C).delay <= D for e in same_output):
             survivors.append(run)
+        same_output.append(run)
     return survivors
 
 

@@ -197,13 +197,13 @@ class Sst:
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self._validate()
 
-        by_source: dict[tuple[str, str], list[int]] = {}
-        for i, t in enumerate(self.transitions):
-            by_source.setdefault((t.source, t.letter), []).append(i)
-        self._by_source = {
-            key: tuple(sorted(ids, key=self.transition_rank))
-            for key, ids in by_source.items()
-        }
+        # _moves[q][a]: the transitions leaving state q on the a-th letter, as
+        # (transition, target) pairs in rank order
+        moves = {q: [[] for _ in self.alphabet] for q in self.states}
+        for i in sorted(range(len(self.transitions)), key=self.transition_rank):
+            t = self.transitions[i]
+            moves[t.source][self._letter_index[t.letter]].append((i, t.target))
+        self._moves = {q: tuple(map(tuple, per_letter)) for q, per_letter in moves.items()}
 
     def _validate(self) -> None:
         for name, items in (("alphabet", self.alphabet), ("variables", self.variables), ("states", self.states)):
@@ -270,9 +270,6 @@ class Sst:
 
     # -- accessors --------------------------------------------------------
 
-    def transitions_from(self, state: str, letter: str) -> tuple[int, ...]:
-        return self._by_source.get((state, letter), ())
-
     def state_index(self, state: str) -> int:
         return self._state_index[state]
 
@@ -280,20 +277,6 @@ class Sst:
     def _engine(self) -> "_Engine":
         """The configuration engine, compiled on first use."""
         return _Engine(self)
-
-    @cached_property
-    def _moves(self) -> dict[str, tuple]:
-        """``_moves[q][a]`` lists the transitions leaving state q on the a-th
-        letter as (transition, target) pairs, in rank order; built on first
-        use."""
-        transitions = self.transitions
-        return {
-            q: tuple(
-                tuple((i, transitions[i].target) for i in self.transitions_from(q, a))
-                for a in self.alphabet
-            )
-            for q in self.states
-        }
 
     @cached_property
     def _adjacency(self) -> tuple[dict, dict]:
@@ -343,8 +326,11 @@ class Run:
         state = self.start
         if state not in self.sst._state_index:
             raise RunError(f"run starts in unknown state {state!r}")
+        transitions = self.sst.transitions
         for i in self.steps:
-            t = self.sst.transitions[i]
+            if not 0 <= i < len(transitions):
+                raise RunError(f"no transition with index {i}")
+            t = transitions[i]
             if t.source != state:
                 raise RunError(
                     f"broken chaining: expected a transition from {state!r}, got one from {t.source!r}"
@@ -469,6 +455,8 @@ def enumerate_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> l
             raise UnknownSymbolError(f"input letter {c!r} is not in the alphabet")
     b = Budget.ensure(budget)
     finals = set(sst.finals)
+    moves = sst._moves
+    letters = [sst._letter_index[c] for c in word]
     found: list[Run] = []
 
     for start in sst.initials:
@@ -480,19 +468,19 @@ def enumerate_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> l
         # the partial run, and for each of its prefixes the transitions not
         # yet tried after it
         steps: list[int] = []
-        pending = [iter(sst.transitions_from(start, word[0]))]
+        pending = [iter(moves[start][letters[0]])]
         while pending:
-            i = next(pending[-1], None)
-            if i is None:
+            move = next(pending[-1], None)
+            if move is None:
                 pending.pop()
                 if steps:
                     steps.pop()
                 continue
             b.charge()
+            i, target = move
             steps.append(i)
-            target = sst.transitions[i].target
             if len(steps) < len(word):
-                pending.append(iter(sst.transitions_from(target, word[len(steps)])))
+                pending.append(iter(moves[target][letters[len(steps)]]))
                 continue
             if target in finals:
                 found.append(Run(sst, start, tuple(steps)))
@@ -573,11 +561,8 @@ class _Engine:
 
     def __init__(self, sst: Sst):
         var = sst._var_index
+        self.sst = sst
         self.programs = tuple(_compile_update(var, t.update) for t in sst.transitions)
-        self.moves = {
-            key: tuple((sst.transitions[i].target, self.programs[i]) for i in ids)
-            for key, ids in sst._by_source.items()
-        }
         self.finals = {q: _compile_image(var, expr) for q, expr in sst.final_output.items()}
         initials = sorted(sst.initials, key=sst.state_index)
         values = tuple(sst.initial_assignment[v] for v in sst.variables)
@@ -586,11 +571,12 @@ class _Engine:
 
     def step(self, frontier: dict, letter: str, budget: Budget) -> dict:
         budget.charge(len(frontier))
-        moves = self.moves
+        moves, programs = self.sst._moves, self.programs
+        a = self.sst._letter_index[letter]
         return dict.fromkeys([
-            (target, _apply(program, values))
+            (target, _apply(programs[i], values))
             for state, values in frontier
-            for target, program in moves.get((state, letter), ())
+            for i, target in moves[state][a]
         ])
 
     def outputs(self, frontier: dict) -> dict[str, None]:
@@ -604,9 +590,10 @@ class _Engine:
     def count_step(self, counts: dict[str, int], letter: str, budget: Budget) -> dict[str, int]:
         """Run counts per state, one letter further."""
         budget.charge(len(counts))
+        moves, a = self.sst._moves, self.sst._letter_index[letter]
         fresh: dict[str, int] = {}
         for state, n in counts.items():
-            for target, _ in self.moves.get((state, letter), ()):
+            for _, target in moves[state][a]:
                 fresh[target] = fresh.get(target, 0) + n
         return fresh
 

@@ -13,7 +13,6 @@ module materializes as a symbolic parameterized word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -23,18 +22,16 @@ from .errors import (
     RunError,
     SstKitError,
 )
-from .model import Run, Sst, Update, _compile_update, _substitute, compose_updates
+from .model import Run, Sst, Update, _compile_update, _substitute
 from .wordcomb import ParamWord
 
 SKELETON_MONOID_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
-class Skeleton:
-    """A copyless mapping from variables to words of variables."""
-
-    variables: tuple[str, ...]
-    images: tuple[tuple[str, ...], ...]
+class Skeleton(Update):
+    """An update without letters: a copyless mapping from variables to words
+    of variables.  A skeleton equals only skeletons, never an update."""
 
     def __post_init__(self):
         if len(self.images) != len(self.variables):
@@ -47,24 +44,6 @@ class Skeleton:
                 if tok in seen:
                     raise CopylessError(tok)
                 seen.add(tok)
-
-    @classmethod
-    def identity(cls, variables: Sequence[str]) -> "Skeleton":
-        variables = tuple(variables)
-        return cls(variables, tuple((v,) for v in variables))
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.variables)}
-
-    def image(self, variable: str) -> tuple[str, ...]:
-        return self.images[self._index[variable]]
-
-    def apply_to(self, tokens: Sequence[str]) -> tuple[str, ...]:
-        out: list[str] = []
-        for tok in tokens:
-            out.extend(self.image(tok))
-        return tuple(out)
 
 
 def skeleton_of(update: Update) -> Skeleton:
@@ -106,8 +85,7 @@ class _MonoidTable:
         var = sst._var_index
         generators: dict[tuple, int] = {}
         self._columns = tuple(
-            generators.setdefault(tuple(tuple(var[v] for v in image) for image in g.images),
-                                  len(generators))
+            generators.setdefault(_compile_update(var, g), len(generators))
             for g in transition_skeletons(sst)
         )
         self._generators = tuple(generators)
@@ -233,10 +211,7 @@ def interval_update(sst: Sst, run: Run, i: int, j: int) -> Update:
     """Induced update of the interval [i, j] of ``run`` (steps i+1..j)."""
     if not (0 <= i <= j <= len(run)):
         raise RunError(f"interval [{i}, {j}] outside run of length {len(run)}")
-    acc = Update.identity(sst.variables)
-    for idx in run.steps[i:j]:
-        acc = compose_updates(sst.transitions[idx].update, acc)
-    return acc
+    return Run(sst, run.states[i], run.steps[i:j]).induced_update
 
 
 def find_loops(sst: Sst, run: Run) -> list[tuple[int, int]]:

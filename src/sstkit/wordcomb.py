@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ParameterError
 
@@ -92,11 +92,7 @@ class ParamWord:
     @property
     def parameters(self) -> tuple[str, ...]:
         """Distinct parameter ids in order of first occurrence."""
-        seen: list[str] = []
-        for _, p in self.factors:
-            if p not in seen:
-                seen.append(p)
-        return tuple(seen)
+        return tuple(dict.fromkeys(p for _, p in self.factors))
 
     def instantiate(self, assignment: Mapping[str, int]) -> str:
         pieces = [self.constants[0]]
@@ -131,11 +127,7 @@ class Inequality:
 
     @property
     def parameters(self) -> tuple[str, ...]:
-        seen = list(self.left.parameters)
-        for p in self.right.parameters:
-            if p not in seen:
-                seen.append(p)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.left.parameters + self.right.parameters))
 
     def render(self) -> str:
         return f"{self.left.render()} != {self.right.render()}"
@@ -168,10 +160,7 @@ def find_system_solution(
         missing = set(e.parameters) - set(box)
         if missing:
             raise ParameterError(f"box is missing parameters {sorted(missing)}")
-    names = list(box)
-    ranges = [range(box[p][0], box[p][1] + 1) for p in names]
-    for values in product(*ranges):
-        assignment = dict(zip(names, values))
+    for assignment in _assignments(box):
         if all(is_solution(e, assignment) for e in system):
             return assignment
     return None
@@ -213,8 +202,12 @@ def find_solution_box(
 
 
 def _box_is_solution(e: Inequality, box: Mapping[str, tuple[int, int]]) -> bool:
+    return all(is_solution(e, assignment) for assignment in _assignments(box))
+
+
+def _assignments(box: Mapping[str, tuple[int, int]]) -> Iterator[dict[str, int]]:
+    """Every assignment in ``box``, lexicographic with parameters in box
+    order."""
     names = list(box)
-    ranges = [range(box[p][0], box[p][1] + 1) for p in names]
-    return all(
-        is_solution(e, dict(zip(names, values))) for values in product(*ranges)
-    )
+    for values in product(*(range(lo, hi + 1) for lo, hi in box.values())):
+        yield dict(zip(names, values))

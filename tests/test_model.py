@@ -211,6 +211,10 @@ def test_eval_rejects_non_accepting(fix_r2):
 def test_run_rejects_broken_chaining(fix_r2):
     with pytest.raises(RunError):
         fix_r2.run("s0", (6,))  # transition out of c1, not s0
+    with pytest.raises(RunError):
+        fix_r2.run("s0", (-12, -8))  # would chain as (0, 4): s0 -> s1 -> s0
+    with pytest.raises(RunError):
+        fix_r2.run("s0", (12,))  # one past the last transition
 
 
 def test_annotated_steps_in_range(fix_tsc1):
@@ -301,3 +305,29 @@ def test_sst_validation_rejects_bad_references():
             initials=("q",), finals=("q",), final_output={"q": ("X1", "X1")},
             transitions=(),
         )
+
+
+def test_move_table_lists_each_source_and_letter_in_rank_order(all_fixtures):
+    """``_moves[q][a]`` holds exactly the transitions from q on the a-th
+    letter, sorted by rank, with their targets, whatever the declaration
+    order of the transitions."""
+    rng = random.Random(31)
+    machines = list(all_fixtures.values())
+    for seed in range(40):
+        sst = random_sst(random.Random(seed))
+        shuffled = list(sst.transitions)
+        rng.shuffle(shuffled)
+        machines.append(Sst(
+            sst.alphabet, sst.variables, sst.states, sst.initials, sst.finals,
+            sst.final_output, shuffled, sst.initial_assignment,
+        ))
+    for sst in machines:
+        assert set(sst._moves) == set(sst.states)
+        for q in sst.states:
+            assert len(sst._moves[q]) == len(sst.alphabet)
+            for a, letter in enumerate(sst.alphabet):
+                ids = sorted(
+                    (i for i, t in enumerate(sst.transitions) if t.source == q and t.letter == letter),
+                    key=sst.transition_rank,
+                )
+                assert sst._moves[q][a] == tuple((i, sst.transitions[i].target) for i in ids)

@@ -4,10 +4,13 @@ from itertools import product
 import pytest
 
 from sstkit import (
+    CopylessError,
     LoopSet,
     NotIdempotentError,
     RunError,
     Skeleton,
+    SstKitError,
+    UnknownSymbolError,
     Update,
     compose_skeletons,
     compose_updates,
@@ -56,6 +59,20 @@ def test_is_idempotent():
     swap = Skeleton(V2, (("X2",), ("X1",)))
     assert not is_idempotent(swap)
     assert is_idempotent(Skeleton.identity(V2))
+
+
+def test_skeleton_is_an_update_without_letters():
+    ident = Skeleton.identity(V2)
+    assert isinstance(ident, Update) and type(ident) is Skeleton
+    assert ident.apply_to(("X2", "X1")) == ("X2", "X1")
+    with pytest.raises(SstKitError, match="non-variable"):
+        Skeleton(V2, (("X1", "a"), ("X2",)))
+    with pytest.raises(CopylessError):
+        Skeleton(V2, (("X1", "X1"), ()))
+    with pytest.raises(SstKitError, match="every variable"):
+        Skeleton(V2, (("X1",),))
+    with pytest.raises(UnknownSymbolError):
+        ident.image("X3")
 
 
 def test_skeleton_homomorphism():
