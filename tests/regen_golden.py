@@ -39,6 +39,8 @@ VALUEDNESS_BUDGET = dict(component_length=2, candidates=200, node_budget=5000, o
 # draws, so that budget stops are pinned as well as answers
 DEEP_BUDGET = dict(component_length=3, candidates=2000, node_budget=5000, oracle_max_len=5)
 SMALL_NODE_BUDGET = 1000
+# the largest node budget dumbbell_nodes() tries
+NODE_CEILING = 20_000
 WORDS = {"a": "aaa", "0": "0110"}  # eval/runs input, by a fixture's first letter
 
 
@@ -73,6 +75,45 @@ def wide_dumbbells() -> dict:
             continue
         out[f"random_sst({s}, 6, 4)"] = {
             "dumbbell": None if dumbbell is None else dumbbell.describe()
+        }
+    return out
+
+
+def _least_node_budget(m) -> int | None:
+    """The smallest ``node_budget`` at which ``find_dumbbell(m)`` completes,
+    or None above ``NODE_CEILING``: the number of nodes the search pops.  A
+    search completes at every budget from that number on, so galloping up
+    and then bisecting finds it."""
+    def completes(budget: int) -> bool:
+        try:
+            find_dumbbell(m, node_budget=budget)
+        except BudgetExceededError:
+            return False
+        return True
+
+    if not completes(NODE_CEILING):
+        return None
+    low, high = 0, 1  # the least budget lies in (low, high]
+    while not completes(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if completes(mid) else (mid, high)
+    return high
+
+
+def dumbbell_nodes() -> dict:
+    """How many nodes ``find_dumbbell`` pops, and whether it finds a
+    dumbbell, on the fixtures and 6-state, 4-variable draws; "over" when it
+    needs more than ``NODE_CEILING``."""
+    out = {}
+    for label, m in [(name, fixtures.load(name)) for name in fixtures.names()] + [
+        (f"random_sst({s}, 6, 4)", random_sst(random.Random(s), max_states=6, max_vars=4))
+        for s in SEEDS
+    ]:
+        nodes = _least_node_budget(m)
+        out[label] = "over" if nodes is None else {
+            "nodes": nodes, "found": find_dumbbell(m, node_budget=nodes) is not None,
         }
     return out
 
@@ -224,6 +265,7 @@ def cases() -> dict:
         "cli": cli_reports(),
         "cli_all": cli_all(),
         "deep_analyses": deep_analyses(),
+        "dumbbell_nodes": dumbbell_nodes(),
         "valuedness_cli": valuedness_reports(),
         "wide_dumbbells": wide_dumbbells(),
     }

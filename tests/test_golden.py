@@ -11,6 +11,7 @@ from regen_golden import (
     cli_all,
     cli_reports,
     deep_analyses,
+    dumbbell_nodes,
     valuedness_reports,
     wide_dumbbells,
 )
@@ -47,6 +48,7 @@ def test_golden_cli_all(golden):
 
 @pytest.mark.parametrize("section, compute", [
     ("deep_analyses", deep_analyses),
+    ("dumbbell_nodes", dumbbell_nodes),
     ("wide_dumbbells", wide_dumbbells),
     ("valuedness_cli", valuedness_reports),
 ])
