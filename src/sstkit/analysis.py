@@ -125,11 +125,12 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
     """Exact search for a dumbbell, or None if the transducer has none.
 
     Three tracks consume the same input in lockstep: track 1 must loop at
-    q1, track 2 must move q1 -> q2, track 3 must loop at q2.  Each track
-    accumulates the skeleton of its induced update, as an element id of the
-    numbered skeleton monoid; a boolean records whether the tracks have ever
-    disagreed.  The product is finite (states times skeleton monoid, cubed),
-    so exhaustion is a proof of absence.
+    q1, track 2 must move q1 -> q2, track 3 must loop at q2.  Each track is
+    a state with the skeleton of its induced update, numbered in the track
+    table of the numbered skeleton monoid, so one synchronized step is a
+    table lookup per track; a boolean records whether the tracks have ever
+    disagreed.  The product is finite (states times skeleton monoid,
+    cubed), so exhaustion is a proof of absence.
     """
     table = _monoid_table(sst)
     budget = Budget(node_budget)
@@ -138,62 +139,48 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
 
     for q1 in reach:
         for q2 in (q for q in sst.states if q in coreach):
-            found = _dumbbell_bfs(sst, q1, q2, table, budget)
+            found = _dumbbell_bfs(table, q1, q2, budget)
             if found is None:
                 continue
             path1, path2, path3 = found
             rho0 = shortest_access_run(sst, q1)
             rho4 = shortest_exit_run(sst, q2)
             assert rho0 is not None and rho4 is not None
-            dumbbell = Dumbbell(
-                q1,
-                q2,
-                rho0,
-                Run(sst, q1, path1),
-                Run(sst, q1, path2),
-                Run(sst, q2, path3),
-                rho4,
-            )
+            dumbbell = Dumbbell(q1, q2, rho0, Run(sst, q1, path1), Run(sst, q1, path2),
+                                Run(sst, q2, path3), rho4)
             dumbbell.verify(sst)
             return dumbbell
     return None
 
 
-def _sync_moves(moves, table, states, accs):
-    """One synchronized step of the tracks at ``states``, whose runs so far
-    have skeletons ``accs``: for each letter in declared order, every
-    combination of one transition per track reading it, in lexicographic
-    order, as one (transition, target, skeleton after it) triple per track.
-    ``moves`` is the transducer's ``_moves``; skeletons are element ids of
-    the numbered skeleton monoid ``table``, whose row of an element gives
-    its products by transition."""
-    rows = table.rows
-    track_rows = [rows[k] or table.row(k) for k in accs]
-    for per_track in zip(*[moves[q] for q in states]):
-        yield from product(*(
-            [(i, target, row[i]) for i, target in letter_moves]
-            for letter_moves, row in zip(per_track, track_rows)
-        ))
-
-
-def _dumbbell_bfs(sst, q1, q2, table, budget):
-    start = ((q1, q1, q2), (0, 0, 0), False)
-    goal = (q1, q2, q2)
-    moves, idempotent = sst._moves, table.idempotent
+def _dumbbell_bfs(table, q1, q2, budget):
+    """Breadth-first search of the three-track product from the empty runs
+    at (q1, q1, q2).  A node is (track 1, track 2, track 3, diff); its
+    children are, letter by letter in declared order, every combination of
+    one move per track in lexicographic order."""
+    track, track_moves, moves = table.track, table.track_moves, table.moves
+    states, skeletons, idempotent = table.track_states, table.track_skeletons, table.idempotent
+    start = (track(q1, 0), track(q1, 0), track(q2, 0), False)
     parents: dict = {start: None}
     queue = deque([start])
     while queue:
         node = queue.popleft()
         budget.charge()
-        states, accs, diff = node
-        if diff and states == goal and idempotent[accs[0]] and idempotent[accs[2]]:
+        u1, u2, u3, diff = node
+        if (diff and states[u1] == q1 and states[u2] == q2 and states[u3] == q2
+                and idempotent[skeletons[u1]] and idempotent[skeletons[u3]]):
             return _rebuild_triple(parents, node)
-        for step in _sync_moves(moves, table, states, accs):
-            ids, targets, skeletons = zip(*step)
-            child = (targets, skeletons, diff or not (ids[0] == ids[1] == ids[2]))
-            if child not in parents:
-                parents[child] = (node, ids)
-                queue.append(child)
+        moves1 = track_moves[u1] or moves(u1)
+        moves2 = track_moves[u2] or moves(u2)
+        moves3 = track_moves[u3] or moves(u3)
+        for letter1, letter2, letter3 in zip(moves1, moves2, moves3):
+            for i1, v1 in letter1:
+                for i2, v2 in letter2:
+                    for i3, v3 in letter3:
+                        child = (v1, v2, v3, diff or not (i1 == i2 == i3))
+                        if child not in parents:
+                            parents[child] = (node, (i1, i2, i3))
+                            queue.append(child)
     return None
 
 
@@ -416,8 +403,9 @@ class _PatternEvaluator:
 
         def walk(prefix: tuple, mid: tuple, late: tuple):
             depth = len(prefix)
-            if depth == 5:
-                return prefix if _ground(final, mid) != _ground(final, late) else None
+            if depth == 5:  # equal contents give equal outputs: ground only unequal ones
+                diverges = mid != late and _ground(final, mid) != _ground(final, late)
+                return prefix if diverges else None
             mid_blocks, late_blocks = blocks[_MID_LEGS[depth]], blocks[_LATE_LEGS[depth]]
             for x in (1, 2):
                 found = walk(
@@ -518,26 +506,30 @@ class SearchBudget:
 class _TripleLevels:
     """Synchronized run triples from a fixed start triple, generated level
     by level: level d holds every triple over one shared input of length
-    exactly d, in lexicographic path order, as (paths, end states, skeleton
-    ids in the numbered monoid ``table``).  Lazy, so shallow candidates are
-    tested before deeper triples are ever generated."""
+    exactly d, in lexicographic path order, as (paths, track ids in the
+    track table of the numbered monoid ``table``).  Lazy, so shallow
+    candidates are tested before deeper triples are ever generated."""
 
-    def __init__(self, sst: Sst, starts, budget: Budget, table):
-        self.sst = sst
-        self.budget = budget
-        self.table = table
-        self.budget.charge()
-        self.levels: list[list[tuple]] = [[(((), (), ()), tuple(starts), (0, 0, 0))]]
+    def __init__(self, table, starts, budget: Budget):
+        self.table, self.budget = table, budget
+        budget.charge()
+        start = tuple(table.track(q, 0) for q in starts)
+        self.levels: list[list[tuple]] = [[(((), (), ()), start)]]
 
     def level(self, depth: int) -> list[tuple]:
-        moves, table = self.sst._moves, self.table
+        charge, track_moves, moves = self.budget.charge, self.table.track_moves, self.table.moves
         while len(self.levels) <= depth:
             fresh: list[tuple] = []
-            for paths, states, accs in self.levels[-1]:
-                for step in _sync_moves(moves, table, states, accs):
-                    self.budget.charge()
-                    ids, targets, skeletons = zip(*step)
-                    fresh.append((tuple(p + (i,) for p, i in zip(paths, ids)), targets, skeletons))
+            for (p1, p2, p3), (u1, u2, u3) in self.levels[-1]:
+                moves1 = track_moves[u1] or moves(u1)
+                moves2 = track_moves[u2] or moves(u2)
+                moves3 = track_moves[u3] or moves(u3)
+                for letter1, letter2, letter3 in zip(moves1, moves2, moves3):
+                    for i1, v1 in letter1:
+                        for i2, v2 in letter2:
+                            for i3, v3 in letter3:
+                                charge()
+                                fresh.append(((p1 + (i1,), p2 + (i2,), p3 + (i3,)), (v1, v2, v3)))
             self.levels.append(fresh)
         return self.levels[depth]
 
@@ -579,11 +571,12 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
     coreach = set(coreachable_states(sst))
     table = _monoid_table(sst)
     idempotent, product = table.idempotent, table.product
+    states, skeletons = table.track_states, table.track_skeletons
     levels_memo: dict = {}
 
     def levels(starts) -> _TripleLevels:
         if starts not in levels_memo:
-            levels_memo[starts] = _TripleLevels(sst, starts, budget, table)
+            levels_memo[starts] = _TripleLevels(table, starts, budget)
         return levels_memo[starts]
 
     for q1 in reach:
@@ -592,23 +585,25 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
             rho4 = shortest_exit_run(sst, q2)
             omega = pool.path_id(rho4.steps)
             for len_e in range(max_len + 1):
-                for e_paths, e_ends, e_accs in levels((q1, q1, q2)).level(len_e):
-                    stations = e_ends
+                for e_paths, e_tracks in levels((q1, q1, q2)).level(len_e):
+                    stations = tuple(states[u] for u in e_tracks)
+                    e_accs = [skeletons[u] for u in e_tracks]
                     station_levels = levels(stations)
                     for len_l in range(max_len + 1):
-                        for l_paths, l_ends, l_accs in station_levels.level(len_l):
-                            if l_ends != stations:
+                        for l_paths, l_tracks in station_levels.level(len_l):
+                            if tuple(states[u] for u in l_tracks) != stations:
                                 continue
-                            if not all(idempotent[s] for s in l_accs):
+                            l_accs = [skeletons[u] for u in l_tracks]
+                            if not all(idempotent[k] for k in l_accs):
                                 continue
                             for len_x in range(max_len + 1):
-                                for x_paths, x_ends, x_accs in station_levels.level(len_x):
+                                for x_paths, (x1, x2, x3) in station_levels.level(len_x):
                                     budget.charge()
-                                    if x_ends != (q1, q2, q2):
+                                    if states[x1] != q1 or states[x2] != q2 or states[x3] != q2:
                                         continue
                                     composite_ok = all(
-                                        idempotent[product(x_accs[i], product(l_accs[i], e_accs[i]))]
-                                        for i in range(3)
+                                        idempotent[product(skeletons[x], product(l, e))]
+                                        for e, l, x in zip(e_accs, l_accs, (x1, x2, x3))
                                     )
                                     if not composite_ok:
                                         continue
@@ -762,7 +757,8 @@ def amplify_valuedness(
     stops at the first sequence whose n marked runs give at least m
     distinct outputs, and returns its input with the outputs of the marks
     that first produce m distinct outputs, in mark order.  The budget is
-    charged one unit per sequence scanned.
+    charged one unit per sequence scanned, and the final check
+    ``outputs(sst, word, b)`` charges its configuration expansions to it.
 
     Returns None when the budget runs out, and when no sequence in that
     range gives m distinct outputs.  All reported outputs are re-verified

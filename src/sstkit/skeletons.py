@@ -67,7 +67,8 @@ def is_idempotent(s: Skeleton) -> bool:
 
 
 class _MonoidTable:
-    """The skeleton monoid of one transducer, numbered on demand.
+    """The skeleton monoid of one transducer, numbered on demand, and the
+    tracks of the searches' synchronized products.
 
     An element gets its id when a search first reaches it, 0 being the
     identity; ids name skeletons and nothing else, so what a search finds
@@ -79,6 +80,13 @@ class _MonoidTable:
     computed on images of variable indices (``_compose``), once per
     distinct transition skeleton.  A search raises ``BudgetExceededError``
     once the table has numbered more than ``cap`` elements.
+
+    A track, a state with a skeleton id, is numbered on demand too
+    (``track(q, k)``).  ``track_moves[u]`` is None until ``moves(u)`` reads
+    it off ``Sst._moves`` and ``row(k)``; then it lists, for each letter in
+    declared order, the (transition, next track) pairs leaving track u in
+    rank order.  So an element row is filled, and the cap checked, the
+    first time a search stands on a track with that element.
     """
 
     def __init__(self, sst: Sst, cap: int = SKELETON_MONOID_CAP):
@@ -90,6 +98,7 @@ class _MonoidTable:
         )
         self._generators = tuple(generators)
         self._names = sst.variables
+        self._sst_moves = sst._moves
         self.cap = cap
         self.rows: list[list[int] | None] = []
         self.idempotent: list[bool] = []
@@ -98,6 +107,10 @@ class _MonoidTable:
         self._products: dict[tuple[int, int], int] = {}
         self._members: frozenset[Skeleton] | None = None
         self._number(tuple((i,) for i in range(len(var))))
+        self.track_states: list[str] = []
+        self.track_skeletons: list[int] = []
+        self.track_moves: list[tuple | None] = []
+        self._track_ids: dict[tuple[str, int], int] = {}
 
     def __len__(self) -> int:
         return len(self._raw)
@@ -122,11 +135,30 @@ class _MonoidTable:
             raise _over_cap(self.cap)
 
     def row(self, k: int) -> list[int]:
-        """``rows[k]``, computed on first use; callers on a hot path read
-        ``rows[k] or table.row(k)``."""
+        """``rows[k]``, computed on first use."""
         row = self.rows[k] or self._fill(k)
         self._check_cap()
         return row
+
+    def track(self, q: str, k: int) -> int:
+        """Id of the track ending in state q with skeleton id k."""
+        u = self._track_ids.get((q, k))
+        if u is None:
+            u = self._track_ids[q, k] = len(self.track_states)
+            self.track_states.append(q)
+            self.track_skeletons.append(k)
+            self.track_moves.append(None)
+        return u
+
+    def moves(self, u: int) -> tuple:
+        """``track_moves[u]``, computed on first use; callers on a hot path
+        read ``track_moves[u] or table.moves(u)``."""
+        if self.track_moves[u] is None:
+            row, track = self.row(self.track_skeletons[u]), self.track
+            self.track_moves[u] = tuple(
+                tuple([(i, track(target, row[i])) for i, target in letter_moves])
+                for letter_moves in self._sst_moves[self.track_states[u]])
+        return self.track_moves[u]
 
     def product(self, a: int, b: int) -> int:
         """Id of ``compose_skeletons(skeleton(a), skeleton(b))``, memoized."""

@@ -122,6 +122,13 @@ def test_searches_do_not_depend_on_element_ids(label, make):
     skeleton_monoid(closed)
     assert dumbbell_or_stop(fresh) == dumbbell_or_stop(closed)
     assert pattern_search(fresh) == pattern_search(closed)
+    # both searches read one track table per transducer: on a table the
+    # other search filled first, each finds what it finds on a fresh one
+    pattern_first, dumbbell_first = make(), make()
+    pattern_search(pattern_first)
+    assert dumbbell_or_stop(pattern_first) == dumbbell_or_stop(make())
+    dumbbell_or_stop(dumbbell_first)
+    assert pattern_search(dumbbell_first) == pattern_search(make())
 
 
 def test_dumbbell_search_numbers_only_what_it_reaches():
@@ -149,3 +156,17 @@ def test_search_cap_counts_the_elements_it_numbered(label, make):
     enough = make()
     enough._skeleton_table = _MonoidTable(enough, cap=numbered)
     assert dumbbell_or_stop(enough) == expected
+
+
+@pytest.mark.parametrize("label, make", CAP_CASES, ids=[c[0] for c in CAP_CASES])
+def test_pattern_search_cap_counts_the_elements_it_numbered(label, make):
+    sst = make()
+    expected = pattern_search(sst)
+    numbered = len(_monoid_table(sst))
+    capped = make()
+    capped._skeleton_table = _MonoidTable(capped, cap=numbered - 1)
+    witness, report = pattern_search(capped)
+    assert witness is None and report["exhausted"] is True
+    enough = make()
+    enough._skeleton_table = _MonoidTable(enough, cap=numbered)
+    assert pattern_search(enough) == expected
