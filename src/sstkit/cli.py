@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("valuedness", _cmd_valuedness, "sound partial finite-valuedness analysis")
     p.add_argument("--budget", type=int, default=1_000_000,
-                   help="candidate budget for the W-pattern search")
+                   help="candidate budget of the W-pattern search, also the --amplify scan's budget")
     p.add_argument("--component-len", type=int, default=4,
                    help="max transitions per W-pattern component")
     p.add_argument("--max-len", type=int, default=6,

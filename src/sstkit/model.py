@@ -163,8 +163,9 @@ class Transition:
 class Sst:
     """A nondeterministic copyless streaming string transducer.
 
-    Immutable after construction; all operations over it are pure, so a
-    single instance can be shared freely between threads.
+    Immutable but for caches filled on first use; no result depends on
+    them.  They are not locked and the searches grow one, so one instance
+    must not be searched from two threads at once.
 
     The first declared variable is conventionally the output variable, but
     outputs are defined by the per-final-state ``final_output`` expressions,

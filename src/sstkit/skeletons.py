@@ -70,43 +70,35 @@ class _MonoidTable:
     """The skeleton monoid of one transducer, numbered on demand, and the
     tracks of the searches' synchronized products.
 
-    An element gets its id when a search first reaches it, 0 being the
-    identity; ids name skeletons and nothing else, so what a search finds
-    does not depend on what was numbered before it.  ``rows[k]`` is None
-    until ``row(k)`` computes it; then ``rows[k][t]`` is the id of
-    ``compose_skeletons(skeleton of transition t, element k)``, the
-    skeleton of a run with id k extended by transition t.
-    ``idempotent[k]`` says whether element k is idempotent.  Products are
-    computed on images of variable indices (``_compose``), once per
-    distinct transition skeleton.  A search raises ``BudgetExceededError``
-    once the table has numbered more than ``cap`` elements.
+    An element gets its id, 0 being the identity, when a track's move or
+    ``product(a, b)`` first reaches it, or when ``close`` numbers them all.
+    Ids name skeletons and nothing else, so what a search finds does not
+    depend on what was numbered before it.  ``idempotent[k]`` says whether
+    element k is idempotent.  Products are computed on images of variable
+    indices (``_compose``).  ``_number`` raises ``BudgetExceededError`` once
+    the table holds more than ``cap`` elements; the table is cached on the
+    transducer, so the cap counts what every search on it has numbered.
 
     A track, a state with a skeleton id, is numbered on demand too
     (``track(q, k)``).  ``track_moves[u]`` is None until ``moves(u)`` reads
-    it off ``Sst._moves`` and ``row(k)``; then it lists, for each letter in
-    declared order, the (transition, next track) pairs leaving track u in
-    rank order.  So an element row is filled, and the cap checked, the
-    first time a search stands on a track with that element.
+    it off ``Sst._moves``; then it lists, for each letter in declared
+    order, the (transition, next track) pairs leaving track u in rank
+    order.  The next track has the transition's target and the product of
+    the transition's skeleton with track u's element.
     """
 
     def __init__(self, sst: Sst, cap: int = SKELETON_MONOID_CAP):
         var = sst._var_index
-        generators: dict[tuple, int] = {}
-        self._columns = tuple(
-            generators.setdefault(_compile_update(var, g), len(generators))
-            for g in transition_skeletons(sst)
-        )
-        self._generators = tuple(generators)
+        self._skeletons = tuple(_compile_update(var, g) for g in transition_skeletons(sst))
         self._names = sst.variables
         self._sst_moves = sst._moves
         self.cap = cap
-        self.rows: list[list[int] | None] = []
-        self.idempotent: list[bool] = []
-        self._raw: list[tuple] = []
-        self._ids: dict[tuple, int] = {}
+        identity = tuple((i,) for i in range(len(var)))
+        self.idempotent: list[bool] = [True]
+        self._raw: list[tuple] = [identity]
+        self._ids: dict[tuple, int] = {identity: 0}
         self._products: dict[tuple[int, int], int] = {}
         self._members: frozenset[Skeleton] | None = None
-        self._number(tuple((i,) for i in range(len(var))))
         self.track_states: list[str] = []
         self.track_skeletons: list[int] = []
         self.track_moves: list[tuple | None] = []
@@ -120,25 +112,10 @@ class _MonoidTable:
         if k is None:
             k = self._ids[raw] = len(self._raw)
             self._raw.append(raw)
-            self.rows.append(None)
             self.idempotent.append(_compose(raw, raw) == raw)
+            if len(self._raw) > self.cap:
+                raise _over_cap(self.cap)
         return k
-
-    def _fill(self, k: int) -> list[int]:
-        s = self._raw[k]
-        by_generator = [self._number(_compose(g, s)) for g in self._generators]
-        row = self.rows[k] = [by_generator[c] for c in self._columns]
-        return row
-
-    def _check_cap(self) -> None:
-        if len(self._raw) > self.cap:
-            raise _over_cap(self.cap)
-
-    def row(self, k: int) -> list[int]:
-        """``rows[k]``, computed on first use."""
-        row = self.rows[k] or self._fill(k)
-        self._check_cap()
-        return row
 
     def track(self, q: str, k: int) -> int:
         """Id of the track ending in state q with skeleton id k."""
@@ -154,19 +131,18 @@ class _MonoidTable:
         """``track_moves[u]``, computed on first use; callers on a hot path
         read ``track_moves[u] or table.moves(u)``."""
         if self.track_moves[u] is None:
-            row, track = self.row(self.track_skeletons[u]), self.track
+            s, number, track = self._raw[self.track_skeletons[u]], self._number, self.track
             self.track_moves[u] = tuple(
-                tuple([(i, track(target, row[i])) for i, target in letter_moves])
+                tuple([(i, track(target, number(_compose(self._skeletons[i], s))))
+                       for i, target in letter_moves])
                 for letter_moves in self._sst_moves[self.track_states[u]])
         return self.track_moves[u]
 
     def product(self, a: int, b: int) -> int:
         """Id of ``compose_skeletons(skeleton(a), skeleton(b))``, memoized."""
-        key = (a, b)
-        prod = self._products.get(key)
+        prod = self._products.get((a, b))
         if prod is None:
-            prod = self._products[key] = self._number(_compose(self._raw[a], self._raw[b]))
-            self._check_cap()
+            prod = self._products[a, b] = self._number(_compose(self._raw[a], self._raw[b]))
         return prod
 
     def skeleton(self, k: int) -> Skeleton:
@@ -178,15 +154,15 @@ class _MonoidTable:
         the table; raises ``BudgetExceededError`` when there are more than
         ``cap`` of them."""
         if self._members is None:
-            # every element is a product of generators, so filling the rows
-            # from the identity on reaches them all
-            k = 0
-            while k < len(self._raw):
+            # every element is a product of generators, so multiplying each
+            # element by every generator from the identity on reaches them
+            # all; the loop also visits the elements it appends
+            generators = tuple(dict.fromkeys(self._skeletons))
+            for raw in self._raw:
                 if len(self._raw) > cap:
                     raise _over_cap(cap)
-                if self.rows[k] is None:
-                    self._fill(k)
-                k += 1
+                for g in generators:
+                    self._number(_compose(g, raw))
             self._members = frozenset(self.skeleton(k) for k in range(len(self._raw)))
         if len(self._members) > cap:
             raise _over_cap(cap)
@@ -205,7 +181,8 @@ def _monoid_table(sst: Sst) -> _MonoidTable:
     table = getattr(sst, "_skeleton_table", None)
     if table is None:
         table = sst._skeleton_table = _MonoidTable(sst)  # safe: plain attribute, set once
-    table._check_cap()
+    if len(table) > table.cap:
+        raise _over_cap(table.cap)
     return table
 
 
@@ -221,9 +198,10 @@ def skeleton_monoid(sst: Sst, cap: int = SKELETON_MONOID_CAP) -> frozenset[Skele
     in a table cached on the transducer (``_MonoidTable``); this function
     closes that table and returns its elements as a set, memoized, so
     repeat calls return the same set.  Any monoid with more than ``cap``
-    elements raises ``BudgetExceededError``, on every call.  A search
-    checks its table's own cap, and that cap counts the elements the
-    search numbered, not the whole monoid.
+    elements raises ``BudgetExceededError``, on every call; so does one
+    with more than the table's own cap, ``SKELETON_MONOID_CAP``.  A search
+    checks only the table's cap, which counts every element numbered so
+    far on this transducer, by either search, not the whole monoid.
     """
     return _monoid_table(sst).close(cap)
 

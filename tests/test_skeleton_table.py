@@ -55,11 +55,17 @@ def test_table_matches_compose_skeletons(label, make):
     assert len(ids) == len(elements)
     assert elements[0] == Skeleton.identity(sst.variables)
     assert set(elements) == members == brute_monoid(sst)
-    for k in range(len(elements)):
-        assert len(table.row(k)) == len(sst.transitions)
-    for t, g in enumerate(transition_skeletons(sst)):
+    generators = transition_skeletons(sst)
+    for q in sst.states:
         for k, s in enumerate(elements):
-            assert table.row(k)[t] == ids[compose_skeletons(g, s)]
+            moves = table.moves(table.track(q, k))
+            indices = [[i for i, _ in letter] for letter in moves]
+            assert indices == [[i for i, _ in letter] for letter in sst._moves[q]]
+            for letter, sst_letter in zip(moves, sst._moves[q]):
+                for (i, v), (_, target) in zip(letter, sst_letter):
+                    assert table.track_states[v] == target
+                    assert table.track_skeletons[v] == ids[compose_skeletons(generators[i], s)]
+    assert len(table) == len(elements)
     assert table.idempotent == [is_idempotent(s) for s in elements]
     sample = range(min(len(elements), 25))
     for a in sample:
@@ -129,6 +135,16 @@ def test_searches_do_not_depend_on_element_ids(label, make):
     assert dumbbell_or_stop(pattern_first) == dumbbell_or_stop(make())
     dumbbell_or_stop(dumbbell_first)
     assert pattern_search(dumbbell_first) == pattern_search(make())
+
+
+@pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
+def test_search_numbers_only_what_it_multiplies(label, make):
+    # every element the dumbbell search numbers is the skeleton of a track
+    # it stepped to, so no product is numbered for a transition no track takes
+    fresh = make()
+    dumbbell_or_stop(fresh)
+    table = _monoid_table(fresh)
+    assert set(table.track_skeletons) == set(range(len(table)))
 
 
 def test_dumbbell_search_numbers_only_what_it_reaches():
