@@ -20,8 +20,10 @@ one input to unboundedly many outputs.  The analyzer therefore answers:
   Infinite  -- a simply divergent W-pattern, re-verified by evaluation;
   Unknown   -- neither certificate found within the search budget.
 
-Every verdict ships evidence; nothing is reported without re-checking it
-through the core evaluator.
+Every verdict ships evidence.  Infinite witnesses and dumbbells are
+re-checked through the core evaluator (``Run``) before they are reported.
+A Finite verdict rests on the exhausted dumbbell search itself: nothing
+outside the search re-checks the absence of dumbbells.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .model import (
     _apply,
     _compile_image,
     _compile_update,
+    _compose_image,
     _ground,
     compose_updates,
     concat_runs,
@@ -305,8 +308,17 @@ def build_wrun(sst: Sst, pattern: WPattern, values, mark: int) -> Run:
 
 class _UpdatePool:
     """The updates met by one W-pattern search, interned: equal updates get
-    one id.  The pumped blocks entry . loop^x . exit are composed and
-    compiled once per (leg ids, x) for the whole search."""
+    one id.  What the W-run evaluator builds from ids is memoized here for
+    the whole search, so the signatures of one search share it.  A leg is
+    given as its (entry, loop, exit) update ids.
+
+      block   entry . loop^x . exit, compiled, per (leg, x);
+      prefix  the contents after rho0 and a sequence of blocks, per (rho0
+              update id, legs of the blocks);
+      suffix  the image of the output over the contents before a sequence
+              of blocks, per (legs of the blocks, rho4 update id, end
+              state).
+    """
 
     def __init__(self, sst: Sst):
         self.sst = sst
@@ -314,6 +326,8 @@ class _UpdatePool:
         self._ids: dict[Update, int] = {}
         self._path_ids: dict[tuple, int] = {}
         self._blocks: dict[tuple, tuple] = {}
+        self._prefixes: dict[tuple, list] = {}
+        self._suffixes: dict[tuple, list] = {}
         self._steps = tuple(t.update for t in sst.transitions)
         self._identity = Update.identity(sst.variables)
 
@@ -333,12 +347,13 @@ class _UpdatePool:
             self._path_ids[path] = self.intern(acc)
         return self._path_ids[path]
 
+    def ids(self, paths) -> tuple:
+        """Ids of the updates induced by each of ``paths``."""
+        return tuple([self.path_id(path) for path in paths])
+
     def legs(self, entry_paths, loop_paths, exit_paths) -> tuple:
         """Ids of the nine leg updates, as three (entry, loop, exit) triples."""
-        return tuple(
-            (self.path_id(e), self.path_id(l), self.path_id(x))
-            for e, l, x in zip(entry_paths, loop_paths, exit_paths)
-        )
+        return tuple(zip(self.ids(entry_paths), self.ids(loop_paths), self.ids(exit_paths)))
 
     def signature(self, pattern: WPattern) -> tuple:
         return (
@@ -350,8 +365,7 @@ class _UpdatePool:
         )
 
     def block(self, leg: tuple, x: int) -> tuple:
-        """The compiled update of entry . loop^x . exit for a leg given as
-        (entry, loop, exit) ids."""
+        """The compiled update of entry . loop^x . exit."""
         key = (leg, x)
         if key not in self._blocks:
             entry, loop, exit_ = (self.updates[k] for k in leg)
@@ -362,29 +376,68 @@ class _UpdatePool:
             self._blocks[key] = _compile_update(self.sst._var_index, acc)
         return self._blocks[key]
 
+    def prefix(self, alpha: int, legs: tuple) -> list:
+        """Variable contents after the rho0 update ``alpha`` and then one
+        block on each of ``legs`` in turn, for every tuple of counts in
+        {1,2}^len(legs), lexicographic."""
+        key = (alpha, legs)
+        if key not in self._prefixes:
+            if legs:
+                blocks = self.block(legs[-1], 1), self.block(legs[-1], 2)
+                contents = [_apply(b, c) for c in self.prefix(alpha, legs[:-1]) for b in blocks]
+            else:
+                sst = self.sst
+                initial = tuple(sst.initial_assignment[v] for v in sst.variables)
+                contents = [_apply(_compile_update(sst._var_index, self.updates[alpha]), initial)]
+            self._prefixes[key] = contents
+        return self._prefixes[key]
 
-# the leg each of the five blocks takes when the mark is at position 2 (mid)
-# or at position 4 (late) of the sequence
-_MID_LEGS = (0, 1, 2, 2, 2)
-_LATE_LEGS = (0, 0, 0, 1, 2)
+    def suffix(self, legs: tuple, omega: int, end_state: str) -> list:
+        """The compiled image that reads the output off the contents before
+        one block on each of ``legs`` in turn, the rho4 update ``omega`` and
+        the final output at ``end_state``, for every tuple of counts in
+        {1,2}^len(legs), lexicographic."""
+        key = (legs, omega, end_state)
+        if key not in self._suffixes:
+            if legs:
+                blocks = self.block(legs[0], 1), self.block(legs[0], 2)
+                images = [_compose_image(i, b) for b in blocks
+                          for i in self.suffix(legs[1:], omega, end_state)]
+            else:
+                image = self.updates[omega].apply_to(self.sst.final_output[end_state])
+                images = [_compile_image(self.sst._var_index, image)]
+            self._suffixes[key] = images
+        return self._suffixes[key]
+
+
+def _rank(counts: tuple) -> int:
+    """Position of a tuple over {1, 2} among those of its length,
+    lexicographic."""
+    return sum((x - 1) << k for k, x in enumerate(reversed(counts)))
+
+
+# Each tuple in {1,2}^5, lexicographic, with the ranks of its parts: the
+# prefix (n1, n2) and suffix (n3, n4, n5) of the run marked at position 2,
+# and the prefix (n1, n2, n3) and suffix (n4, n5) of the one marked at 4.
+_LEAVES = tuple(
+    (t, _rank(t[:2]), _rank(t[2:]), _rank(t[:3]), _rank(t[3:]))
+    for t in product((1, 2), repeat=5)
+)
 
 
 class _PatternEvaluator:
     """Fast W-run outputs for a candidate signature: the ids of the rho0
     update, the nine leg updates and the rho4 update in ``pool``, and the
     end state.  Marked runs are evaluated over concrete variable contents
-    with the pool's compiled blocks instead of being materialized."""
+    with the pool's compiled blocks instead of being materialized; the
+    divergence test meets each run in the middle, from the pool's memoized
+    prefixes and suffixes."""
 
     def __init__(self, pool: _UpdatePool, signature: tuple):
-        alpha, self._legs, omega, end_state = signature
         self._pool = pool
-        sst = pool.sst
-        base = tuple(sst.initial_assignment[v] for v in sst.variables)
-        self._base = _apply(_compile_update(sst._var_index, pool.updates[alpha]), base)
-        # the exit run and the final output, as one image
-        self._final = _compile_image(
-            sst._var_index, pool.updates[omega].apply_to(sst.final_output[end_state])
-        )
+        self._alpha, self._legs, self._omega, self._end_state = signature
+        self._base = pool.prefix(self._alpha, ())[0]
+        self._final = pool.suffix((), self._omega, self._end_state)[0]
 
     def output(self, values, mark: int) -> str:
         contents = self._base
@@ -395,29 +448,25 @@ class _PatternEvaluator:
 
     def first_divergent_tuple(self) -> tuple[int, ...] | None:
         """The first tuple in {1,2}^5, lexicographic, whose runs marked at
-        position 2 and at position 4 give different outputs.  One
-        depth-first walk carries both contents side by side, so common
-        prefixes are evaluated once."""
-        blocks = [[self._pool.block(leg, x) for x in (1, 2)] for leg in self._legs]
-        final = self._final
+        position 2 and at position 4 give different outputs.
 
-        def walk(prefix: tuple, mid: tuple, late: tuple):
-            depth = len(prefix)
-            if depth == 5:  # equal contents give equal outputs: ground only unequal ones
-                diverges = mid != late and _ground(final, mid) != _ground(final, late)
-                return prefix if diverges else None
-            mid_blocks, late_blocks = blocks[_MID_LEGS[depth]], blocks[_LATE_LEGS[depth]]
-            for x in (1, 2):
-                found = walk(
-                    prefix + (x,),
-                    _apply(mid_blocks[x - 1], mid),
-                    _apply(late_blocks[x - 1], late),
-                )
-                if found is not None:
-                    return found
-            return None
-
-        return walk((), self._base, self._base)
+        A run's five blocks take legs 0, 1, 2, 2, 2 when it is marked at 2
+        and legs 0, 0, 0, 1, 2 when it is marked at 4.  Each output is met
+        in the middle: the suffix image of the trailing blocks, grounded
+        on the prefix contents after the leading ones, so no leaf applies
+        a block.  Prefixes and suffixes come from the pool's memo, which
+        the signatures of one search share."""
+        pool, (leg0, leg1, leg2) = self._pool, self._legs
+        omega, end_state = self._omega, self._end_state
+        mid_prefixes = pool.prefix(self._alpha, (leg0, leg1))
+        mid_suffixes = pool.suffix((leg2, leg2, leg2), omega, end_state)
+        late_prefixes = pool.prefix(self._alpha, (leg0, leg0, leg0))
+        late_suffixes = pool.suffix((leg1, leg2), omega, end_state)
+        for tup, mid_p, mid_s, late_p, late_s in _LEAVES:
+            if (_ground(mid_suffixes[mid_s], mid_prefixes[mid_p])
+                    != _ground(late_suffixes[late_s], late_prefixes[late_p])):
+                return tup
+        return None
 
 
 def is_simply_divergent(sst: Sst, pattern: WPattern) -> tuple[int, ...] | None:
@@ -428,22 +477,16 @@ def is_simply_divergent(sst: Sst, pattern: WPattern) -> tuple[int, ...] | None:
     A positive answer is confirmed by rebuilding both runs and comparing
     their evaluated outputs before it is returned.
     """
-    groups = (pattern.entries, pattern.loops, pattern.exits)
-    if _legs_identical(*([r.steps for r in group] for group in groups)):
-        return None
     pool = _UpdatePool(sst)
-    tup = _PatternEvaluator(pool, pool.signature(pattern)).first_divergent_tuple()
+    signature = pool.signature(pattern)
+    legs = signature[1]
+    if legs[0] == legs[1] == legs[2]:  # every mark gives the same output
+        return None
+    tup = _PatternEvaluator(pool, signature).first_divergent_tuple()
     if tup is None:
         return None
     _confirm_divergence(sst, pattern, tup)
     return tup
-
-
-def _legs_identical(*components) -> bool:
-    """All three legs follow the same transitions in every component
-    (entry, loop, exit paths), so every pair of marked runs coincides and
-    divergence is impossible."""
-    return all(paths[0] == paths[1] == paths[2] for paths in components)
 
 
 def _confirm_divergence(sst: Sst, pattern: WPattern, tup: tuple[int, ...]) -> "DivergentPattern":
@@ -588,6 +631,7 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
                 for e_paths, e_tracks in levels((q1, q1, q2)).level(len_e):
                     stations = tuple(states[u] for u in e_tracks)
                     e_accs = [skeletons[u] for u in e_tracks]
+                    e_ids = pool.ids(e_paths)
                     station_levels = levels(stations)
                     for len_l in range(max_len + 1):
                         for l_paths, l_tracks in station_levels.level(len_l):
@@ -596,6 +640,7 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
                             l_accs = [skeletons[u] for u in l_tracks]
                             if not all(idempotent[k] for k in l_accs):
                                 continue
+                            l_ids = pool.ids(l_paths)
                             for len_x in range(max_len + 1):
                                 for x_paths, (x1, x2, x3) in station_levels.level(len_x):
                                     budget.charge()
@@ -607,13 +652,13 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
                                     )
                                     if not composite_ok:
                                         continue
-                                    if _legs_identical(e_paths, l_paths, x_paths):
-                                        continue
+                                    legs = tuple(zip(e_ids, l_ids, pool.ids(x_paths)))
+                                    if legs[0] == legs[1] == legs[2]:
+                                        continue  # every mark gives the same output
                                     yield _RawCandidate(
                                         q1, q2, stations,
                                         e_paths, l_paths, x_paths,
-                                        (alpha, pool.legs(e_paths, l_paths, x_paths),
-                                         omega, rho4.end),
+                                        (alpha, legs, omega, rho4.end),
                                     )
 
 

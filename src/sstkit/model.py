@@ -526,6 +526,22 @@ def _compile_image(var_index: Mapping[str, int], image: Sequence[str]) -> tuple:
     return tuple(ops)
 
 
+def _compose_image(image: tuple, program: tuple) -> tuple:
+    """The compiled image read after the compiled update ``program``: each
+    variable op replaced by its image in ``program``, so that
+    ``_ground(_compose_image(image, program), v)`` equals
+    ``_ground(image, _apply(program, v))``.  Letters merge as in
+    ``_compile_image``."""
+    ops: list = []
+    for op in image:
+        for sub in (program[op] if type(op) is int else (op,)):
+            if type(sub) is str and ops and type(ops[-1]) is str:
+                ops[-1] += sub
+            else:
+                ops.append(sub)
+    return tuple(ops)
+
+
 def _compile_update(var_index: Mapping[str, int], update: Update) -> tuple:
     return tuple(_compile_image(var_index, image) for image in update.images)
 

@@ -1,7 +1,9 @@
 """The W-pattern evaluator, which works from a candidate's signature only,
 agrees with marked runs built and evaluated through ``Run``: on the
 divergence tuple, including for candidates that do not diverge, and on
-the outputs of marked sequences of several lengths."""
+the outputs of marked sequences of several lengths.  Its divergence test
+grounds composed images on applied contents, so ``_compose_image`` is
+checked against ``_apply`` here too."""
 
 import random
 from itertools import product
@@ -11,9 +13,10 @@ import pytest
 import sstkit
 from sstkit import BudgetExceededError, build_wrun
 from sstkit.analysis import _PatternEvaluator, _UpdatePool, _pattern_candidates
-from sstkit.model import Budget
+from sstkit.model import Budget, _apply, _compile_image, _compile_update, _compose_image, _ground
 
 from helpers import random_sst
+from test_signature_skip import TWINS
 
 CASES = [(name, lambda name=name: sstkit.fixtures.load(name)) for name in sstkit.fixtures.names()]
 # Draws 95 and 196 each have a candidate whose first divergent tuple
@@ -21,19 +24,24 @@ CASES = [(name, lambda name=name: sstkit.fixtures.load(name)) for name in sstkit
 # fails on them; no draw below 40 has one.
 CASES += [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s)))
           for s in [*range(40), 95, 196]]
+# Larger draws: 21 of them have candidates, with signatures that share
+# legs across up to four variables.
+CASES += [(f"random_sst({s}, 6, 4)", lambda s=s: random_sst(random.Random(s), max_states=6, max_vars=4))
+          for s in range(40)]
 
 SIGNATURES = 10
 SEQUENCES = [(2,), (1, 2, 1), (2, 1, 1, 2)]
 
 
-def distinct_candidates(sst):
-    """The first candidates with distinct signatures, at component length 2."""
+def distinct_candidates(sst, limit=SIGNATURES, budget=5000):
+    """The first ``limit`` candidates with distinct signatures, at component
+    length 2."""
     pool = _UpdatePool(sst)
     seen = {}
     try:
-        for raw in _pattern_candidates(pool, 2, Budget(5000)):
+        for raw in _pattern_candidates(pool, 2, Budget(budget)):
             seen.setdefault(raw.signature, raw)
-            if len(seen) == SIGNATURES:
+            if len(seen) == limit:
                 break
     except BudgetExceededError:
         pass
@@ -72,3 +80,75 @@ def test_corpus_has_both_kinds_of_candidate():
             for raw in candidates
         )
     assert kinds == {True, False}
+
+
+# Machines with pairs of signatures, one divergent and one not, that differ
+# only in rho0, in rho4 or in the end state; all their 108 signatures are
+# walked, so each pair meets in one pool.
+SHARED_POOL_CASES = [(label, make, SIGNATURES) for label, make in CASES] + [
+    (f"twins({part})", lambda part=part: sstkit.parse_sst(TWINS[part]), None)
+    for part in sorted(TWINS)
+]
+
+
+@pytest.mark.parametrize("label, make, limit", SHARED_POOL_CASES,
+                         ids=[c[0] for c in SHARED_POOL_CASES])
+def test_shared_pool_matches_fresh_pools(label, make, limit):
+    """The pool memoizes prefixes and suffixes across signatures; walking
+    the signatures through one pool, forwards or backwards, gives the
+    tuples that a fresh pool per signature gives."""
+    sst = make()
+    _, candidates = distinct_candidates(sst, limit, budget=20_000)
+    patterns = [raw.build_pattern(sst) for raw in candidates]
+
+    def walk(pool, pattern):
+        return _PatternEvaluator(pool, pool.signature(pattern)).first_divergent_tuple()
+
+    fresh = [walk(_UpdatePool(sst), p) for p in patterns]
+    pool = _UpdatePool(sst)
+    assert [walk(pool, p) for p in patterns] == fresh
+    pool = _UpdatePool(sst)
+    assert [walk(pool, p) for p in reversed(patterns)] == fresh[::-1]
+
+
+def merged(image):
+    return not any(type(a) is str and type(b) is str for a, b in zip(image, image[1:]))
+
+
+# (image, program, composed): an empty image, one of letters only, and
+# letters that merge across a variable whose image is empty or letters only
+EDGE_IMAGES = [
+    ((), ((0, "a"), ("b",)), ()),
+    (("ab",), ((), (1,)), ("ab",)),
+    (("a", 0, "b"), ((), (0, 1)), ("ab",)),
+    (("a", 0, "b", 1), (("c",), ("d", 1, 0)), ("acbd", 1, 0)),
+    ((0, 1), (("a",), ("b",)), ("ab",)),
+]
+
+
+@pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
+def test_compose_image_matches_apply(label, make):
+    """Grounding an image composed with a program equals grounding it on
+    the program's applied contents, for every transition update and final
+    image of the machine, on random contents with empty strings."""
+    sst = make()
+    rng = random.Random(label)
+    programs = [_compile_update(sst._var_index, t.update) for t in sst.transitions]
+    images = [image for program in programs for image in program]
+    images += [_compile_image(sst._var_index, out) for out in sst.final_output.values()]
+    n = len(sst.variables)
+    for program in programs:
+        for image in images:
+            composed = _compose_image(image, program)
+            assert merged(composed)
+            for _ in range(3):
+                values = tuple(rng.choice(["", "", "a", "ba", "abb"]) for _ in range(n))
+                assert _ground(composed, values) == _ground(image, _apply(program, values))
+
+
+@pytest.mark.parametrize("image, program, expected", EDGE_IMAGES)
+def test_compose_image_edge_cases(image, program, expected):
+    composed = _compose_image(image, program)
+    assert composed == expected
+    for values in product(["", "x", "yz"], repeat=2):
+        assert _ground(composed, values) == _ground(image, _apply(program, values))
