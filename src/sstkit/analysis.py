@@ -40,6 +40,7 @@ from .model import (
     Sst,
     Update,
     _apply,
+    _bfs,
     _compile_image,
     _compile_update,
     _compose_image,
@@ -134,15 +135,26 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
     table lookup per track; a boolean records whether the tracks have ever
     disagreed.  The product is finite (states times skeleton monoid,
     cubed), so exhaustion is a proof of absence.
+
+    The search is trimmed to the goal: a node whose track 1 cannot reach
+    q1, or whose track 2 or 3 cannot reach q2, is never queued.  Tracks
+    only move forward in the state graph, so no such node has a dumbbell
+    among its descendants, and every child of such a node is left out too.
+    The kept nodes therefore keep their first parents and their queue
+    order, so the dumbbell found is the one the full search finds; and the
+    nodes left out are exactly those from which no dumbbell is reachable,
+    so exhaustion still proves absence.  ``node_budget`` counts popped
+    nodes, at least one per (q1, q2) pair searched.
     """
     table = _monoid_table(sst)
     budget = Budget(node_budget)
     reach = reachable_states(sst)
     coreach = set(coreachable_states(sst))
+    toward = {q: _MovesToward(table, _bfs(sst._adjacency[1], (q,))) for q in sst.states}
 
     for q1 in reach:
         for q2 in (q for q in sst.states if q in coreach):
-            found = _dumbbell_bfs(table, q1, q2, budget)
+            found = _dumbbell_bfs(table, q1, q2, toward[q1], toward[q2], budget)
             if found is None:
                 continue
             path1, path2, path3 = found
@@ -156,13 +168,35 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
     return None
 
 
-def _dumbbell_bfs(table, q1, q2, budget):
+class _MovesToward(dict):
+    """Track id -> the track's moves, letter by letter as in
+    ``_MonoidTable.moves``, less every move into a state outside
+    ``reaching`` (the states from which one goal state is reachable);
+    filled on first use."""
+
+    def __init__(self, table, reaching):
+        super().__init__()
+        self.table, self.reaching = table, reaching
+
+    def __missing__(self, u):
+        table, reaching = self.table, self.reaching
+        states = table.track_states
+        self[u] = kept = tuple(tuple([m for m in letter if states[m[1]] in reaching])
+                               for letter in table.track_moves[u] or table.moves(u))
+        return kept
+
+
+def _dumbbell_bfs(table, q1, q2, moves1, moves2, budget):
     """Breadth-first search of the three-track product from the empty runs
     at (q1, q1, q2).  A node is (track 1, track 2, track 3, diff); its
     children are, letter by letter in declared order, every combination of
-    one move per track in lexicographic order."""
-    track, track_moves, moves = table.track, table.track_moves, table.moves
-    states, skeletons, idempotent = table.track_states, table.track_skeletons, table.idempotent
+    one move per track in lexicographic order.  Track 1 moves by
+    ``moves1``, toward q1, and tracks 2 and 3 by ``moves2``, toward q2, so
+    a child whose track 1 can no longer reach q1, or whose track 2 or 3 can
+    no longer reach q2, is never queued (see ``find_dumbbell``).  The start
+    node is always popped."""
+    track, states = table.track, table.track_states
+    skeletons, idempotent = table.track_skeletons, table.idempotent
     start = (track(q1, 0), track(q1, 0), track(q2, 0), False)
     parents: dict = {start: None}
     queue = deque([start])
@@ -173,10 +207,7 @@ def _dumbbell_bfs(table, q1, q2, budget):
         if (diff and states[u1] == q1 and states[u2] == q2 and states[u3] == q2
                 and idempotent[skeletons[u1]] and idempotent[skeletons[u3]]):
             return _rebuild_triple(parents, node)
-        moves1 = track_moves[u1] or moves(u1)
-        moves2 = track_moves[u2] or moves(u2)
-        moves3 = track_moves[u3] or moves(u3)
-        for letter1, letter2, letter3 in zip(moves1, moves2, moves3):
+        for letter1, letter2, letter3 in zip(moves1[u1], moves2[u2], moves2[u3]):
             for i1, v1 in letter1:
                 for i2, v2 in letter2:
                     for i3, v3 in letter3:

@@ -61,6 +61,18 @@ _DOCUMENTS = {
 }
 
 
+def _count(text: str) -> int:
+    """The argparse type of ``--budget``, ``--component-len``, ``--max-len``,
+    ``--min-len`` and ``--amplify``: an integer, zero or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -84,23 +96,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("eval", _cmd_eval, "print the set of outputs for one input")
     p.add_argument("--input", required=True, help="input word")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     p = add("runs", _cmd_runs, "list the accepting runs on one input")
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     p = add("ambiguity", _cmd_ambiguity, "exact finite-ambiguity decision (dumbbell search)")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     p = add("valuedness", _cmd_valuedness, "sound partial finite-valuedness analysis")
-    p.add_argument("--budget", type=int, default=1_000_000,
+    p.add_argument("--budget", type=_count, default=1_000_000,
                    help="candidate budget of the W-pattern search, also the --amplify scan's budget")
-    p.add_argument("--component-len", type=int, default=4,
+    p.add_argument("--component-len", type=_count, default=4,
                    help="max transitions per W-pattern component")
-    p.add_argument("--max-len", type=int, default=6,
+    p.add_argument("--max-len", type=_count, default=6,
                    help="oracle scan length for Unknown verdicts")
-    p.add_argument("--amplify", type=int, default=0, metavar="M",
+    p.add_argument("--amplify", type=_count, default=0, metavar="M",
                    help="on Infinite, also search for M pairwise distinct outputs")
 
     p = add("delay", _cmd_delay, "weight tables and delay of two runs on one input")
@@ -108,24 +120,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=int, default=2, help="cut period bound")
     p.add_argument("--run1", type=int, default=None, help="index into the run list")
     p.add_argument("--run2", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     p = add("decompose", _cmd_decompose, "selector table (and cover sizes) up to a length")
     p.add_argument("--k", type=int, required=True, help="number of selectors")
-    p.add_argument("--max-len", type=int, default=3)
+    p.add_argument("--max-len", type=_count, default=3)
     p.add_argument("--C", type=int, default=2)
     p.add_argument("--D", type=int, default=10)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     p = add("equiv", _cmd_equiv, "bounded equivalence check of two documents",
             files=("file_a", "file_b"))
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--min-len", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--max-len", type=_count, default=6)
+    p.add_argument("--min-len", type=_count, default=1)
+    p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     p = add("oracle", _cmd_oracle, "exhaustive valuedness and ambiguity readings")
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--max-len", type=_count, default=6)
+    p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     return parser
 

@@ -138,6 +138,52 @@ def test_unknown_arguments_exit_2(docs, capsys):
     capsys.readouterr()
 
 
+# every count option, on a command that takes it
+COUNT_OPTIONS = [
+    ("eval", "--budget"), ("runs", "--budget"), ("ambiguity", "--budget"),
+    ("valuedness", "--budget"), ("valuedness", "--component-len"),
+    ("valuedness", "--max-len"), ("valuedness", "--amplify"), ("delay", "--budget"),
+    ("decompose", "--max-len"), ("decompose", "--budget"), ("equiv", "--max-len"),
+    ("equiv", "--min-len"), ("equiv", "--budget"), ("oracle", "--max-len"),
+    ("oracle", "--budget"),
+]
+
+
+def _negative_count_argv(docs, command, option):
+    files = [docs["FIX-TSC"]] * (2 if command == "equiv" else 1)
+    extra = {"eval": ["--input", "0"], "runs": ["--input", "0"],
+             "delay": ["--input", "0"], "decompose": ["--k", "1"]}.get(command, [])
+    return [command, *files, *extra, option, "-1"]
+
+
+@pytest.mark.parametrize("command, option", COUNT_OPTIONS)
+def test_negative_count_is_a_usage_error(docs, capsys, command, option):
+    assert main(_negative_count_argv(docs, command, option)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {option}: must not be negative: -1" in captured.err
+
+
+def test_non_integer_count_is_a_usage_error(docs, capsys):
+    assert main(["ambiguity", docs["FIX-TSC"], "--budget", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --budget: invalid int value: 'x'" in captured.err
+
+
+def test_zero_counts_are_allowed(docs, capsys):
+    assert main(["oracle", docs["FIX-TSC"], "--max-len", "0"]) == 0
+    assert main(["equiv", docs["FIX-TSC"], docs["FIX-TSC"], "--min-len", "0", "--max-len", "0"]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, "valuedness", docs["FIX-TSC"], "--component-len", "0",
+                    "--max-len", "0", "--amplify", "0", "--json")
+    assert code == 2
+    assert json.loads(out)["knobs"]["component_len"] == 0
+    # a budget of 0 is a budget stop, not a usage error
+    assert main(["ambiguity", docs["FIX-TSC"], "--budget", "0"]) == 2
+    assert "budget of 0 expansion nodes exceeded" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["validate", "/nonexistent/machine.sst"]) == 2
     capsys.readouterr()

@@ -1,0 +1,120 @@
+"""The dumbbell search never queues a product node whose tracks can no
+longer reach (q1, q2, q2).  It must find the same dumbbell as the full
+search, or none when the full search finds none, and pop no more nodes.
+The full search is kept here as the reference: it is the breadth-first
+search of the three-track product as it was before the trimming."""
+
+import random
+from collections import deque
+
+import pytest
+
+import sstkit
+from sstkit import analysis, find_dumbbell
+from sstkit.analysis import Dumbbell
+from sstkit.model import (
+    Budget,
+    Run,
+    coreachable_states,
+    reachable_states,
+    shortest_access_run,
+    shortest_exit_run,
+)
+from sstkit.skeletons import _MonoidTable
+
+from helpers import random_sst
+
+# above the most nodes any case below needs, trimmed or not
+BUDGET = 20_000
+
+FIXTURES = [(name, lambda name=name: sstkit.fixtures.load(name)) for name in sstkit.fixtures.names()]
+WIDE = [(f"random_sst({s}, 6, 4)", lambda s=s: random_sst(random.Random(s), max_states=6, max_vars=4))
+        for s in range(40)]
+DEFAULT = [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s))) for s in range(200)]
+
+
+def reference_bfs(table, q1, q2, budget):
+    """The untrimmed search: every child of a popped node is queued."""
+    track, track_moves, moves = table.track, table.track_moves, table.moves
+    states, skeletons, idempotent = table.track_states, table.track_skeletons, table.idempotent
+    start = (track(q1, 0), track(q1, 0), track(q2, 0), False)
+    parents: dict = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        budget.charge()
+        u1, u2, u3, diff = node
+        if (diff and states[u1] == q1 and states[u2] == q2 and states[u3] == q2
+                and idempotent[skeletons[u1]] and idempotent[skeletons[u3]]):
+            return analysis._rebuild_triple(parents, node)
+        moves1 = track_moves[u1] or moves(u1)
+        moves2 = track_moves[u2] or moves(u2)
+        moves3 = track_moves[u3] or moves(u3)
+        for letter1, letter2, letter3 in zip(moves1, moves2, moves3):
+            for i1, v1 in letter1:
+                for i2, v2 in letter2:
+                    for i3, v3 in letter3:
+                        child = (v1, v2, v3, diff or not (i1 == i2 == i3))
+                        if child not in parents:
+                            parents[child] = (node, (i1, i2, i3))
+                            queue.append(child)
+    return None
+
+
+def reference_find(sst):
+    """(described dumbbell or None, nodes popped) of the untrimmed search,
+    on a fresh monoid table."""
+    table = _MonoidTable(sst)
+    budget = Budget(BUDGET)
+    coreach = set(coreachable_states(sst))
+    for q1 in reachable_states(sst):
+        for q2 in (q for q in sst.states if q in coreach):
+            found = reference_bfs(table, q1, q2, budget)
+            if found is None:
+                continue
+            path1, path2, path3 = found
+            dumbbell = Dumbbell(q1, q2, shortest_access_run(sst, q1), Run(sst, q1, path1),
+                                Run(sst, q1, path2), Run(sst, q2, path3),
+                                shortest_exit_run(sst, q2))
+            dumbbell.verify(sst)
+            return dumbbell.describe(), budget.used
+    return None, budget.used
+
+
+def trimmed_find(sst, monkeypatch):
+    """(described dumbbell or None, nodes popped) of ``find_dumbbell``."""
+    budgets = []
+
+    class Recorded(Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "Budget", Recorded)
+        dumbbell = find_dumbbell(sst, node_budget=BUDGET)
+    (budget,) = budgets
+    return None if dumbbell is None else dumbbell.describe(), budget.used
+
+
+CASES = FIXTURES + WIDE + DEFAULT
+
+
+@pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
+def test_trimmed_search_matches_reference(label, make, monkeypatch):
+    sst = make()
+    want, reference_pops = reference_find(sst)
+    got, pops = trimmed_find(sst, monkeypatch)
+    assert got == want
+    assert 1 <= pops <= reference_pops
+
+
+def test_trimmed_search_pops_fewer_on_wide_draws(monkeypatch):
+    """On the 6-state, 4-variable draws the trimming pays: the searches pop
+    fewer nodes in total."""
+    reference = trimmed = 0
+    for _, make in WIDE:
+        sst = make()
+        reference += reference_find(sst)[1]
+        trimmed += trimmed_find(sst, monkeypatch)[1]
+    assert trimmed < reference
