@@ -38,14 +38,11 @@ from .model import (
     DEFAULT_NODE_BUDGET,
     Run,
     Sst,
-    Update,
     _apply,
     _bfs,
-    _compile_image,
-    _compile_update,
     _compose_image,
+    _compose_programs,
     _ground,
-    compose_updates,
     concat_runs,
     coreachable_states,
     outputs,
@@ -337,110 +334,6 @@ def build_wrun(sst: Sst, pattern: WPattern, values, mark: int) -> Run:
     return concat_runs(sst, segments)
 
 
-class _UpdatePool:
-    """The updates met by one W-pattern search, interned: equal updates get
-    one id.  What the W-run evaluator builds from ids is memoized here for
-    the whole search, so the signatures of one search share it.  A leg is
-    given as its (entry, loop, exit) update ids.
-
-      block   entry . loop^x . exit, compiled, per (leg, x);
-      prefix  the contents after rho0 and a sequence of blocks, per (rho0
-              update id, legs of the blocks);
-      suffix  the image of the output over the contents before a sequence
-              of blocks, per (legs of the blocks, rho4 update id, end
-              state).
-    """
-
-    def __init__(self, sst: Sst):
-        self.sst = sst
-        self.updates: list[Update] = []
-        self._ids: dict[Update, int] = {}
-        self._path_ids: dict[tuple, int] = {}
-        self._blocks: dict[tuple, tuple] = {}
-        self._prefixes: dict[tuple, list] = {}
-        self._suffixes: dict[tuple, list] = {}
-        self._steps = tuple(t.update for t in sst.transitions)
-        self._identity = Update.identity(sst.variables)
-
-    def intern(self, update: Update) -> int:
-        if update not in self._ids:
-            self._ids[update] = len(self.updates)
-            self.updates.append(update)
-        return self._ids[update]
-
-    def path_id(self, path: tuple) -> int:
-        """Id of the update induced by a path of transitions; one fold per
-        distinct path."""
-        if path not in self._path_ids:
-            acc = self._identity
-            for i in path:
-                acc = compose_updates(self._steps[i], acc)
-            self._path_ids[path] = self.intern(acc)
-        return self._path_ids[path]
-
-    def ids(self, paths) -> tuple:
-        """Ids of the updates induced by each of ``paths``."""
-        return tuple([self.path_id(path) for path in paths])
-
-    def legs(self, entry_paths, loop_paths, exit_paths) -> tuple:
-        """Ids of the nine leg updates, as three (entry, loop, exit) triples."""
-        return tuple(zip(self.ids(entry_paths), self.ids(loop_paths), self.ids(exit_paths)))
-
-    def signature(self, pattern: WPattern) -> tuple:
-        return (
-            self.path_id(pattern.rho0.steps),
-            self.legs(*([r.steps for r in group]
-                        for group in (pattern.entries, pattern.loops, pattern.exits))),
-            self.path_id(pattern.rho4.steps),
-            pattern.rho4.end,
-        )
-
-    def block(self, leg: tuple, x: int) -> tuple:
-        """The compiled update of entry . loop^x . exit."""
-        key = (leg, x)
-        if key not in self._blocks:
-            entry, loop, exit_ = (self.updates[k] for k in leg)
-            acc = entry
-            for _ in range(x):
-                acc = compose_updates(loop, acc)
-            acc = compose_updates(exit_, acc)
-            self._blocks[key] = _compile_update(self.sst._var_index, acc)
-        return self._blocks[key]
-
-    def prefix(self, alpha: int, legs: tuple) -> list:
-        """Variable contents after the rho0 update ``alpha`` and then one
-        block on each of ``legs`` in turn, for every tuple of counts in
-        {1,2}^len(legs), lexicographic."""
-        key = (alpha, legs)
-        if key not in self._prefixes:
-            if legs:
-                blocks = self.block(legs[-1], 1), self.block(legs[-1], 2)
-                contents = [_apply(b, c) for c in self.prefix(alpha, legs[:-1]) for b in blocks]
-            else:
-                sst = self.sst
-                initial = tuple(sst.initial_assignment[v] for v in sst.variables)
-                contents = [_apply(_compile_update(sst._var_index, self.updates[alpha]), initial)]
-            self._prefixes[key] = contents
-        return self._prefixes[key]
-
-    def suffix(self, legs: tuple, omega: int, end_state: str) -> list:
-        """The compiled image that reads the output off the contents before
-        one block on each of ``legs`` in turn, the rho4 update ``omega`` and
-        the final output at ``end_state``, for every tuple of counts in
-        {1,2}^len(legs), lexicographic."""
-        key = (legs, omega, end_state)
-        if key not in self._suffixes:
-            if legs:
-                blocks = self.block(legs[0], 1), self.block(legs[0], 2)
-                images = [_compose_image(i, b) for b in blocks
-                          for i in self.suffix(legs[1:], omega, end_state)]
-            else:
-                image = self.updates[omega].apply_to(self.sst.final_output[end_state])
-                images = [_compile_image(self.sst._var_index, image)]
-            self._suffixes[key] = images
-        return self._suffixes[key]
-
-
 def _rank(counts: tuple) -> int:
     """Position of a tuple over {1, 2} among those of its length,
     lexicographic."""
@@ -456,43 +349,134 @@ _LEAVES = tuple(
 )
 
 
-class _PatternEvaluator:
-    """Fast W-run outputs for a candidate signature: the ids of the rho0
-    update, the nine leg updates and the rho4 update in ``pool``, and the
-    end state.  Marked runs are evaluated over concrete variable contents
-    with the pool's compiled blocks instead of being materialized; the
-    divergence test meets each run in the middle, from the pool's memoized
-    prefixes and suffixes."""
+class _UpdatePool:
+    """The updates met by one W-pattern search, interned as compiled
+    programs (as in ``_Engine.programs``; id 0 is the identity).  Compiling
+    is injective -- letters are single characters merged into maximal
+    runs, variables become indices -- and composing keeps that form, so two
+    paths share an id exactly when their induced updates are equal.  The
+    W-runs of a signature (ids of the rho0 update and of three legs'
+    (entry, loop, exit) updates, the rho4 update id, the end state) are
+    evaluated here, memoized for the whole search:
 
-    def __init__(self, pool: _UpdatePool, signature: tuple):
-        self._pool = pool
-        self._alpha, self._legs, self._omega, self._end_state = signature
-        self._base = pool.prefix(self._alpha, ())[0]
-        self._final = pool.suffix((), self._omega, self._end_state)[0]
+      block   entry . loop^x . exit, per (leg, x);
+      prefix  the contents after rho0 and a sequence of blocks, per (rho0
+              update id, legs of the blocks);
+      suffix  the image of the output over the contents before a sequence
+              of blocks, per (legs of the blocks, rho4 update id, end
+              state).
+    """
 
-    def output(self, values, mark: int) -> str:
-        contents = self._base
+    def __init__(self, sst: Sst):
+        self.sst = sst
+        self._engine = sst._engine
+        identity = tuple((k,) for k in range(len(sst.variables)))
+        self.programs: list[tuple] = [identity]
+        self._ids: dict[tuple, int] = {identity: 0}
+        self._path_ids: dict[tuple, int] = {(): 0}
+        self._blocks: dict[tuple, tuple] = {}
+        self._prefixes: dict[tuple, list] = {}
+        self._suffixes: dict[tuple, list] = {}
+
+    def _intern(self, program: tuple) -> int:
+        if program not in self._ids:
+            self._ids[program] = len(self.programs)
+            self.programs.append(program)
+        return self._ids[program]
+
+    def path_id(self, path: tuple) -> int:
+        """Id of the update induced by a path of transitions: the program of
+        ``path[:-1]`` followed by that of step ``path[-1]``, memoized for
+        every prefix."""
+        ids = self._path_ids
+        if path not in ids:
+            steps, n = self._engine.programs, len(path) - 1
+            while path[:n] not in ids:
+                n -= 1
+            for n in range(n + 1, len(path) + 1):
+                ids[path[:n]] = self._intern(
+                    _compose_programs(self.programs[ids[path[:n - 1]]], steps[path[n - 1]]))
+        return ids[path]
+
+    def ids(self, paths) -> tuple:
+        """Ids of the updates induced by each of ``paths``."""
+        return tuple([self.path_id(path) for path in paths])
+
+    def signature(self, pattern: WPattern) -> tuple:
+        return (
+            self.path_id(pattern.rho0.steps),
+            tuple(zip(*(self.ids([r.steps for r in group])
+                        for group in (pattern.entries, pattern.loops, pattern.exits)))),
+            self.path_id(pattern.rho4.steps),
+            pattern.rho4.end,
+        )
+
+    def block(self, leg: tuple, x: int) -> tuple:
+        """The program of entry . loop^x . exit."""
+        key = (leg, x)
+        if key not in self._blocks:
+            entry, loop, exit_ = (self.programs[k] for k in leg)
+            acc = entry
+            for _ in range(x):
+                acc = _compose_programs(acc, loop)
+            self._blocks[key] = _compose_programs(acc, exit_)
+        return self._blocks[key]
+
+    def prefix(self, alpha: int, legs: tuple) -> list:
+        """Variable contents after the rho0 update ``alpha`` and then one
+        block on each of ``legs`` in turn, for every tuple of counts in
+        {1,2}^len(legs), lexicographic."""
+        key = (alpha, legs)
+        if key not in self._prefixes:
+            if legs:
+                blocks = self.block(legs[-1], 1), self.block(legs[-1], 2)
+                contents = [_apply(b, c) for c in self.prefix(alpha, legs[:-1]) for b in blocks]
+            else:
+                contents = [_apply(self.programs[alpha], self._engine.initial)]
+            self._prefixes[key] = contents
+        return self._prefixes[key]
+
+    def suffix(self, legs: tuple, omega: int, end_state: str) -> list:
+        """The compiled image that reads the output off the contents before
+        one block on each of ``legs`` in turn, the rho4 update ``omega`` and
+        the final output at ``end_state``, for every tuple of counts in
+        {1,2}^len(legs), lexicographic."""
+        key = (legs, omega, end_state)
+        if key not in self._suffixes:
+            if legs:
+                blocks = self.block(legs[0], 1), self.block(legs[0], 2)
+                images = [_compose_image(i, b) for b in blocks
+                          for i in self.suffix(legs[1:], omega, end_state)]
+            else:
+                images = [_compose_image(self._engine.finals[end_state], self.programs[omega])]
+            self._suffixes[key] = images
+        return self._suffixes[key]
+
+    def output(self, signature: tuple, values, mark: int) -> str:
+        """Output of the run of ``signature`` marked at ``mark`` (0-based)
+        on the loop counts ``values``, as ``build_wrun`` builds it."""
+        alpha, legs, omega, end_state = signature
+        contents = self.prefix(alpha, ())[0]
         for idx, x in enumerate(values):
             leg = 0 if idx < mark else (1 if idx == mark else 2)
-            contents = _apply(self._pool.block(self._legs[leg], x), contents)
-        return _ground(self._final, contents)
+            contents = _apply(self.block(legs[leg], x), contents)
+        return _ground(self.suffix((), omega, end_state)[0], contents)
 
-    def first_divergent_tuple(self) -> tuple[int, ...] | None:
-        """The first tuple in {1,2}^5, lexicographic, whose runs marked at
-        position 2 and at position 4 give different outputs.
+    def first_divergent_tuple(self, signature: tuple) -> tuple[int, ...] | None:
+        """The first tuple in {1,2}^5, lexicographic, whose runs of
+        ``signature`` marked at position 2 and at position 4 give different
+        outputs.
 
         A run's five blocks take legs 0, 1, 2, 2, 2 when it is marked at 2
         and legs 0, 0, 0, 1, 2 when it is marked at 4.  Each output is met
         in the middle: the suffix image of the trailing blocks, grounded
         on the prefix contents after the leading ones, so no leaf applies
-        a block.  Prefixes and suffixes come from the pool's memo, which
-        the signatures of one search share."""
-        pool, (leg0, leg1, leg2) = self._pool, self._legs
-        omega, end_state = self._omega, self._end_state
-        mid_prefixes = pool.prefix(self._alpha, (leg0, leg1))
-        mid_suffixes = pool.suffix((leg2, leg2, leg2), omega, end_state)
-        late_prefixes = pool.prefix(self._alpha, (leg0, leg0, leg0))
-        late_suffixes = pool.suffix((leg1, leg2), omega, end_state)
+        a block."""
+        alpha, (leg0, leg1, leg2), omega, end_state = signature
+        mid_prefixes = self.prefix(alpha, (leg0, leg1))
+        mid_suffixes = self.suffix((leg2, leg2, leg2), omega, end_state)
+        late_prefixes = self.prefix(alpha, (leg0, leg0, leg0))
+        late_suffixes = self.suffix((leg1, leg2), omega, end_state)
         for tup, mid_p, mid_s, late_p, late_s in _LEAVES:
             if (_ground(mid_suffixes[mid_s], mid_prefixes[mid_p])
                     != _ground(late_suffixes[late_s], late_prefixes[late_p])):
@@ -513,7 +497,7 @@ def is_simply_divergent(sst: Sst, pattern: WPattern) -> tuple[int, ...] | None:
     legs = signature[1]
     if legs[0] == legs[1] == legs[2]:  # every mark gives the same output
         return None
-    tup = _PatternEvaluator(pool, signature).first_divergent_tuple()
+    tup = pool.first_divergent_tuple(signature)
     if tup is None:
         return None
     _confirm_divergence(sst, pattern, tup)
@@ -710,7 +694,7 @@ def _search_divergent_pattern(sst: Sst, sb: SearchBudget):
         for raw in _pattern_candidates(pool, sb.component_length, budget):
             if raw.signature in non_divergent:
                 continue
-            tup = _PatternEvaluator(pool, raw.signature).first_divergent_tuple()
+            tup = pool.first_divergent_tuple(raw.signature)
             if tup is None:
                 non_divergent.add(raw.signature)
                 continue
@@ -845,7 +829,7 @@ def amplify_valuedness(
     pattern = divergent.pattern
     b = Budget.ensure(budget)
     pool = _UpdatePool(sst)
-    ev = _PatternEvaluator(pool, pool.signature(pattern))
+    signature = pool.signature(pattern)
     top = max(2, max(divergent.values))
     try:
         for n in range(m, 2 * m + 1):
@@ -856,7 +840,7 @@ def amplify_valuedness(
                     b.charge()
                     first_mark: dict[str, int] = {}
                     for h in range(n):
-                        first_mark.setdefault(ev.output(values, h), h)
+                        first_mark.setdefault(pool.output(signature, values, h), h)
                     if len(first_mark) < m:
                         continue
                     outs = list(first_mark)[:m]

@@ -73,6 +73,12 @@ def _count(text: str) -> int:
     return value
 
 
+def _check_lengths(low: int, high: int) -> None:
+    """An empty range of input lengths is a usage error."""
+    if high < low:
+        raise SstKitError(f"empty length range {low}..{high}: --max-len must be at least {low}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -250,6 +256,7 @@ def _cmd_ambiguity(args, report, sst: Sst) -> int:
 
 
 def _cmd_valuedness(args, report, sst: Sst) -> int:
+    _check_lengths(1, args.max_len)
     budget = SearchBudget(
         component_length=args.component_len,
         candidates=args.budget,
@@ -311,6 +318,7 @@ def _cmd_decompose(args, report, sst: Sst) -> int:
 
 
 def _cmd_equiv(args, report, a: Sst, b: Sst) -> int:
+    _check_lengths(args.min_len, args.max_len)
     counterexample = check_equivalence_bounded(
         a, b, args.max_len, Budget(args.budget), min_len=args.min_len
     )
@@ -332,6 +340,7 @@ def _cmd_equiv(args, report, a: Sst, b: Sst) -> int:
 
 
 def _cmd_oracle(args, report, sst: Sst) -> int:
+    _check_lengths(1, args.max_len)
     val, val_witness = valuedness_oracle(sst, args.max_len, Budget(args.budget))
     amb, amb_witness = ambiguity_oracle(sst, args.max_len, Budget(args.budget))
     report.say(f"inputs of length 1..{args.max_len}:")

@@ -542,6 +542,12 @@ def _compose_image(image: tuple, program: tuple) -> tuple:
     return tuple(ops)
 
 
+def _compose_programs(first: tuple, then: tuple) -> tuple:
+    """Compiled update ``first`` followed by ``then``, as ``compose_updates(then,
+    first)``: ``_apply`` of it equals ``_apply(then, _apply(first, v))``."""
+    return tuple([_compose_image(image, first) for image in then])
+
+
 def _compile_update(var_index: Mapping[str, int], update: Update) -> tuple:
     return tuple(_compile_image(var_index, image) for image in update.images)
 
@@ -582,8 +588,8 @@ class _Engine:
         self.programs = tuple(_compile_update(var, t.update) for t in sst.transitions)
         self.finals = {q: _compile_image(var, expr) for q, expr in sst.final_output.items()}
         initials = sorted(sst.initials, key=sst.state_index)
-        values = tuple(sst.initial_assignment[v] for v in sst.variables)
-        self.start = dict.fromkeys((q, values) for q in initials)
+        self.initial = tuple(sst.initial_assignment[v] for v in sst.variables)
+        self.start = dict.fromkeys((q, self.initial) for q in initials)
         self.start_counts = dict.fromkeys(initials, 1)
 
     def step(self, frontier: dict, letter: str, budget: Budget) -> dict:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from sstkit import (
@@ -107,6 +109,17 @@ def test_build_wrun_rejects_bad_marks(fix_amb):
 
 def test_is_simply_divergent_fix_amb(fix_amb):
     pattern = amb_pattern(fix_amb, (1, 0, 1))
+    assert is_simply_divergent(fix_amb, pattern) == (1, 1, 1, 2, 1)
+
+
+def test_is_simply_divergent_long_access_and_exit_runs(fix_amb):
+    """Update ids of long runs are folded step by step, not by recursion:
+    access and exit runs far longer than Python's recursion limit are
+    tested like short ones."""
+    pattern = dataclasses.replace(amb_pattern(fix_amb, (1, 0, 1)),
+                                  rho0=fix_amb.run("q", (1,) * 2000),
+                                  rho4=fix_amb.run("q", (0,) * 2000))
+    pattern.verify(fix_amb)
     assert is_simply_divergent(fix_amb, pattern) == (1, 1, 1, 2, 1)
 
 

@@ -172,16 +172,35 @@ def test_non_integer_count_is_a_usage_error(docs, capsys):
 
 
 def test_zero_counts_are_allowed(docs, capsys):
-    assert main(["oracle", docs["FIX-TSC"], "--max-len", "0"]) == 0
+    assert main(["oracle", docs["FIX-TSC"], "--max-len", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: empty length range 1..0" in captured.err
     assert main(["equiv", docs["FIX-TSC"], docs["FIX-TSC"], "--min-len", "0", "--max-len", "0"]) == 0
     capsys.readouterr()
     code, out = run(capsys, "valuedness", docs["FIX-TSC"], "--component-len", "0",
-                    "--max-len", "0", "--amplify", "0", "--json")
+                    "--max-len", "1", "--amplify", "0", "--json")
     assert code == 2
     assert json.loads(out)["knobs"]["component_len"] == 0
     # a budget of 0 is a budget stop, not a usage error
     assert main(["ambiguity", docs["FIX-TSC"], "--budget", "0"]) == 2
     assert "budget of 0 expansion nodes exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, length_range", [
+    (["equiv", "FIX-TSC", "FIX-TSC1", "--min-len", "3", "--max-len", "2"], "3..2"),
+    (["equiv", "FIX-TSC", "FIX-TSC1", "--max-len", "0"], "1..0"),
+    (["oracle", "FIX-TSC", "--max-len", "0", "--json"], "1..0"),
+    (["valuedness", "FIX-TSC", "--max-len", "0"], "1..0"),
+])
+def test_empty_length_range_is_a_usage_error(docs, capsys, argv, length_range):
+    """A scan over no input length is refused, not reported as an empty
+    scan."""
+    assert main([docs.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: empty length range {length_range}: "
+                            f"--max-len must be at least {length_range.split('..')[0]}\n")
 
 
 def test_missing_file_exits_2(capsys):

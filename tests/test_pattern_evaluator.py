@@ -11,8 +11,8 @@ from itertools import product
 import pytest
 
 import sstkit
-from sstkit import BudgetExceededError, build_wrun
-from sstkit.analysis import _PatternEvaluator, _UpdatePool, _pattern_candidates
+from sstkit import BudgetExceededError, Run, build_wrun
+from sstkit.analysis import _UpdatePool, _pattern_candidates
 from sstkit.model import Budget, _apply, _compile_image, _compile_update, _compose_image, _ground
 
 from helpers import random_sst
@@ -62,11 +62,11 @@ def test_evaluator_matches_runs(label, make):
     for raw in candidates:
         pattern = raw.build_pattern(sst)
         pattern.verify(sst)
-        ev = _PatternEvaluator(pool, raw.signature)
-        assert ev.first_divergent_tuple() == reference_tuple(sst, pattern), raw
+        assert pool.first_divergent_tuple(raw.signature) == reference_tuple(sst, pattern), raw
         for values in SEQUENCES:
             for mark in range(len(values)):
-                assert ev.output(values, mark) == build_wrun(sst, pattern, values, mark).output
+                assert (pool.output(raw.signature, values, mark)
+                        == build_wrun(sst, pattern, values, mark).output)
 
 
 def test_corpus_has_both_kinds_of_candidate():
@@ -76,7 +76,7 @@ def test_corpus_has_both_kinds_of_candidate():
         sst = make()
         pool, candidates = distinct_candidates(sst)
         kinds.update(
-            _PatternEvaluator(pool, raw.signature).first_divergent_tuple() is None
+            pool.first_divergent_tuple(raw.signature) is None
             for raw in candidates
         )
     assert kinds == {True, False}
@@ -102,13 +102,41 @@ def test_shared_pool_matches_fresh_pools(label, make, limit):
     patterns = [raw.build_pattern(sst) for raw in candidates]
 
     def walk(pool, pattern):
-        return _PatternEvaluator(pool, pool.signature(pattern)).first_divergent_tuple()
+        return pool.first_divergent_tuple(pool.signature(pattern))
 
     fresh = [walk(_UpdatePool(sst), p) for p in patterns]
     pool = _UpdatePool(sst)
     assert [walk(pool, p) for p in patterns] == fresh
     pool = _UpdatePool(sst)
     assert [walk(pool, p) for p in reversed(patterns)] == fresh[::-1]
+
+
+def paths_from(sst, state, max_len):
+    """Every path of at most ``max_len`` transitions from ``state``."""
+    level = [((), state)]
+    for _ in range(max_len + 1):
+        yield from (path for path, _ in level)
+        level = [(path + (i,), target) for path, end in level
+                 for i, target in sst._adjacency[0][end]]
+
+
+@pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
+def test_pool_ids_name_induced_updates(label, make):
+    """A path's id in the pool names the compiled form of the update the
+    path induces, and two paths share an id exactly when they induce equal
+    updates: every path of length at most 3 from every state."""
+    sst = make()
+    pool = _UpdatePool(sst)
+    ids_of, updates_of = {}, {}
+    for state in sst.states:
+        for path in paths_from(sst, state, 3):
+            update = Run(sst, state, path).induced_update
+            k = pool.path_id(path)
+            assert pool.programs[k] == _compile_update(sst._var_index, update), path
+            ids_of.setdefault(update, set()).add(k)
+            updates_of.setdefault(k, set()).add(update)
+    assert all(len(ids) == 1 for ids in ids_of.values())
+    assert all(len(updates) == 1 for updates in updates_of.values())
 
 
 def merged(image):

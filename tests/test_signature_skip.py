@@ -9,7 +9,6 @@ import pytest
 import sstkit
 from sstkit import BudgetExceededError, SearchBudget
 from sstkit.analysis import (
-    _PatternEvaluator,
     _UpdatePool,
     _pattern_candidates,
     _search_divergent_pattern,
@@ -82,7 +81,7 @@ def reference_search(sst, sb):
     pool = _UpdatePool(sst)
     try:
         for raw in _pattern_candidates(pool, sb.component_length, budget):
-            tup = _PatternEvaluator(pool, raw.signature).first_divergent_tuple()
+            tup = pool.first_divergent_tuple(raw.signature)
             if tup is not None:
                 return raw, tup, budget.used, False
     except BudgetExceededError:

@@ -1,0 +1,29 @@
+"""sstkit has no runtime dependencies: every absolute import in the package
+names a module of the Python standard library."""
+
+import ast
+import pathlib
+import sys
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "sstkit"
+
+
+def absolute_imports(path):
+    """(line, top-level module) of each absolute import in one file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_package_imports_only_the_standard_library():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    allowed = set(sys.stdlib_module_names) | {"__future__"}
+    foreign = [f"{path.name}:{line}: {module}"
+               for path in files for line, module in absolute_imports(path)
+               if module not in allowed]
+    assert foreign == []
