@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 from .errors import BudgetExceededError, RunError, SstKitError
 from .model import (
@@ -145,23 +145,20 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
     """
     table = _monoid_table(sst)
     budget = Budget(node_budget)
-    reach = reachable_states(sst)
-    coreach = set(coreachable_states(sst))
     toward = {q: _MovesToward(table, _bfs(sst._adjacency[1], (q,))) for q in sst.states}
 
-    for q1 in reach:
-        for q2 in (q for q in sst.states if q in coreach):
-            found = _dumbbell_bfs(table, q1, q2, toward[q1], toward[q2], budget)
-            if found is None:
-                continue
-            path1, path2, path3 = found
-            rho0 = shortest_access_run(sst, q1)
-            rho4 = shortest_exit_run(sst, q2)
-            assert rho0 is not None and rho4 is not None
-            dumbbell = Dumbbell(q1, q2, rho0, Run(sst, q1, path1), Run(sst, q1, path2),
-                                Run(sst, q2, path3), rho4)
-            dumbbell.verify(sst)
-            return dumbbell
+    for q1, q2 in product(reachable_states(sst), coreachable_states(sst)):
+        found = _dumbbell_bfs(table, q1, q2, toward[q1], toward[q2], budget)
+        if found is None:
+            continue
+        path1, path2, path3 = found
+        rho0 = shortest_access_run(sst, q1)
+        rho4 = shortest_exit_run(sst, q2)
+        assert rho0 is not None and rho4 is not None
+        dumbbell = Dumbbell(q1, q2, rho0, Run(sst, q1, path1), Run(sst, q1, path2),
+                            Run(sst, q2, path3), rho4)
+        dumbbell.verify(sst)
+        return dumbbell
     return None
 
 
@@ -179,7 +176,7 @@ class _MovesToward(dict):
         table, reaching = self.table, self.reaching
         states = table.track_states
         self[u] = kept = tuple(tuple([m for m in letter if states[m[1]] in reaching])
-                               for letter in table.track_moves[u] or table.moves(u))
+                               for letter in table.moves[u])
         return kept
 
 
@@ -332,6 +329,19 @@ def build_wrun(sst: Sst, pattern: WPattern, values, mark: int) -> Run:
         segments.append(pattern.exits[leg])
     segments.append(pattern.rho4)
     return concat_runs(sst, segments)
+
+
+def _build_pattern(sst: Sst, q1: str, q2: str, stations, entry_paths, loop_paths,
+                   exit_paths) -> WPattern:
+    """The W-pattern of a candidate shape of ``_pattern_candidates``."""
+    entry_starts = (q1, q1, q2)
+    return WPattern(
+        q1, q2, *stations,
+        shortest_access_run(sst, q1), shortest_exit_run(sst, q2),
+        tuple(Run(sst, entry_starts[i], entry_paths[i]) for i in range(3)),
+        tuple(Run(sst, stations[i], loop_paths[i]) for i in range(3)),
+        tuple(Run(sst, stations[i], exit_paths[i]) for i in range(3)),
+    )
 
 
 def _rank(counts: tuple) -> int:
@@ -575,14 +585,11 @@ class _TripleLevels:
         self.levels: list[list[tuple]] = [[(((), (), ()), start)]]
 
     def level(self, depth: int) -> list[tuple]:
-        charge, track_moves, moves = self.budget.charge, self.table.track_moves, self.table.moves
+        charge, moves = self.budget.charge, self.table.moves
         while len(self.levels) <= depth:
             fresh: list[tuple] = []
             for (p1, p2, p3), (u1, u2, u3) in self.levels[-1]:
-                moves1 = track_moves[u1] or moves(u1)
-                moves2 = track_moves[u2] or moves(u2)
-                moves3 = track_moves[u3] or moves(u3)
-                for letter1, letter2, letter3 in zip(moves1, moves2, moves3):
+                for letter1, letter2, letter3 in zip(moves[u1], moves[u2], moves[u3]):
                     for i1, v1 in letter1:
                         for i2, v2 in letter2:
                             for i3, v3 in letter3:
@@ -591,42 +598,24 @@ class _TripleLevels:
             self.levels.append(fresh)
         return self.levels[depth]
 
-
-@dataclass(frozen=True)
-class _RawCandidate:
-    """A W-pattern shape before any Run object is materialized."""
-
-    q1: str
-    q2: str
-    stations: tuple[str, str, str]
-    entry_paths: tuple
-    loop_paths: tuple
-    exit_paths: tuple
-    # what the divergence test depends on: ids of the rho0 update, the nine
-    # leg updates and the rho4 update, and the end state
-    signature: tuple = field(repr=False)
-
-    def build_pattern(self, sst: Sst) -> WPattern:
-        entry_starts = (self.q1, self.q1, self.q2)
-        return WPattern(
-            self.q1, self.q2, *self.stations,
-            shortest_access_run(sst, self.q1), shortest_exit_run(sst, self.q2),
-            tuple(Run(sst, entry_starts[i], self.entry_paths[i]) for i in range(3)),
-            tuple(Run(sst, self.stations[i], self.loop_paths[i]) for i in range(3)),
-            tuple(Run(sst, self.stations[i], self.exit_paths[i]) for i in range(3)),
-        )
+    def upto(self, max_len: int):
+        """Levels 0..max_len in turn; level d+1 is generated once level d is read."""
+        return chain.from_iterable(map(self.level, range(max_len + 1)))
 
 
 def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
-    """Candidate W-pattern shapes in a fixed, deterministic order, with
-    signatures in ``pool``.
+    """Candidate W-pattern shapes in a fixed, deterministic order, as
+    tuples (signature, q1, q2, stations, entry_paths, loop_paths,
+    exit_paths); ``_build_pattern`` takes the shape, the tuple less its
+    signature.  The signature is what the divergence test depends on: ids
+    in ``pool`` of the rho0 update, of the three legs' (entry, loop, exit)
+    updates and of the rho4 update, and the end state.
 
     Station shapes are pruned by the loop/composite idempotency
     requirements before any pattern object is built.
     """
     sst = pool.sst
-    reach = reachable_states(sst)
-    coreach = set(coreachable_states(sst))
+    exit_runs = {q: shortest_exit_run(sst, q) for q in coreachable_states(sst)}
     table = _monoid_table(sst)
     idempotent, product = table.idempotent, table.product
     states, skeletons = table.track_states, table.track_skeletons
@@ -637,44 +626,37 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
             levels_memo[starts] = _TripleLevels(table, starts, budget)
         return levels_memo[starts]
 
-    for q1 in reach:
+    for q1 in reachable_states(sst):
         alpha = pool.path_id(shortest_access_run(sst, q1).steps)
-        for q2 in (q for q in sst.states if q in coreach):
-            rho4 = shortest_exit_run(sst, q2)
+        for q2, rho4 in exit_runs.items():
             omega = pool.path_id(rho4.steps)
-            for len_e in range(max_len + 1):
-                for e_paths, e_tracks in levels((q1, q1, q2)).level(len_e):
-                    stations = tuple(states[u] for u in e_tracks)
-                    e_accs = [skeletons[u] for u in e_tracks]
-                    e_ids = pool.ids(e_paths)
-                    station_levels = levels(stations)
-                    for len_l in range(max_len + 1):
-                        for l_paths, l_tracks in station_levels.level(len_l):
-                            if tuple(states[u] for u in l_tracks) != stations:
-                                continue
-                            l_accs = [skeletons[u] for u in l_tracks]
-                            if not all(idempotent[k] for k in l_accs):
-                                continue
-                            l_ids = pool.ids(l_paths)
-                            for len_x in range(max_len + 1):
-                                for x_paths, (x1, x2, x3) in station_levels.level(len_x):
-                                    budget.charge()
-                                    if states[x1] != q1 or states[x2] != q2 or states[x3] != q2:
-                                        continue
-                                    composite_ok = all(
-                                        idempotent[product(skeletons[x], product(l, e))]
-                                        for e, l, x in zip(e_accs, l_accs, (x1, x2, x3))
-                                    )
-                                    if not composite_ok:
-                                        continue
-                                    legs = tuple(zip(e_ids, l_ids, pool.ids(x_paths)))
-                                    if legs[0] == legs[1] == legs[2]:
-                                        continue  # every mark gives the same output
-                                    yield _RawCandidate(
-                                        q1, q2, stations,
-                                        e_paths, l_paths, x_paths,
-                                        (alpha, legs, omega, rho4.end),
-                                    )
+            for e_paths, e_tracks in levels((q1, q1, q2)).upto(max_len):
+                stations = tuple(states[u] for u in e_tracks)
+                e_accs = [skeletons[u] for u in e_tracks]
+                e_ids = pool.ids(e_paths)
+                station_levels = levels(stations)
+                for l_paths, l_tracks in station_levels.upto(max_len):
+                    if tuple(states[u] for u in l_tracks) != stations:
+                        continue
+                    l_accs = [skeletons[u] for u in l_tracks]
+                    if not all(idempotent[k] for k in l_accs):
+                        continue
+                    l_ids = pool.ids(l_paths)
+                    for x_paths, (x1, x2, x3) in station_levels.upto(max_len):
+                        budget.charge()
+                        if states[x1] != q1 or states[x2] != q2 or states[x3] != q2:
+                            continue
+                        composite_ok = all(
+                            idempotent[product(skeletons[x], product(l, e))]
+                            for e, l, x in zip(e_accs, l_accs, (x1, x2, x3))
+                        )
+                        if not composite_ok:
+                            continue
+                        legs = tuple(zip(e_ids, l_ids, pool.ids(x_paths)))
+                        if legs[0] == legs[1] == legs[2]:
+                            continue  # every mark gives the same output
+                        yield ((alpha, legs, omega, rho4.end), q1, q2, stations,
+                               e_paths, l_paths, x_paths)
 
 
 def _search_divergent_pattern(sst: Sst, sb: SearchBudget):
@@ -691,14 +673,14 @@ def _search_divergent_pattern(sst: Sst, sb: SearchBudget):
     pool = _UpdatePool(sst)
     non_divergent: set[tuple] = set()
     try:
-        for raw in _pattern_candidates(pool, sb.component_length, budget):
-            if raw.signature in non_divergent:
+        for signature, *shape in _pattern_candidates(pool, sb.component_length, budget):
+            if signature in non_divergent:
                 continue
-            tup = pool.first_divergent_tuple(raw.signature)
+            tup = pool.first_divergent_tuple(signature)
             if tup is None:
-                non_divergent.add(raw.signature)
+                non_divergent.add(signature)
                 continue
-            pattern = raw.build_pattern(sst)
+            pattern = _build_pattern(sst, *shape)
             pattern.verify(sst)
             witness = _confirm_divergence(sst, pattern, tup)
             report["candidates_used"] = budget.used

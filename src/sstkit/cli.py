@@ -323,7 +323,8 @@ def _cmd_equiv(args, report, a: Sst, b: Sst) -> int:
         a, b, args.max_len, Budget(args.budget), min_len=args.min_len
     )
     if counterexample is None:
-        report.say(f"equal up to length {args.max_len}")
+        span = "up to length " if args.min_len == 1 else f"on lengths {args.min_len}.."
+        report.say(f"equal {span}{args.max_len}")
         return report.emit(
             {"result": {"equal": True, "max_len": args.max_len}}, EXIT_OK
         )

@@ -128,9 +128,6 @@ class Update:
                 out.append(tok)
         return tuple(out)
 
-    def is_identity(self) -> bool:
-        return all(image == (v,) for v, image in zip(self.variables, self.images))
-
     def canonical(self) -> str:
         """Deterministic one-line rendering, variables in declared order."""
         parts = [f"{v} := {' '.join(image)}".rstrip() for v, image in zip(self.variables, self.images)]

@@ -12,6 +12,7 @@ module materializes as a symbolic parameterized word.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -80,11 +81,11 @@ class _MonoidTable:
     transducer, so the cap counts what every search on it has numbered.
 
     A track, a state with a skeleton id, is numbered on demand too
-    (``track(q, k)``).  ``track_moves[u]`` is None until ``moves(u)`` reads
-    it off ``Sst._moves``; then it lists, for each letter in declared
-    order, the (transition, next track) pairs leaving track u in rank
-    order.  The next track has the transition's target and the product of
-    the transition's skeleton with track u's element.
+    (``track(q, k)``).  ``moves`` maps a track id u to the track's moves,
+    read off ``Sst._moves`` on first use (``_TrackMoves``): for each letter
+    in declared order, the (transition, next track) pairs leaving track u
+    in rank order.  The next track has the transition's target and the
+    product of the transition's skeleton with track u's element.
     """
 
     def __init__(self, sst: Sst, cap: int = SKELETON_MONOID_CAP):
@@ -101,7 +102,7 @@ class _MonoidTable:
         self._members: frozenset[Skeleton] | None = None
         self.track_states: list[str] = []
         self.track_skeletons: list[int] = []
-        self.track_moves: list[tuple | None] = []
+        self.moves = _TrackMoves(self)
         self._track_ids: dict[tuple[str, int], int] = {}
 
     def __len__(self) -> int:
@@ -124,19 +125,7 @@ class _MonoidTable:
             u = self._track_ids[q, k] = len(self.track_states)
             self.track_states.append(q)
             self.track_skeletons.append(k)
-            self.track_moves.append(None)
         return u
-
-    def moves(self, u: int) -> tuple:
-        """``track_moves[u]``, computed on first use; callers on a hot path
-        read ``track_moves[u] or table.moves(u)``."""
-        if self.track_moves[u] is None:
-            s, number, track = self._raw[self.track_skeletons[u]], self._number, self.track
-            self.track_moves[u] = tuple(
-                tuple([(i, track(target, number(_compose(self._skeletons[i], s))))
-                       for i, target in letter_moves])
-                for letter_moves in self._sst_moves[self.track_states[u]])
-        return self.track_moves[u]
 
     def product(self, a: int, b: int) -> int:
         """Id of ``compose_skeletons(skeleton(a), skeleton(b))``, memoized."""
@@ -167,6 +156,25 @@ class _MonoidTable:
         if len(self._members) > cap:
             raise _over_cap(cap)
         return self._members
+
+
+class _TrackMoves(dict):
+    """Track id -> its moves in ``table``, as ``_MonoidTable`` describes
+    them, filled on first use."""
+
+    def __init__(self, table: _MonoidTable):
+        super().__init__()
+        # weak: a cycle would leave every discarded table to the collector
+        self.table = weakref.proxy(table)
+
+    def __missing__(self, u: int) -> tuple:
+        table = self.table
+        s, number, track = table._raw[table.track_skeletons[u]], table._number, table.track
+        self[u] = moves = tuple(
+            tuple([(i, track(target, number(_compose(table._skeletons[i], s))))
+                   for i, target in letter_moves])
+            for letter_moves in table._sst_moves[table.track_states[u]])
+        return moves
 
 
 def _compose(a: tuple, b: tuple) -> tuple:

@@ -119,6 +119,18 @@ def test_equiv_counterexample(docs, capsys):
     assert run(capsys, "equiv", docs["FIX-TSC"], docs["FIX-TSC"])[0] == 0
 
 
+@pytest.mark.parametrize("min_len, max_len, message", [
+    ("1", "4", "equal up to length 4"),
+    ("3", "4", "equal on lengths 3..4"),
+    ("0", "2", "equal on lengths 0..2"),
+])
+def test_equiv_names_the_lengths_compared(docs, capsys, min_len, max_len, message):
+    code, out = run(capsys, "equiv", docs["FIX-TSC"], docs["FIX-TSC"],
+                    "--min-len", min_len, "--max-len", max_len)
+    assert code == 0
+    assert out == message + "\n"
+
+
 def test_oracle_readings(docs, capsys):
     code, out = run(capsys, "oracle", docs["FIX-TSC"], "--max-len", "4")
     assert code == 0

@@ -35,7 +35,7 @@ DEFAULT = [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s))) for s 
 
 def reference_bfs(table, q1, q2, budget):
     """The untrimmed search: every child of a popped node is queued."""
-    track, track_moves, moves = table.track, table.track_moves, table.moves
+    track, moves = table.track, table.moves
     states, skeletons, idempotent = table.track_states, table.track_skeletons, table.idempotent
     start = (track(q1, 0), track(q1, 0), track(q2, 0), False)
     parents: dict = {start: None}
@@ -47,10 +47,7 @@ def reference_bfs(table, q1, q2, budget):
         if (diff and states[u1] == q1 and states[u2] == q2 and states[u3] == q2
                 and idempotent[skeletons[u1]] and idempotent[skeletons[u3]]):
             return analysis._rebuild_triple(parents, node)
-        moves1 = track_moves[u1] or moves(u1)
-        moves2 = track_moves[u2] or moves(u2)
-        moves3 = track_moves[u3] or moves(u3)
-        for letter1, letter2, letter3 in zip(moves1, moves2, moves3):
+        for letter1, letter2, letter3 in zip(moves[u1], moves[u2], moves[u3]):
             for i1, v1 in letter1:
                 for i2, v2 in letter2:
                     for i3, v3 in letter3:

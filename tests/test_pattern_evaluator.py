@@ -12,7 +12,7 @@ import pytest
 
 import sstkit
 from sstkit import BudgetExceededError, Run, build_wrun
-from sstkit.analysis import _UpdatePool, _pattern_candidates
+from sstkit.analysis import _UpdatePool, _build_pattern, _pattern_candidates
 from sstkit.model import Budget, _apply, _compile_image, _compile_update, _compose_image, _ground
 
 from helpers import random_sst
@@ -40,7 +40,7 @@ def distinct_candidates(sst, limit=SIGNATURES, budget=5000):
     seen = {}
     try:
         for raw in _pattern_candidates(pool, 2, Budget(budget)):
-            seen.setdefault(raw.signature, raw)
+            seen.setdefault(raw[0], raw)
             if len(seen) == limit:
                 break
     except BudgetExceededError:
@@ -60,13 +60,25 @@ def test_evaluator_matches_runs(label, make):
     sst = make()
     pool, candidates = distinct_candidates(sst)
     for raw in candidates:
-        pattern = raw.build_pattern(sst)
+        pattern = _build_pattern(sst, *raw[1:])
         pattern.verify(sst)
-        assert pool.first_divergent_tuple(raw.signature) == reference_tuple(sst, pattern), raw
+        assert pool.first_divergent_tuple(raw[0]) == reference_tuple(sst, pattern), raw
         for values in SEQUENCES:
             for mark in range(len(values)):
-                assert (pool.output(raw.signature, values, mark)
+                assert (pool.output(raw[0], values, mark)
                         == build_wrun(sst, pattern, values, mark).output)
+
+
+@pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
+def test_candidates_carry_their_signature(label, make):
+    """A candidate's signature is the signature of the pattern its shape
+    builds, so the divergence test reads the pattern that is reported."""
+    sst = make()
+    pool, candidates = distinct_candidates(sst)
+    for signature, *shape in candidates:
+        pattern = _build_pattern(sst, *shape)
+        pattern.verify(sst)
+        assert pool.signature(pattern) == signature, shape
 
 
 def test_corpus_has_both_kinds_of_candidate():
@@ -76,7 +88,7 @@ def test_corpus_has_both_kinds_of_candidate():
         sst = make()
         pool, candidates = distinct_candidates(sst)
         kinds.update(
-            pool.first_divergent_tuple(raw.signature) is None
+            pool.first_divergent_tuple(raw[0]) is None
             for raw in candidates
         )
     assert kinds == {True, False}
@@ -99,7 +111,7 @@ def test_shared_pool_matches_fresh_pools(label, make, limit):
     tuples that a fresh pool per signature gives."""
     sst = make()
     _, candidates = distinct_candidates(sst, limit, budget=20_000)
-    patterns = [raw.build_pattern(sst) for raw in candidates]
+    patterns = [_build_pattern(sst, *raw[1:]) for raw in candidates]
 
     def walk(pool, pattern):
         return pool.first_divergent_tuple(pool.signature(pattern))

@@ -81,7 +81,7 @@ def reference_search(sst, sb):
     pool = _UpdatePool(sst)
     try:
         for raw in _pattern_candidates(pool, sb.component_length, budget):
-            tup = pool.first_divergent_tuple(raw.signature)
+            tup = pool.first_divergent_tuple(raw[0])
             if tup is not None:
                 return raw, tup, budget.used, False
     except BudgetExceededError:
@@ -108,9 +108,7 @@ def check_against_reference(sst, sb):
         return
     assert witness is not None
     assert witness.values == tup
-    assert shape(witness.pattern) == (
-        raw.q1, raw.q2, raw.stations, raw.entry_paths, raw.loop_paths, raw.exit_paths,
-    )
+    assert shape(witness.pattern) == tuple(raw[1:])
 
 
 @pytest.mark.parametrize("component_length", [2, 3])

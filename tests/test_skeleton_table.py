@@ -2,7 +2,9 @@
 flags against brute force, its cap rule, and searches whose results do
 not depend on the order in which elements were numbered."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -58,7 +60,7 @@ def test_table_matches_compose_skeletons(label, make):
     generators = transition_skeletons(sst)
     for q in sst.states:
         for k, s in enumerate(elements):
-            moves = table.moves(table.track(q, k))
+            moves = table.moves[table.track(q, k)]
             indices = [[i for i, _ in letter] for letter in moves]
             assert indices == [[i for i, _ in letter] for letter in sst._moves[q]]
             for letter, sst_letter in zip(moves, sst._moves[q]):
@@ -186,3 +188,18 @@ def test_pattern_search_cap_counts_the_elements_it_numbered(label, make):
     enough = make()
     enough._skeleton_table = _MonoidTable(enough, cap=numbered)
     assert pattern_search(enough) == expected
+
+
+def test_table_is_freed_with_its_transducer():
+    """The table and its move map form no reference cycle: dropping the
+    transducer frees the table at once, with the cyclic collector off."""
+    sst = sstkit.fixtures.load("FIX-TSC")
+    find_dumbbell(sst)
+    table = weakref.ref(_monoid_table(sst))
+    assert len(table().moves) > 0
+    gc.disable()
+    try:
+        del sst
+        assert table() is None
+    finally:
+        gc.enable()
