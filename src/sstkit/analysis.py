@@ -361,7 +361,7 @@ _LEAVES = tuple(
 
 class _UpdatePool:
     """The updates met by one W-pattern search, interned as compiled
-    programs (as in ``_Engine.programs``; id 0 is the identity).  Compiling
+    programs (as in ``Sst._programs``; id 0 is the identity).  Compiling
     is injective -- letters are single characters merged into maximal
     runs, variables become indices -- and composing keeps that form, so two
     paths share an id exactly when their induced updates are equal.  The
@@ -379,7 +379,6 @@ class _UpdatePool:
 
     def __init__(self, sst: Sst):
         self.sst = sst
-        self._engine = sst._engine
         identity = tuple((k,) for k in range(len(sst.variables)))
         self.programs: list[tuple] = [identity]
         self._ids: dict[tuple, int] = {identity: 0}
@@ -400,7 +399,7 @@ class _UpdatePool:
         every prefix."""
         ids = self._path_ids
         if path not in ids:
-            steps, n = self._engine.programs, len(path) - 1
+            steps, n = self.sst._programs, len(path) - 1
             while path[:n] not in ids:
                 n -= 1
             for n in range(n + 1, len(path) + 1):
@@ -442,7 +441,7 @@ class _UpdatePool:
                 blocks = self.block(legs[-1], 1), self.block(legs[-1], 2)
                 contents = [_apply(b, c) for c in self.prefix(alpha, legs[:-1]) for b in blocks]
             else:
-                contents = [_apply(self.programs[alpha], self._engine.initial)]
+                contents = [_apply(self.programs[alpha], self.sst._initial)]
             self._prefixes[key] = contents
         return self._prefixes[key]
 
@@ -458,7 +457,7 @@ class _UpdatePool:
                 images = [_compose_image(i, b) for b in blocks
                           for i in self.suffix(legs[1:], omega, end_state)]
             else:
-                images = [_compose_image(self._engine.finals[end_state], self.programs[omega])]
+                images = [_compose_image(self.sst._finals[end_state], self.programs[omega])]
             self._suffixes[key] = images
         return self._suffixes[key]
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .delay import delay
 from .errors import InputMismatchError, SstKitError
-from .model import Budget, Run, Sst, _frontier, _scan, enumerate_runs
+from .model import Budget, Run, Sst, _final_outputs, _frontier, _scan, _start, _step, enumerate_runs
 
 
 def lex_compare(r1: Run, r2: Run) -> int:
@@ -60,7 +60,7 @@ def semantic_cover(
 
 def ranked_outputs(sst: Sst, word: str, budget: Budget | int | None = None) -> list[str]:
     """Distinct outputs of ``word`` ordered by their least witnessing run."""
-    return list(sst._engine.outputs(_frontier(sst, word, budget)))
+    return list(_final_outputs(sst, _frontier(sst, word, budget)))
 
 
 def decompose_selectors(
@@ -105,14 +105,14 @@ def check_equivalence_bounded(
     if set(a.alphabet) != set(b.alphabet):
         raise SstKitError("transducers must share an alphabet")
     shared = Budget.ensure(budget)
-    ea, eb = a._engine, b._engine
 
     def step(pair, letter):
-        fa, fb = ea.step(pair[0], letter, shared), eb.step(pair[1], letter, shared)
+        fa, fb = _step(a, pair[0], letter, shared), _step(b, pair[1], letter, shared)
         return (fa, fb) if fa or fb else ()
 
     def differs(pair) -> int:
-        return int(ea.outputs(pair[0]).keys() != eb.outputs(pair[1]).keys())
+        return int(_final_outputs(a, pair[0]).keys() != _final_outputs(b, pair[1]).keys())
 
-    found, witness = _scan(a.alphabet, min_len, max_len, (ea.start, eb.start), step, differs, top=1)
+    found, witness = _scan(
+        a.alphabet, min_len, max_len, (_start(a), _start(b)), step, differs, top=1)
     return witness if found else None

@@ -11,11 +11,12 @@ input may map to several outputs.
 Beyond the model itself this module provides two evaluators.  Exhaustive
 run enumeration is the run-level reference the rest of the package is
 checked against; budgets charge it one unit per partial-run extension.
-The configuration engine answers output-level questions (``outputs``, the
-valuedness / ambiguity oracles, and through them ranked outputs and
-bounded equivalence) on frontiers of distinct (state, variable contents)
-configurations, without enumerating runs; budgets charge it one unit per
-configuration carried over one input letter.
+The frontier functions (``_start``, ``_step``, ``_final_outputs``) answer
+output-level questions (``outputs``, the valuedness / ambiguity oracles,
+and through them ranked outputs and bounded equivalence) on frontiers of
+distinct (state, variable contents) configurations, without enumerating
+runs; budgets charge them one unit per configuration carried over one
+input letter.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class Budget:
     """Mutable expansion counter shared across one enumeration.
 
     Run enumeration charges one unit per partial-run extension, the
-    configuration engine one per configuration expansion, searches one per
+    frontier functions one per configuration expansion, searches one per
     node; all fail loudly instead of truncating silently.
     """
 
@@ -160,9 +161,11 @@ class Transition:
 class Sst:
     """A nondeterministic copyless streaming string transducer.
 
-    Immutable but for caches filled on first use; no result depends on
-    them.  They are not locked and the searches grow one, so one instance
-    must not be searched from two threads at once.
+    ``__init__`` builds the move table ``_moves`` and the compiled form of
+    the machine (``_programs``, ``_finals``, ``_initial``); the adjacency
+    lists and the skeleton table are caches filled on first use, and no
+    result depends on them.  They are not locked and the searches grow the
+    table, so one instance must not be searched from two threads at once.
 
     The first declared variable is conventionally the output variable, but
     outputs are defined by the per-final-state ``final_output`` expressions,
@@ -202,6 +205,12 @@ class Sst:
             t = self.transitions[i]
             moves[t.source][self._letter_index[t.letter]].append((i, t.target))
         self._moves = {q: tuple(map(tuple, per_letter)) for q, per_letter in moves.items()}
+        # the updates, final outputs and initial contents in the compiled
+        # form the evaluators read (``_compile_image``)
+        var = self._var_index
+        self._programs = tuple(_compile_update(var, t.update) for t in self.transitions)
+        self._finals = {q: _compile_image(var, expr) for q, expr in self.final_output.items()}
+        self._initial = tuple(self.initial_assignment[v] for v in self.variables)
 
     def _validate(self) -> None:
         for name, items in (("alphabet", self.alphabet), ("variables", self.variables), ("states", self.states)):
@@ -267,14 +276,6 @@ class Sst:
         return (ranks, self._state_index[run.start])
 
     # -- accessors --------------------------------------------------------
-
-    def state_index(self, state: str) -> int:
-        return self._state_index[state]
-
-    @cached_property
-    def _engine(self) -> "_Engine":
-        """The configuration engine, compiled on first use."""
-        return _Engine(self)
 
     @cached_property
     def _adjacency(self) -> tuple[dict, dict]:
@@ -381,11 +382,10 @@ class Run:
         if not self.accepting:
             raise RunError("annotated output is only defined for accepting runs")
         sst = self.sst
-        engine = sst._engine
-        contents = [[(c, 0) for c in sst.initial_assignment[v]] for v in sst.variables]
+        contents = [[(c, 0) for c in word] for word in sst._initial]
         for step, i in enumerate(self.steps, start=1):
-            contents = _substitute(engine.programs[i], contents, step)
-        (out,) = _substitute((engine.finals[self.end],), contents, len(self.steps))
+            contents = _substitute(sst._programs[i], contents, step)
+        (out,) = _substitute((sst._finals[self.end],), contents, len(self.steps))
         return tuple(out)
 
     @cached_property
@@ -574,51 +574,31 @@ def _substitute(program: tuple, contents: Sequence[list], tag) -> list[list]:
     return out
 
 
-class _Engine:
-    """The updates of one ``Sst`` as index programs, and the frontier
-    operations over them.  Each operation charges its budget one unit per
-    configuration it expands."""
+def _start(sst: Sst) -> dict:
+    """The frontier of the empty input, initial states in the order of
+    ``sst.states``."""
+    initials = sorted(sst.initials, key=sst._state_index.__getitem__)
+    return dict.fromkeys((q, sst._initial) for q in initials)
 
-    def __init__(self, sst: Sst):
-        var = sst._var_index
-        self.sst = sst
-        self.programs = tuple(_compile_update(var, t.update) for t in sst.transitions)
-        self.finals = {q: _compile_image(var, expr) for q, expr in sst.final_output.items()}
-        initials = sorted(sst.initials, key=sst.state_index)
-        self.initial = tuple(sst.initial_assignment[v] for v in sst.variables)
-        self.start = dict.fromkeys((q, self.initial) for q in initials)
-        self.start_counts = dict.fromkeys(initials, 1)
 
-    def step(self, frontier: dict, letter: str, budget: Budget) -> dict:
-        budget.charge(len(frontier))
-        moves, programs = self.sst._moves, self.programs
-        a = self.sst._letter_index[letter]
-        return dict.fromkeys([
-            (target, _apply(programs[i], values))
-            for state, values in frontier
-            for i, target in moves[state][a]
-        ])
+def _step(sst: Sst, frontier: dict, letter: str, budget: Budget) -> dict:
+    """The frontier one letter further; charges one unit per configuration."""
+    budget.charge(len(frontier))
+    moves, programs, a = sst._moves, sst._programs, sst._letter_index[letter]
+    return dict.fromkeys([
+        (target, _apply(programs[i], values))
+        for state, values in frontier
+        for i, target in moves[state][a]
+    ])
 
-    def outputs(self, frontier: dict) -> dict[str, None]:
-        """Outputs of the final configurations, in the order of their least
-        runs."""
-        finals = self.finals
-        return dict.fromkeys([
-            _ground(finals[state], values) for state, values in frontier if state in finals
-        ])
 
-    def count_step(self, counts: dict[str, int], letter: str, budget: Budget) -> dict[str, int]:
-        """Run counts per state, one letter further."""
-        budget.charge(len(counts))
-        moves, a = self.sst._moves, self.sst._letter_index[letter]
-        fresh: dict[str, int] = {}
-        for state, n in counts.items():
-            for _, target in moves[state][a]:
-                fresh[target] = fresh.get(target, 0) + n
-        return fresh
-
-    def accepting_runs(self, counts: dict[str, int]) -> int:
-        return sum(n for state, n in counts.items() if state in self.finals)
+def _final_outputs(sst: Sst, frontier: dict) -> dict[str, None]:
+    """Outputs of the final configurations, in the order of their least
+    runs."""
+    finals = sst._finals
+    return dict.fromkeys([
+        _ground(finals[state], values) for state, values in frontier if state in finals
+    ])
 
 
 def _frontier(sst: Sst, word: str, budget: Budget | int | None) -> dict:
@@ -626,16 +606,16 @@ def _frontier(sst: Sst, word: str, budget: Budget | int | None) -> dict:
     for c in word:
         if c not in sst._letter_index:
             raise UnknownSymbolError(f"input letter {c!r} is not in the alphabet")
-    engine, b = sst._engine, Budget.ensure(budget)
-    frontier = engine.start
+    b = Budget.ensure(budget)
+    frontier = _start(sst)
     for letter in word:
-        frontier = engine.step(frontier, letter, b)
+        frontier = _step(sst, frontier, letter, b)
     return frontier
 
 
 def outputs(sst: Sst, word: str, budget: Budget | int | None = None) -> set[str]:
     """The set of words produced on ``word`` (deduplicated)."""
-    return set(sst._engine.outputs(_frontier(sst, word, budget)))
+    return set(_final_outputs(sst, _frontier(sst, word, budget)))
 
 
 def _scan(
@@ -702,11 +682,11 @@ def valuedness_oracle(
     input is excluded from the default report.  Pass ``min_len=0`` to
     include it.
     """
-    engine, b = sst._engine, Budget.ensure(budget)
+    b = Budget.ensure(budget)
     return _scan(
-        sst.alphabet, min_len, max_len, engine.start,
-        lambda frontier, letter: engine.step(frontier, letter, b),
-        lambda frontier: len(engine.outputs(frontier)),
+        sst.alphabet, min_len, max_len, _start(sst),
+        lambda frontier, letter: _step(sst, frontier, letter, b),
+        lambda frontier: len(_final_outputs(sst, frontier)),
     )
 
 
@@ -717,11 +697,21 @@ def ambiguity_oracle(
     min_len: int = 1,
 ) -> tuple[int, str | None]:
     """Like ``valuedness_oracle`` but counting accepting runs."""
-    engine, b = sst._engine, Budget.ensure(budget)
+    b, moves, finals = Budget.ensure(budget), sst._moves, sst._finals
+
+    def step(counts: dict[str, int], letter: str) -> dict[str, int]:
+        """Run counts per state, one letter further."""
+        b.charge(len(counts))
+        a = sst._letter_index[letter]
+        fresh: dict[str, int] = {}
+        for state, n in counts.items():
+            for _, target in moves[state][a]:
+                fresh[target] = fresh.get(target, 0) + n
+        return fresh
+
     return _scan(
-        sst.alphabet, min_len, max_len, engine.start_counts,
-        lambda counts, letter: engine.count_step(counts, letter, b),
-        engine.accepting_runs,
+        sst.alphabet, min_len, max_len, dict.fromkeys(sst.initials, 1), step,
+        lambda counts: sum(n for state, n in counts.items() if state in finals),
     )
 
 

@@ -89,12 +89,14 @@ class _MonoidTable:
     """
 
     def __init__(self, sst: Sst, cap: int = SKELETON_MONOID_CAP):
-        var = sst._var_index
-        self._skeletons = tuple(_compile_update(var, g) for g in transition_skeletons(sst))
+        # each transition's skeleton: its compiled update without the letters
+        self._skeletons = tuple(
+            tuple(tuple([op for op in image if type(op) is int]) for image in program)
+            for program in sst._programs)
         self._names = sst.variables
         self._sst_moves = sst._moves
         self.cap = cap
-        identity = tuple((i,) for i in range(len(var)))
+        identity = tuple((i,) for i in range(len(sst.variables)))
         self.idempotent: list[bool] = [True]
         self._raw: list[tuple] = [identity]
         self._ids: dict[tuple, int] = {identity: 0}
@@ -215,11 +217,7 @@ def skeleton_monoid(sst: Sst, cap: int = SKELETON_MONOID_CAP) -> frozenset[Skele
 
 
 def transition_skeletons(sst: Sst) -> tuple[Skeleton, ...]:
-    cached = getattr(sst, "_transition_skeletons_cache", None)
-    if cached is None:
-        cached = tuple(skeleton_of(t.update) for t in sst.transitions)
-        sst._transition_skeletons_cache = cached
-    return cached
+    return tuple(skeleton_of(t.update) for t in sst.transitions)
 
 
 # -- loops ------------------------------------------------------------------
@@ -374,10 +372,10 @@ def pumped_output_expr(sst: Sst, run: Run, loops: LoopSet) -> PumpedOutputExpr:
         raise RunError("pumped outputs are only defined for accepting runs")
     params = tuple(f"p{k + 1}" for k in range(len(loops.intervals)))
 
-    var, programs = sst._var_index, sst._engine.programs
+    var, programs = sst._var_index, sst._programs
     # items are (word, param) pairs: a power word^param, or a literal letter
     # when param is None
-    contents = [[(c, None) for c in sst.initial_assignment[v]] for v in sst.variables]
+    contents = [[(c, None) for c in word] for word in sst._initial]
 
     def apply(program: tuple, sides=(), param: str | None = None) -> None:
         """One step; a pumped loop puts its repeated side words around each
@@ -400,7 +398,7 @@ def pumped_output_expr(sst: Sst, run: Run, loops: LoopSet) -> PumpedOutputExpr:
     for idx in run.steps[pos:]:
         apply(programs[idx])
 
-    (items,) = _substitute((sst._engine.finals[run.end],), contents, None)
+    (items,) = _substitute((sst._finals[run.end],), contents, None)
     constants: list[str] = []
     factors: list[tuple[str, str]] = []
     buf: list[str] = []

@@ -1,4 +1,4 @@
-"""The configuration-frontier engine against brute force over enumerated runs.
+"""The configuration frontiers against brute force over enumerated runs.
 
 ``outputs``, ``ranked_outputs``, both oracles and ``check_equivalence_bounded``
 answer from frontiers of distinct configurations; the brute-force versions
@@ -7,7 +7,9 @@ here derive the same answers from ``enumerate_runs`` word by word.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -15,11 +17,14 @@ import pytest
 from sstkit import (
     Budget,
     BudgetExceededError,
+    SearchBudget,
     Sst,
     Transition,
     Update,
     UnknownSymbolError,
     ambiguity_oracle,
+    amplify_valuedness,
+    analyze_valuedness,
     check_equivalence_bounded,
     enumerate_runs,
     fixtures,
@@ -31,6 +36,7 @@ from sstkit import (
 from sstkit.cli import main
 
 from helpers import random_sst
+from regen_golden import VALUEDNESS_BUDGET
 
 MAX_LEN = 6
 SEEDS = range(40)
@@ -193,3 +199,29 @@ def test_tiny_budget_raises():
         with pytest.raises(BudgetExceededError):
             call(3)
         call(10_000)
+
+
+def test_sst_is_freed_without_the_cycle_collector():
+    """A machine taken through every evaluator is freed by reference counting
+    alone: nothing it owns or caches refers back to it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in fixtures.names():
+            sst = fixtures.load(name)
+            word = sst.alphabet[0] * 3
+            runs = enumerate_runs(sst, word)
+            results = [
+                outputs(sst, word), [run.output for run in runs],
+                valuedness_oracle(sst, 3), ambiguity_oracle(sst, 3),
+                check_equivalence_bounded(sst, sst, 3), ranked_outputs(sst, word),
+            ]
+            verdict = analyze_valuedness(sst, SearchBudget(**VALUEDNESS_BUDGET))
+            if verdict.kind == "Infinite":
+                results.append(amplify_valuedness(sst, verdict.witness, 3))
+            ref = weakref.ref(sst)
+            del sst, runs, results, verdict
+            assert ref() is None, name
+    finally:
+        if enabled:
+            gc.enable()
