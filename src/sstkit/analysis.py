@@ -3,9 +3,11 @@
 Finite ambiguity (a uniform bound on the number of accepting runs per
 input) is decided exactly: a transducer is finitely ambiguous iff it
 contains no *dumbbell* -- two loop states joined by a bridge, all three
-middle runs over the same input, at least two of them distinct.  The search
-runs in a synchronized three-track product whose tracks accumulate
-skeletons, so loop idempotency is checked on the fly.
+middle runs over the same input, at least two of them distinct.  How many
+runs read an input depends on the transitions alone, so the search runs in
+the synchronized three-track product of plain states (the IDA/EDA
+criterion of Weber & Seidl, TCS 1991), and the triple of runs it finds is
+powered until both loops have idempotent skeletons.
 
 Finite valuedness (a uniform bound on the number of distinct outputs per
 input) gets a sound partial decision.  The excluded substructure is a
@@ -54,8 +56,8 @@ from .model import (
 from .skeletons import (
     SKELETON_MONOID_CAP,
     _monoid_table,
+    compose_skeletons,
     is_idempotent,
-    skeleton_monoid,
     skeleton_of,
 )
 
@@ -125,83 +127,77 @@ def _expect_endpoints(run: Run, start: str, end: str, name: str) -> None:
 def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell | None:
     """Exact search for a dumbbell, or None if the transducer has none.
 
-    Three tracks consume the same input in lockstep: track 1 must loop at
-    q1, track 2 must move q1 -> q2, track 3 must loop at q2.  Each track is
-    a state with the skeleton of its induced update, numbered in the track
-    table of the numbered skeleton monoid, so one synchronized step is a
-    table lookup per track; a boolean records whether the tracks have ever
-    disagreed.  The product is finite (states times skeleton monoid,
-    cubed), so exhaustion is a proof of absence.
+    For each pair (q1, q2), in turn, three tracks consume the same input in
+    lockstep: track 1 from q1, track 2 from q1, track 3 from q2.  A node of
+    this product of states is (state, state, state, diff), where diff
+    records whether the tracks have ever taken different transitions.  The
+    pair has a dumbbell iff the product reaches (q1, q2, q2, True) from
+    (q1, q1, q2, False): the criterion of Weber & Seidl (TCS 1991) for
+    infinite ambiguity (IDA, and EDA when q1 = q2).  How many runs read an
+    input depends on the transitions alone, so skeletons play no part in
+    the decision, and the product is finite (states cubed, twice), so
+    exhaustion is a proof of absence.
+
+    The runs r1 (q1 -> q1), r2 (q1 -> q2) and r3 (q2 -> q2) found over one
+    input v are then powered into a dumbbell.  The skeleton monoid is
+    finite, so some least e >= 1 makes the skeletons of r1^e and r3^e both
+    idempotent; the reported middle runs are r1^e, r1^(e-1) r2 and r3^e,
+    over v^e.  Two of them stay distinct: if r1 != r2, the first two
+    differ in their last block; if r1 = r2, then q1 = q2 and r3 differs
+    from r1, so the first and the third differ.
 
     The search is trimmed to the goal: a node whose track 1 cannot reach
-    q1, or whose track 2 or 3 cannot reach q2, is never queued.  Tracks
-    only move forward in the state graph, so no such node has a dumbbell
-    among its descendants, and every child of such a node is left out too.
-    The kept nodes therefore keep their first parents and their queue
-    order, so the dumbbell found is the one the full search finds; and the
-    nodes left out are exactly those from which no dumbbell is reachable,
-    so exhaustion still proves absence.  ``node_budget`` counts popped
+    q1, or whose track 2 or 3 cannot reach q2, is never queued, since the
+    goal is not among its descendants.  ``node_budget`` counts popped
     nodes, at least one per (q1, q2) pair searched.
     """
-    table = _monoid_table(sst)
     budget = Budget(node_budget)
-    toward = {q: _MovesToward(table, _bfs(sst._adjacency[1], (q,))) for q in sst.states}
+    predecessors = sst._adjacency[1]
+    toward = {}  # goal state -> each state's moves less those that cannot reach it
+    for goal in sst.states:
+        reaching = _bfs(predecessors, (goal,))
+        toward[goal] = {q: tuple([m for m in letter if m[1] in reaching] for letter in moves)
+                        for q, moves in sst._moves.items()}
 
     for q1, q2 in product(reachable_states(sst), coreachable_states(sst)):
-        found = _dumbbell_bfs(table, q1, q2, toward[q1], toward[q2], budget)
+        found = _dumbbell_bfs(q1, q2, toward[q1], toward[q2], budget)
         if found is None:
             continue
-        path1, path2, path3 = found
+        r1, r2, r3 = found
+        rho1, rho3 = Run(sst, q1, r1), Run(sst, q2, r3)
+        s1, s3 = skeleton_of(rho1.induced_update), skeleton_of(rho3.induced_update)
+        p1, p3, e = s1, s3, 1
+        while not (is_idempotent(p1) and is_idempotent(p3)):
+            p1, p3, e = compose_skeletons(p1, s1), compose_skeletons(p3, s3), e + 1
+        if e > 1:
+            rho1, rho3 = Run(sst, q1, r1 * e), Run(sst, q2, r3 * e)
         rho0 = shortest_access_run(sst, q1)
         rho4 = shortest_exit_run(sst, q2)
         assert rho0 is not None and rho4 is not None
-        dumbbell = Dumbbell(q1, q2, rho0, Run(sst, q1, path1), Run(sst, q1, path2),
-                            Run(sst, q2, path3), rho4)
+        dumbbell = Dumbbell(q1, q2, rho0, rho1, Run(sst, q1, r1 * (e - 1) + r2), rho3, rho4)
         dumbbell.verify(sst)
         return dumbbell
     return None
 
 
-class _MovesToward(dict):
-    """Track id -> the track's moves, letter by letter as in
-    ``_MonoidTable.moves``, less every move into a state outside
-    ``reaching`` (the states from which one goal state is reachable);
-    filled on first use."""
-
-    def __init__(self, table, reaching):
-        super().__init__()
-        self.table, self.reaching = table, reaching
-
-    def __missing__(self, u):
-        table, reaching = self.table, self.reaching
-        states = table.track_states
-        self[u] = kept = tuple(tuple([m for m in letter if states[m[1]] in reaching])
-                               for letter in table.moves[u])
-        return kept
-
-
-def _dumbbell_bfs(table, q1, q2, moves1, moves2, budget):
-    """Breadth-first search of the three-track product from the empty runs
-    at (q1, q1, q2).  A node is (track 1, track 2, track 3, diff); its
-    children are, letter by letter in declared order, every combination of
-    one move per track in lexicographic order.  Track 1 moves by
-    ``moves1``, toward q1, and tracks 2 and 3 by ``moves2``, toward q2, so
-    a child whose track 1 can no longer reach q1, or whose track 2 or 3 can
-    no longer reach q2, is never queued (see ``find_dumbbell``).  The start
-    node is always popped."""
-    track, states = table.track, table.track_states
-    skeletons, idempotent = table.track_skeletons, table.idempotent
-    start = (track(q1, 0), track(q1, 0), track(q2, 0), False)
+def _dumbbell_bfs(q1, q2, moves1, moves2, budget):
+    """Breadth-first search of the three-track product of states from
+    (q1, q1, q2, False) to (q1, q2, q2, True); returns the three tracks'
+    paths of transitions, or None.  A node's children are, letter by
+    letter in declared order, every combination of one move per track in
+    lexicographic rank order.  Track 1 moves by ``moves1``, toward q1, and
+    tracks 2 and 3 by ``moves2``, toward q2 (see ``find_dumbbell``).  The
+    start node is always popped."""
+    start, goal = (q1, q1, q2, False), (q1, q2, q2, True)
     parents: dict = {start: None}
     queue = deque([start])
     while queue:
         node = queue.popleft()
         budget.charge()
-        u1, u2, u3, diff = node
-        if (diff and states[u1] == q1 and states[u2] == q2 and states[u3] == q2
-                and idempotent[skeletons[u1]] and idempotent[skeletons[u3]]):
+        if node == goal:
             return _rebuild_triple(parents, node)
-        for letter1, letter2, letter3 in zip(moves1[u1], moves2[u2], moves2[u3]):
+        p1, p2, p3, diff = node
+        for letter1, letter2, letter3 in zip(moves1[p1], moves2[p2], moves2[p3]):
             for i1, v1 in letter1:
                 for i2, v2 in letter2:
                     for i3, v3 in letter3:
@@ -747,10 +743,7 @@ def analyze_valuedness(sst: Sst, budget: SearchBudget | None = None) -> Verdict:
     if dumbbell is None:
         return Verdict(
             "Finite", None, None,
-            {
-                "certificate": "no dumbbell: the transducer is finitely ambiguous",
-                "skeleton_monoid_size": len(skeleton_monoid(sst)),
-            },
+            {"certificate": "no dumbbell: the transducer is finitely ambiguous"},
             budgets, None,
         )
     witness, report = _search_divergent_pattern(sst, sb)

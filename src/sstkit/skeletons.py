@@ -69,7 +69,7 @@ def is_idempotent(s: Skeleton) -> bool:
 
 class _MonoidTable:
     """The skeleton monoid of one transducer, numbered on demand, and the
-    tracks of the searches' synchronized products.
+    tracks of the W-pattern search's synchronized products.
 
     An element gets its id, 0 being the identity, when a track's move or
     ``product(a, b)`` first reaches it, or when ``close`` numbers them all.
@@ -79,6 +79,7 @@ class _MonoidTable:
     indices (``_compose``).  ``_number`` raises ``BudgetExceededError`` once
     the table holds more than ``cap`` elements; the table is cached on the
     transducer, so the cap counts what every search on it has numbered.
+    The dumbbell search runs on plain states and never builds a table.
 
     A track, a state with a skeleton id, is numbered on demand too
     (``track(q, k)``).  ``moves`` maps a track id u to the track's moves,
@@ -204,14 +205,14 @@ def skeleton_monoid(sst: Sst, cap: int = SKELETON_MONOID_CAP) -> frozenset[Skele
     """Closure of the transition skeletons under composition, plus the
     identity.
 
-    The ambiguity and valuedness searches number the elements they reach
-    in a table cached on the transducer (``_MonoidTable``); this function
-    closes that table and returns its elements as a set, memoized, so
-    repeat calls return the same set.  Any monoid with more than ``cap``
-    elements raises ``BudgetExceededError``, on every call; so does one
-    with more than the table's own cap, ``SKELETON_MONOID_CAP``.  A search
-    checks only the table's cap, which counts every element numbered so
-    far on this transducer, by either search, not the whole monoid.
+    The W-pattern search numbers the elements it reaches in a table cached
+    on the transducer (``_MonoidTable``); this function closes that table
+    and returns its elements as a set, memoized, so repeat calls return
+    the same set.  Any monoid with more than ``cap`` elements raises
+    ``BudgetExceededError``, on every call; so does one with more than the
+    table's own cap, ``SKELETON_MONOID_CAP``.  The search checks only the
+    table's cap, which counts every element numbered so far on this
+    transducer, not the whole monoid.
     """
     return _monoid_table(sst).close(cap)
 

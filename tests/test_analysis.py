@@ -269,6 +269,27 @@ def test_dumbbells_on_random_machines_pump_to_many_runs():
     assert found >= 5
 
 
+def test_dumbbell_search_decides_a_32_state_deterministic_machine():
+    """One transition per state and letter, 32 states, 4 variables: the
+    machine is unambiguous, and the search on the product of plain states
+    decides it well within the default node budget.  A search whose
+    tracks also carry skeletons stops on that budget here."""
+    import random
+
+    from sstkit import Sst, Transition
+    from helpers import random_copyless_update
+
+    rng = random.Random(3)
+    states = tuple(f"s{i}" for i in range(32))
+    variables = ("X1", "X2", "X3", "X4")
+    transitions = [Transition(q, a, random_copyless_update(rng, variables, "ab", 3),
+                              rng.choice(states))
+                   for q in states for a in "ab"]
+    sst = Sst("ab", variables, states, (states[0],), states,
+              {q: variables for q in states}, transitions)
+    assert find_dumbbell(sst) is None
+
+
 # Divergent patterns whose last marks give equal outputs at every sequence of
 # length m, so amplification needs a longer sequence: random_sst(Random(s))
 # with the search budget at which its witness is found, and the values of m.

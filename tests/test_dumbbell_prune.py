@@ -1,8 +1,12 @@
-"""The dumbbell search never queues a product node whose tracks can no
-longer reach (q1, q2, q2).  It must find the same dumbbell as the full
-search, or none when the full search finds none, and pop no more nodes.
-The full search is kept here as the reference: it is the breadth-first
-search of the three-track product as it was before the trimming."""
+"""The dumbbell search runs on the product of plain states, never queues
+a node whose tracks can no longer reach (q1, q2, q2), and powers the
+triple it finds into a dumbbell.  It must find a dumbbell at the same
+(q1, q2) pair as the full skeleton-track search, or none when that search
+finds none; its dumbbell must pass ``Dumbbell.verify``; and it must pop
+no more nodes.  The full search is kept here as the reference: the
+untrimmed breadth-first search of the three-track product whose tracks
+are (state, skeleton id) pairs, numbered in a ``_MonoidTable``, which
+checks loop idempotency on the fly."""
 
 import random
 from collections import deque
@@ -34,7 +38,9 @@ DEFAULT = [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s))) for s 
 
 
 def reference_bfs(table, q1, q2, budget):
-    """The untrimmed search: every child of a popped node is queued."""
+    """The untrimmed skeleton-track search: every child of a popped node
+    is queued, and the goal is a node at (q1, q2, q2) whose tracks differ
+    and whose loop tracks have idempotent skeletons."""
     track, moves = table.track, table.moves
     states, skeletons, idempotent = table.track_states, table.track_skeletons, table.idempotent
     start = (track(q1, 0), track(q1, 0), track(q2, 0), False)
@@ -59,8 +65,8 @@ def reference_bfs(table, q1, q2, budget):
 
 
 def reference_find(sst):
-    """(described dumbbell or None, nodes popped) of the untrimmed search,
-    on a fresh monoid table."""
+    """(dumbbell or None, nodes popped) of the untrimmed search, on a
+    fresh monoid table."""
     table = _MonoidTable(sst)
     budget = Budget(BUDGET)
     coreach = set(coreachable_states(sst))
@@ -74,12 +80,12 @@ def reference_find(sst):
                                 Run(sst, q1, path2), Run(sst, q2, path3),
                                 shortest_exit_run(sst, q2))
             dumbbell.verify(sst)
-            return dumbbell.describe(), budget.used
+            return dumbbell, budget.used
     return None, budget.used
 
 
 def trimmed_find(sst, monkeypatch):
-    """(described dumbbell or None, nodes popped) of ``find_dumbbell``."""
+    """(dumbbell or None, nodes popped) of ``find_dumbbell``."""
     budgets = []
 
     class Recorded(Budget):
@@ -91,7 +97,7 @@ def trimmed_find(sst, monkeypatch):
         patch.setattr(analysis, "Budget", Recorded)
         dumbbell = find_dumbbell(sst, node_budget=BUDGET)
     (budget,) = budgets
-    return None if dumbbell is None else dumbbell.describe(), budget.used
+    return dumbbell, budget.used
 
 
 CASES = FIXTURES + WIDE + DEFAULT
@@ -102,7 +108,10 @@ def test_trimmed_search_matches_reference(label, make, monkeypatch):
     sst = make()
     want, reference_pops = reference_find(sst)
     got, pops = trimmed_find(sst, monkeypatch)
-    assert got == want
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.q1, got.q2) == (want.q1, want.q2)
+        got.verify(sst)
     assert 1 <= pops <= reference_pops
 
 
