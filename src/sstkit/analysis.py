@@ -40,11 +40,8 @@ from .model import (
     DEFAULT_NODE_BUDGET,
     Run,
     Sst,
-    _apply,
     _bfs,
-    _compose_image,
-    _compose_programs,
-    _ground,
+    _compile_update,
     concat_runs,
     coreachable_states,
     outputs,
@@ -152,15 +149,19 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
     nodes, at least one per (q1, q2) pair searched.
     """
     budget = Budget(node_budget)
-    predecessors = sst._adjacency[1]
-    toward = {}  # goal state -> each state's moves less those that cannot reach it
-    for goal in sst.states:
-        reaching = _bfs(predecessors, (goal,))
-        toward[goal] = {q: tuple([m for m in letter if m[1] in reaching] for letter in moves)
-                        for q, moves in sst._moves.items()}
+    predecessors, toward = sst._adjacency[1], {}
+
+    def moves_toward(goal: str) -> dict:
+        """Each state's moves less those that cannot reach ``goal``, built on
+        first use."""
+        if goal not in toward:
+            reaching = _bfs(predecessors, (goal,))
+            toward[goal] = {q: tuple([m for m in letter if m[1] in reaching] for letter in moves)
+                            for q, moves in sst._moves.items()}
+        return toward[goal]
 
     for q1, q2 in product(reachable_states(sst), coreachable_states(sst)):
-        found = _dumbbell_bfs(q1, q2, toward[q1], toward[q2], budget)
+        found = _dumbbell_bfs(q1, q2, moves_toward(q1), moves_toward(q2), budget)
         if found is None:
             continue
         r1, r2, r3 = found
@@ -356,14 +357,14 @@ _LEAVES = tuple(
 
 
 class _UpdatePool:
-    """The updates met by one W-pattern search, interned as compiled
-    programs (as in ``Sst._programs``; id 0 is the identity).  Compiling
-    is injective -- letters are single characters merged into maximal
-    runs, variables become indices -- and composing keeps that form, so two
-    paths share an id exactly when their induced updates are equal.  The
-    W-runs of a signature (ids of the rho0 update and of three legs'
-    (entry, loop, exit) updates, the rho4 update id, the end state) are
-    evaluated here, memoized for the whole search:
+    """The updates met by one W-pattern search, interned as templates (as in
+    ``Sst._templates``; id 0 is the identity).  A template spells its
+    update out -- letters as text, variables as replacement fields, images
+    joined by the separator -- and composing yields the template of the
+    composite, so two paths share an id exactly when their induced updates
+    are equal.  The W-runs of a signature (ids of the rho0 update and of
+    three legs' (entry, loop, exit) updates, the rho4 update id, the end
+    state) are evaluated here, memoized for the whole search:
 
       block   entry . loop^x . exit, per (leg, x);
       prefix  the contents after rho0 and a sequence of blocks, per (rho0
@@ -374,16 +375,16 @@ class _UpdatePool:
     """
 
     def __init__(self, sst: Sst):
-        self.sst = sst
-        identity = tuple((k,) for k in range(len(sst.variables)))
-        self.programs: list[tuple] = [identity]
-        self._ids: dict[tuple, int] = {identity: 0}
+        self.sst, self.sep = sst, sst._sep
+        identity = _compile_update(sst, [(v,) for v in sst.variables])[1]
+        self.programs: list[str] = [identity]
+        self._ids: dict[str, int] = {identity: 0}
         self._path_ids: dict[tuple, int] = {(): 0}
-        self._blocks: dict[tuple, tuple] = {}
+        self._blocks: dict[tuple, str] = {}
         self._prefixes: dict[tuple, list] = {}
         self._suffixes: dict[tuple, list] = {}
 
-    def _intern(self, program: tuple) -> int:
+    def _intern(self, program: str) -> int:
         if program not in self._ids:
             self._ids[program] = len(self.programs)
             self.programs.append(program)
@@ -395,12 +396,12 @@ class _UpdatePool:
         every prefix."""
         ids = self._path_ids
         if path not in ids:
-            steps, n = self.sst._programs, len(path) - 1
+            steps, sep, n = self.sst._templates, self.sep, len(path) - 1
             while path[:n] not in ids:
                 n -= 1
             for n in range(n + 1, len(path) + 1):
-                ids[path[:n]] = self._intern(
-                    _compose_programs(self.programs[ids[path[:n - 1]]], steps[path[n - 1]]))
+                first = self.programs[ids[path[:n - 1]]]
+                ids[path[:n]] = self._intern(steps[path[n - 1]].format(*first.split(sep)))
         return ids[path]
 
     def ids(self, paths) -> tuple:
@@ -416,15 +417,15 @@ class _UpdatePool:
             pattern.rho4.end,
         )
 
-    def block(self, leg: tuple, x: int) -> tuple:
+    def block(self, leg: tuple, x: int) -> str:
         """The program of entry . loop^x . exit."""
         key = (leg, x)
         if key not in self._blocks:
             entry, loop, exit_ = (self.programs[k] for k in leg)
             acc = entry
             for _ in range(x):
-                acc = _compose_programs(acc, loop)
-            self._blocks[key] = _compose_programs(acc, exit_)
+                acc = loop.format(*acc.split(self.sep))
+            self._blocks[key] = exit_.format(*acc.split(self.sep))
         return self._blocks[key]
 
     def prefix(self, alpha: int, legs: tuple) -> list:
@@ -433,27 +434,30 @@ class _UpdatePool:
         {1,2}^len(legs), lexicographic."""
         key = (alpha, legs)
         if key not in self._prefixes:
+            sep = self.sep
             if legs:
                 blocks = self.block(legs[-1], 1), self.block(legs[-1], 2)
-                contents = [_apply(b, c) for c in self.prefix(alpha, legs[:-1]) for b in blocks]
+                contents = [b.format(*c).split(sep)
+                            for c in self.prefix(alpha, legs[:-1]) for b in blocks]
             else:
-                contents = [_apply(self.programs[alpha], self.sst._initial)]
+                contents = [self.programs[alpha].format(*self.sst._initial).split(sep)]
             self._prefixes[key] = contents
         return self._prefixes[key]
 
     def suffix(self, legs: tuple, omega: int, end_state: str) -> list:
-        """The compiled image that reads the output off the contents before
-        one block on each of ``legs`` in turn, the rho4 update ``omega`` and
-        the final output at ``end_state``, for every tuple of counts in
+        """The image that reads the output off the contents before one block
+        on each of ``legs`` in turn, the rho4 update ``omega`` and the final
+        output at ``end_state``, for every tuple of counts in
         {1,2}^len(legs), lexicographic."""
         key = (legs, omega, end_state)
         if key not in self._suffixes:
             if legs:
-                blocks = self.block(legs[0], 1), self.block(legs[0], 2)
-                images = [_compose_image(i, b) for b in blocks
+                blocks = [self.block(legs[0], x).split(self.sep) for x in (1, 2)]
+                images = [i.format(*b) for b in blocks
                           for i in self.suffix(legs[1:], omega, end_state)]
             else:
-                images = [_compose_image(self.sst._finals[end_state], self.programs[omega])]
+                final = self.sst._final_templates[end_state]
+                images = [final.format(*self.programs[omega].split(self.sep))]
             self._suffixes[key] = images
         return self._suffixes[key]
 
@@ -464,8 +468,8 @@ class _UpdatePool:
         contents = self.prefix(alpha, ())[0]
         for idx, x in enumerate(values):
             leg = 0 if idx < mark else (1 if idx == mark else 2)
-            contents = _apply(self.block(legs[leg], x), contents)
-        return _ground(self.suffix((), omega, end_state)[0], contents)
+            contents = self.block(legs[leg], x).format(*contents).split(self.sep)
+        return self.suffix((), omega, end_state)[0].format(*contents)
 
     def first_divergent_tuple(self, signature: tuple) -> tuple[int, ...] | None:
         """The first tuple in {1,2}^5, lexicographic, whose runs of
@@ -483,8 +487,8 @@ class _UpdatePool:
         late_prefixes = self.prefix(alpha, (leg0, leg0, leg0))
         late_suffixes = self.suffix((leg1, leg2), omega, end_state)
         for tup, mid_p, mid_s, late_p, late_s in _LEAVES:
-            if (_ground(mid_suffixes[mid_s], mid_prefixes[mid_p])
-                    != _ground(late_suffixes[late_s], late_prefixes[late_p])):
+            if (mid_suffixes[mid_s].format(*mid_prefixes[mid_p])
+                    != late_suffixes[late_s].format(*late_prefixes[late_p])):
                 return tup
         return None
 

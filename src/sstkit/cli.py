@@ -61,16 +61,23 @@ _DOCUMENTS = {
 }
 
 
-def _count(text: str) -> int:
+def _count(text: str, low: int = 0) -> int:
     """The argparse type of ``--budget``, ``--component-len``, ``--max-len``,
-    ``--min-len`` and ``--amplify``: an integer, zero or more."""
+    ``--min-len`` and ``--amplify``: an integer, ``low`` or more."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {low}: {value}" if low else f"must not be negative: {value}")
     return value
+
+
+def _period(text: str) -> int:
+    """The argparse type of ``--C``, the cut period bound: an integer, one or
+    more, checked before any run needs it."""
+    return _count(text, low=1)
 
 
 def _check_lengths(low: int, high: int) -> None:
@@ -123,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("delay", _cmd_delay, "weight tables and delay of two runs on one input")
     p.add_argument("--input", required=True)
-    p.add_argument("--C", type=int, default=2, help="cut period bound")
+    p.add_argument("--C", type=_period, default=2, help="cut period bound")
     p.add_argument("--run1", type=int, default=None, help="index into the run list")
     p.add_argument("--run2", type=int, default=None)
     p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
@@ -131,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("decompose", _cmd_decompose, "selector table (and cover sizes) up to a length")
     p.add_argument("--k", type=int, required=True, help="number of selectors")
     p.add_argument("--max-len", type=_count, default=3)
-    p.add_argument("--C", type=int, default=2)
+    p.add_argument("--C", type=_period, default=2)
     p.add_argument("--D", type=int, default=10)
     p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 

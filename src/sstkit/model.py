@@ -17,13 +17,22 @@ and through them ranked outputs and bounded equivalence) on frontiers of
 distinct (state, variable contents) configurations, without enumerating
 runs; budgets charge them one unit per configuration carried over one
 input letter.
+
+They read each update in its compiled form, a ``str.format`` template:
+letters are literal text, variable k is the replacement field ``{k}``, and
+the images of a program are joined by a separator character that is no
+letter, digit or brace.  Applying an update to variable contents is then
+``template.format(*contents).split(sep)``, grounding an image is
+``image.format(*contents)``, and composing is the same call on templates,
+``then.format(*first.split(sep))``: one C-level call each.  Letters are
+never braces, so a template passes through another unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -161,11 +170,17 @@ class Transition:
 class Sst:
     """A nondeterministic copyless streaming string transducer.
 
-    ``__init__`` builds the move table ``_moves`` and the compiled form of
-    the machine (``_programs``, ``_finals``, ``_initial``); the adjacency
-    lists and the skeleton table are caches filled on first use, and no
-    result depends on them.  They are not locked and the searches grow the
-    table, so one instance must not be searched from two threads at once.
+    ``__init__`` builds the move table ``_moves`` and, in one pass over
+    each update (``_compile_update``), both compiled forms of its updates
+    and final outputs: ``str.format`` templates (``_templates``,
+    ``_final_templates``, images joined by ``_sep``; see the module
+    docstring) for the frontier functions and the W-pattern search, and op
+    tuples (``_programs``, ``_finals``) for ``_substitute`` and the
+    skeleton table.  Letters may not be ``{`` or ``}``, which a template
+    would read as part of a replacement field.  The adjacency lists and
+    the skeleton table are caches filled on first use, and no result
+    depends on them.  They are not locked and the searches grow the table,
+    so one instance must not be searched from two threads at once.
 
     The first declared variable is conventionally the output variable, but
     outputs are defined by the per-final-state ``final_output`` expressions,
@@ -195,7 +210,8 @@ class Sst:
 
         self._letter_index = {a: i for i, a in enumerate(self.alphabet)}
         self._state_index = {q: i for i, q in enumerate(self.states)}
-        self._var_index = {v: i for i, v in enumerate(self.variables)}
+        # variable -> (its index, its replacement field in a template)
+        self._fields = {v: (k, f"{{{k}}}") for k, v in enumerate(self.variables)}
         self._validate()
 
         # _moves[q][a]: the transitions leaving state q on the a-th letter, as
@@ -206,10 +222,21 @@ class Sst:
             moves[t.source][self._letter_index[t.letter]].append((i, t.target))
         self._moves = {q: tuple(map(tuple, per_letter)) for q, per_letter in moves.items()}
         # the updates, final outputs and initial contents in the compiled
-        # form the evaluators read (``_compile_image``)
-        var = self._var_index
-        self._programs = tuple(_compile_update(var, t.update) for t in self.transitions)
-        self._finals = {q: _compile_image(var, expr) for q, expr in self.final_output.items()}
+        # forms the evaluators read (``_compile_update``); without variables
+        # every template is empty, and the one empty image it splits into is
+        # never read
+        self._sep = next(c for c in map(chr, count()) if c not in self._letter_index
+                         and c not in "0123456789{}")
+        programs, templates = [], []
+        for t in self.transitions:
+            program, template = _compile_update(self, t.update.images)
+            programs.append(program)
+            templates.append(template)
+        self._programs, self._templates = tuple(programs), tuple(templates)
+        self._finals, self._final_templates = {}, {}
+        for q, expr in self.final_output.items():
+            (ops,), template = _compile_update(self, (expr,))
+            self._finals[q], self._final_templates[q] = ops, template
         self._initial = tuple(self.initial_assignment[v] for v in self.variables)
 
     def _validate(self) -> None:
@@ -219,6 +246,8 @@ class Sst:
         for a in self.alphabet:
             if len(a) != 1:
                 raise SstKitError(f"letters must be single characters, got {a!r}")
+            if a in "{}":
+                raise SstKitError(f"letters may not be braces, got {a!r}")
         overlap = set(self.alphabet) & set(self.variables)
         if overlap:
             raise SstKitError(f"variables may not collide with letters: {sorted(overlap)}")
@@ -233,14 +262,14 @@ class Sst:
         for q, expr in self.final_output.items():
             seen: set[str] = set()
             for tok in expr:
-                if tok in self._var_index:
+                if tok in self._fields:
                     if tok in seen:
                         raise CopylessError(tok, f"variable {tok!r} occurs twice in the output of {q!r}")
                     seen.add(tok)
                 elif tok not in self._letter_index:
                     raise UnknownSymbolError(f"unknown symbol {tok!r} in the output of {q!r}")
         for v, word in self.initial_assignment.items():
-            if v not in self._var_index:
+            if v not in self._fields:
                 raise UnknownSymbolError(f"initial assignment for unknown variable {v!r}")
             for c in word:
                 if c not in self._letter_index:
@@ -255,7 +284,7 @@ class Sst:
                 raise VariableSetMismatchError("transition update is over the wrong variable set")
             for image in t.update.images:
                 for tok in image:
-                    if tok not in self._var_index and tok not in self._letter_index:
+                    if tok not in self._fields and tok not in self._letter_index:
                         raise UnknownSymbolError(f"unknown symbol {tok!r} in update {t.update.canonical()!r}")
 
     # -- ordering ---------------------------------------------------------
@@ -415,7 +444,7 @@ def output_via_updates(sst: Sst, run: Run) -> str:
     if not run.accepting:
         raise RunError("run is not accepting")
     composite = run.induced_update
-    varset = sst._var_index
+    varset = sst._fields
 
     def ground(tokens: Sequence[str]) -> str:
         return "".join(
@@ -511,51 +540,31 @@ def words_over(alphabet: Sequence[str], min_len: int, max_len: int) -> Iterator[
 # first transition), so a successor first appears through its least run.
 
 
-def _compile_image(var_index: Mapping[str, int], image: Sequence[str]) -> tuple:
-    """Variables as ints, each run of consecutive letters as one string."""
-    ops: list = []
-    for tok in image:
-        op = var_index.get(tok, tok)
-        if type(op) is str and ops and type(ops[-1]) is str:
-            ops[-1] += op
-        else:
-            ops.append(op)
-    return tuple(ops)
+def _compile_update(sst: Sst, images: Sequence[Sequence[str]]) -> tuple[tuple, str]:
+    """The two compiled forms of a sequence of images, built in one pass.
 
-
-def _compose_image(image: tuple, program: tuple) -> tuple:
-    """The compiled image read after the compiled update ``program``: each
-    variable op replaced by its image in ``program``, so that
-    ``_ground(_compose_image(image, program), v)`` equals
-    ``_ground(image, _apply(program, v))``.  Letters merge as in
-    ``_compile_image``."""
-    ops: list = []
-    for op in image:
-        for sub in (program[op] if type(op) is int else (op,)):
-            if type(sub) is str and ops and type(ops[-1]) is str:
-                ops[-1] += sub
+    The op tuples: per image, variables as ints and each run of consecutive
+    letters as one string.  The template: letters as literal text, variable
+    k as ``{k}``, the images joined by ``sst._sep``.
+    """
+    fields, program, texts = sst._fields, [], []
+    for image in images:
+        ops: list = []
+        text: list[str] = []
+        for tok in image:
+            field = fields.get(tok)
+            if field is None:
+                text.append(tok)
+                if ops and type(ops[-1]) is str:
+                    ops[-1] += tok
+                    continue
+                ops.append(tok)
             else:
-                ops.append(sub)
-    return tuple(ops)
-
-
-def _compose_programs(first: tuple, then: tuple) -> tuple:
-    """Compiled update ``first`` followed by ``then``, as ``compose_updates(then,
-    first)``: ``_apply`` of it equals ``_apply(then, _apply(first, v))``."""
-    return tuple([_compose_image(image, first) for image in then])
-
-
-def _compile_update(var_index: Mapping[str, int], update: Update) -> tuple:
-    return tuple(_compile_image(var_index, image) for image in update.images)
-
-
-def _ground(image: tuple, values: tuple[str, ...]) -> str:
-    return "".join([values[op] if type(op) is int else op for op in image])
-
-
-def _apply(program: tuple, values: tuple[str, ...]) -> tuple[str, ...]:
-    """Variable contents after a compiled update."""
-    return tuple([_ground(image, values) for image in program])
+                ops.append(field[0])
+                text.append(field[1])
+        program.append(tuple(ops))
+        texts.append("".join(text))
+    return tuple(program), sst._sep.join(texts)
 
 
 def _substitute(program: tuple, contents: Sequence[list], tag) -> list[list]:
@@ -584,9 +593,10 @@ def _start(sst: Sst) -> dict:
 def _step(sst: Sst, frontier: dict, letter: str, budget: Budget) -> dict:
     """The frontier one letter further; charges one unit per configuration."""
     budget.charge(len(frontier))
-    moves, programs, a = sst._moves, sst._programs, sst._letter_index[letter]
+    moves, templates, sep = sst._moves, sst._templates, sst._sep
+    a = sst._letter_index[letter]
     return dict.fromkeys([
-        (target, _apply(programs[i], values))
+        (target, tuple(templates[i].format(*values).split(sep)))
         for state, values in frontier
         for i, target in moves[state][a]
     ])
@@ -595,9 +605,9 @@ def _step(sst: Sst, frontier: dict, letter: str, budget: Budget) -> dict:
 def _final_outputs(sst: Sst, frontier: dict) -> dict[str, None]:
     """Outputs of the final configurations, in the order of their least
     runs."""
-    finals = sst._finals
+    finals = sst._final_templates
     return dict.fromkeys([
-        _ground(finals[state], values) for state, values in frontier if state in finals
+        finals[state].format(*values) for state, values in frontier if state in finals
     ])
 
 

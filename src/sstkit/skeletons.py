@@ -373,7 +373,7 @@ def pumped_output_expr(sst: Sst, run: Run, loops: LoopSet) -> PumpedOutputExpr:
         raise RunError("pumped outputs are only defined for accepting runs")
     params = tuple(f"p{k + 1}" for k in range(len(loops.intervals)))
 
-    var, programs = sst._var_index, sst._programs
+    programs = sst._programs
     # items are (word, param) pairs: a power word^param, or a literal letter
     # when param is None
     contents = [[(c, None) for c in word] for word in sst._initial]
@@ -394,7 +394,7 @@ def pumped_output_expr(sst: Sst, run: Run, loops: LoopSet) -> PumpedOutputExpr:
         for idx in run.steps[pos:i]:
             apply(programs[idx])
         sides = [idempotent_power_words(update, v) for v in sst.variables]
-        apply(_compile_update(var, update), sides, param)
+        apply(_compile_update(sst, update.images)[0], sides, param)
         pos = j
     for idx in run.steps[pos:]:
         apply(programs[idx])

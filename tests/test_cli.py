@@ -176,6 +176,22 @@ def test_negative_count_is_a_usage_error(docs, capsys, command, option):
     assert f"error: argument {option}: must not be negative: -1" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "FIX-AMB", "--k", "1", "--max-len", "1"],
+    ["decompose", "FIX-AMB", "--k", "1", "--max-len", "3"],
+    ["delay", "FIX-TSC", "--input", "00"],
+])
+@pytest.mark.parametrize("period", ["0", "-1"])
+def test_cut_period_below_one_is_a_usage_error(docs, capsys, argv, period):
+    """``--C`` is checked when the command line is read, not once some pair
+    of runs needs a delay: a short scan that compares no runs refuses it
+    too."""
+    assert main([docs.get(a, a) for a in argv] + ["--C", period]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --C: must be at least 1: {period}" in captured.err
+
+
 def test_non_integer_count_is_a_usage_error(docs, capsys):
     assert main(["ambiguity", docs["FIX-TSC"], "--budget", "x"]) == 2
     captured = capsys.readouterr()

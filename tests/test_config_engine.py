@@ -93,8 +93,49 @@ def two_initials() -> Sst:
     )
 
 
+def no_variables() -> Sst:
+    """A machine without variables: every output is a final state's letters,
+    and an input has as many outputs as final states it reaches."""
+    none = Update.identity(())
+    return Sst(
+        alphabet=("a", "b"), variables=(), states=("p", "q", "r"),
+        initials=("p",), finals=("q", "r"),
+        final_output={"q": ("b",), "r": ("a", "b")},
+        transitions=(Transition("p", "a", none, "q"), Transition("p", "a", none, "r"),
+                     Transition("q", "b", none, "p"), Transition("r", "a", none, "r"),
+                     Transition("r", "b", none, "q")),
+    )
+
+
+def format_letters() -> Sst:
+    """Letters that mean something inside a ``str.format`` field (digits,
+    ``:``, ``!``, ``[``), written next to the variables of every update and
+    output."""
+    xy = ("X", "Y")
+
+    def update(x, y):
+        return Update.make(xy, {"X": tuple(x), "Y": tuple(y)})
+
+    return Sst(
+        alphabet=("0", "1", ":", "!", "["), variables=xy, states=("s", "t"),
+        initials=("s",), finals=("s", "t"),
+        final_output={"s": ("X", ":", "Y"), "t": ("0", "Y", "!", "X", "[")},
+        transitions=(
+            Transition("s", "0", update(["X", "0"], ["[", "Y"]), "s"),
+            Transition("s", "0", update(["1", "X", "!"], ["Y"]), "s"),
+            Transition("s", "1", update(["Y", ":"], ["!", "X"]), "t"),
+            Transition("t", ":", update(["X", "Y"], ["1"]), "t"),
+            Transition("t", "!", update(["0", "Y"], ["X", "[", "0"]), "s"),
+            Transition("t", "!", update(["X"], ["Y"]), "t"),
+        ),
+        initial_assignment={"X": "[", "Y": "!:"},
+    )
+
+
 MACHINES = {name: fixtures.load(name) for name in fixtures.names()}
 MACHINES["two-initials"] = two_initials()
+MACHINES["no-variables"] = no_variables()
+MACHINES["format-letters"] = format_letters()
 MACHINES.update({f"random{s}": random_sst(random.Random(s)) for s in SEEDS})
 TRIMMED = {name: without_last_transition(sst) for name, sst in MACHINES.items()}
 
@@ -120,6 +161,8 @@ def test_oracles_match_runs(name):
 def equivalence_pairs():
     pairs = [("FIX-TSC", "FIX-TSC1"), ("FIX-TSC", "FIX-R2"), ("FIX-ID", "FIX-AMB"),
              ("FIX-TSC", "FIX-TSC")]
+    for name in ("no-variables", "format-letters"):
+        pairs += [(name, name), (name, "minus-last")]
     for s in SEEDS:
         pairs += [(f"random{s}", f"random{s}"), (f"random{s}", f"random{(s + 1) % len(SEEDS)}"),
                   (f"random{s}", "minus-last")]

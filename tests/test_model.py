@@ -8,6 +8,7 @@ from sstkit import (
     ParseError,
     RunError,
     Sst,
+    SstKitError,
     Transition,
     UnknownSymbolError,
     Update,
@@ -101,6 +102,16 @@ def test_parse_rejects_reserved_letters(token):
     with pytest.raises(ParseError) as err:
         parse_sst(doc)
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("brace", ["{", "}"])
+def test_sst_rejects_brace_letters(brace):
+    """An Sst built in code may not use a brace as a letter either: its
+    compiled templates would read it as part of a replacement field."""
+    with pytest.raises(SstKitError, match="braces"):
+        Sst(alphabet=("a", brace), variables=("X",), states=("q",), initials=("q",),
+            finals=("q",), final_output={"q": ("X", brace)},
+            transitions=(Transition("q", brace, Update.make(("X",), {"X": ("X", brace)}), "q"),))
 
 
 @pytest.mark.parametrize("token", RESERVED_TOKENS)

@@ -2,8 +2,8 @@
 agrees with marked runs built and evaluated through ``Run``: on the
 divergence tuple, including for candidates that do not diverge, and on
 the outputs of marked sequences of several lengths.  Its divergence test
-grounds composed images on applied contents, so ``_compose_image`` is
-checked against ``_apply`` here too."""
+grounds composed templates on applied contents, so composing templates is
+checked against applying them here too."""
 
 import random
 from itertools import product
@@ -13,7 +13,7 @@ import pytest
 import sstkit
 from sstkit import BudgetExceededError, Run, build_wrun
 from sstkit.analysis import _UpdatePool, _build_pattern, _pattern_candidates
-from sstkit.model import Budget, _apply, _compile_image, _compile_update, _compose_image, _ground
+from sstkit.model import Budget, _compile_update
 
 from helpers import random_sst
 from test_signature_skip import TWINS
@@ -144,25 +144,34 @@ def test_pool_ids_name_induced_updates(label, make):
         for path in paths_from(sst, state, 3):
             update = Run(sst, state, path).induced_update
             k = pool.path_id(path)
-            assert pool.programs[k] == _compile_update(sst._var_index, update), path
+            assert pool.programs[k] == _compile_update(sst, update.images)[1], path
             ids_of.setdefault(update, set()).add(k)
             updates_of.setdefault(k, set()).add(update)
     assert all(len(ids) == 1 for ids in ids_of.values())
     assert all(len(updates) == 1 for updates in updates_of.values())
 
 
-def merged(image):
-    return not any(type(a) is str and type(b) is str for a, b in zip(image, image[1:]))
+def apply(program, values, sep):
+    """Variable contents after a template, as ``_step`` and the pool's
+    prefixes compute them."""
+    return tuple(program.format(*values).split(sep))
 
 
-# (image, program, composed): an empty image, one of letters only, and
-# letters that merge across a variable whose image is empty or letters only
+def compose(image, program, sep):
+    """The template of ``image`` read after ``program``, as the pool's
+    paths, blocks and suffixes compose them."""
+    return image.format(*program.split(sep))
+
+
+# (image, program, composed), images joined by "|": an empty image, one of
+# letters only, and letters that meet across a variable whose image is
+# empty or letters only
 EDGE_IMAGES = [
-    ((), ((0, "a"), ("b",)), ()),
-    (("ab",), ((), (1,)), ("ab",)),
-    (("a", 0, "b"), ((), (0, 1)), ("ab",)),
-    (("a", 0, "b", 1), (("c",), ("d", 1, 0)), ("acbd", 1, 0)),
-    ((0, 1), (("a",), ("b",)), ("ab",)),
+    ("", "{0}a|b", ""),
+    ("ab", "|{1}", "ab"),
+    ("a{0}b", "|{0}{1}", "ab"),
+    ("a{0}b{1}", "c|d{1}{0}", "acbd{1}{0}"),
+    ("{0}{1}", "a|b", "ab"),
 ]
 
 
@@ -170,25 +179,29 @@ EDGE_IMAGES = [
 def test_compose_image_matches_apply(label, make):
     """Grounding an image composed with a program equals grounding it on
     the program's applied contents, for every transition update and final
-    image of the machine, on random contents with empty strings."""
+    image of the machine, on random contents with empty strings; and the
+    composed template is the compiled form of the composed image."""
     sst = make()
     rng = random.Random(label)
-    programs = [_compile_update(sst._var_index, t.update) for t in sst.transitions]
-    images = [image for program in programs for image in program]
-    images += [_compile_image(sst._var_index, out) for out in sst.final_output.values()]
+    sep = sst._sep
+    updates = [t.update for t in sst.transitions]
+    images = [image for update in updates for image in update.images]
+    images += list(sst.final_output.values())
     n = len(sst.variables)
-    for program in programs:
+    for update, program in zip(updates, sst._templates):
         for image in images:
-            composed = _compose_image(image, program)
-            assert merged(composed)
+            template = _compile_update(sst, (image,))[1]
+            composed = compose(template, program, sep)
+            assert composed == _compile_update(sst, (update.apply_to(image),))[1]
             for _ in range(3):
                 values = tuple(rng.choice(["", "", "a", "ba", "abb"]) for _ in range(n))
-                assert _ground(composed, values) == _ground(image, _apply(program, values))
+                assert composed.format(*values) == template.format(*apply(program, values, sep))
 
 
-@pytest.mark.parametrize("image, program, expected", EDGE_IMAGES)
+@pytest.mark.parametrize("image, program, expected", EDGE_IMAGES,
+                         ids=[f"image{i}-program{i}-expected{i}" for i in range(len(EDGE_IMAGES))])
 def test_compose_image_edge_cases(image, program, expected):
-    composed = _compose_image(image, program)
+    composed = compose(image, program, "|")
     assert composed == expected
     for values in product(["", "x", "yz"], repeat=2):
-        assert _ground(composed, values) == _ground(image, _apply(program, values))
+        assert composed.format(*values) == image.format(*apply(program, values, "|"))
