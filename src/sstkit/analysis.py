@@ -16,7 +16,9 @@ and exit components are synchronized over shared inputs.  Marking one block
 of a pumping sequence selects which station does the "real" work; if two
 markings of the same sequence already produce different outputs for some
 tuple in {1,2}^5, the pattern is *simply divergent* and the transducer maps
-one input to unboundedly many outputs.  The analyzer therefore answers:
+one input to unboundedly many outputs.  The search for one steps plain
+states too, and reads the skeletons it needs off the updates it meets.
+The analyzer therefore answers:
 
   Finite    -- no dumbbell (finitely ambiguous, hence finitely valued);
   Infinite  -- a simply divergent W-pattern, re-verified by evaluation;
@@ -52,7 +54,7 @@ from .model import (
 )
 from .skeletons import (
     SKELETON_MONOID_CAP,
-    _monoid_table,
+    _MonoidTable,
     compose_skeletons,
     is_idempotent,
     skeleton_of,
@@ -362,9 +364,12 @@ class _UpdatePool:
     update out -- letters as text, variables as replacement fields, images
     joined by the separator -- and composing yields the template of the
     composite, so two paths share an id exactly when their induced updates
-    are equal.  The W-runs of a signature (ids of the rho0 update and of
-    three legs' (entry, loop, exit) updates, the rho4 update id, the end
-    state) are evaluated here, memoized for the whole search:
+    are equal.  Given a skeleton table, the pool numbers there the
+    skeleton of each update it interns: ``skeletons[k]`` is the id in
+    ``table`` of update k's skeleton.  The W-runs of a signature (ids of
+    the rho0 update and of three legs' (entry, loop, exit) updates, the
+    rho4 update id, the end state) are evaluated here, memoized for the
+    whole search:
 
       block   entry . loop^x . exit, per (leg, x);
       prefix  the contents after rho0 and a sequence of blocks, per (rho0
@@ -374,21 +379,16 @@ class _UpdatePool:
               state).
     """
 
-    def __init__(self, sst: Sst):
-        self.sst, self.sep = sst, sst._sep
+    def __init__(self, sst: Sst, table: _MonoidTable | None = None):
+        self.sst, self.sep, self.table = sst, sst._sep, table
         identity = _compile_update(sst, [(v,) for v in sst.variables])[1]
         self.programs: list[str] = [identity]
+        self.skeletons: list[int] = [0]
         self._ids: dict[str, int] = {identity: 0}
         self._path_ids: dict[tuple, int] = {(): 0}
         self._blocks: dict[tuple, str] = {}
         self._prefixes: dict[tuple, list] = {}
         self._suffixes: dict[tuple, list] = {}
-
-    def _intern(self, program: str) -> int:
-        if program not in self._ids:
-            self._ids[program] = len(self.programs)
-            self.programs.append(program)
-        return self._ids[program]
 
     def path_id(self, path: tuple) -> int:
         """Id of the update induced by a path of transitions: the program of
@@ -397,11 +397,19 @@ class _UpdatePool:
         ids = self._path_ids
         if path not in ids:
             steps, sep, n = self.sst._templates, self.sep, len(path) - 1
+            programs, skeletons, table = self.programs, self.skeletons, self.table
             while path[:n] not in ids:
                 n -= 1
             for n in range(n + 1, len(path) + 1):
-                first = self.programs[ids[path[:n - 1]]]
-                ids[path[:n]] = self._intern(steps[path[n - 1]].format(*first.split(sep)))
+                prefix, step = ids[path[:n - 1]], path[n - 1]
+                program = steps[step].format(*programs[prefix].split(sep))
+                if program not in self._ids:
+                    # the skeleton first, so a stop on the cap leaves the pool whole
+                    if table is not None:
+                        skeletons.append(table.product(table.generator(step), skeletons[prefix]))
+                    self._ids[program] = len(programs)
+                    programs.append(program)
+                ids[path[:n]] = self._ids[program]
         return ids[path]
 
     def ids(self, paths) -> tuple:
@@ -571,24 +579,23 @@ class SearchBudget:
 
 
 class _TripleLevels:
-    """Synchronized run triples from a fixed start triple, generated level
-    by level: level d holds every triple over one shared input of length
-    exactly d, in lexicographic path order, as (paths, track ids in the
-    track table of the numbered monoid ``table``).  Lazy, so shallow
-    candidates are tested before deeper triples are ever generated."""
+    """Synchronized run triples from a fixed start triple of states,
+    generated level by level: level d holds every triple over one shared
+    input of length exactly d, in lexicographic path order, as (paths, end
+    states).  Lazy, so shallow candidates are tested before deeper triples
+    are ever generated."""
 
-    def __init__(self, table, starts, budget: Budget):
-        self.table, self.budget = table, budget
+    def __init__(self, sst: Sst, starts: tuple, budget: Budget):
+        self.moves, self.budget = sst._moves, budget
         budget.charge()
-        start = tuple(table.track(q, 0) for q in starts)
-        self.levels: list[list[tuple]] = [[(((), (), ()), start)]]
+        self.levels: list[list[tuple]] = [[(((), (), ()), starts)]]
 
     def level(self, depth: int) -> list[tuple]:
-        charge, moves = self.budget.charge, self.table.moves
+        charge, moves = self.budget.charge, self.moves
         while len(self.levels) <= depth:
             fresh: list[tuple] = []
-            for (p1, p2, p3), (u1, u2, u3) in self.levels[-1]:
-                for letter1, letter2, letter3 in zip(moves[u1], moves[u2], moves[u3]):
+            for (p1, p2, p3), (s1, s2, s3) in self.levels[-1]:
+                for letter1, letter2, letter3 in zip(moves[s1], moves[s2], moves[s3]):
                     for i1, v1 in letter1:
                         for i2, v2 in letter2:
                             for i3, v3 in letter3:
@@ -611,47 +618,44 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
     updates and of the rho4 update, and the end state.
 
     Station shapes are pruned by the loop/composite idempotency
-    requirements before any pattern object is built.
+    requirements, read off the skeleton ids that ``pool`` numbers in its
+    table, before any pattern object is built.
     """
-    sst = pool.sst
+    sst, table, skeletons = pool.sst, pool.table, pool.skeletons
     exit_runs = {q: shortest_exit_run(sst, q) for q in coreachable_states(sst)}
-    table = _monoid_table(sst)
     idempotent, product = table.idempotent, table.product
-    states, skeletons = table.track_states, table.track_skeletons
     levels_memo: dict = {}
 
     def levels(starts) -> _TripleLevels:
         if starts not in levels_memo:
-            levels_memo[starts] = _TripleLevels(table, starts, budget)
+            levels_memo[starts] = _TripleLevels(sst, starts, budget)
         return levels_memo[starts]
 
     for q1 in reachable_states(sst):
         alpha = pool.path_id(shortest_access_run(sst, q1).steps)
         for q2, rho4 in exit_runs.items():
             omega = pool.path_id(rho4.steps)
-            for e_paths, e_tracks in levels((q1, q1, q2)).upto(max_len):
-                stations = tuple(states[u] for u in e_tracks)
-                e_accs = [skeletons[u] for u in e_tracks]
+            goal = (q1, q2, q2)
+            for e_paths, stations in levels((q1, q1, q2)).upto(max_len):
                 e_ids = pool.ids(e_paths)
+                e_accs = [skeletons[k] for k in e_ids]
                 station_levels = levels(stations)
-                for l_paths, l_tracks in station_levels.upto(max_len):
-                    if tuple(states[u] for u in l_tracks) != stations:
-                        continue
-                    l_accs = [skeletons[u] for u in l_tracks]
-                    if not all(idempotent[k] for k in l_accs):
+                for l_paths, ends in station_levels.upto(max_len):
+                    if ends != stations:
                         continue
                     l_ids = pool.ids(l_paths)
-                    for x_paths, (x1, x2, x3) in station_levels.upto(max_len):
+                    l_accs = [skeletons[k] for k in l_ids]
+                    if not all(idempotent[k] for k in l_accs):
+                        continue
+                    for x_paths, ends in station_levels.upto(max_len):
                         budget.charge()
-                        if states[x1] != q1 or states[x2] != q2 or states[x3] != q2:
+                        if ends != goal:
                             continue
-                        composite_ok = all(
-                            idempotent[product(skeletons[x], product(l, e))]
-                            for e, l, x in zip(e_accs, l_accs, (x1, x2, x3))
-                        )
-                        if not composite_ok:
+                        x_ids = pool.ids(x_paths)
+                        if not all(idempotent[product(skeletons[x], product(l, e))]
+                                   for e, l, x in zip(e_accs, l_accs, x_ids)):
                             continue
-                        legs = tuple(zip(e_ids, l_ids, pool.ids(x_paths)))
+                        legs = tuple(zip(e_ids, l_ids, x_ids))
                         if legs[0] == legs[1] == legs[2]:
                             continue  # every mark gives the same output
                         yield ((alpha, legs, omega, rho4.end), q1, q2, stations,
@@ -662,16 +666,18 @@ def _search_divergent_pattern(sst: Sst, sb: SearchBudget):
     """The first candidate with a divergent tuple, in candidate order.  The
     divergence test depends on the candidate's signature only, so a
     signature already found non-divergent is skipped untested; the budget
-    is charged for it all the same."""
+    is charged for it all the same.  The search numbers skeletons in a
+    table of its own, and passing the table's cap stops it as the budget
+    does."""
     budget = Budget(sb.candidates)
     report = {
         "component_length": sb.component_length,
         "candidate_budget": sb.candidates,
         "exhausted": False,
     }
-    pool = _UpdatePool(sst)
     non_divergent: set[tuple] = set()
     try:
+        pool = _UpdatePool(sst, _MonoidTable(sst))
         for signature, *shape in _pattern_candidates(pool, sb.component_length, budget):
             if signature in non_divergent:
                 continue

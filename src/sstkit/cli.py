@@ -63,7 +63,7 @@ _DOCUMENTS = {
 
 def _count(text: str, low: int = 0) -> int:
     """The argparse type of ``--budget``, ``--component-len``, ``--max-len``,
-    ``--min-len`` and ``--amplify``: an integer, ``low`` or more."""
+    ``--min-len``, ``--amplify`` and ``--D``: an integer, ``low`` or more."""
     try:
         value = int(text)
     except ValueError:
@@ -139,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="number of selectors")
     p.add_argument("--max-len", type=_count, default=3)
     p.add_argument("--C", type=_period, default=2)
-    p.add_argument("--D", type=int, default=10)
+    p.add_argument("--D", type=_count, default=10, help="delay bound of the semantic cover")
     p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     p = add("equiv", _cmd_equiv, "bounded equivalence check of two documents",

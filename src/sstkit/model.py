@@ -178,9 +178,8 @@ class Sst:
     tuples (``_programs``, ``_finals``) for ``_substitute`` and the
     skeleton table.  Letters may not be ``{`` or ``}``, which a template
     would read as part of a replacement field.  The adjacency lists and
-    the skeleton table are caches filled on first use, and no result
-    depends on them.  They are not locked and the searches grow the table,
-    so one instance must not be searched from two threads at once.
+    the set ``skeleton_monoid`` returns are caches, each set once on first
+    use, and no result depends on them.
 
     The first declared variable is conventionally the output variable, but
     outputs are defined by the per-final-state ``final_output`` expressions,
@@ -645,7 +644,10 @@ def _scan(
     by one letter with ``step``, so it holds one frontier per depth.  A falsy
     frontier is dead: it and all its extensions measure 0.  Once the maximum
     reaches ``top``, only shorter inputs can still displace the witness.
+    A negative ``min_len`` raises ``SstKitError``.
     """
+    if min_len < 0:
+        raise SstKitError(f"min_len must not be negative: {min_len}")
     best, witness = -1, None
     if min_len > max_len:
         return 0, None
@@ -690,7 +692,7 @@ def valuedness_oracle(
 
     ``min_len`` defaults to 1: the scan probes output growth, and the empty
     input is excluded from the default report.  Pass ``min_len=0`` to
-    include it.
+    include it; a negative ``min_len`` raises ``SstKitError``.
     """
     b = Budget.ensure(budget)
     return _scan(

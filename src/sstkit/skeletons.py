@@ -12,7 +12,6 @@ module materializes as a symbolic parameterized word.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -68,45 +67,30 @@ def is_idempotent(s: Skeleton) -> bool:
 
 
 class _MonoidTable:
-    """The skeleton monoid of one transducer, numbered on demand, and the
-    tracks of the W-pattern search's synchronized products.
+    """The skeletons met by one W-pattern search, numbered in the order the
+    search meets them, 0 being the identity.
 
-    An element gets its id, 0 being the identity, when a track's move or
-    ``product(a, b)`` first reaches it, or when ``close`` numbers them all.
-    Ids name skeletons and nothing else, so what a search finds does not
-    depend on what was numbered before it.  ``idempotent[k]`` says whether
-    element k is idempotent.  Products are computed on images of variable
-    indices (``_compose``).  ``_number`` raises ``BudgetExceededError`` once
-    the table holds more than ``cap`` elements; the table is cached on the
-    transducer, so the cap counts what every search on it has numbered.
-    The dumbbell search runs on plain states and never builds a table.
-
-    A track, a state with a skeleton id, is numbered on demand too
-    (``track(q, k)``).  ``moves`` maps a track id u to the track's moves,
-    read off ``Sst._moves`` on first use (``_TrackMoves``): for each letter
-    in declared order, the (transition, next track) pairs leaving track u
-    in rank order.  The next track has the transition's target and the
-    product of the transition's skeleton with track u's element.
+    ``generator(i)`` is the id of transition i's skeleton and
+    ``product(a, b)`` that of ``compose_skeletons`` of elements a and b,
+    both numbered on first use; ``idempotent[k]`` says whether element k
+    is idempotent.  Products are computed on images of variable indices
+    (``_compose``).  ``_number`` raises ``BudgetExceededError`` once the
+    table holds more than ``SKELETON_MONOID_CAP`` elements, so the cap
+    counts what one search has numbered, not the whole monoid.
     """
 
-    def __init__(self, sst: Sst, cap: int = SKELETON_MONOID_CAP):
+    def __init__(self, sst: Sst):
         # each transition's skeleton: its compiled update without the letters
         self._skeletons = tuple(
             tuple(tuple([op for op in image if type(op) is int]) for image in program)
             for program in sst._programs)
-        self._names = sst.variables
-        self._sst_moves = sst._moves
-        self.cap = cap
-        identity = tuple((i,) for i in range(len(sst.variables)))
-        self.idempotent: list[bool] = [True]
-        self._raw: list[tuple] = [identity]
-        self._ids: dict[tuple, int] = {identity: 0}
+        self._generators: list[int | None] = [None] * len(self._skeletons)
+        self.cap = SKELETON_MONOID_CAP
+        self.idempotent: list[bool] = []
+        self._raw: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
         self._products: dict[tuple[int, int], int] = {}
-        self._members: frozenset[Skeleton] | None = None
-        self.track_states: list[str] = []
-        self.track_skeletons: list[int] = []
-        self.moves = _TrackMoves(self)
-        self._track_ids: dict[tuple[str, int], int] = {}
+        self._number(tuple((i,) for i in range(len(sst.variables))))  # the identity
 
     def __len__(self) -> int:
         return len(self._raw)
@@ -121,80 +105,24 @@ class _MonoidTable:
                 raise _over_cap(self.cap)
         return k
 
-    def track(self, q: str, k: int) -> int:
-        """Id of the track ending in state q with skeleton id k."""
-        u = self._track_ids.get((q, k))
-        if u is None:
-            u = self._track_ids[q, k] = len(self.track_states)
-            self.track_states.append(q)
-            self.track_skeletons.append(k)
-        return u
+    def generator(self, i: int) -> int:
+        """Id of the skeleton of transition i."""
+        k = self._generators[i]
+        if k is None:
+            k = self._generators[i] = self._number(self._skeletons[i])
+        return k
 
     def product(self, a: int, b: int) -> int:
-        """Id of ``compose_skeletons(skeleton(a), skeleton(b))``, memoized."""
+        """Id of ``compose_skeletons`` of elements a and b, memoized."""
         prod = self._products.get((a, b))
         if prod is None:
             prod = self._products[a, b] = self._number(_compose(self._raw[a], self._raw[b]))
         return prod
 
-    def skeleton(self, k: int) -> Skeleton:
-        names = self._names
-        return Skeleton(names, tuple(tuple(names[i] for i in image) for image in self._raw[k]))
-
-    def close(self, cap: int) -> frozenset[Skeleton]:
-        """Number every element and return them all, as one set cached on
-        the table; raises ``BudgetExceededError`` when there are more than
-        ``cap`` of them."""
-        if self._members is None:
-            # every element is a product of generators, so multiplying each
-            # element by every generator from the identity on reaches them
-            # all; the loop also visits the elements it appends
-            generators = tuple(dict.fromkeys(self._skeletons))
-            for raw in self._raw:
-                if len(self._raw) > cap:
-                    raise _over_cap(cap)
-                for g in generators:
-                    self._number(_compose(g, raw))
-            self._members = frozenset(self.skeleton(k) for k in range(len(self._raw)))
-        if len(self._members) > cap:
-            raise _over_cap(cap)
-        return self._members
-
-
-class _TrackMoves(dict):
-    """Track id -> its moves in ``table``, as ``_MonoidTable`` describes
-    them, filled on first use."""
-
-    def __init__(self, table: _MonoidTable):
-        super().__init__()
-        # weak: a cycle would leave every discarded table to the collector
-        self.table = weakref.proxy(table)
-
-    def __missing__(self, u: int) -> tuple:
-        table = self.table
-        s, number, track = table._raw[table.track_skeletons[u]], table._number, table.track
-        self[u] = moves = tuple(
-            tuple([(i, track(target, number(_compose(table._skeletons[i], s))))
-                   for i, target in letter_moves])
-            for letter_moves in table._sst_moves[table.track_states[u]])
-        return moves
-
 
 def _compose(a: tuple, b: tuple) -> tuple:
     """``compose_skeletons`` on images of variable indices."""
     return tuple([tuple([x for i in image for x in b[i]]) for image in a])
-
-
-def _monoid_table(sst: Sst) -> _MonoidTable:
-    """The numbered skeleton monoid of ``sst``, created empty but for the
-    identity on first use and cached on it; raises ``BudgetExceededError``
-    whenever it already holds more elements than its cap."""
-    table = getattr(sst, "_skeleton_table", None)
-    if table is None:
-        table = sst._skeleton_table = _MonoidTable(sst)  # safe: plain attribute, set once
-    if len(table) > table.cap:
-        raise _over_cap(table.cap)
-    return table
 
 
 def _over_cap(cap: int) -> BudgetExceededError:
@@ -203,18 +131,30 @@ def _over_cap(cap: int) -> BudgetExceededError:
 
 def skeleton_monoid(sst: Sst, cap: int = SKELETON_MONOID_CAP) -> frozenset[Skeleton]:
     """Closure of the transition skeletons under composition, plus the
-    identity.
-
-    The W-pattern search numbers the elements it reaches in a table cached
-    on the transducer (``_MonoidTable``); this function closes that table
-    and returns its elements as a set, memoized, so repeat calls return
-    the same set.  Any monoid with more than ``cap`` elements raises
-    ``BudgetExceededError``, on every call; so does one with more than the
-    table's own cap, ``SKELETON_MONOID_CAP``.  The search checks only the
-    table's cap, which counts every element numbered so far on this
-    transducer, not the whole monoid.
+    identity, memoized on the transducer, so repeat calls return the same
+    set.  A monoid with more than ``cap`` elements raises
+    ``BudgetExceededError``, on every call; the closure stops as soon as
+    it has found more than ``cap``.
     """
-    return _monoid_table(sst).close(cap)
+    members = getattr(sst, "_skeleton_monoid", None)
+    if members is None:
+        # every element is a product of generators, so multiplying each element
+        # by every generator from the identity on reaches them all
+        generators = tuple(dict.fromkeys(transition_skeletons(sst)))
+        elements = [Skeleton.identity(sst.variables)]
+        seen = set(elements)
+        for s in elements:
+            for g in generators:
+                prod = compose_skeletons(g, s)
+                if prod not in seen:
+                    seen.add(prod)
+                    elements.append(prod)
+                    if len(elements) > cap:
+                        raise _over_cap(cap)
+        members = sst._skeleton_monoid = frozenset(elements)  # safe: set once
+    if len(members) > cap:
+        raise _over_cap(cap)
+    return members
 
 
 def transition_skeletons(sst: Sst) -> tuple[Skeleton, ...]:

@@ -155,7 +155,8 @@ COUNT_OPTIONS = [
     ("eval", "--budget"), ("runs", "--budget"), ("ambiguity", "--budget"),
     ("valuedness", "--budget"), ("valuedness", "--component-len"),
     ("valuedness", "--max-len"), ("valuedness", "--amplify"), ("delay", "--budget"),
-    ("decompose", "--max-len"), ("decompose", "--budget"), ("equiv", "--max-len"),
+    ("decompose", "--max-len"), ("decompose", "--D"), ("decompose", "--budget"),
+    ("equiv", "--max-len"),
     ("equiv", "--min-len"), ("equiv", "--budget"), ("oracle", "--max-len"),
     ("oracle", "--budget"),
 ]

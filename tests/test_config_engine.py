@@ -19,6 +19,7 @@ from sstkit import (
     BudgetExceededError,
     SearchBudget,
     Sst,
+    SstKitError,
     Transition,
     Update,
     UnknownSymbolError,
@@ -219,6 +220,18 @@ def test_empty_length_range():
         assert check_equivalence_bounded(sst, no_initials, 2, min_len=3) is None
     assert valuedness_oracle(no_initials, 2, min_len=1) == (0, "a")
     assert check_equivalence_bounded(two_initials(), no_initials, 2, min_len=1) == "a"
+
+
+def test_negative_min_len_is_an_error():
+    """A negative ``min_len`` is refused, not read as 0 less the empty
+    input: with ``min_len=0`` the empty input is FIX-TSC's most ambiguous."""
+    sst = fixtures.load("FIX-TSC")
+    assert ambiguity_oracle(sst, 0, min_len=0) == (2, "")
+    for scan in (lambda: ambiguity_oracle(sst, 0, min_len=-1),
+                 lambda: valuedness_oracle(sst, 1, min_len=-1),
+                 lambda: check_equivalence_bounded(sst, sst, 1, min_len=-1)):
+        with pytest.raises(SstKitError, match="min_len must not be negative: -1"):
+            scan()
 
 
 def test_unknown_input_letter():

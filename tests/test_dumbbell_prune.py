@@ -5,11 +5,12 @@ triple it finds into a dumbbell.  It must find a dumbbell at the same
 finds none; its dumbbell must pass ``Dumbbell.verify``; and it must pop
 no more nodes.  The full search is kept here as the reference: the
 untrimmed breadth-first search of the three-track product whose tracks
-are (state, skeleton id) pairs, numbered in a ``_MonoidTable``, which
-checks loop idempotency on the fly."""
+are (state, ``Skeleton``) pairs, which checks loop idempotency on the
+fly."""
 
 import random
 from collections import deque
+from functools import cache
 
 import pytest
 
@@ -24,7 +25,12 @@ from sstkit.model import (
     shortest_access_run,
     shortest_exit_run,
 )
-from sstkit.skeletons import _MonoidTable
+from sstkit.skeletons import (
+    Skeleton,
+    compose_skeletons,
+    is_idempotent,
+    transition_skeletons,
+)
 
 from helpers import random_sst
 
@@ -37,23 +43,23 @@ WIDE = [(f"random_sst({s}, 6, 4)", lambda s=s: random_sst(random.Random(s), max_
 DEFAULT = [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s))) for s in range(200)]
 
 
-def reference_bfs(table, q1, q2, budget):
+def reference_bfs(sst, moves, q1, q2, budget):
     """The untrimmed skeleton-track search: every child of a popped node
     is queued, and the goal is a node at (q1, q2, q2) whose tracks differ
-    and whose loop tracks have idempotent skeletons."""
-    track, moves = table.track, table.moves
-    states, skeletons, idempotent = table.track_states, table.track_skeletons, table.idempotent
-    start = (track(q1, 0), track(q1, 0), track(q2, 0), False)
+    and whose loop tracks have idempotent skeletons.  ``moves(track)``
+    lists the track's moves per letter, as ``Sst._moves`` does."""
+    identity = Skeleton.identity(sst.variables)
+    start = ((q1, identity), (q1, identity), (q2, identity), False)
     parents: dict = {start: None}
     queue = deque([start])
     while queue:
         node = queue.popleft()
         budget.charge()
         u1, u2, u3, diff = node
-        if (diff and states[u1] == q1 and states[u2] == q2 and states[u3] == q2
-                and idempotent[skeletons[u1]] and idempotent[skeletons[u3]]):
+        if (diff and (u1[0], u2[0], u3[0]) == (q1, q2, q2)
+                and is_idempotent(u1[1]) and is_idempotent(u3[1])):
             return analysis._rebuild_triple(parents, node)
-        for letter1, letter2, letter3 in zip(moves[u1], moves[u2], moves[u3]):
+        for letter1, letter2, letter3 in zip(moves(u1), moves(u2), moves(u3)):
             for i1, v1 in letter1:
                 for i2, v2 in letter2:
                     for i3, v3 in letter3:
@@ -65,14 +71,22 @@ def reference_bfs(table, q1, q2, budget):
 
 
 def reference_find(sst):
-    """(dumbbell or None, nodes popped) of the untrimmed search, on a
-    fresh monoid table."""
-    table = _MonoidTable(sst)
+    """(dumbbell or None, nodes popped) of the untrimmed search."""
+    generators = transition_skeletons(sst)
+
+    @cache
+    def moves(track):
+        """A track's moves: to each transition's target, with the skeleton
+        of the transition after the track's."""
+        q, s = track
+        return tuple([(i, (target, compose_skeletons(generators[i], s))) for i, target in letter]
+                     for letter in sst._moves[q])
+
     budget = Budget(BUDGET)
     coreach = set(coreachable_states(sst))
     for q1 in reachable_states(sst):
         for q2 in (q for q in sst.states if q in coreach):
-            found = reference_bfs(table, q1, q2, budget)
+            found = reference_bfs(sst, moves, q1, q2, budget)
             if found is None:
                 continue
             path1, path2, path3 = found

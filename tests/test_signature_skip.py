@@ -14,6 +14,7 @@ from sstkit.analysis import (
     _search_divergent_pattern,
 )
 from sstkit.model import Budget
+from sstkit.skeletons import _MonoidTable
 
 from helpers import random_sst
 
@@ -78,7 +79,7 @@ def reference_search(sst, sb):
     """Test every candidate in order and stop at the first divergent one:
     (candidate, tuple, budget used, exhausted)."""
     budget = Budget(sb.candidates)
-    pool = _UpdatePool(sst)
+    pool = _UpdatePool(sst, _MonoidTable(sst))
     try:
         for raw in _pattern_candidates(pool, sb.component_length, budget):
             tup = pool.first_divergent_tuple(raw[0])
