@@ -29,7 +29,16 @@ class CopylessError(SstKitError):
 
 
 class UnknownSymbolError(SstKitError):
-    """Reference to an undeclared state, letter, or variable."""
+    """Reference to an undeclared state, letter, or variable.
+
+    The parser sets ``line`` and ``column`` (1-based) to where the name
+    stands in the document; elsewhere they are None.
+    """
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.line = line
+        self.column = column
+        super().__init__(message)
 
 
 class VariableSetMismatchError(SstKitError):

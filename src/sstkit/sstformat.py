@@ -20,83 +20,225 @@ Letters are single characters, and no name is both a letter and a
 variable.  The tokens ``; { } := -> =`` are reserved and cannot be letters,
 variables or states.  The ``alphabet:``, ``vars:``, ``states:``
 and ``initial:`` lines must appear before any line that uses them.
+
+Lines are what ``str.splitlines`` yields, and a line's tokens are what
+``str.split`` yields on the part before its first ``#``.  A leading
+byte-order mark (U+FEFF) is ignored.  An error names the 1-based line and,
+where it points at a token, the token's column: a 1-based offset in code
+points, so a tab or a wide space counts as one.  Columns are worked out
+only when an error is raised.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 from .errors import CopylessError, ParseError, UnknownSymbolError
 from .model import Sst, Transition, Update
 
-_TOKEN = re.compile(r"\S+")
+_TOKEN = re.compile(r"\S+")  # cuts a line as str.split() does: \s is str.isspace
 # the punctuation of the format, which no letter, variable or state may be named
 _RESERVED = frozenset({";", "{", "}", ":=", "->", "="})
 # a token inside an update is a variable or a letter, never both
 _DISJOINT = {"alphabet": "variables", "variables": "alphabet"}
 
 
-def _tokenize(line: str) -> list[tuple[str, int]]:
-    """Tokens with their 1-based column, comments stripped."""
-    code = line.split("#", 1)[0]
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
+def _column(raw: str, i: int) -> int:
+    """The 1-based column of the i-th token of line ``raw``."""
+    return list(_TOKEN.finditer(raw.partition("#")[0]))[i].start() + 1
 
 
-class _DocBuilder:
+class _Document:
+    """The declarations read so far, and the line being read (``lineno``,
+    ``raw``), which the errors point into."""
+
     def __init__(self):
-        self.alphabet: list[str] | None = None
-        self.variables: list[str] | None = None
-        self.states: list[str] | None = None
-        self.initials: list[str] | None = None
+        # the names of each header line, in declared order, and as sets
+        self.alphabet: tuple[str, ...] | None = None
+        self.variables: tuple[str, ...] | None = None
+        self.states: tuple[str, ...] | None = None
+        self.initials: tuple[str, ...] | None = None
+        self.sets: dict[str, frozenset[str]] = {}
+        self.symbols: frozenset[str] = frozenset()  # letters and variables
         self.finals: list[str] = []
         self.final_output: dict[str, tuple[str, ...]] = {}
         self.initial_assignment: dict[str, str] = {}
         self.transitions: list[Transition] = []
+        self.lineno = 0
+        self.raw = ""
 
-    def need(self, attr: str, lineno: int) -> list[str]:
-        value = getattr(self, attr)
-        if value is None:
-            raise ParseError(f"'{attr}' must be declared before this line", lineno)
-        return value
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        """A ParseError at this line, and at its i-th token if given."""
+        return ParseError(message, self.lineno, None if i is None else _column(self.raw, i))
+
+    def unknown(self, message: str, i: int) -> UnknownSymbolError:
+        """An UnknownSymbolError at the i-th token of this line."""
+        return UnknownSymbolError(f"line {self.lineno}: {message}", self.lineno, _column(self.raw, i))
+
+    def need(self, attr: str) -> frozenset[str]:
+        try:
+            return self.sets[attr]
+        except KeyError:
+            raise self.error(f"'{attr}' must be declared before this line") from None
+
+    def declare(self, attr: str, toks: list[str]) -> None:
+        if getattr(self, attr) is not None:
+            raise self.error(f"duplicate '{attr}' declaration", 0)
+        names = toks[1:]
+        if not names:
+            raise self.error(f"'{attr}' declaration is empty", 0)
+        declared = frozenset(names)
+        counts = Counter(names) if len(declared) < len(names) else None
+        other = _DISJOINT.get(attr)
+        clash = self.sets.get(other, frozenset())
+        for i, tok in enumerate(names, 1):
+            if tok in _RESERVED:
+                raise self.error(f"reserved token {tok!r} cannot be declared in '{attr}'", i)
+            if counts and counts[tok] > 1:
+                raise self.error(f"duplicate name {tok!r}", i)
+            if tok in clash:
+                raise self.error(f"{tok!r} is declared both in '{other}' and in '{attr}'", i)
+        setattr(self, attr, tuple(names))
+        self.sets[attr] = declared
+        if other:
+            self.symbols = declared | clash
+
+    def initial(self, toks: list[str]) -> None:
+        states = self.need("states")
+        names = toks[1:]
+        seen = set()
+        for i, tok in enumerate(names, 1):
+            if tok not in states:
+                raise self.unknown(f"unknown initial state {tok!r}", i)
+            if tok in seen:
+                raise self.error(f"duplicate initial state {tok!r}", i)
+            seen.add(tok)
+        if not names:
+            raise self.error("expected at least one initial state")
+        if self.initials is not None:
+            raise self.error("duplicate 'initial:' line", 0)
+        self.initials = tuple(names)
+
+    def init(self, toks: list[str]) -> None:
+        variables = self.need("variables")
+        alphabet = self.need("alphabet")
+        if len(toks) < 3 or toks[2] != "=":
+            raise self.error("expected 'init VAR = letters...'")
+        var = toks[1]
+        if var not in variables:
+            raise self.unknown(f"unknown variable {var!r}", 1)
+        if var in self.initial_assignment:
+            raise self.error(f"duplicate 'init' for {var!r}", 1)
+        for i, tok in enumerate(toks[3:], 3):
+            if tok not in alphabet:
+                raise self.unknown(f"unknown letter {tok!r} in init", i)
+        self.initial_assignment[var] = "".join(toks[3:])
+
+    def final(self, toks: list[str]) -> None:
+        states = self.need("states")
+        variables = self.need("variables")
+        alphabet = self.need("alphabet")
+        if len(toks) < 3 or toks[2] != "->":
+            raise self.error("expected 'final STATE -> expression'")
+        state = toks[1]
+        if state not in states:
+            raise self.unknown(f"unknown state {state!r}", 1)
+        if state in self.final_output:
+            raise self.error(f"duplicate 'final' for state {state!r}", 1)
+        seen_vars = set()
+        for i, tok in enumerate(toks[3:], 3):
+            if tok in variables:
+                if tok in seen_vars:
+                    raise CopylessError(tok, f"line {self.lineno}: variable {tok!r} occurs twice in a final output")
+                seen_vars.add(tok)
+            elif tok not in alphabet:
+                raise self.unknown(f"unknown symbol {tok!r} in final output", i)
+        self.finals.append(state)
+        self.final_output[state] = tuple(toks[3:])
+
+    def trans(self, toks: list[str]) -> None:
+        states = self.need("states")
+        variables = self.need("variables")
+        alphabet = self.need("alphabet")
+        if len(toks) < 6:
+            raise self.error("expected 'trans SRC LETTER TGT { ... }'")
+        _, src, letter, tgt, brace = toks[:5]
+        if src not in states:
+            raise self.unknown(f"unknown state {src!r}", 1)
+        if letter not in alphabet:
+            raise self.unknown(f"unknown letter {letter!r}", 2)
+        if tgt not in states:
+            raise self.unknown(f"unknown state {tgt!r}", 3)
+        if brace != "{":
+            raise self.error("expected '{' opening the update", 4)
+        end = len(toks) - 1
+        if toks[end] != "}":
+            raise self.error("expected '}' closing the update", end)
+        # the groups `VAR := word` between the braces are separated by ';'.
+        # The closing brace is overwritten with one, so that index() finds
+        # the end of every group, the last included.
+        toks[end] = ";"
+        symbols = self.symbols
+        images: dict[str, tuple[str, ...]] = {}
+        start = 5
+        while start < end:
+            stop = toks.index(";", start)
+            if stop > start:
+                var = toks[start]
+                if var not in variables:
+                    raise self.unknown(f"unknown variable {var!r} in update", start)
+                if stop - start < 2 or toks[start + 1] != ":=":
+                    raise self.error(f"expected '{var} := ...'", start)
+                if var in images:
+                    raise self.error(f"variable {var!r} assigned twice in one update", start)
+                image = tuple(toks[start + 2:stop])
+                if not symbols.issuperset(image):
+                    k, tok = next((k, tok) for k, tok in enumerate(image) if tok not in symbols)
+                    raise self.unknown(f"unknown symbol {tok!r} in update", start + 2 + k)
+                images[var] = image
+            start = stop + 1
+        try:
+            update = Update(self.variables, tuple([images.get(v, (v,)) for v in self.variables]))
+        except CopylessError as err:
+            raise CopylessError(err.variable, f"line {self.lineno}: {err}") from None
+        self.transitions.append(Transition(src, letter, update, tgt))
 
 
 def parse_sst(text: str) -> Sst:
     """Parse a transducer document, validating as it goes.
 
     Raises ParseError with line/column for syntax problems, CopylessError
-    naming the offending variable, and UnknownSymbolError for dangling
-    references.
+    naming the offending variable, and UnknownSymbolError, with the line and
+    column of the name, for dangling references.
     """
-    doc = _DocBuilder()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
-        if not tokens:
+    doc = _Document()
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    for doc.lineno, doc.raw in enumerate(text.splitlines(), start=1):
+        toks = doc.raw.partition("#")[0].split()
+        if not toks:
             continue
-        head, col = tokens[0]
-        rest = tokens[1:]
-        if head == "alphabet:":
-            _declare_header(doc, "alphabet", rest, lineno, col)
-            for tok, c in rest:
-                if len(tok) != 1:
-                    raise ParseError(f"letters must be single characters, got {tok!r}", lineno, c)
-        elif head == "vars:":
-            _declare_header(doc, "variables", rest, lineno, col)
-        elif head == "states:":
-            _declare_header(doc, "states", rest, lineno, col)
-        elif head == "initial:":
-            states = doc.need("states", lineno)
-            names = _names(rest, lineno, "initial state", states)
-            if doc.initials is not None:
-                raise ParseError("duplicate 'initial:' line", lineno, col)
-            doc.initials = names
-        elif head == "init":
-            _parse_init(doc, rest, lineno)
+        head = toks[0]
+        if head == "trans":
+            doc.trans(toks)
         elif head == "final":
-            _parse_final(doc, rest, lineno)
-        elif head == "trans":
-            _parse_trans(doc, rest, lineno)
+            doc.final(toks)
+        elif head == "init":
+            doc.init(toks)
+        elif head == "initial:":
+            doc.initial(toks)
+        elif head == "alphabet:":
+            doc.declare("alphabet", toks)
+            for i, tok in enumerate(toks[1:], 1):
+                if len(tok) != 1:
+                    raise doc.error(f"letters must be single characters, got {tok!r}", i)
+        elif head == "vars:":
+            doc.declare("variables", toks)
+        elif head == "states:":
+            doc.declare("states", toks)
         else:
-            raise ParseError(f"unknown declaration {head!r}", lineno, col)
+            raise doc.error(f"unknown declaration {head!r}", 0)
 
     for attr in ("alphabet", "variables", "states", "initials"):
         if getattr(doc, attr) is None:
@@ -111,127 +253,3 @@ def parse_sst(text: str) -> Sst:
         transitions=doc.transitions,
         initial_assignment=doc.initial_assignment,
     )
-
-
-def _declare_header(doc: _DocBuilder, attr: str, rest: list[tuple[str, int]], lineno: int, col: int) -> None:
-    if getattr(doc, attr) is not None:
-        raise ParseError(f"duplicate '{attr}' declaration", lineno, col)
-    if not rest:
-        raise ParseError(f"'{attr}' declaration is empty", lineno, col)
-    names = [tok for tok, _ in rest]
-    other = _DISJOINT.get(attr)
-    for tok, c in rest:
-        if tok in _RESERVED:
-            raise ParseError(f"reserved token {tok!r} cannot be declared in '{attr}'", lineno, c)
-        if names.count(tok) > 1:
-            raise ParseError(f"duplicate name {tok!r}", lineno, c)
-        if other and tok in (getattr(doc, other) or ()):
-            raise ParseError(f"{tok!r} is declared both in '{other}' and in '{attr}'", lineno, c)
-    setattr(doc, attr, names)
-
-
-def _names(rest: list[tuple[str, int]], lineno: int, what: str, declared: list[str]) -> list[str]:
-    names = []
-    for tok, col in rest:
-        if tok not in declared:
-            raise UnknownSymbolError(f"line {lineno}: unknown {what} {tok!r}")
-        if tok in names:
-            raise ParseError(f"duplicate {what} {tok!r}", lineno, col)
-        names.append(tok)
-    if not names:
-        raise ParseError(f"expected at least one {what}", lineno)
-    return names
-
-
-def _parse_init(doc: _DocBuilder, rest: list[tuple[str, int]], lineno: int) -> None:
-    variables = doc.need("variables", lineno)
-    alphabet = doc.need("alphabet", lineno)
-    if len(rest) < 2 or rest[1][0] != "=":
-        raise ParseError("expected 'init VAR = letters...'", lineno)
-    var, col = rest[0]
-    if var not in variables:
-        raise UnknownSymbolError(f"line {lineno}: unknown variable {var!r}")
-    if var in doc.initial_assignment:
-        raise ParseError(f"duplicate 'init' for {var!r}", lineno, col)
-    word = []
-    for tok, c in rest[2:]:
-        if tok not in alphabet:
-            raise UnknownSymbolError(f"line {lineno}: unknown letter {tok!r} in init")
-        word.append(tok)
-    doc.initial_assignment[var] = "".join(word)
-
-
-def _parse_final(doc: _DocBuilder, rest: list[tuple[str, int]], lineno: int) -> None:
-    states = doc.need("states", lineno)
-    variables = doc.need("variables", lineno)
-    alphabet = doc.need("alphabet", lineno)
-    if len(rest) < 2 or rest[1][0] != "->":
-        raise ParseError("expected 'final STATE -> expression'", lineno)
-    state, col = rest[0]
-    if state not in states:
-        raise UnknownSymbolError(f"line {lineno}: unknown state {state!r}")
-    if state in doc.final_output:
-        raise ParseError(f"duplicate 'final' for state {state!r}", lineno, col)
-    expr = []
-    seen_vars = set()
-    for tok, c in rest[2:]:
-        if tok in variables:
-            if tok in seen_vars:
-                raise CopylessError(tok, f"line {lineno}: variable {tok!r} occurs twice in a final output")
-            seen_vars.add(tok)
-        elif tok not in alphabet:
-            raise UnknownSymbolError(f"line {lineno}: unknown symbol {tok!r} in final output")
-        expr.append(tok)
-    doc.finals.append(state)
-    doc.final_output[state] = tuple(expr)
-
-
-def _parse_trans(doc: _DocBuilder, rest: list[tuple[str, int]], lineno: int) -> None:
-    states = doc.need("states", lineno)
-    variables = doc.need("variables", lineno)
-    alphabet = doc.need("alphabet", lineno)
-    if len(rest) < 5:
-        raise ParseError("expected 'trans SRC LETTER TGT { ... }'", lineno)
-    (src, c1), (letter, c2), (tgt, c3), (brace, c4) = rest[0], rest[1], rest[2], rest[3]
-    if src not in states:
-        raise UnknownSymbolError(f"line {lineno}: unknown state {src!r}")
-    if letter not in alphabet:
-        raise UnknownSymbolError(f"line {lineno}: unknown letter {letter!r}")
-    if tgt not in states:
-        raise UnknownSymbolError(f"line {lineno}: unknown state {tgt!r}")
-    if brace != "{":
-        raise ParseError("expected '{' opening the update", lineno, c4)
-    if rest[-1][0] != "}":
-        raise ParseError("expected '}' closing the update", lineno, rest[-1][1])
-    inner = rest[4:-1]
-
-    groups: list[list[tuple[str, int]]] = [[]]
-    for tok, c in inner:
-        if tok == ";":
-            groups.append([])
-        else:
-            groups[-1].append((tok, c))
-    images: dict[str, tuple[str, ...]] = {}
-    for group in groups:
-        if not group:
-            continue
-        (var, cv) = group[0]
-        if var not in variables:
-            raise UnknownSymbolError(f"line {lineno}: unknown variable {var!r} in update")
-        if len(group) < 2 or group[1][0] != ":=":
-            raise ParseError(f"expected '{var} := ...'", lineno, cv)
-        if var in images:
-            raise ParseError(f"variable {var!r} assigned twice in one update", lineno, cv)
-        tokens = []
-        for tok, c in group[2:]:
-            if tok not in variables and tok not in alphabet:
-                raise UnknownSymbolError(f"line {lineno}: unknown symbol {tok!r} in update")
-            tokens.append(tok)
-        images[var] = tuple(tokens)
-    for v in variables:
-        images.setdefault(v, (v,))
-    try:
-        update = Update.make(variables, images)
-    except CopylessError as err:
-        raise CopylessError(err.variable, f"line {lineno}: {err}") from None
-    doc.transitions.append(Transition(src, letter, update, tgt))

@@ -1,4 +1,5 @@
 import builtins
+import hashlib
 import json
 import os
 import subprocess
@@ -245,6 +246,24 @@ def test_non_utf8_document_is_a_parse_error(docs, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {docs['not_utf8']}: not UTF-8")
+
+
+def test_byte_order_mark_is_not_part_of_the_document(docs, tmp_path, capsys):
+    """A UTF-8 file may start with a byte-order mark.  The report's digest
+    is that of the file's bytes, and a decoding error still counts its
+    byte offset from the start of the file, the mark included."""
+    raw = b"\xef\xbb\xbf" + sstkit.fixtures.source("FIX-TSC").encode("utf-8")
+    path = tmp_path / "bom.sst"
+    path.write_bytes(raw)
+    code, out = run(capsys, "validate", str(path), "--json")
+    assert code == 0
+    _, plain = run(capsys, "validate", docs["FIX-TSC"], "--json")
+    assert json.loads(out)["result"] == json.loads(plain)["result"]
+    assert json.loads(out)["files"] == {str(path): hashlib.sha256(raw).hexdigest()}
+
+    path.write_bytes(b"\xef\xbb\xbfab\xff")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 (invalid start byte at byte 5)\n"
 
 
 def test_parser_is_built_once(docs, capsys, monkeypatch):
