@@ -15,7 +15,9 @@ from typing import Callable
 
 from .delay import delay
 from .errors import InputMismatchError, SstKitError
-from .model import Budget, Run, Sst, _final_outputs, _frontier, _scan, _start, _step, enumerate_runs
+from .model import (
+    Budget, Run, Sst, _final_outputs, _frontier, _leaf_outputs, _scan, _start, _step, enumerate_runs,
+)
 
 
 def lex_compare(r1: Run, r2: Run) -> int:
@@ -113,6 +115,10 @@ def check_equivalence_bounded(
     def differs(pair) -> int:
         return int(_final_outputs(a, pair[0]).keys() != _final_outputs(b, pair[1]).keys())
 
+    def leaf_differs(pair, letter) -> int:
+        return int(_leaf_outputs(a, pair[0], letter, shared).keys()
+                   != _leaf_outputs(b, pair[1], letter, shared).keys())
+
     found, witness = _scan(
-        a.alphabet, min_len, max_len, (_start(a), _start(b)), step, differs, top=1)
+        a.alphabet, min_len, max_len, (_start(a), _start(b)), step, differs, leaf_differs, top=1)
     return witness if found else None

@@ -21,10 +21,17 @@ class ParseError(SstKitError):
 
 
 class CopylessError(SstKitError):
-    """A variable occurs more than once across the images of an update."""
+    """A variable occurs more than once across the images of an update.
 
-    def __init__(self, variable: str, message: str | None = None):
+    The parser sets ``line`` and ``column`` (1-based) to where the repeated
+    occurrence stands in the document; elsewhere they are None.
+    """
+
+    def __init__(self, variable: str, message: str | None = None,
+                 line: int | None = None, column: int | None = None):
         self.variable = variable
+        self.line = line
+        self.column = column
         super().__init__(message or f"variable {variable!r} occurs more than once")
 
 

@@ -26,6 +26,13 @@ letter, digit or brace.  Applying an update to variable contents is then
 ``image.format(*contents)``, and composing is the same call on templates,
 ``then.format(*first.split(sep))``: one C-level call each.  Letters are
 never braces, so a template passes through another unchanged.
+
+The scans read the outputs of an input's last letter without building the
+frontier it leads to (``_leaf_outputs``): a move into a final state
+carries the final output template composed after its update, so one call
+per configuration and such move grounds an output.  The budget is charged
+as if that frontier were built, one unit per configuration of the one
+before it.
 """
 
 from __future__ import annotations
@@ -179,7 +186,10 @@ class Sst:
     skeleton table.  Letters may not be ``{`` or ``}``, which a template
     would read as part of a replacement field.  The adjacency lists and
     the set ``skeleton_monoid`` returns are caches, each set once on first
-    use, and no result depends on them.
+    use; the composed output templates of the moves into final states
+    (``_leaf_templates``, see ``_leaf_outputs``) are a cache filled one
+    state at a time, on the first scan that reads the state.  No result
+    depends on them.
 
     The first declared variable is conventionally the output variable, but
     outputs are defined by the per-final-state ``final_output`` expressions,
@@ -317,6 +327,12 @@ class Sst:
                 for i, target in moves[q][a]:
                     pred[target].append((i, q))
         return succ, pred
+
+    @cached_property
+    def _leaf_templates(self) -> dict:
+        """Per state, once ``_leaf_outputs`` has read it: per letter, the
+        composed output templates of its moves into final states."""
+        return {}
 
     def run(self, start: str, steps: Iterable[int]) -> "Run":
         return Run(self, start, tuple(steps))
@@ -610,6 +626,39 @@ def _final_outputs(sst: Sst, frontier: dict) -> dict[str, None]:
     ])
 
 
+def _leaf_outputs(sst: Sst, frontier: dict, letter: str, budget: Budget) -> dict[str, None]:
+    """``_final_outputs`` of the frontier one letter further, read without
+    building it; charges as ``_step`` does.  Each move into a final state
+    applies its composed template (``_leaf_row``) to the contents it
+    leaves; listed per configuration and move in frontier order, the
+    outputs keep the order of first occurrences that ``_step`` gives."""
+    budget.charge(len(frontier))
+    a = sst._letter_index[letter]
+    row = sst._leaf_templates.get
+    return dict.fromkeys([
+        composite.format(*values)
+        for state, values in frontier
+        for composite in (row(state) or _leaf_row(sst, state))[a]
+    ])
+
+
+def _leaf_row(sst: Sst, state: str) -> list[list[str]]:
+    """Sets and returns ``sst._leaf_templates[state]``: per letter, the
+    final template of each move i into a final state t composed after its
+    update, ``finals[t].format(*templates[i].split(sep))``."""
+    finals, templates, sep = sst._final_templates, sst._templates, sst._sep
+    row = sst._leaf_templates[state] = []
+    # plain loops: a row is built once, often for a scan of a few dozen
+    # leaves, where comprehensions cost more than they save
+    for per_letter in sst._moves[state]:
+        composites = []
+        for i, t in per_letter:
+            if t in finals:
+                composites.append(finals[t].format(*templates[i].split(sep)))
+        row.append(composites)
+    return row
+
+
 def _frontier(sst: Sst, word: str, budget: Budget | int | None) -> dict:
     """The frontier reached on ``word``."""
     for c in word:
@@ -634,6 +683,7 @@ def _scan(
     root,
     step: Callable,
     measure: Callable,
+    leaf: Callable,
     top: int | None = None,
 ) -> tuple[int, str | None]:
     """Max of ``measure`` over the frontiers of the inputs u with min_len <=
@@ -642,42 +692,44 @@ def _scan(
 
     Walks the prefix trie depth-first in letter order, extending a frontier
     by one letter with ``step``, so it holds one frontier per depth.  A falsy
-    frontier is dead: it and all its extensions measure 0.  Once the maximum
-    reaches ``top``, only shorter inputs can still displace the witness.
-    A negative ``min_len`` raises ``SstKitError``.
+    frontier is dead: it and all its extensions measure 0.  An input of
+    length max_len is measured by ``leaf(frontier, letter)`` on its longest
+    proper prefix's live frontier, which must equal ``measure`` of the step
+    (0 if dead) and charge the budget as ``step`` does, so the deepest
+    frontiers are never built.  Once the maximum reaches ``top``, only
+    shorter inputs can still displace the witness.  A negative ``min_len``
+    raises ``SstKitError``.
     """
     if min_len < 0:
         raise SstKitError(f"min_len must not be negative: {min_len}")
-    best, witness = -1, None
     if min_len > max_len:
         return 0, None
-
-    def offer(n: int, word: str) -> None:
-        nonlocal best, witness
+    best, witness = (measure(root) if root else 0, "") if min_len == 0 else (-1, None)
+    # one (prefix, its frontier, the letters not yet tried after it) per depth
+    path = [("", root, iter(alphabet))]
+    while path:
+        word, frontier, letters = path[-1]
+        depth = len(word)
+        letter = next(letters, None)
+        if (letter is None or not frontier or depth >= max_len
+                or (best == top and depth + 1 >= len(witness))):
+            path.pop()
+            if frontier or not alphabet or depth >= min_len:
+                continue
+            # every extension of a dead prefix measures 0: offer the least
+            n, word = 0, word + alphabet[0] * (min_len - depth)
+        elif depth + 1 < max_len:
+            word += letter
+            frontier = step(frontier, letter)
+            path.append((word, frontier, iter(alphabet)))
+            if depth + 1 < min_len:
+                continue
+            n = measure(frontier) if frontier else 0
+        else:
+            n, word = leaf(frontier, letter), word + letter
         # depth-first visits inputs of one length in lexicographic order
         if n > best or (n == best and len(word) < len(witness)):
             best, witness = n, word
-
-    def settled(depth: int) -> bool:
-        return depth >= max_len or (best == top and depth + 1 >= len(witness))
-
-    # one (prefix, its frontier, the letters not yet tried after it) per depth
-    path = [("", root, iter(alphabet))]
-    if min_len == 0:
-        offer(measure(root) if root else 0, "")
-    while path:
-        word, frontier, letters = path[-1]
-        letter = next(letters, None)
-        if letter is None or not frontier or settled(len(word)):
-            if not frontier and alphabet and len(word) < min_len:
-                offer(0, word + alphabet[0] * (min_len - len(word)))
-            path.pop()
-            continue
-        word += letter
-        frontier = step(frontier, letter)
-        if len(word) >= min_len:
-            offer(measure(frontier) if frontier else 0, word)
-        path.append((word, frontier, iter(alphabet)))
     return (0, None) if best < 0 else (best, witness)
 
 
@@ -699,6 +751,7 @@ def valuedness_oracle(
         sst.alphabet, min_len, max_len, _start(sst),
         lambda frontier, letter: _step(sst, frontier, letter, b),
         lambda frontier: len(_final_outputs(sst, frontier)),
+        lambda frontier, letter: len(_leaf_outputs(sst, frontier, letter, b)),
     )
 
 
@@ -721,9 +774,15 @@ def ambiguity_oracle(
                 fresh[target] = fresh.get(target, 0) + n
         return fresh
 
+    def leaf(counts: dict[str, int], letter: str) -> int:
+        """Accepting runs one letter further."""
+        b.charge(len(counts))
+        a = sst._letter_index[letter]
+        return sum(n for state, n in counts.items() for _, t in moves[state][a] if t in finals)
+
     return _scan(
         sst.alphabet, min_len, max_len, dict.fromkeys(sst.initials, 1), step,
-        lambda counts: sum(n for state, n in counts.items() if state in finals),
+        lambda counts: sum(n for state, n in counts.items() if state in finals), leaf,
     )
 
 

@@ -32,7 +32,6 @@ only when an error is raised.
 from __future__ import annotations
 
 import re
-from collections import Counter
 
 from .errors import CopylessError, ParseError, UnknownSymbolError
 from .model import Sst, Transition, Update
@@ -76,6 +75,10 @@ class _Document:
         """An UnknownSymbolError at the i-th token of this line."""
         return UnknownSymbolError(f"line {self.lineno}: {message}", self.lineno, _column(self.raw, i))
 
+    def copyless(self, variable: str, message: str, i: int) -> CopylessError:
+        """A CopylessError at the i-th token of this line."""
+        return CopylessError(variable, f"line {self.lineno}: {message}", self.lineno, _column(self.raw, i))
+
     def need(self, attr: str) -> frozenset[str]:
         try:
             return self.sets[attr]
@@ -89,13 +92,13 @@ class _Document:
         if not names:
             raise self.error(f"'{attr}' declaration is empty", 0)
         declared = frozenset(names)
-        counts = Counter(names) if len(declared) < len(names) else None
+        repeats = len(declared) < len(names)
         other = _DISJOINT.get(attr)
         clash = self.sets.get(other, frozenset())
         for i, tok in enumerate(names, 1):
             if tok in _RESERVED:
                 raise self.error(f"reserved token {tok!r} cannot be declared in '{attr}'", i)
-            if counts and counts[tok] > 1:
+            if repeats and names.index(tok) < i - 1:
                 raise self.error(f"duplicate name {tok!r}", i)
             if tok in clash:
                 raise self.error(f"{tok!r} is declared both in '{other}' and in '{attr}'", i)
@@ -150,7 +153,7 @@ class _Document:
         for i, tok in enumerate(toks[3:], 3):
             if tok in variables:
                 if tok in seen_vars:
-                    raise CopylessError(tok, f"line {self.lineno}: variable {tok!r} occurs twice in a final output")
+                    raise self.copyless(tok, f"variable {tok!r} occurs twice in a final output", i)
                 seen_vars.add(tok)
             elif tok not in alphabet:
                 raise self.unknown(f"unknown symbol {tok!r} in final output", i)
@@ -201,7 +204,10 @@ class _Document:
         try:
             update = Update(self.variables, tuple([images.get(v, (v,)) for v in self.variables]))
         except CopylessError as err:
-            raise CopylessError(err.variable, f"line {self.lineno}: {err}") from None
+            # point at the second occurrence in an image, or at the only one
+            # when the other is a variable that the update leaves alone
+            seen = [k for k in range(5, end) if toks[k] == err.variable and toks[k + 1] != ":="]
+            raise self.copyless(err.variable, str(err), seen[:2][-1]) from None
         self.transitions.append(Transition(src, letter, update, tgt))
 
 
@@ -209,8 +215,9 @@ def parse_sst(text: str) -> Sst:
     """Parse a transducer document, validating as it goes.
 
     Raises ParseError with line/column for syntax problems, CopylessError
-    naming the offending variable, and UnknownSymbolError, with the line and
-    column of the name, for dangling references.
+    naming the offending variable, with the line and column of its repeat,
+    and UnknownSymbolError, with the line and column of the name, for
+    dangling references.
     """
     doc = _Document()
     if text.startswith("\ufeff"):

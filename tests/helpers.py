@@ -101,6 +101,52 @@ def random_sst(rng: random.Random, max_states: int = 3, max_vars: int = 2) -> Ss
     )
 
 
+def without_last_transition(sst: Sst) -> Sst:
+    return Sst(
+        sst.alphabet, sst.variables, sst.states, sst.initials, sst.finals,
+        sst.final_output, sst.transitions[:-1], sst.initial_assignment,
+    )
+
+
+def no_variables() -> Sst:
+    """A machine without variables: every output is a final state's letters,
+    and an input has as many outputs as final states it reaches."""
+    none = Update.identity(())
+    return Sst(
+        alphabet=("a", "b"), variables=(), states=("p", "q", "r"),
+        initials=("p",), finals=("q", "r"),
+        final_output={"q": ("b",), "r": ("a", "b")},
+        transitions=(Transition("p", "a", none, "q"), Transition("p", "a", none, "r"),
+                     Transition("q", "b", none, "p"), Transition("r", "a", none, "r"),
+                     Transition("r", "b", none, "q")),
+    )
+
+
+def format_letters() -> Sst:
+    """Letters that mean something inside a ``str.format`` field (digits,
+    ``:``, ``!``, ``[``), written next to the variables of every update and
+    output."""
+    xy = ("X", "Y")
+
+    def update(x, y):
+        return Update.make(xy, {"X": tuple(x), "Y": tuple(y)})
+
+    return Sst(
+        alphabet=("0", "1", ":", "!", "["), variables=xy, states=("s", "t"),
+        initials=("s",), finals=("s", "t"),
+        final_output={"s": ("X", ":", "Y"), "t": ("0", "Y", "!", "X", "[")},
+        transitions=(
+            Transition("s", "0", update(["X", "0"], ["[", "Y"]), "s"),
+            Transition("s", "0", update(["1", "X", "!"], ["Y"]), "s"),
+            Transition("s", "1", update(["Y", ":"], ["!", "X"]), "t"),
+            Transition("t", ":", update(["X", "Y"], ["1"]), "t"),
+            Transition("t", "!", update(["0", "Y"], ["X", "[", "0"]), "s"),
+            Transition("t", "!", update(["X"], ["Y"]), "t"),
+        ),
+        initial_assignment={"X": "[", "Y": "!:"},
+    )
+
+
 def random_word(rng: random.Random, alphabet, max_len: int) -> str:
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
 

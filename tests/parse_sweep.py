@@ -84,16 +84,12 @@ def check(doc: str) -> str:
     or ``"parsed"``."""
     try:
         sst = parse_sst(doc)
-    except (ParseError, UnknownSymbolError) as err:
+    except (ParseError, UnknownSymbolError, CopylessError) as err:
         if err.line is None and not str(err).startswith("document never declares"):
             raise AssertionError(f"{type(err).__name__} without a line: {err}") from err
-        if isinstance(err, UnknownSymbolError) and err.column is None:
-            raise AssertionError(f"UnknownSymbolError without a column: {err}") from err
+        if not isinstance(err, ParseError) and err.column is None:
+            raise AssertionError(f"{type(err).__name__} without a column: {err}") from err
         return type(err).__name__
-    except CopylessError as err:
-        if not str(err).startswith("line "):
-            raise AssertionError(f"CopylessError without a line: {err}") from err
-        return "CopylessError"
     spec = spec_of(sst)
     again = spec_of(parse_sst(render(spec)))
     if again != spec:

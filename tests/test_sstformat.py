@@ -1,18 +1,19 @@
 """The parser's errors, pinned: one malformed document per ``raise`` in
 ``sstformat.py``, plus the whitespace, comment and line-boundary cases that
 decide a token's column.  Each row fixes the exception class and its text,
-and for ``ParseError`` also the line and column attributes."""
+and for ``ParseError`` and ``CopylessError`` also the line and column
+attributes."""
 
 import pytest
 
-from sstkit import CopylessError, ParseError, UnknownSymbolError, parse_sst
+from sstkit import CopylessError, ParseError, UnknownSymbolError, Update, parse_sst
 
 H = "alphabet: a b\nvars: X1 X2\nstates: p q\ninitial: p\n"  # four lines
 HEADERS = "alphabet: a\nvars: X1\nstates: p q\n"  # three lines
 
 PINNED = [
     # (id, document, class, str(err), line, column); line and column are
-    # checked for ParseError only
+    # checked for ParseError and CopylessError only
     ("need-states", "trans p a q { }\n",
      ParseError, "line 1: 'states' must be declared before this line", 1, None),
     ("need-variables", "states: p\ntrans p a p { }\n",
@@ -33,9 +34,9 @@ PINNED = [
      ParseError, "line 2, column 1: 'variables' declaration is empty", 2, 1),
     ("reserved-token", "alphabet: a\nstates: p := q\n",
      ParseError, "line 2, column 11: reserved token ':=' cannot be declared in 'states'", 2, 11),
-    # reported at the first occurrence of the first repeated name
+    # reported at the first repeat
     ("duplicate-name", "states: p q p q\n",
-     ParseError, "line 1, column 9: duplicate name 'p'", 1, 9),
+     ParseError, "line 1, column 13: duplicate name 'p'", 1, 13),
     ("letter-and-variable", "vars: X1 a\nalphabet: b a\n",
      ParseError, "line 2, column 13: 'a' is declared both in 'variables' and in 'alphabet'", 2, 13),
     ("unknown-initial-state", HEADERS + "initial: p r\n",
@@ -59,7 +60,7 @@ PINNED = [
     ("final-duplicate", H + "final p -> X1\nfinal   p -> X2\n",
      ParseError, "line 6, column 9: duplicate 'final' for state 'p'", 6, 9),
     ("final-copy", H + "final p -> X1 a X1\n",
-     CopylessError, "line 5: variable 'X1' occurs twice in a final output", None, None),
+     CopylessError, "line 5: variable 'X1' occurs twice in a final output", 5, 17),
     ("final-unknown-symbol", H + "final p -> X1 c\n",
      UnknownSymbolError, "line 5: unknown symbol 'c' in final output", None, None),
     ("trans-shape", H + "trans p a q {\n",
@@ -83,7 +84,7 @@ PINNED = [
     ("trans-unknown-symbol", H + "trans p a q { X1 := X1 ; X2 := a c X2 }\n",
      UnknownSymbolError, "line 5: unknown symbol 'c' in update", None, None),
     ("trans-copy", H + "trans p a q { X1 := X1 X2 ; X2 := X2 }\n",
-     CopylessError, "line 5: variable 'X2' occurs more than once", None, None),
+     CopylessError, "line 5: variable 'X2' occurs more than once", 5, 35),
     # a column counts code points, a tab or a wide space as one
     ("tab-and-wide-space", H + "final p -> X1\n\tfinal\u3000p -> X2\n",
      ParseError, "line 6, column 8: duplicate 'final' for state 'p'", 6, 8),
@@ -107,7 +108,7 @@ def test_parse_error_is_pinned(doc, cls, message, line, column):
         parse_sst(doc)
     assert type(err.value) is cls
     assert str(err.value) == message
-    if cls is ParseError:
+    if cls in (ParseError, CopylessError):
         assert (err.value.line, err.value.column) == (line, column)
 
 
@@ -128,6 +129,24 @@ def test_unknown_symbol_error_points_at_the_name(doc, name, line, column):
 def test_unknown_symbol_error_outside_the_parser_has_no_position(fix_id):
     with pytest.raises(UnknownSymbolError) as err:
         fix_id.transitions[0].update.image("X9")
+    assert (err.value.line, err.value.column) == (None, None)
+
+
+@pytest.mark.parametrize("doc, column", [
+    # the repeat, in document order, whichever image holds it
+    (H + "trans p a q { X2 := X1 ; X1 := X1 }\n", 32),
+    # the only written occurrence: X2 is left alone, so it keeps X2 as well
+    (H + "trans p a q { X1 := X1 X2 }\n", 24),
+], ids=["second-image", "kept-variable"])
+def test_copyless_error_points_at_the_repeat(doc, column):
+    with pytest.raises(CopylessError) as err:
+        parse_sst(doc)
+    assert (err.value.line, err.value.column) == (5, column)
+
+
+def test_copyless_error_outside_the_parser_has_no_position():
+    with pytest.raises(CopylessError) as err:
+        Update(("X",), (("X", "X"),))
     assert (err.value.line, err.value.column) == (None, None)
 
 
