@@ -381,7 +381,7 @@ class _UpdatePool:
 
     def __init__(self, sst: Sst, table: _MonoidTable | None = None):
         self.sst, self.sep, self.table = sst, sst._sep, table
-        identity = _compile_update(sst, [(v,) for v in sst.variables])[1]
+        identity = _compile_update(sst, [(v,) for v in sst.variables])
         self.programs: list[str] = [identity]
         self.skeletons: list[int] = [0]
         self._ids: dict[str, int] = {identity: 0}

@@ -177,19 +177,18 @@ class Transition:
 class Sst:
     """A nondeterministic copyless streaming string transducer.
 
-    ``__init__`` builds the move table ``_moves`` and, in one pass over
-    each update (``_compile_update``), both compiled forms of its updates
-    and final outputs: ``str.format`` templates (``_templates``,
-    ``_final_templates``, images joined by ``_sep``; see the module
-    docstring) for the frontier functions and the W-pattern search, and op
-    tuples (``_programs``, ``_finals``) for ``_substitute`` and the
-    skeleton table.  Letters may not be ``{`` or ``}``, which a template
-    would read as part of a replacement field.  The adjacency lists and
-    the set ``skeleton_monoid`` returns are caches, each set once on first
-    use; the composed output templates of the moves into final states
-    (``_leaf_templates``, see ``_leaf_outputs``) are a cache filled one
-    state at a time, on the first scan that reads the state.  No result
-    depends on them.
+    ``__init__`` builds the move table ``_moves`` and the one compiled
+    form of each update and final output (``_compile_update``): a
+    ``str.format`` template (``_templates``, ``_final_templates``, images
+    joined by ``_sep``; see the module docstring), which the frontier
+    functions and the W-pattern search read.  Run evaluation, skeletons
+    and pumping read the declared images.  Letters may not be ``{`` or
+    ``}``, which a template would read as part of a replacement field.
+    The adjacency lists and the set ``skeleton_monoid`` returns are
+    caches, each set once on first use; the composed output templates of
+    the moves into final states (``_leaf_templates``, see
+    ``_leaf_outputs``) are a cache filled one state at a time, on the
+    first scan that reads the state.  No result depends on them.
 
     The first declared variable is conventionally the output variable, but
     outputs are defined by the per-final-state ``final_output`` expressions,
@@ -214,8 +213,8 @@ class Sst:
         self.finals = tuple(finals)
         self.final_output = {q: tuple(expr) for q, expr in final_output.items()}
         self.transitions = tuple(transitions)
-        init = dict(initial_assignment or {})
-        self.initial_assignment = {v: init.get(v, "") for v in self.variables}
+        # keys as given, so that ``_validate`` sees an unknown one
+        self.initial_assignment = {**dict.fromkeys(self.variables, ""), **(initial_assignment or {})}
 
         self._letter_index = {a: i for i, a in enumerate(self.alphabet)}
         self._state_index = {q: i for i, q in enumerate(self.states)}
@@ -230,23 +229,17 @@ class Sst:
             t = self.transitions[i]
             moves[t.source][self._letter_index[t.letter]].append((i, t.target))
         self._moves = {q: tuple(map(tuple, per_letter)) for q, per_letter in moves.items()}
-        # the updates, final outputs and initial contents in the compiled
-        # forms the evaluators read (``_compile_update``); without variables
-        # every template is empty, and the one empty image it splits into is
-        # never read
+        # the updates and final outputs as templates (``_compile_update``);
+        # without variables every template is empty, and the one empty image
+        # it splits into is never read
         self._sep = next(c for c in map(chr, count()) if c not in self._letter_index
                          and c not in "0123456789{}")
-        programs, templates = [], []
-        for t in self.transitions:
-            program, template = _compile_update(self, t.update.images)
-            programs.append(program)
-            templates.append(template)
-        self._programs, self._templates = tuple(programs), tuple(templates)
-        self._finals, self._final_templates = {}, {}
-        for q, expr in self.final_output.items():
-            (ops,), template = _compile_update(self, (expr,))
-            self._finals[q], self._final_templates[q] = ops, template
+        self._templates = tuple(_compile_update(self, t.update.images) for t in self.transitions)
+        self._final_templates = {q: _compile_update(self, (expr,)) for q, expr in self.final_output.items()}
         self._initial = tuple(self.initial_assignment[v] for v in self.variables)
+        # per state, once ``_leaf_outputs`` has read it: per letter, the
+        # composed output templates of its moves into final states
+        self._leaf_templates: dict[str, list[list[str]]] = {}
 
     def _validate(self) -> None:
         for name, items in (("alphabet", self.alphabet), ("variables", self.variables), ("states", self.states)):
@@ -327,12 +320,6 @@ class Sst:
                 for i, target in moves[q][a]:
                     pred[target].append((i, q))
         return succ, pred
-
-    @cached_property
-    def _leaf_templates(self) -> dict:
-        """Per state, once ``_leaf_outputs`` has read it: per letter, the
-        composed output templates of its moves into final states."""
-        return {}
 
     def run(self, start: str, steps: Iterable[int]) -> "Run":
         return Run(self, start, tuple(steps))
@@ -428,8 +415,8 @@ class Run:
         sst = self.sst
         contents = [[(c, 0) for c in word] for word in sst._initial]
         for step, i in enumerate(self.steps, start=1):
-            contents = _substitute(sst._programs[i], contents, step)
-        (out,) = _substitute((sst._finals[self.end],), contents, len(self.steps))
+            contents = _substitute(sst, sst.transitions[i].update.images, contents, step)
+        (out,) = _substitute(sst, (sst.final_output[self.end],), contents, len(self.steps))
         return tuple(out)
 
     @cached_property
@@ -532,7 +519,10 @@ def enumerate_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> l
 
 
 def words_over(alphabet: Sequence[str], min_len: int, max_len: int) -> Iterator[str]:
-    """Words in length-lexicographic order, letters in declared order."""
+    """Words in length-lexicographic order, letters in declared order.  A
+    negative ``min_len`` raises ``SstKitError``."""
+    if min_len < 0:
+        raise SstKitError(f"min_len must not be negative: {min_len}")
     for n in range(min_len, max_len + 1):
         for tup in product(alphabet, repeat=n):
             yield "".join(tup)
@@ -555,45 +545,29 @@ def words_over(alphabet: Sequence[str], min_len: int, max_len: int) -> Iterator[
 # first transition), so a successor first appears through its least run.
 
 
-def _compile_update(sst: Sst, images: Sequence[Sequence[str]]) -> tuple[tuple, str]:
-    """The two compiled forms of a sequence of images, built in one pass.
+def _compile_update(sst: Sst, images: Sequence[Sequence[str]]) -> str:
+    """The template of a sequence of images: letters as literal text,
+    variable k as ``{k}``, the images joined by ``sst._sep``."""
+    fields = sst._fields
+    return sst._sep.join([
+        "".join([field[1] if (field := fields.get(tok)) else tok for tok in image])
+        for image in images
+    ])
 
-    The op tuples: per image, variables as ints and each run of consecutive
-    letters as one string.  The template: letters as literal text, variable
-    k as ``{k}``, the images joined by ``sst._sep``.
-    """
-    fields, program, texts = sst._fields, [], []
+
+def _substitute(sst: Sst, images: Sequence[Sequence[str]], contents: Sequence[list], tag) -> list[list]:
+    """``images`` applied to variable contents held as item lists: each
+    variable is replaced by its items and each letter by the pair (letter,
+    ``tag``)."""
+    fields, out = sst._fields, []
     for image in images:
-        ops: list = []
-        text: list[str] = []
+        items: list = []
         for tok in image:
             field = fields.get(tok)
             if field is None:
-                text.append(tok)
-                if ops and type(ops[-1]) is str:
-                    ops[-1] += tok
-                    continue
-                ops.append(tok)
+                items.append((tok, tag))
             else:
-                ops.append(field[0])
-                text.append(field[1])
-        program.append(tuple(ops))
-        texts.append("".join(text))
-    return tuple(program), sst._sep.join(texts)
-
-
-def _substitute(program: tuple, contents: Sequence[list], tag) -> list[list]:
-    """``program`` applied to variable contents held as item lists: each
-    variable is replaced by its items and each letter by the pair (letter,
-    ``tag``)."""
-    out = []
-    for image in program:
-        items: list = []
-        for op in image:
-            if type(op) is int:
-                items += contents[op]
-            else:
-                items += [(c, tag) for c in op]
+                items += contents[field[0]]
         out.append(items)
     return out
 
@@ -762,7 +736,7 @@ def ambiguity_oracle(
     min_len: int = 1,
 ) -> tuple[int, str | None]:
     """Like ``valuedness_oracle`` but counting accepting runs."""
-    b, moves, finals = Budget.ensure(budget), sst._moves, sst._finals
+    b, moves, finals = Budget.ensure(budget), sst._moves, sst._final_templates
 
     def step(counts: dict[str, int], letter: str) -> dict[str, int]:
         """Run counts per state, one letter further."""

@@ -22,7 +22,7 @@ from .errors import (
     RunError,
     SstKitError,
 )
-from .model import Run, Sst, Update, _compile_update, _substitute
+from .model import Run, Sst, Update, _substitute
 from .wordcomb import ParamWord
 
 SKELETON_MONOID_CAP = 1_000_000
@@ -80,10 +80,12 @@ class _MonoidTable:
     """
 
     def __init__(self, sst: Sst):
-        # each transition's skeleton: its compiled update without the letters
+        # each transition's skeleton: its images without the letters, on
+        # variable indices
+        fields = sst._fields
         self._skeletons = tuple(
-            tuple(tuple([op for op in image if type(op) is int]) for image in program)
-            for program in sst._programs)
+            tuple(tuple([fields[tok][0] for tok in image if tok in fields]) for image in t.update.images)
+            for t in sst.transitions)
         self._generators: list[int | None] = [None] * len(self._skeletons)
         self.cap = SKELETON_MONOID_CAP
         self.idempotent: list[bool] = []
@@ -313,16 +315,15 @@ def pumped_output_expr(sst: Sst, run: Run, loops: LoopSet) -> PumpedOutputExpr:
         raise RunError("pumped outputs are only defined for accepting runs")
     params = tuple(f"p{k + 1}" for k in range(len(loops.intervals)))
 
-    programs = sst._programs
     # items are (word, param) pairs: a power word^param, or a literal letter
     # when param is None
     contents = [[(c, None) for c in word] for word in sst._initial]
 
-    def apply(program: tuple, sides=(), param: str | None = None) -> None:
+    def apply(update: Update, sides=(), param: str | None = None) -> None:
         """One step; a pumped loop puts its repeated side words around each
         image, a plain step has no sides."""
         nonlocal contents
-        contents = _substitute(program, contents, None)
+        contents = _substitute(sst, update.images, contents, None)
         for items, (left, right) in zip(contents, sides):
             if left:
                 items.insert(0, (left, param))
@@ -332,14 +333,14 @@ def pumped_output_expr(sst: Sst, run: Run, loops: LoopSet) -> PumpedOutputExpr:
     pos = 0
     for (i, j), update, param in zip(loops.intervals, loops.updates, params):
         for idx in run.steps[pos:i]:
-            apply(programs[idx])
+            apply(sst.transitions[idx].update)
         sides = [idempotent_power_words(update, v) for v in sst.variables]
-        apply(_compile_update(sst, update.images)[0], sides, param)
+        apply(update, sides, param)
         pos = j
     for idx in run.steps[pos:]:
-        apply(programs[idx])
+        apply(sst.transitions[idx].update)
 
-    (items,) = _substitute((sst._finals[run.end],), contents, None)
+    (items,) = _substitute(sst, (sst.final_output[run.end],), contents, None)
     constants: list[str] = []
     factors: list[tuple[str, str]] = []
     buf: list[str] = []

@@ -108,7 +108,7 @@ def reference_valuedness(sst: Sst, max_len: int, b: Budget, min_len: int):
 
 
 def reference_ambiguity(sst: Sst, max_len: int, b: Budget, min_len: int):
-    moves, finals = sst._moves, sst._finals
+    moves, finals = sst._moves, sst.finals
 
     def step(counts, letter):
         b.charge(len(counts))

@@ -183,7 +183,8 @@ def test_negative_min_len_is_an_error():
     assert ambiguity_oracle(sst, 0, min_len=0) == (2, "")
     for scan in (lambda: ambiguity_oracle(sst, 0, min_len=-1),
                  lambda: valuedness_oracle(sst, 1, min_len=-1),
-                 lambda: check_equivalence_bounded(sst, sst, 1, min_len=-1)):
+                 lambda: check_equivalence_bounded(sst, sst, 1, min_len=-1),
+                 lambda: list(words_over(sst.alphabet, -1, 1))):
         with pytest.raises(SstKitError, match="min_len must not be negative: -1"):
             scan()
 

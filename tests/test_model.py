@@ -283,16 +283,21 @@ def test_enumeration_is_sorted_and_deterministic(fix_tsc):
 
 
 def test_eval_consistency_two_paths(all_fixtures):
+    """The annotated evaluator agrees with composing the updates, on the
+    fixtures and on random machines, some with three variables and some
+    with initial assignments."""
     rng = random.Random(23)
     machines = list(all_fixtures.values()) + [random_sst(rng) for _ in range(12)]
-    checked = 0
+    machines += [random_sst(random.Random(seed), 4, 3) for seed in range(24)]
+    checked = initialized = 0
     for sst in machines:
         for _ in range(6):
             word = random_word(rng, sst.alphabet, 4)
             for run in enumerate_runs(sst, word):
                 assert run.output == output_via_updates(sst, run)
                 checked += 1
-    assert checked > 50
+                initialized += any(sst.initial_assignment.values())
+    assert checked > 50 and initialized > 20
 
 
 def test_outputs_never_exceed_runs(all_fixtures):
@@ -316,6 +321,16 @@ def test_sst_validation_rejects_bad_references():
             initials=("q",), finals=("q",), final_output={"q": ("X1", "X1")},
             transitions=(),
         )
+
+
+def test_unknown_initial_assignment_key_is_rejected(fix_id):
+    """An initial assignment for an undeclared variable is refused, not
+    dropped."""
+    parts = (fix_id.alphabet, fix_id.variables, fix_id.states, fix_id.initials,
+             fix_id.finals, fix_id.final_output, fix_id.transitions)
+    with pytest.raises(UnknownSymbolError, match="initial assignment for unknown variable 'Z'"):
+        Sst(*parts, initial_assignment={"Z": "a"})
+    assert Sst(*parts, initial_assignment={"X1": "a"}).initial_assignment == {"X1": "a"}
 
 
 def test_move_table_lists_each_source_and_letter_in_rank_order(all_fixtures):

@@ -145,7 +145,7 @@ def test_pool_ids_name_induced_updates(label, make):
         for path in paths_from(sst, state, 3):
             update = Run(sst, state, path).induced_update
             k = pool.path_id(path)
-            assert pool.programs[k] == _compile_update(sst, update.images)[1], path
+            assert pool.programs[k] == _compile_update(sst, update.images), path
             ids_of.setdefault(update, set()).add(k)
             updates_of.setdefault(k, set()).add(update)
     assert all(len(ids) == 1 for ids in ids_of.values())
@@ -191,9 +191,9 @@ def test_compose_image_matches_apply(label, make):
     n = len(sst.variables)
     for update, program in zip(updates, sst._templates):
         for image in images:
-            template = _compile_update(sst, (image,))[1]
+            template = _compile_update(sst, (image,))
             composed = compose(template, program, sep)
-            assert composed == _compile_update(sst, (update.apply_to(image),))[1]
+            assert composed == _compile_update(sst, (update.apply_to(image),))
             for _ in range(3):
                 values = tuple(rng.choice(["", "", "a", "ba", "abb"]) for _ in range(n))
                 assert composed.format(*values) == template.format(*apply(program, values, sep))
