@@ -17,7 +17,8 @@ of a pumping sequence selects which station does the "real" work; if two
 markings of the same sequence already produce different outputs for some
 tuple in {1,2}^5, the pattern is *simply divergent* and the transducer maps
 one input to unboundedly many outputs.  The search for one steps plain
-states too, and reads the skeletons it needs off the updates it meets.
+states too, and reads whether a loop or a composite has an idempotent
+skeleton off the templates of the updates it meets, letters erased.
 The analyzer therefore answers:
 
   Finite    -- no dumbbell (finitely ambiguous, hence finitely valued);
@@ -32,6 +33,7 @@ outside the search re-checks the absence of dumbbells.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, product
@@ -52,13 +54,7 @@ from .model import (
     shortest_exit_run,
     valuedness_oracle,
 )
-from .skeletons import (
-    SKELETON_MONOID_CAP,
-    _MonoidTable,
-    compose_skeletons,
-    is_idempotent,
-    skeleton_of,
-)
+from .skeletons import compose_skeletons, is_idempotent, skeleton_of
 
 
 # -- dumbbells: exact finite-ambiguity decision -----------------------------
@@ -364,9 +360,9 @@ class _UpdatePool:
     update out -- letters as text, variables as replacement fields, images
     joined by the separator -- and composing yields the template of the
     composite, so two paths share an id exactly when their induced updates
-    are equal.  Given a skeleton table, the pool numbers there the
-    skeleton of each update it interns: ``skeletons[k]`` is the id in
-    ``table`` of update k's skeleton.  The W-runs of a signature (ids of
+    are equal.  A template with its letters erased is that of the
+    update's skeleton, which ``idempotent`` composes per leg of a
+    candidate.  The W-runs of a signature (ids of
     the rho0 update and of three legs' (entry, loop, exit) updates, the
     rho4 update id, the end state) are evaluated here, memoized for the
     whole search:
@@ -379,13 +375,16 @@ class _UpdatePool:
               state).
     """
 
-    def __init__(self, sst: Sst, table: _MonoidTable | None = None):
-        self.sst, self.sep, self.table = sst, sst._sep, table
+    def __init__(self, sst: Sst):
+        self.sst, self.sep = sst, sst._sep
         identity = _compile_update(sst, [(v,) for v in sst.variables])
         self.programs: list[str] = [identity]
-        self.skeletons: list[int] = [0]
         self._ids: dict[str, int] = {identity: 0}
         self._path_ids: dict[tuple, int] = {(): 0}
+        # letters hold no braces and never the separator, so keeping the
+        # fields and separators of a template erases exactly its letters
+        self._skeleton_parts = re.compile(r"\{\d+\}|" + re.escape(self.sep)).findall
+        self._idempotent: dict[tuple, bool] = {}
         self._blocks: dict[tuple, str] = {}
         self._prefixes: dict[tuple, list] = {}
         self._suffixes: dict[tuple, list] = {}
@@ -397,20 +396,29 @@ class _UpdatePool:
         ids = self._path_ids
         if path not in ids:
             steps, sep, n = self.sst._templates, self.sep, len(path) - 1
-            programs, skeletons, table = self.programs, self.skeletons, self.table
+            programs = self.programs
             while path[:n] not in ids:
                 n -= 1
             for n in range(n + 1, len(path) + 1):
                 prefix, step = ids[path[:n - 1]], path[n - 1]
                 program = steps[step].format(*programs[prefix].split(sep))
                 if program not in self._ids:
-                    # the skeleton first, so a stop on the cap leaves the pool whole
-                    if table is not None:
-                        skeletons.append(table.product(table.generator(step), skeletons[prefix]))
                     self._ids[program] = len(programs)
                     programs.append(program)
                 ids[path[:n]] = self._ids[program]
         return ids[path]
+
+    def idempotent(self, leg: tuple) -> bool:
+        """Whether entry . loop . exit, for ``leg`` the ids of the three
+        updates, has an idempotent skeleton, memoized per leg.  Erasing
+        letters commutes with composing, so the skeleton templates compose
+        as the programs do."""
+        if leg not in self._idempotent:
+            sep = self.sep
+            entry, loop, exit_ = ("".join(self._skeleton_parts(self.programs[k])) for k in leg)
+            skeleton = exit_.format(*loop.format(*entry.split(sep)).split(sep))
+            self._idempotent[leg] = skeleton.format(*skeleton.split(sep)) == skeleton
+        return self._idempotent[leg]
 
     def ids(self, paths) -> tuple:
         """Ids of the updates induced by each of ``paths``."""
@@ -573,7 +581,6 @@ class SearchBudget:
             "component_length": self.component_length,
             "candidates": self.candidates,
             "node_budget": self.node_budget,
-            "monoid_cap": SKELETON_MONOID_CAP,
             "oracle_max_len": self.oracle_max_len,
         }
 
@@ -618,12 +625,11 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
     updates and of the rho4 update, and the end state.
 
     Station shapes are pruned by the loop/composite idempotency
-    requirements, read off the skeleton ids that ``pool`` numbers in its
-    table, before any pattern object is built.
+    requirements, read off the update templates by ``pool.idempotent``
+    (a loop k as the leg (0, k, 0)), before any pattern object is built.
     """
-    sst, table, skeletons = pool.sst, pool.table, pool.skeletons
+    sst, idempotent = pool.sst, pool.idempotent
     exit_runs = {q: shortest_exit_run(sst, q) for q in coreachable_states(sst)}
-    idempotent, product = table.idempotent, table.product
     levels_memo: dict = {}
 
     def levels(starts) -> _TripleLevels:
@@ -638,24 +644,20 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
             goal = (q1, q2, q2)
             for e_paths, stations in levels((q1, q1, q2)).upto(max_len):
                 e_ids = pool.ids(e_paths)
-                e_accs = [skeletons[k] for k in e_ids]
                 station_levels = levels(stations)
                 for l_paths, ends in station_levels.upto(max_len):
                     if ends != stations:
                         continue
                     l_ids = pool.ids(l_paths)
-                    l_accs = [skeletons[k] for k in l_ids]
-                    if not all(idempotent[k] for k in l_accs):
+                    if not all(idempotent((0, k, 0)) for k in l_ids):
                         continue
                     for x_paths, ends in station_levels.upto(max_len):
                         budget.charge()
                         if ends != goal:
                             continue
-                        x_ids = pool.ids(x_paths)
-                        if not all(idempotent[product(skeletons[x], product(l, e))]
-                                   for e, l, x in zip(e_accs, l_accs, x_ids)):
+                        legs = tuple(zip(e_ids, l_ids, pool.ids(x_paths)))
+                        if not all(map(idempotent, legs)):
                             continue
-                        legs = tuple(zip(e_ids, l_ids, x_ids))
                         if legs[0] == legs[1] == legs[2]:
                             continue  # every mark gives the same output
                         yield ((alpha, legs, omega, rho4.end), q1, q2, stations,
@@ -666,9 +668,7 @@ def _search_divergent_pattern(sst: Sst, sb: SearchBudget):
     """The first candidate with a divergent tuple, in candidate order.  The
     divergence test depends on the candidate's signature only, so a
     signature already found non-divergent is skipped untested; the budget
-    is charged for it all the same.  The search numbers skeletons in a
-    table of its own, and passing the table's cap stops it as the budget
-    does."""
+    is charged for it all the same."""
     budget = Budget(sb.candidates)
     report = {
         "component_length": sb.component_length,
@@ -677,7 +677,7 @@ def _search_divergent_pattern(sst: Sst, sb: SearchBudget):
     }
     non_divergent: set[tuple] = set()
     try:
-        pool = _UpdatePool(sst, _MonoidTable(sst))
+        pool = _UpdatePool(sst)
         for signature, *shape in _pattern_candidates(pool, sb.component_length, budget):
             if signature in non_divergent:
                 continue

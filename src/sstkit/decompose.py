@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .delay import delay
-from .errors import InputMismatchError, SstKitError
+from .errors import InputMismatchError, ParameterError, SstKitError
 from .model import (
     Budget, Run, Sst, _final_outputs, _frontier, _leaf_outputs, _scan, _start, _step, enumerate_runs,
 )
@@ -47,8 +47,11 @@ def semantic_cover(
     A run is dropped when some lexicographically smaller run has the same
     output and delay at most D (with cut parameter C).  The survivors
     produce the same output set as the full run set, and every surviving
-    pair either differs in output or has delay greater than D.
+    pair either differs in output or has delay greater than D.  ``C``
+    below 1 raises ``ParameterError``, whatever the runs.
     """
+    if C < 1:
+        raise ParameterError("C must be at least 1")
     survivors: list[Run] = []
     # the runs so far of each output, in lexicographic order
     earlier: dict[str, list[Run]] = {}

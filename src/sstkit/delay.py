@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputMismatchError, OutputMismatchError
+from .errors import InputMismatchError, OutputMismatchError, ParameterError
 from .wordcomb import cuts
 
 
@@ -38,9 +38,9 @@ def weight(run, t: int, j: int) -> int:
     """Number of output positions j' <= j produced by the first t steps."""
     annotated = run.annotated_output
     if not 0 <= t <= run.input_length:
-        raise ValueError(f"step {t} outside 0..{run.input_length}")
+        raise ParameterError(f"step {t} outside 0..{run.input_length}")
     if not 1 <= j <= len(annotated):
-        raise ValueError(f"output position {j} outside 1..{len(annotated)}")
+        raise ParameterError(f"output position {j} outside 1..{len(annotated)}")
     return sum(1 for _, step in annotated[:j] if step <= t)
 
 

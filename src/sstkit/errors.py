@@ -72,5 +72,7 @@ class NotIdempotentError(SstKitError):
     """An update without an idempotent skeleton was used where a loop is required."""
 
 
-class ParameterError(SstKitError):
-    """Bad parameter structure or assignment in a word inequality."""
+class ParameterError(SstKitError, ValueError):
+    """A bad argument: a cut bound ``C`` below 1, a step or output position
+    outside a run, or a bad parameter structure or assignment in a word
+    inequality.  Also a ``ValueError``."""

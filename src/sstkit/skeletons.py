@@ -2,7 +2,9 @@
 
 The skeleton of an update is the update with every letter erased; only the
 flow of variables into variables remains.  Skeletons compose like updates
-and there are finitely many of them, so they form a finite monoid.  A loop
+and there are finitely many of them, so they form a finite monoid, which
+``skeleton_monoid`` closes under a cap of ``SKELETON_MONOID_CAP``
+elements; no analysis numbers its elements.  A loop
 of a run is an interval that starts and ends in the same state and whose
 induced update has an idempotent skeleton; repeating (pumping) a loop keeps
 the run valid and changes the output in a very disciplined way: each pumped
@@ -64,67 +66,6 @@ def compose_skeletons(a: Skeleton, b: Skeleton) -> Skeleton:
 
 def is_idempotent(s: Skeleton) -> bool:
     return compose_skeletons(s, s) == s
-
-
-class _MonoidTable:
-    """The skeletons met by one W-pattern search, numbered in the order the
-    search meets them, 0 being the identity.
-
-    ``generator(i)`` is the id of transition i's skeleton and
-    ``product(a, b)`` that of ``compose_skeletons`` of elements a and b,
-    both numbered on first use; ``idempotent[k]`` says whether element k
-    is idempotent.  Products are computed on images of variable indices
-    (``_compose``).  ``_number`` raises ``BudgetExceededError`` once the
-    table holds more than ``SKELETON_MONOID_CAP`` elements, so the cap
-    counts what one search has numbered, not the whole monoid.
-    """
-
-    def __init__(self, sst: Sst):
-        # each transition's skeleton: its images without the letters, on
-        # variable indices
-        fields = sst._fields
-        self._skeletons = tuple(
-            tuple(tuple([fields[tok][0] for tok in image if tok in fields]) for image in t.update.images)
-            for t in sst.transitions)
-        self._generators: list[int | None] = [None] * len(self._skeletons)
-        self.cap = SKELETON_MONOID_CAP
-        self.idempotent: list[bool] = []
-        self._raw: list[tuple] = []
-        self._ids: dict[tuple, int] = {}
-        self._products: dict[tuple[int, int], int] = {}
-        self._number(tuple((i,) for i in range(len(sst.variables))))  # the identity
-
-    def __len__(self) -> int:
-        return len(self._raw)
-
-    def _number(self, raw: tuple) -> int:
-        k = self._ids.get(raw)
-        if k is None:
-            k = self._ids[raw] = len(self._raw)
-            self._raw.append(raw)
-            self.idempotent.append(_compose(raw, raw) == raw)
-            if len(self._raw) > self.cap:
-                raise _over_cap(self.cap)
-        return k
-
-    def generator(self, i: int) -> int:
-        """Id of the skeleton of transition i."""
-        k = self._generators[i]
-        if k is None:
-            k = self._generators[i] = self._number(self._skeletons[i])
-        return k
-
-    def product(self, a: int, b: int) -> int:
-        """Id of ``compose_skeletons`` of elements a and b, memoized."""
-        prod = self._products.get((a, b))
-        if prod is None:
-            prod = self._products[a, b] = self._number(_compose(self._raw[a], self._raw[b]))
-        return prod
-
-
-def _compose(a: tuple, b: tuple) -> tuple:
-    """``compose_skeletons`` on images of variable indices."""
-    return tuple([tuple([x for i in image for x in b[i]]) for image in a])
 
 
 def _over_cap(cap: int) -> BudgetExceededError:

@@ -2,6 +2,7 @@ import pytest
 
 from sstkit import (
     InputMismatchError,
+    ParameterError,
     SstKitError,
     check_equivalence_bounded,
     decompose_selectors,
@@ -74,6 +75,14 @@ def test_cover_fix_amb(fix_amb):
     cover = semantic_cover(fix_amb, "aa", 1, 100)
     assert len(cover) == 3
     assert {run.output for run in cover} == {"", "a", "aa"}
+
+
+def test_cover_checks_c_on_every_input(fix_id, fix_amb):
+    # FIX-ID has one run on "aa", FIX-AMB two with a shared output: C is
+    # checked before any delay is measured, so both raise
+    for sst in (fix_id, fix_amb):
+        with pytest.raises(ParameterError, match="C must be at least 1"):
+            semantic_cover(sst, "aa", 0, 1)
 
 
 def test_cover_preserves_outputs_and_separates(all_fixtures):

@@ -6,6 +6,7 @@ from sstkit import (
     InputMismatchError,
     OutputMismatchError,
     RunProfile,
+    SstKitError,
     delay,
     enumerate_runs,
     weight,
@@ -48,6 +49,8 @@ def test_weight_range_errors():
         weight(LEFTISH, 1, 0)
     with pytest.raises(ValueError):
         weight(LEFTISH, 1, 8)
+    with pytest.raises(SstKitError):
+        weight(LEFTISH, 3, 1)
 
 
 def test_delay_worked_example():

@@ -14,7 +14,6 @@ import sstkit
 from sstkit import BudgetExceededError, Run, build_wrun
 from sstkit.analysis import _UpdatePool, _build_pattern, _pattern_candidates
 from sstkit.model import Budget, _compile_update
-from sstkit.skeletons import _MonoidTable
 
 from helpers import random_sst
 from test_signature_skip import TWINS
@@ -37,7 +36,7 @@ SEQUENCES = [(2,), (1, 2, 1), (2, 1, 1, 2)]
 def distinct_candidates(sst, limit=SIGNATURES, budget=5000):
     """The first ``limit`` candidates with distinct signatures, at component
     length 2."""
-    pool = _UpdatePool(sst, _MonoidTable(sst))
+    pool = _UpdatePool(sst)
     seen = {}
     try:
         for raw in _pattern_candidates(pool, 2, Budget(budget)):

@@ -14,7 +14,6 @@ from sstkit.analysis import (
     _search_divergent_pattern,
 )
 from sstkit.model import Budget
-from sstkit.skeletons import _MonoidTable
 
 from helpers import random_sst
 
@@ -79,7 +78,7 @@ def reference_search(sst, sb):
     """Test every candidate in order and stop at the first divergent one:
     (candidate, tuple, budget used, exhausted)."""
     budget = Budget(sb.candidates)
-    pool = _UpdatePool(sst, _MonoidTable(sst))
+    pool = _UpdatePool(sst)
     try:
         for raw in _pattern_candidates(pool, sb.component_length, budget):
             tup = pool.first_divergent_tuple(raw[0])

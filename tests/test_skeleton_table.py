@@ -1,8 +1,8 @@
-"""The numbered skeleton table of the W-pattern search: its products and
-idempotency flags against ``compose_skeletons``, the skeleton ids its
-update pool numbers, its cap rule, a search whose results do not depend
-on the order in which elements were numbered, and a dumbbell search that
-builds no table.  ``skeleton_monoid``, the public closure, is checked
+"""Skeleton idempotency in the W-pattern search, read off the update
+templates its pool interns: every answer against ``compose_skeletons``,
+the skeleton template of every update, a search whose results do not
+depend on the order in which updates were numbered, and searches that no
+monoid cap stops.  ``skeleton_monoid``, the public closure, is checked
 against brute force and keeps its own cap."""
 
 import gc
@@ -14,24 +14,41 @@ import pytest
 import sstkit
 from sstkit import (
     BudgetExceededError,
-    Run,
     SearchBudget,
     Skeleton,
+    Update,
     analysis,
     analyze_valuedness,
     compose_skeletons,
+    compose_updates,
     find_dumbbell,
     is_idempotent,
+    parse_sst,
     skeleton_monoid,
     skeleton_of,
     skeletons,
 )
 from sstkit.analysis import _search_divergent_pattern
-from sstkit.skeletons import _MonoidTable, transition_skeletons
+from sstkit.model import _compile_update
+from sstkit.skeletons import transition_skeletons
 
 from helpers import random_sst
 
+# Letters that are digits: erasing them from a template as characters
+# would also erase the indices of its replacement fields, and read the
+# swap of X and Y as the identity.
+SWAP_01 = """\
+alphabet: 0 1
+vars: X Y
+states: p
+initial: p
+final p -> X Y
+trans p 0 p { X := Y 0 ; Y := X }
+trans p 1 p { X := X 1 ; Y := Y }
+"""
+
 CASES = [(name, lambda name=name: sstkit.fixtures.load(name)) for name in sstkit.fixtures.names()]
+CASES += [("swap-01", lambda: parse_sst(SWAP_01))]
 CASES += [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s))) for s in range(40)]
 # six states and four variables give monoids of hundreds of elements
 CASES += [(f"random_sst({s}, 6, 4)",
@@ -56,74 +73,65 @@ def brute_monoid(sst) -> set:
 
 
 @pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
-def test_table_matches_compose_skeletons(label, make):
-    """Number the whole monoid through ``generator`` and ``product`` and
-    follow every id with the skeleton that ``compose_skeletons`` gives."""
+def test_skeleton_monoid_matches_brute_force(label, make):
     sst = make()
-    table = _MonoidTable(sst)
-    generators = transition_skeletons(sst)
-    elements = {0: Skeleton.identity(sst.variables)}
-    for i, g in enumerate(generators):
-        assert elements.setdefault(table.generator(i), g) == g
-    order = list(elements)
-    for k in order:
-        for i, g in enumerate(generators):
-            prod = compose_skeletons(g, elements[k])
-            j = table.product(table.generator(i), k)
-            if j not in elements:
-                elements[j] = prod
-                order.append(j)
-            assert elements[j] == prod
-    assert sorted(elements) == list(range(len(table)))
-    assert len(set(elements.values())) == len(elements)  # one id per element
-    assert set(elements.values()) == skeleton_monoid(sst) == brute_monoid(sst)
-    assert table.idempotent == [is_idempotent(elements[k]) for k in range(len(table))]
-    sample = range(min(len(table), 25))
-    for a in sample:
-        for b in sample:
-            assert elements[table.product(a, b)] == compose_skeletons(elements[a], elements[b])
+    assert skeleton_monoid(sst) == brute_monoid(sst)
 
 
-def recorded_search(sst, monkeypatch, table_class=_MonoidTable):
+def recorded_search(sst, monkeypatch, pool_class=None):
     """(witness description, report, pool) of a small W-pattern search,
-    with the search's tables built from ``table_class``."""
+    with the search's pool built from ``pool_class``."""
     pools = []
 
-    class Recorded(analysis._UpdatePool):
+    class Recorded(pool_class or analysis._UpdatePool):
         def __init__(self, *args):
             super().__init__(*args)
             pools.append(self)
 
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "_UpdatePool", Recorded)
-        patch.setattr(analysis, "_MonoidTable", table_class)
         witness, report = _search_divergent_pattern(
             sst, SearchBudget(component_length=2, candidates=2000))
-    # the pool, or None when the cap stopped the search before it built one;
-    # popped, so that the recording class keeps no reference to it
-    pool = pools.pop() if pools else None
+    # popped, so that the recording class keeps no reference to the pool
+    pool = pools.pop()
     assert not pools
     return (None if witness is None else witness.describe()), report, pool
 
 
+def pool_updates(sst, pool) -> dict:
+    """Each update id of ``pool`` with the update of a path it interned,
+    composed step by step through ``compose_updates``."""
+    of_path = {(): Update.identity(sst.variables)}
+    for path in sorted(pool._path_ids, key=len):
+        if path:
+            of_path[path] = compose_updates(sst.transitions[path[-1]].update, of_path[path[:-1]])
+    return {k: of_path[path] for path, k in pool._path_ids.items()}
+
+
 @pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
-def test_pool_numbers_the_skeleton_of_every_update(label, make, monkeypatch):
-    """Two updates interned by a search share a skeleton id exactly when
-    their induced updates have equal skeletons, and the id's flag says
-    whether that skeleton is idempotent."""
+def test_table_matches_compose_skeletons(label, make, monkeypatch):
+    """Every idempotency answer that a search's pool memoized, per leg
+    (entry, loop, exit) of update ids, is that of the composed updates'
+    skeleton."""
     sst = make()
     *_, pool = recorded_search(sst, monkeypatch)
-    ids_of, skeletons_of = {}, {}
-    for path, k in pool._path_ids.items():
-        start = sst.transitions[path[0]].source if path else sst.states[0]
-        skeleton = skeleton_of(Run(sst, start, path).induced_update)
-        u = pool.skeletons[k]
-        ids_of.setdefault(skeleton, set()).add(u)
-        skeletons_of.setdefault(u, set()).add(skeleton)
-        assert pool.table.idempotent[u] == is_idempotent(skeleton)
-    assert len(pool.skeletons) == len(pool.programs)
-    assert all(len(ids) == 1 for ids in ids_of.values())
-    assert all(len(s) == 1 for s in skeletons_of.values())
+    updates = pool_updates(sst, pool)
+    for (e, l, x), answer in pool._idempotent.items():
+        composite = compose_updates(updates[x], compose_updates(updates[l], updates[e]))
+        assert answer == is_idempotent(skeleton_of(composite)), (e, l, x)
+    if label == "swap-01":
+        assert False in pool._idempotent.values()
+
+
+@pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
+def test_pool_numbers_the_skeleton_of_every_update(label, make, monkeypatch):
+    """The template of every update a search interned, with its letters
+    erased, is the template of the update's skeleton."""
+    sst = make()
+    *_, pool = recorded_search(sst, monkeypatch)
+    for k, update in pool_updates(sst, pool).items():
+        erased = "".join(pool._skeleton_parts(pool.programs[k]))
+        assert erased == _compile_update(sst, skeleton_of(update).images), k
 
 
 CAP_CASES = [(name, lambda name=name: sstkit.fixtures.load(name)) for name in sstkit.fixtures.names()]
@@ -167,47 +175,51 @@ def dumbbell_or_stop(sst):
     return None if found is None else found.describe()
 
 
-class ClosedFirst(_MonoidTable):
-    """A table that numbers the whole monoid before the search starts,
-    generators in reverse declaration order."""
+class ReversedFirst(analysis._UpdatePool):
+    """A pool that numbers the update of every transition before the
+    search starts, in reverse declaration order."""
 
     def __init__(self, sst):
         super().__init__(sst)
-        k = 0
-        while k < len(self):
-            for i in reversed(range(len(sst.transitions))):
-                self.product(self.generator(i), k)
-            k += 1
+        for i in reversed(range(len(sst.transitions))):
+            self.path_id((i,))
 
 
 @pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
 def test_searches_do_not_depend_on_element_ids(label, make, monkeypatch):
-    # a plain table numbers elements in the order the search reaches them;
-    # a closed one numbers them all first, in closure order
+    # a plain pool numbers updates in the order the search meets them; the
+    # other numbers the transitions' updates first, in reverse order
     fresh = recorded_search(make(), monkeypatch)
-    closed = recorded_search(make(), monkeypatch, ClosedFirst)
-    assert fresh[:2] == closed[:2]
+    reversed_first = recorded_search(make(), monkeypatch, ReversedFirst)
+    assert fresh[:2] == reversed_first[:2]
 
 
-def no_table(sst):
-    raise AssertionError("the dumbbell search built a skeleton table")
+def no_pool(sst):
+    raise AssertionError("the dumbbell search built an update pool")
 
 
 @pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
 def test_search_numbers_only_what_it_multiplies(label, make, monkeypatch):
     # the dumbbell search runs on plain states and powers its witness with
-    # compose_skeletons: it multiplies nothing in a table, so it builds none
-    monkeypatch.setattr(analysis, "_MonoidTable", no_table)
+    # compose_skeletons: it composes no templates, so it builds no pool
+    monkeypatch.setattr(analysis, "_UpdatePool", no_pool)
     dumbbell_or_stop(make())
+
+
+def small_verdict(sst):
+    return analyze_valuedness(sst, SearchBudget(component_length=2, candidates=2000)).to_json()
 
 
 @pytest.mark.parametrize("label, make", CAP_CASES, ids=[c[0] for c in CAP_CASES])
 def test_search_cap_counts_the_elements_it_numbered(label, make, monkeypatch):
-    # the dumbbell search numbers no element, so no cap stops it, not even
-    # one that the table's identity alone exceeds
-    expected = dumbbell_or_stop(make())
+    # no analysis numbers an element of the skeleton monoid, so not even a
+    # cap that the identity alone exceeds changes a dumbbell or a verdict;
+    # FIX-ID and random_sst(7, 6, 4) are Finite, with monoids of 1 and 8
+    expected = dumbbell_or_stop(make()), small_verdict(make())
+    if label in ("FIX-ID", "random_sst(7, 6, 4)"):
+        assert expected[1]["kind"] == "Finite"
     monkeypatch.setattr(skeletons, "SKELETON_MONOID_CAP", 0)
-    assert dumbbell_or_stop(make()) == expected
+    assert (dumbbell_or_stop(make()), small_verdict(make())) == expected
 
 
 @pytest.mark.parametrize("make, cap", [
@@ -221,32 +233,29 @@ def test_finite_verdict_ignores_the_monoid_cap(make, cap, monkeypatch):
     assert len(skeleton_monoid(make())) > cap
     monkeypatch.setattr(skeletons, "SKELETON_MONOID_CAP", cap)
     assert analyze_valuedness(make()).kind == "Finite"
-    monkeypatch.setattr(analysis, "_MonoidTable", no_table)
+    monkeypatch.setattr(analysis, "_UpdatePool", no_pool)
     assert find_dumbbell(make()) is None
 
 
 @pytest.mark.parametrize("label, make", CAP_CASES, ids=[c[0] for c in CAP_CASES])
 def test_pattern_search_cap_counts_the_elements_it_numbered(label, make, monkeypatch):
-    *expected, pool = recorded_search(make(), monkeypatch)
-    numbered = len(pool.table)
-    monkeypatch.setattr(skeletons, "SKELETON_MONOID_CAP", numbered - 1)
-    witness, report, _ = recorded_search(make(), monkeypatch)
-    assert witness is None and report["exhausted"] is True
-    monkeypatch.setattr(skeletons, "SKELETON_MONOID_CAP", numbered)
-    assert list(recorded_search(make(), monkeypatch)[:2]) == expected
+    # the W-pattern search reads idempotency off its pool's templates and
+    # numbers no element of the monoid, so a cap of 0 does not stop it
+    expected = recorded_search(make(), monkeypatch)[:2]
+    monkeypatch.setattr(skeletons, "SKELETON_MONOID_CAP", 0)
+    assert recorded_search(make(), monkeypatch)[:2] == expected
 
 
-def test_search_frees_its_table_without_the_cycle_collector(monkeypatch):
-    """A search's table and update pool live only as long as the search:
-    with the cyclic collector off, both are freed once it returns."""
+def test_search_frees_its_pool_without_the_cycle_collector(monkeypatch):
+    """A search's update pool lives only as long as the search: with the
+    cyclic collector off, it is freed once the search returns."""
     sst = sstkit.fixtures.load("FIX-TSC")
     enabled = gc.isenabled()
     gc.disable()
     try:
         *_, pool = recorded_search(sst, monkeypatch)
-        table = weakref.ref(pool.table)
         pool = weakref.ref(pool)
-        assert pool() is None and table() is None
+        assert pool() is None
     finally:
         if enabled:
             gc.enable()
