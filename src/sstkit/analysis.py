@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, product
 
 from .errors import BudgetExceededError, RunError, SstKitError
@@ -360,12 +361,12 @@ class _UpdatePool:
     update out -- letters as text, variables as replacement fields, images
     joined by the separator -- and composing yields the template of the
     composite, so two paths share an id exactly when their induced updates
-    are equal.  A template with its letters erased is that of the
-    update's skeleton, which ``idempotent`` composes per leg of a
-    candidate.  The W-runs of a signature (ids of
-    the rho0 update and of three legs' (entry, loop, exit) updates, the
-    rho4 update id, the end state) are evaluated here, memoized for the
-    whole search:
+    are equal.  ``step`` finds a path's id one transition at a time,
+    memoized per (update id, transition).  A template with its letters
+    erased is that of the update's skeleton, which ``idempotent`` composes
+    per leg of a candidate.  The W-runs of a signature (ids of the rho0
+    update and of three legs' (entry, loop, exit) updates, the rho4 update
+    id, the end state) are evaluated here, memoized for the whole search:
 
       block   entry . loop^x . exit, per (leg, x);
       prefix  the contents after rho0 and a sequence of blocks, per (rho0
@@ -380,7 +381,7 @@ class _UpdatePool:
         identity = _compile_update(sst, [(v,) for v in sst.variables])
         self.programs: list[str] = [identity]
         self._ids: dict[str, int] = {identity: 0}
-        self._path_ids: dict[tuple, int] = {(): 0}
+        self._steps: dict[tuple, int] = {}
         # letters hold no braces and never the separator, so keeping the
         # fields and separators of a template erases exactly its letters
         self._skeleton_parts = re.compile(r"\{\d+\}|" + re.escape(self.sep)).findall
@@ -389,24 +390,21 @@ class _UpdatePool:
         self._prefixes: dict[tuple, list] = {}
         self._suffixes: dict[tuple, list] = {}
 
+    def step(self, k: int, i: int) -> int:
+        """Id of update ``k`` followed by that of transition ``i``, memoized
+        per (k, i)."""
+        key = (k, i)
+        if key not in self._steps:
+            program = self.sst._templates[i].format(*self.programs[k].split(self.sep))
+            if program not in self._ids:
+                self._ids[program] = len(self.programs)
+                self.programs.append(program)
+            self._steps[key] = self._ids[program]
+        return self._steps[key]
+
     def path_id(self, path: tuple) -> int:
-        """Id of the update induced by a path of transitions: the program of
-        ``path[:-1]`` followed by that of step ``path[-1]``, memoized for
-        every prefix."""
-        ids = self._path_ids
-        if path not in ids:
-            steps, sep, n = self.sst._templates, self.sep, len(path) - 1
-            programs = self.programs
-            while path[:n] not in ids:
-                n -= 1
-            for n in range(n + 1, len(path) + 1):
-                prefix, step = ids[path[:n - 1]], path[n - 1]
-                program = steps[step].format(*programs[prefix].split(sep))
-                if program not in self._ids:
-                    self._ids[program] = len(programs)
-                    programs.append(program)
-                ids[path[:n]] = self._ids[program]
-        return ids[path]
+        """Id of the update induced by a path of transitions."""
+        return reduce(self.step, path, 0)
 
     def idempotent(self, leg: tuple) -> bool:
         """Whether entry . loop . exit, for ``leg`` the ids of the three
@@ -420,14 +418,10 @@ class _UpdatePool:
             self._idempotent[leg] = skeleton.format(*skeleton.split(sep)) == skeleton
         return self._idempotent[leg]
 
-    def ids(self, paths) -> tuple:
-        """Ids of the updates induced by each of ``paths``."""
-        return tuple([self.path_id(path) for path in paths])
-
     def signature(self, pattern: WPattern) -> tuple:
         return (
             self.path_id(pattern.rho0.steps),
-            tuple(zip(*(self.ids([r.steps for r in group])
+            tuple(zip(*([self.path_id(r.steps) for r in group]
                         for group in (pattern.entries, pattern.loops, pattern.exits)))),
             self.path_id(pattern.rho4.steps),
             pattern.rho4.end,
@@ -588,26 +582,29 @@ class SearchBudget:
 class _TripleLevels:
     """Synchronized run triples from a fixed start triple of states,
     generated level by level: level d holds every triple over one shared
-    input of length exactly d, in lexicographic path order, as (paths, end
-    states).  Lazy, so shallow candidates are tested before deeper triples
-    are ever generated."""
+    input of length exactly d, in lexicographic path order, as (paths, ids
+    in ``pool`` of the updates they induce, end states).  Lazy, so shallow
+    candidates are tested before deeper triples are ever generated."""
 
-    def __init__(self, sst: Sst, starts: tuple, budget: Budget):
-        self.moves, self.budget = sst._moves, budget
+    def __init__(self, pool: _UpdatePool, starts: tuple, budget: Budget):
+        self.moves, self.step, self.budget = pool.sst._moves, pool.step, budget
         budget.charge()
-        self.levels: list[list[tuple]] = [[(((), (), ()), starts)]]
+        self.levels: list[list[tuple]] = [[(((), (), ()), (0, 0, 0), starts)]]
 
     def level(self, depth: int) -> list[tuple]:
-        charge, moves = self.budget.charge, self.moves
+        charge, moves, step = self.budget.charge, self.moves, self.step
         while len(self.levels) <= depth:
             fresh: list[tuple] = []
-            for (p1, p2, p3), (s1, s2, s3) in self.levels[-1]:
+            for (p1, p2, p3), (k1, k2, k3), (s1, s2, s3) in self.levels[-1]:
                 for letter1, letter2, letter3 in zip(moves[s1], moves[s2], moves[s3]):
                     for i1, v1 in letter1:
+                        j1 = step(k1, i1)
                         for i2, v2 in letter2:
+                            j2 = step(k2, i2)
                             for i3, v3 in letter3:
                                 charge()
-                                fresh.append(((p1 + (i1,), p2 + (i2,), p3 + (i3,)), (v1, v2, v3)))
+                                fresh.append(((p1 + (i1,), p2 + (i2,), p3 + (i3,)),
+                                              (j1, j2, step(k3, i3)), (v1, v2, v3)))
             self.levels.append(fresh)
         return self.levels[depth]
 
@@ -622,45 +619,45 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
     exit_paths); ``_build_pattern`` takes the shape, the tuple less its
     signature.  The signature is what the divergence test depends on: ids
     in ``pool`` of the rho0 update, of the three legs' (entry, loop, exit)
-    updates and of the rho4 update, and the end state.
+    updates, read off the level entries, and of the rho4 update, found at
+    the first candidate ending at its state, and the end state.
 
     Station shapes are pruned by the loop/composite idempotency
     requirements, read off the update templates by ``pool.idempotent``
     (a loop k as the leg (0, k, 0)), before any pattern object is built.
     """
     sst, idempotent = pool.sst, pool.idempotent
-    exit_runs = {q: shortest_exit_run(sst, q) for q in coreachable_states(sst)}
+    exits: dict[str, tuple] = {}  # q2 -> (rho4 update id, end state)
     levels_memo: dict = {}
 
     def levels(starts) -> _TripleLevels:
         if starts not in levels_memo:
-            levels_memo[starts] = _TripleLevels(sst, starts, budget)
+            levels_memo[starts] = _TripleLevels(pool, starts, budget)
         return levels_memo[starts]
 
+    coreachable = coreachable_states(sst)
     for q1 in reachable_states(sst):
         alpha = pool.path_id(shortest_access_run(sst, q1).steps)
-        for q2, rho4 in exit_runs.items():
-            omega = pool.path_id(rho4.steps)
+        for q2 in coreachable:
             goal = (q1, q2, q2)
-            for e_paths, stations in levels((q1, q1, q2)).upto(max_len):
-                e_ids = pool.ids(e_paths)
+            for e_paths, e_ids, stations in levels((q1, q1, q2)).upto(max_len):
                 station_levels = levels(stations)
-                for l_paths, ends in station_levels.upto(max_len):
-                    if ends != stations:
+                for l_paths, l_ids, ends in station_levels.upto(max_len):
+                    if ends != stations or not all(idempotent((0, k, 0)) for k in l_ids):
                         continue
-                    l_ids = pool.ids(l_paths)
-                    if not all(idempotent((0, k, 0)) for k in l_ids):
-                        continue
-                    for x_paths, ends in station_levels.upto(max_len):
+                    for x_paths, x_ids, ends in station_levels.upto(max_len):
                         budget.charge()
                         if ends != goal:
                             continue
-                        legs = tuple(zip(e_ids, l_ids, pool.ids(x_paths)))
+                        legs = tuple(zip(e_ids, l_ids, x_ids))
                         if not all(map(idempotent, legs)):
                             continue
                         if legs[0] == legs[1] == legs[2]:
                             continue  # every mark gives the same output
-                        yield ((alpha, legs, omega, rho4.end), q1, q2, stations,
+                        if q2 not in exits:
+                            rho4 = shortest_exit_run(sst, q2)
+                            exits[q2] = pool.path_id(rho4.steps), rho4.end
+                        yield ((alpha, legs, *exits[q2]), q1, q2, stations,
                                e_paths, l_paths, x_paths)
 
 

@@ -74,9 +74,10 @@ def _count(text: str, low: int = 0) -> int:
     return value
 
 
-def _period(text: str) -> int:
-    """The argparse type of ``--C``, the cut period bound: an integer, one or
-    more, checked before any run needs it."""
+def _positive(text: str) -> int:
+    """The argparse type of ``--C``, the cut period bound, and of ``--k``,
+    the number of selectors: an integer, one or more, checked before any
+    document is read."""
     return _count(text, low=1)
 
 
@@ -130,15 +131,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("delay", _cmd_delay, "weight tables and delay of two runs on one input")
     p.add_argument("--input", required=True)
-    p.add_argument("--C", type=_period, default=2, help="cut period bound")
+    p.add_argument("--C", type=_positive, default=2, help="cut period bound")
     p.add_argument("--run1", type=int, default=None, help="index into the run list")
     p.add_argument("--run2", type=int, default=None)
     p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     p = add("decompose", _cmd_decompose, "selector table (and cover sizes) up to a length")
-    p.add_argument("--k", type=int, required=True, help="number of selectors")
+    p.add_argument("--k", type=_positive, required=True, help="number of selectors")
     p.add_argument("--max-len", type=_count, default=3)
-    p.add_argument("--C", type=_period, default=2)
+    p.add_argument("--C", type=_positive, default=2)
     p.add_argument("--D", type=_count, default=10, help="delay bound of the semantic cover")
     p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
@@ -306,8 +307,6 @@ def _cmd_delay(args, report, sst: Sst) -> int:
 
 
 def _cmd_decompose(args, report, sst: Sst) -> int:
-    if args.k < 1:
-        raise SstKitError("need at least one selector")
     table = []
     header = "input      | cover | " + " | ".join(f"sel_{i + 1}" for i in range(args.k))
     report.say(header)

@@ -204,7 +204,6 @@ ERROR_ARGVS = {
     "copyless violation": ["validate", "bad.sst"],
     "crlf validate": ["validate", "fix_tsc_crlf.sst"],
     "crlf equiv": ["equiv", "fix_tsc.sst", "fix_tsc_crlf.sst"],
-    "decompose --k 0": ["decompose", "fix_tsc.sst", "--k", "0"],
     "delay --run2 99": ["delay", "fix_tsc.sst", "--input", "00", "--run2", "99"],
     "eval unknown letter": ["eval", "fix_tsc.sst", "--input", "z"],
 }
@@ -212,6 +211,7 @@ ERROR_ARGVS = {
 USAGE_ARGVS = {
     "unknown flag": ["oracle", "fix_tsc.sst", "--no-such-flag"],
     "no command": [],
+    "decompose --k 0": ["decompose", "fix_tsc.sst", "--k", "0"],
 }
 
 

@@ -194,6 +194,16 @@ def test_cut_period_below_one_is_a_usage_error(docs, capsys, argv, period):
     assert f"error: argument --C: must be at least 1: {period}" in captured.err
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_selector_count_below_one_is_a_usage_error(tmp_path, capsys, k):
+    """``--k`` is checked when the command line is read, before any
+    document is: with a missing document, the usage error names ``--k``."""
+    assert main(["decompose", str(tmp_path / "missing.sst"), "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --k: must be at least 1: {k}" in captured.err
+
+
 def test_non_integer_count_is_a_usage_error(docs, capsys):
     assert main(["ambiguity", docs["FIX-TSC"], "--budget", "x"]) == 2
     captured = capsys.readouterr()

@@ -99,13 +99,17 @@ def recorded_search(sst, monkeypatch, pool_class=None):
 
 
 def pool_updates(sst, pool) -> dict:
-    """Each update id of ``pool`` with the update of a path it interned,
-    composed step by step through ``compose_updates``."""
-    of_path = {(): Update.identity(sst.variables)}
-    for path in sorted(pool._path_ids, key=len):
-        if path:
-            of_path[path] = compose_updates(sst.transitions[path[-1]].update, of_path[path[:-1]])
-    return {k: of_path[path] for path, k in pool._path_ids.items()}
+    """Each update id of ``pool`` with its update, rebuilt from the pool's
+    step memo through ``compose_updates``: the entry (k, i) -> j says that
+    update j is update k followed by transition i.  An entry is memoized
+    only once update k has an id, so in memo order each k is 0 or an
+    earlier entry's j."""
+    updates = {0: Update.identity(sst.variables)}
+    for (k, i), j in pool._steps.items():
+        update = compose_updates(sst.transitions[i].update, updates[k])
+        assert updates.setdefault(j, update) == update, (k, i, j)
+    assert len(updates) == len(pool.programs)
+    return updates
 
 
 @pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
