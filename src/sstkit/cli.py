@@ -63,7 +63,8 @@ _DOCUMENTS = {
 
 def _count(text: str, low: int = 0) -> int:
     """The argparse type of ``--budget``, ``--component-len``, ``--max-len``,
-    ``--min-len``, ``--amplify`` and ``--D``: an integer, ``low`` or more."""
+    ``--min-len``, ``--amplify``, ``--D``, ``--run1`` and ``--run2``: an
+    integer, ``low`` or more."""
     try:
         value = int(text)
     except ValueError:
@@ -132,8 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("delay", _cmd_delay, "weight tables and delay of two runs on one input")
     p.add_argument("--input", required=True)
     p.add_argument("--C", type=_positive, default=2, help="cut period bound")
-    p.add_argument("--run1", type=int, default=None, help="index into the run list")
-    p.add_argument("--run2", type=int, default=None)
+    p.add_argument("--run1", type=_count, default=None, help="index into the run list")
+    p.add_argument("--run2", type=_count, default=None)
     p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     p = add("decompose", _cmd_decompose, "selector table (and cover sizes) up to a length")
@@ -293,7 +294,7 @@ def _cmd_delay(args, report, sst: Sst) -> int:
     runs = enumerate_runs(sst, args.input, Budget(args.budget))
     first = args.run1 if args.run1 is not None else 0
     second = args.run2 if args.run2 is not None else (1 if len(runs) > 1 else 0)
-    if not (0 <= first < len(runs) and 0 <= second < len(runs)):
+    if not (first < len(runs) and second < len(runs)):
         raise SstKitError(
             f"run indices {first}, {second} out of range: {len(runs)} accepting runs"
         )

@@ -55,7 +55,7 @@ def semantic_cover(
     survivors: list[Run] = []
     # the runs so far of each output, in lexicographic order
     earlier: dict[str, list[Run]] = {}
-    for run in enumerate_runs(sst, word, budget):  # already in lexicographic order
+    for run in enumerate_runs(sst, word, budget):  # found in lexicographic order
         same_output = earlier.setdefault(run.output, [])
         if not any(delay(e, run, C).delay <= D for e in same_output):
             survivors.append(run)

@@ -9,8 +9,8 @@ produced word.  Nondeterminism makes the realized object a relation: one
 input may map to several outputs.
 
 Beyond the model itself this module provides two evaluators.  Exhaustive
-run enumeration is the run-level reference the rest of the package is
-checked against; budgets charge it one unit per partial-run extension.
+run enumeration lists runs in canonical order by construction; it is the
+run-level reference of the package, at one budget unit per partial run.
 The frontier functions (``_start``, ``_step``, ``_final_outputs``) answer
 output-level questions (``outputs``, the valuedness / ambiguity oracles,
 and through them ranked outputs and bounded equivalence) on frontiers of
@@ -221,6 +221,8 @@ class Sst:
         # variable -> (its index, its replacement field in a template)
         self._fields = {v: (k, f"{{{k}}}") for k, v in enumerate(self.variables)}
         self._validate()
+        # the initial states in state order, where runs and frontiers start
+        self._starts = tuple(sorted(self.initials, key=self._state_index.__getitem__))
 
         # _moves[q][a]: the transitions leaving state q on the a-th letter, as
         # (transition, target) pairs in rank order
@@ -471,13 +473,12 @@ def _check_owner(sst: Sst, run: Run) -> None:
 
 
 def enumerate_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> list[Run]:
-    """All accepting runs on ``word``, sorted lexicographically.
-
-    Runs are ordered by the rank sequences of their transitions (see
-    ``Sst.transition_rank``), with the start-state index breaking the tie
-    between empty runs from different initial states.  The budget is charged
-    one unit per partial run, the empty ones included.  The walk is
-    depth-first on an explicit stack, so the word may be of any length.
+    """All accepting runs on ``word``, in canonical order: by the rank
+    sequences of their transitions (``Sst.transition_rank``), with the
+    start-state index breaking the tie between empty runs.  The walk, depth
+    first on an explicit stack so that the word may be of any length, finds
+    them in this order (see the comment on configuration frontiers).  The
+    budget is charged one unit per partial run, the empty ones included.
     """
     for c in word:
         if c not in sst._letter_index:
@@ -488,7 +489,7 @@ def enumerate_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> l
     letters = [sst._letter_index[c] for c in word]
     found: list[Run] = []
 
-    for start in sst.initials:
+    for start in sst._starts:
         b.charge()
         if not word:
             if start in finals:
@@ -514,7 +515,6 @@ def enumerate_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> l
             if target in finals:
                 found.append(Run(sst, start, tuple(steps)))
             steps.pop()
-    found.sort(key=sst.run_sort_key)
     return found
 
 
@@ -535,14 +535,14 @@ def words_over(alphabet: Sequence[str], min_len: int, max_len: int) -> Iterator[
 # reach them, so output-level questions are answered on frontiers of
 # distinct configurations instead of on runs.
 #
-# A frontier is a dict whose keys are the configurations reached on one
-# input prefix, in the canonical order of the least run reaching each.
-# That order carries over from one position to the next without keys:
-# expanding configurations in frontier order, and each one's transitions
-# in rank order, generates the candidate runs of the successors in
-# canonical order (equal-length rank sequences compare lexicographically,
-# and at position 0 the start-state tie break agrees with the rank of the
-# first transition), so a successor first appears through its least run.
+# Runs on one input have one length, so their rank sequences compare
+# lexicographically, and the start-state tie break agrees with the rank of
+# a first transition (source index first).  Extending runs from
+# ``Sst._starts`` (state order) by the ``Sst._moves`` (rank order) thus
+# yields them in canonical order: depth-first in ``enumerate_runs``, which
+# needs no sort, and level by level here.  A frontier is a dict whose keys
+# are the configurations reached on one input prefix, each first reached
+# through its least run, so in the canonical order of their least runs.
 
 
 def _compile_update(sst: Sst, images: Sequence[Sequence[str]]) -> str:
@@ -573,10 +573,8 @@ def _substitute(sst: Sst, images: Sequence[Sequence[str]], contents: Sequence[li
 
 
 def _start(sst: Sst) -> dict:
-    """The frontier of the empty input, initial states in the order of
-    ``sst.states``."""
-    initials = sorted(sst.initials, key=sst._state_index.__getitem__)
-    return dict.fromkeys((q, sst._initial) for q in initials)
+    """The frontier of the empty input, initial states in state order."""
+    return dict.fromkeys((q, sst._initial) for q in sst._starts)
 
 
 def _step(sst: Sst, frontier: dict, letter: str, budget: Budget) -> dict:

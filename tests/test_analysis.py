@@ -3,8 +3,10 @@ import dataclasses
 import pytest
 
 from sstkit import (
+    Budget,
     RunError,
     SearchBudget,
+    SstKitError,
     WPattern,
     amplify_valuedness,
     analyze_valuedness,
@@ -177,6 +179,16 @@ def test_analyze_budget_exhaustion_is_unknown(fix_tsc):
     assert verdict.kind == "Unknown"
 
 
+def test_dumbbell_budget_stop_is_unknown(fix_amb):
+    """A node budget too small for the dumbbell search gives Unknown, with
+    no dumbbell and no oracle reading (the scan stops on the same budget)."""
+    verdict = analyze_valuedness(fix_amb, SearchBudget(node_budget=1))
+    assert verdict.kind == "Unknown"
+    assert verdict.details["reason"].startswith("dumbbell search aborted: ")
+    assert verdict.dumbbell is None
+    assert verdict.oracle_reading is None
+
+
 def test_verdict_json_schema(fix_id, fix_tsc1):
     for verdict in (analyze_valuedness(fix_id), analyze_valuedness(fix_tsc1)):
         payload = verdict.to_json()
@@ -227,6 +239,25 @@ def test_amplify_single_output(fix_tsc1):
     word, outs = result
     assert len(outs) == 1
     assert outs[0] in outputs(fix_tsc1, word)
+
+
+def test_amplify_budget_stop_returns_none(fix_tsc1):
+    """Three outputs of FIX-TSC1 take 13 budget units: one fewer stops the
+    scan, which then returns None."""
+    witness = analyze_valuedness(fix_tsc1).witness
+    budget = Budget(12)
+    assert amplify_valuedness(fix_tsc1, witness, 3, budget) is None
+    assert budget.used == 13
+    assert amplify_valuedness(fix_tsc1, witness, 3, Budget(13)) is not None
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_amplify_rejects_fewer_than_one_output(fix_tsc1, m):
+    witness = analyze_valuedness(fix_tsc1).witness
+    with pytest.raises(SstKitError) as err:
+        amplify_valuedness(fix_tsc1, witness, m)
+    assert type(err.value) is SstKitError
+    assert str(err.value) == "need m >= 1 outputs"
 
 
 def test_dumbbells_on_random_machines_pump_to_many_runs():

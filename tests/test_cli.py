@@ -204,6 +204,17 @@ def test_selector_count_below_one_is_a_usage_error(tmp_path, capsys, k):
     assert f"error: argument --k: must be at least 1: {k}" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--run1", "--run2"])
+def test_negative_run_index_is_a_usage_error(tmp_path, capsys, flag):
+    """``--run1`` and ``--run2`` are checked when the command line is read,
+    before any document is: with a missing document, the usage error names
+    the flag."""
+    assert main(["delay", str(tmp_path / "missing.sst"), "--input", "0", flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: must not be negative: -1" in captured.err
+
+
 def test_non_integer_count_is_a_usage_error(docs, capsys):
     assert main(["ambiguity", docs["FIX-TSC"], "--budget", "x"]) == 2
     captured = capsys.readouterr()

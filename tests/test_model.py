@@ -271,6 +271,12 @@ def test_budget_exceeded(fix_tsc):
         enumerate_runs(fix_tsc, "000000", budget=10)
 
 
+def test_enumeration_rejects_a_letter_outside_the_alphabet(fix_amb):
+    with pytest.raises(UnknownSymbolError) as err:
+        enumerate_runs(fix_amb, "ab")
+    assert str(err.value) == "input letter 'b' is not in the alphabet"
+
+
 def test_enumeration_is_sorted_and_deterministic(fix_tsc):
     runs = enumerate_runs(fix_tsc, "01")
     keys = [fix_tsc.run_sort_key(r) for r in runs]
@@ -321,6 +327,53 @@ def test_sst_validation_rejects_bad_references():
             initials=("q",), finals=("q",), final_output={"q": ("X1", "X1")},
             transitions=(),
         )
+
+
+@pytest.mark.parametrize("changes, cls, message", [
+    pytest.param({"alphabet": ("a", "a")}, SstKitError,
+                 "duplicate entries in alphabet: ('a', 'a')", id="duplicate-letter"),
+    pytest.param({"variables": ("X1", "X1")}, SstKitError,
+                 "duplicate entries in variables: ('X1', 'X1')", id="duplicate-variable"),
+    pytest.param({"states": ("q", "q")}, SstKitError,
+                 "duplicate entries in states: ('q', 'q')", id="duplicate-state"),
+    pytest.param({"alphabet": ("a", "ab")}, SstKitError,
+                 "letters must be single characters, got 'ab'", id="multi-character-letter"),
+    pytest.param({"variables": ("X1", "a")}, SstKitError,
+                 "variables may not collide with letters: ['a']", id="letter-is-a-variable"),
+    pytest.param({"initials": ("q", "q")}, SstKitError,
+                 "duplicate initial states: ('q', 'q')", id="duplicate-initial"),
+    pytest.param({"initials": ("p",)}, UnknownSymbolError,
+                 "initial state 'p' is not declared", id="undeclared-initial"),
+    pytest.param({"finals": ("q", "q")}, SstKitError,
+                 "duplicate final states: ('q', 'q')", id="duplicate-final"),
+    pytest.param({"finals": ("p",)}, UnknownSymbolError,
+                 "final state 'p' is not declared", id="undeclared-final"),
+    pytest.param({"final_output": {}}, SstKitError,
+                 "final_output must cover exactly the final states", id="uncovered-final"),
+    pytest.param({"final_output": {"q": ("X1", "z")}}, UnknownSymbolError,
+                 "unknown symbol 'z' in the output of 'q'", id="unknown-output-symbol"),
+    pytest.param({"initial_assignment": {"X1": "b"}}, UnknownSymbolError,
+                 "initial assignment of 'X1' uses unknown letter 'b'", id="unknown-initial-letter"),
+    pytest.param({"transitions": (Transition("q", "b", Update.identity(("X1",)), "q"),)},
+                 UnknownSymbolError, "transition reads unknown letter 'b'", id="unknown-transition-letter"),
+    pytest.param({"transitions": (Transition("q", "a", Update.identity(("X2",)), "q"),)},
+                 VariableSetMismatchError, "transition update is over the wrong variable set",
+                 id="wrong-variable-set"),
+    pytest.param({"transitions": (Transition("q", "a", Update.make(("X1",), {"X1": ("X1", "z")}), "q"),)},
+                 UnknownSymbolError, "unknown symbol 'z' in update 'X1 := X1 z'", id="unknown-update-symbol"),
+])
+def test_sst_validation_names_each_fault(fix_id, changes, cls, message):
+    """Each check of ``Sst._validate``, reached from FIX-ID's parts with one
+    part changed, raises its own class and message."""
+    parts = {
+        "alphabet": fix_id.alphabet, "variables": fix_id.variables, "states": fix_id.states,
+        "initials": fix_id.initials, "finals": fix_id.finals,
+        "final_output": fix_id.final_output, "transitions": fix_id.transitions,
+    }
+    with pytest.raises(SstKitError) as err:
+        Sst(**{**parts, **changes})
+    assert type(err.value) is cls
+    assert str(err.value) == message
 
 
 def test_unknown_initial_assignment_key_is_rejected(fix_id):
