@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import chain, product
 
-from .errors import BudgetExceededError, RunError, SstKitError
+from .errors import BudgetExceededError, ParameterError, RunError, SstKitError
 from .model import (
     Budget,
     DEFAULT_NODE_BUDGET,
@@ -147,14 +147,13 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
     goal is not among its descendants.  ``node_budget`` counts popped
     nodes, at least one per (q1, q2) pair searched.
     """
-    budget = Budget(node_budget)
-    predecessors, toward = sst._adjacency[1], {}
+    budget, toward = Budget(node_budget), {}
 
     def moves_toward(goal: str) -> dict:
         """Each state's moves less those that cannot reach ``goal``, built on
         first use."""
         if goal not in toward:
-            reaching = _bfs(predecessors, (goal,))
+            reaching = _bfs(sst._predecessors, (goal,))
             toward[goal] = {q: tuple([m for m in letter if m[1] in reaching] for letter in moves)
                             for q, moves in sst._moves.items()}
         return toward[goal]
@@ -571,12 +570,7 @@ class SearchBudget:
     oracle_max_len: int = 6
 
     def describe(self) -> dict:
-        return {
-            "component_length": self.component_length,
-            "candidates": self.candidates,
-            "node_budget": self.node_budget,
-            "oracle_max_len": self.oracle_max_len,
-        }
+        return asdict(self)
 
 
 class _TripleLevels:
@@ -803,10 +797,11 @@ def amplify_valuedness(
 
     Returns None when the budget runs out, and when no sequence in that
     range gives m distinct outputs.  All reported outputs are re-verified
-    by rebuilding their runs and against the output set of the input.
+    by rebuilding their runs and against the output set of the input.  An
+    ``m`` below 1 raises ``ParameterError``.
     """
     if m < 1:
-        raise SstKitError("need m >= 1 outputs")
+        raise ParameterError("need m >= 1 outputs")
     pattern = divergent.pattern
     b = Budget.ensure(budget)
     pool = _UpdatePool(sst)

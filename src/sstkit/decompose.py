@@ -77,10 +77,11 @@ def decompose_selectors(
 
     selector i maps an input to its i-th distinct output in witness order,
     or None when fewer than i outputs exist.  On inputs with at most k
-    outputs the union of the selector graphs equals the relation.
+    outputs the union of the selector graphs equals the relation.  A ``k``
+    below 1 raises ``ParameterError``.
     """
     if k < 1:
-        raise SstKitError("need at least one selector")
+        raise ParameterError("need at least one selector")
 
     def make(i: int) -> Callable[[str], str | None]:
         def selector(word: str) -> str | None:

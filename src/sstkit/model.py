@@ -28,11 +28,11 @@ letter, digit or brace.  Applying an update to variable contents is then
 never braces, so a template passes through another unchanged.
 
 The scans read the outputs of an input's last letter without building the
-frontier it leads to (``_leaf_outputs``): a move into a final state
-carries the final output template composed after its update, so one call
-per configuration and such move grounds an output.  The budget is charged
-as if that frontier were built, one unit per configuration of the one
-before it.
+frontier it leads to (``_leaf_outputs``): ``Sst.__init__`` composes the
+final output template after the update of every move into a final state,
+so one call per configuration and such move grounds an output.  The
+budget is charged as if that frontier were built, one unit per
+configuration of the one before it.
 """
 
 from __future__ import annotations
@@ -177,18 +177,16 @@ class Transition:
 class Sst:
     """A nondeterministic copyless streaming string transducer.
 
-    ``__init__`` builds the move table ``_moves`` and the one compiled
-    form of each update and final output (``_compile_update``): a
-    ``str.format`` template (``_templates``, ``_final_templates``, images
-    joined by ``_sep``; see the module docstring), which the frontier
-    functions and the W-pattern search read.  Run evaluation, skeletons
-    and pumping read the declared images.  Letters may not be ``{`` or
-    ``}``, which a template would read as part of a replacement field.
-    The adjacency lists and the set ``skeleton_monoid`` returns are
-    caches, each set once on first use; the composed output templates of
-    the moves into final states (``_leaf_templates``, see
-    ``_leaf_outputs``) are a cache filled one state at a time, on the
-    first scan that reads the state.  No result depends on them.
+    ``__init__`` builds the one compiled form of each update and final
+    output (``_compile_update``): a ``str.format`` template
+    (``_templates``, ``_final_templates``, images joined by ``_sep``; see
+    the module docstring), which the frontier functions and the W-pattern
+    search read.  Run evaluation, skeletons and pumping read the declared
+    images.  Letters may not be ``{`` or ``}``, which a template would read
+    as part of a replacement field.  One pass over the transitions then
+    builds the per-state, per-letter tables ``_moves``, ``_predecessors``
+    and ``_leaf_templates``.  With them ``__init__`` has built every table
+    the package reads, and nothing is added to a machine after it returns.
 
     The first declared variable is conventionally the output variable, but
     outputs are defined by the per-final-state ``final_output`` expressions,
@@ -224,13 +222,6 @@ class Sst:
         # the initial states in state order, where runs and frontiers start
         self._starts = tuple(sorted(self.initials, key=self._state_index.__getitem__))
 
-        # _moves[q][a]: the transitions leaving state q on the a-th letter, as
-        # (transition, target) pairs in rank order
-        moves = {q: [[] for _ in self.alphabet] for q in self.states}
-        for i in sorted(range(len(self.transitions)), key=self.transition_rank):
-            t = self.transitions[i]
-            moves[t.source][self._letter_index[t.letter]].append((i, t.target))
-        self._moves = {q: tuple(map(tuple, per_letter)) for q, per_letter in moves.items()}
         # the updates and final outputs as templates (``_compile_update``);
         # without variables every template is empty, and the one empty image
         # it splits into is never read
@@ -239,9 +230,22 @@ class Sst:
         self._templates = tuple(_compile_update(self, t.update.images) for t in self.transitions)
         self._final_templates = {q: _compile_update(self, (expr,)) for q, expr in self.final_output.items()}
         self._initial = tuple(self.initial_assignment[v] for v in self.variables)
-        # per state, once ``_leaf_outputs`` has read it: per letter, the
-        # composed output templates of its moves into final states
-        self._leaf_templates: dict[str, list[list[str]]] = {}
+
+        # per state q and letter index a, in rank order: _moves[q][a] the
+        # (transition, target) pairs leaving q, _predecessors[q][a] the
+        # (transition, source) pairs entering q, and _leaf_templates[q][a]
+        # the final template of each move into a final state composed after
+        # its update (read by ``_leaf_outputs``)
+        finals, templates, sep = self._final_templates, self._templates, self._sep
+        moves, predecessors, leaves = ({q: [[] for _ in self.alphabet] for q in self.states} for _ in range(3))
+        for i in sorted(range(len(self.transitions)), key=self.transition_rank):
+            t = self.transitions[i]
+            a = self._letter_index[t.letter]
+            moves[t.source][a].append((i, t.target))
+            predecessors[t.target][a].append((i, t.source))
+            if t.target in finals:
+                leaves[t.source][a].append(finals[t.target].format(*templates[i].split(sep)))
+        self._moves, self._predecessors, self._leaf_templates = moves, predecessors, leaves
 
     def _validate(self) -> None:
         for name, items in (("alphabet", self.alphabet), ("variables", self.variables), ("states", self.states)):
@@ -309,19 +313,6 @@ class Sst:
         return (ranks, self._state_index[run.start])
 
     # -- accessors --------------------------------------------------------
-
-    @cached_property
-    def _adjacency(self) -> tuple[dict, dict]:
-        """Successors and predecessors of each state as (transition, state)
-        pairs, successors in (letter, rank) order, read off ``_moves``."""
-        moves = self._moves
-        succ = {q: [m for per_letter in moves[q] for m in per_letter] for q in self.states}
-        pred: dict[str, list] = {q: [] for q in self.states}
-        for a in range(len(self.alphabet)):
-            for q in self.states:
-                for i, target in moves[q][a]:
-                    pred[target].append((i, q))
-        return succ, pred
 
     def run(self, start: str, steps: Iterable[int]) -> "Run":
         return Run(self, start, tuple(steps))
@@ -601,34 +592,16 @@ def _final_outputs(sst: Sst, frontier: dict) -> dict[str, None]:
 def _leaf_outputs(sst: Sst, frontier: dict, letter: str, budget: Budget) -> dict[str, None]:
     """``_final_outputs`` of the frontier one letter further, read without
     building it; charges as ``_step`` does.  Each move into a final state
-    applies its composed template (``_leaf_row``) to the contents it
-    leaves; listed per configuration and move in frontier order, the
+    applies its composed template (``Sst._leaf_templates``) to the contents
+    it leaves; listed per configuration and move in frontier order, the
     outputs keep the order of first occurrences that ``_step`` gives."""
     budget.charge(len(frontier))
-    a = sst._letter_index[letter]
-    row = sst._leaf_templates.get
+    a, leaves = sst._letter_index[letter], sst._leaf_templates
     return dict.fromkeys([
         composite.format(*values)
         for state, values in frontier
-        for composite in (row(state) or _leaf_row(sst, state))[a]
+        for composite in leaves[state][a]
     ])
-
-
-def _leaf_row(sst: Sst, state: str) -> list[list[str]]:
-    """Sets and returns ``sst._leaf_templates[state]``: per letter, the
-    final template of each move i into a final state t composed after its
-    update, ``finals[t].format(*templates[i].split(sep))``."""
-    finals, templates, sep = sst._final_templates, sst._templates, sst._sep
-    row = sst._leaf_templates[state] = []
-    # plain loops: a row is built once, often for a scan of a few dozen
-    # leaves, where comprehensions cost more than they save
-    for per_letter in sst._moves[state]:
-        composites = []
-        for i, t in per_letter:
-            if t in finals:
-                composites.append(finals[t].format(*templates[i].split(sep)))
-        row.append(composites)
-    return row
 
 
 def _frontier(sst: Sst, word: str, budget: Budget | int | None) -> dict:
@@ -761,41 +734,44 @@ def ambiguity_oracle(
 # -- reachability ---------------------------------------------------------
 
 
-def _bfs(adjacency: Mapping[str, list], sources: Iterable[str]) -> dict:
-    """Breadth-first search from ``sources``: every state reached, in visiting
-    order, mapped to the (state, transition) pair it was first reached by,
-    or to None for a source."""
+def _bfs(adjacency: Mapping[str, Sequence], sources: Iterable[str]) -> dict:
+    """Breadth-first search from ``sources`` over a per-state, per-letter
+    table of (transition, state) pairs (``Sst._moves`` or
+    ``Sst._predecessors``): every state reached, in visiting order, mapped
+    to the (state, transition) pair it was first reached by, or to None for
+    a source."""
     parents: dict = dict.fromkeys(sources)
     order = list(parents)
     for q in order:
-        for i, nxt in adjacency[q]:
-            if nxt not in parents:
-                parents[nxt] = (q, i)
-                order.append(nxt)
+        for per_letter in adjacency[q]:
+            for i, nxt in per_letter:
+                if nxt not in parents:
+                    parents[nxt] = (q, i)
+                    order.append(nxt)
     return parents
 
 
 def reachable_states(sst: Sst) -> tuple[str, ...]:
     """States reachable from some initial state, in declaration order."""
-    seen = _bfs(sst._adjacency[0], sst.initials)
+    seen = _bfs(sst._moves, sst.initials)
     return tuple(q for q in sst.states if q in seen)
 
 
 def coreachable_states(sst: Sst) -> tuple[str, ...]:
     """States from which some final state is reachable, in declaration order."""
-    seen = _bfs(sst._adjacency[1], sst.finals)
+    seen = _bfs(sst._predecessors, sst.finals)
     return tuple(q for q in sst.states if q in seen)
 
 
 def shortest_access_run(sst: Sst, target: str) -> Run | None:
     """A shortest run from an initial state to ``target`` (BFS, deterministic)."""
-    parents = _bfs(sst._adjacency[0], sst.initials)
+    parents = _bfs(sst._moves, sst.initials)
     return _rebuild(sst, parents, target) if target in parents else None
 
 
 def shortest_exit_run(sst: Sst, source: str) -> Run | None:
     """A shortest run from ``source`` to a final state (BFS, deterministic)."""
-    parents = _bfs(sst._adjacency[0], (source,))
+    parents = _bfs(sst._moves, (source,))
     end = next((q for q in parents if q in sst.finals), None)
     return None if end is None else _rebuild(sst, parents, end)
 

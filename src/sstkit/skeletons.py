@@ -68,36 +68,28 @@ def is_idempotent(s: Skeleton) -> bool:
     return compose_skeletons(s, s) == s
 
 
-def _over_cap(cap: int) -> BudgetExceededError:
-    return BudgetExceededError(f"skeleton monoid exceeded the cap of {cap} elements")
-
-
 def skeleton_monoid(sst: Sst, cap: int = SKELETON_MONOID_CAP) -> frozenset[Skeleton]:
     """Closure of the transition skeletons under composition, plus the
-    identity, memoized on the transducer, so repeat calls return the same
-    set.  A monoid with more than ``cap`` elements raises
-    ``BudgetExceededError``, on every call; the closure stops as soon as
-    it has found more than ``cap``.
+    identity.  A monoid with more than ``cap`` elements raises
+    ``BudgetExceededError``; the closure stops at the first element it
+    multiplies once it has found more than ``cap``.
     """
-    members = getattr(sst, "_skeleton_monoid", None)
-    if members is None:
-        # every element is a product of generators, so multiplying each element
-        # by every generator from the identity on reaches them all
-        generators = tuple(dict.fromkeys(transition_skeletons(sst)))
-        elements = [Skeleton.identity(sst.variables)]
-        seen = set(elements)
-        for s in elements:
-            for g in generators:
-                prod = compose_skeletons(g, s)
-                if prod not in seen:
-                    seen.add(prod)
-                    elements.append(prod)
-                    if len(elements) > cap:
-                        raise _over_cap(cap)
-        members = sst._skeleton_monoid = frozenset(elements)  # safe: set once
-    if len(members) > cap:
-        raise _over_cap(cap)
-    return members
+    # every element is a product of generators, so multiplying each element
+    # by every generator from the identity on reaches them all
+    generators = tuple(dict.fromkeys(transition_skeletons(sst)))
+    elements = [Skeleton.identity(sst.variables)]
+    seen = set(elements)
+    for s in elements:
+        # each element found is multiplied in a later turn, so this check
+        # sees every count; the identity alone exceeds a cap of 0
+        if len(elements) > cap:
+            raise BudgetExceededError(f"skeleton monoid exceeded the cap of {cap} elements")
+        for g in generators:
+            prod = compose_skeletons(g, s)
+            if prod not in seen:
+                seen.add(prod)
+                elements.append(prod)
+    return frozenset(elements)
 
 
 def transition_skeletons(sst: Sst) -> tuple[Skeleton, ...]:

@@ -21,6 +21,17 @@ from sstkit import (
     skeleton_of,
 )
 
+# one state whose one transition swaps two variables: the skeleton of its
+# update is not idempotent
+SWAP_DOC = """\
+alphabet: a
+vars: X1 X2
+states: q
+initial: q
+final q -> X1 X2
+trans q a q { X1 := X2 ; X2 := X1 }
+"""
+
 
 def random_copyless_update(
     rng: random.Random,

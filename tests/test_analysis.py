@@ -2,8 +2,10 @@ import dataclasses
 
 import pytest
 
+import sstkit
 from sstkit import (
     Budget,
+    ParameterError,
     RunError,
     SearchBudget,
     SstKitError,
@@ -15,8 +17,12 @@ from sstkit import (
     is_finite_ambiguous,
     is_simply_divergent,
     outputs,
+    parse_sst,
     valuedness_oracle,
 )
+from sstkit.analysis import _UpdatePool, _confirm_divergence
+
+from helpers import SWAP_DOC
 
 EXPECT_FINITE_AMBIGUOUS = {
     "FIX-ID": True,
@@ -144,6 +150,134 @@ def test_wpattern_verify_rejects_broken_chain(fix_tsc):
         pattern.verify(fix_tsc)
 
 
+# -- broken witnesses ---------------------------------------------------------------
+
+# the swap machine with a second, appending transition on the same letter:
+# transition 0 swaps X1 and X2, transition 1 appends an 'a' to X1
+SWAP_APPEND = SWAP_DOC + "trans q a q { X1 := X1 a ; X2 := X2 }\n"
+
+
+def machine(label):
+    return parse_sst(SWAP_APPEND) if label == "swap" else sstkit.fixtures.load(label)
+
+
+# (machine, field, its broken value from the machine and the real witness,
+# the message).  FIX-R2's dumbbell runs s0 -> s0, s0 -> d0 and d0 -> d0
+# over "00"; FIX-AMB's has rho1 = rho2 = (0,) and rho3 = (1,); the swap
+# machine's has rho1 = rho2 = (0, 0) and rho3 = (1, 1).
+BROKEN_DUMBBELLS = [
+    ("FIX-R2", "rho0", lambda sst, d: sst.empty_run("s1"),
+     "dumbbell access run does not start in an initial state"),
+    ("FIX-R2", "rho0", lambda sst, d: sst.run("s0", (0,)),
+     "dumbbell access run does not reach q1"),
+    ("FIX-R2", "rho1", lambda sst, d: d.rho2, "rho1 should go 's0' -> 's0', goes 's0' -> 'd0'"),
+    ("FIX-R2", "rho2", lambda sst, d: d.rho1, "rho2 should go 's0' -> 'd0', goes 's0' -> 's0'"),
+    ("FIX-R2", "rho3", lambda sst, d: d.rho1, "rho3 should go 'd0' -> 'd0', goes 's0' -> 's0'"),
+    ("FIX-R2", "rho1", lambda sst, d: sst.run("s0", (1, 4)),
+     "dumbbell middle runs consume different inputs"),
+    ("swap", "rho1", lambda sst, d: sst.run("q", (0, 1)),
+     "dumbbell rho1 is not a loop (skeleton not idempotent)"),
+    ("swap", "rho3", lambda sst, d: sst.run("q", (1, 0)),
+     "dumbbell rho3 is not a loop (skeleton not idempotent)"),
+    ("FIX-AMB", "rho3", lambda sst, d: d.rho1, "dumbbell requires at least two distinct middle runs"),
+    ("FIX-R2", "rho4", lambda sst, d: sst.empty_run("d1"), "dumbbell exit run does not start at q2"),
+    ("FIX-R2", "rho4", lambda sst, d: sst.run("d0", (8,)),
+     "dumbbell exit run does not reach a final state"),
+]
+
+
+@pytest.mark.parametrize("label, name, broken, message", BROKEN_DUMBBELLS,
+                         ids=[f"{c[0]}-{c[1]}-{k}" for k, c in enumerate(BROKEN_DUMBBELLS)])
+def test_dumbbell_verify_rejects_each_broken_field(label, name, broken, message):
+    sst = machine(label)
+    dumbbell = find_dumbbell(sst)
+    dumbbell.verify(sst)
+    with pytest.raises(SstKitError) as err:
+        dataclasses.replace(dumbbell, **{name: broken(sst, dumbbell)}).verify(sst)
+    assert str(err.value) == message
+
+
+def small_witness(sst):
+    return analyze_valuedness(sst, SMALL).witness
+
+
+# FIX-TSC1's W-pattern sits at qA with empty entries and loops and the exits
+# (0,), (0,) and (1,) over "0"; the swap machine's has the exits (0, 0),
+# (0, 0) and (1, 1) over "aa"
+BROKEN_PATTERNS = [
+    ("FIX-TSC1", "rho0", lambda sst, p: sst.empty_run("qB"), "W-pattern access run must go initial -> q1"),
+    ("FIX-TSC1", "rho4", lambda sst, p: sst.empty_run("qB"), "W-pattern exit run must go q2 -> final"),
+    ("FIX-TSC1", "entries", lambda sst, p: (p.entries[0], sst.empty_run("qB"), p.entries[2]),
+     "entry 2 should go 'qA' -> 'qA', goes 'qB' -> 'qB'"),
+    ("FIX-TSC1", "loops", lambda sst, p: (p.loops[0], p.loops[1], sst.empty_run("qB")),
+     "loop 3 should go 'qA' -> 'qA', goes 'qB' -> 'qB'"),
+    ("FIX-TSC1", "exits", lambda sst, p: (sst.run("qB", (4,)), p.exits[1], p.exits[2]),
+     "exit 1 should go 'qA' -> 'qA', goes 'qB' -> 'qB'"),
+    ("FIX-TSC1", "loops", lambda sst, p: (sst.run("qA", (0,)), sst.run("qA", (2,)), sst.run("qA", (0,))),
+     "W-pattern loop runs consume different inputs"),
+    ("FIX-TSC1", "exits", lambda sst, p: (p.exits[0], p.exits[1], sst.run("qA", (2,))),
+     "W-pattern exit runs consume different inputs"),
+    ("swap", "loops", lambda sst, p: (sst.run("q", (0,)), sst.run("q", (1,)), sst.run("q", (1,))),
+     "W-pattern loop 1 has no idempotent skeleton"),
+    ("swap", "entries", lambda sst, p: (sst.run("q", (0,)),) * 3,
+     "W-pattern composite 1 has no idempotent skeleton"),
+]
+
+
+@pytest.mark.parametrize("label, name, broken, message", BROKEN_PATTERNS,
+                         ids=[f"{c[0]}-{c[1]}-{k}" for k, c in enumerate(BROKEN_PATTERNS)])
+def test_wpattern_verify_rejects_each_broken_field(label, name, broken, message):
+    sst = machine(label)
+    pattern = small_witness(sst).pattern
+    pattern.verify(sst)
+    with pytest.raises(SstKitError) as err:
+        dataclasses.replace(pattern, **{name: broken(sst, pattern)}).verify(sst)
+    assert str(err.value) == message
+
+
+def tsc_pattern(fix_tsc, loop_steps):
+    """A FIX-TSC pattern at qA with empty entries and exits and the given
+    loop bodies over "0"; transition 0 prepends and transition 1 appends
+    a 0 to X0, so every marked run has the same output."""
+    empty = fix_tsc.empty_run("qA")
+    return WPattern(
+        q1="qA", q2="qA", r1="qA", r2="qA", r3="qA", rho0=empty, rho4=empty,
+        entries=(empty,) * 3, loops=tuple(fix_tsc.run("qA", (i,)) for i in loop_steps),
+        exits=(empty,) * 3,
+    )
+
+
+def test_is_simply_divergent_rejects_distinct_legs_with_equal_outputs(fix_tsc):
+    pattern = tsc_pattern(fix_tsc, (0, 1, 0))
+    pattern.verify(fix_tsc)
+    legs = _UpdatePool(fix_tsc).signature(pattern)[1]
+    assert legs[0] != legs[1]
+    assert is_simply_divergent(fix_tsc, pattern) is None
+
+
+DIVERGENCE_CHECKS = [
+    ("different-inputs", "FIX-TSC1",
+     lambda sst: _confirm_divergence(sst, dataclasses.replace(
+         small_witness(sst).pattern, entries=(sst.run("qA", (0,)),) + (sst.empty_run("qA"),) * 2),
+         (1, 1, 1, 1, 1)),
+     "marked runs consumed different inputs; pattern is broken"),
+    ("equal-outputs", "FIX-TSC",
+     lambda sst: _confirm_divergence(sst, tsc_pattern(sst, (0, 1, 0)), (1, 1, 1, 1, 1)),
+     "evaluator disagrees with update composition on a witness"),
+    ("empty-sequence", "FIX-TSC1",
+     lambda sst: build_wrun(sst, small_witness(sst).pattern, (), 0),
+     "marked sequence must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("label, check, message", [c[1:] for c in DIVERGENCE_CHECKS],
+                         ids=[c[0] for c in DIVERGENCE_CHECKS])
+def test_divergence_checks_reject_broken_witnesses(label, check, message):
+    with pytest.raises(SstKitError) as err:
+        check(sstkit.fixtures.load(label))
+    assert str(err.value) == message
+
+
 # -- the analyzer -----------------------------------------------------------------
 
 
@@ -256,7 +390,7 @@ def test_amplify_rejects_fewer_than_one_output(fix_tsc1, m):
     witness = analyze_valuedness(fix_tsc1).witness
     with pytest.raises(SstKitError) as err:
         amplify_valuedness(fix_tsc1, witness, m)
-    assert type(err.value) is SstKitError
+    assert type(err.value) is ParameterError
     assert str(err.value) == "need m >= 1 outputs"
 
 

@@ -105,6 +105,13 @@ def test_selectors_fix_tsc(fix_tsc):
     assert sel2("0") is None
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_selectors_reject_fewer_than_one(fix_tsc, k):
+    with pytest.raises(ParameterError) as err:
+        decompose_selectors(fix_tsc, k)
+    assert str(err.value) == "need at least one selector"
+
+
 def test_selector_fix_id_is_the_function(fix_id):
     (sel,) = decompose_selectors(fix_id, 1)
     for word in ("", "a", "aaaa"):

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from sstkit import (
     CopylessError,
     ParseError,
     RunError,
+    SearchBudget,
     Sst,
     SstKitError,
     Transition,
@@ -14,13 +16,19 @@ from sstkit import (
     Update,
     VariableSetMismatchError,
     ambiguity_oracle,
+    analyze_valuedness,
+    check_equivalence_bounded,
     compose_updates,
+    coreachable_states,
     enumerate_runs,
     eval_run,
+    find_dumbbell,
     fixtures,
     output_via_updates,
     outputs,
     parse_sst,
+    reachable_states,
+    skeleton_monoid,
     valuedness_oracle,
 )
 from helpers import random_copyless_update, random_sst, random_word
@@ -389,7 +397,11 @@ def test_unknown_initial_assignment_key_is_rejected(fix_id):
 def test_move_table_lists_each_source_and_letter_in_rank_order(all_fixtures):
     """``_moves[q][a]`` holds exactly the transitions from q on the a-th
     letter, sorted by rank, with their targets, whatever the declaration
-    order of the transitions."""
+    order of the transitions.  ``_predecessors[q][a]`` holds the
+    transitions into q on that letter with their sources, in rank order
+    (sources in state order, each source's transitions in rank order), and
+    ``_leaf_templates[q][a]`` one composed final template per move of
+    ``_moves[q][a]`` into a final state, in the same order."""
     rng = random.Random(31)
     machines = list(all_fixtures.values())
     for seed in range(40):
@@ -401,12 +413,48 @@ def test_move_table_lists_each_source_and_letter_in_rank_order(all_fixtures):
             sst.final_output, shuffled, sst.initial_assignment,
         ))
     for sst in machines:
-        assert set(sst._moves) == set(sst.states)
+        for table in (sst._moves, sst._predecessors, sst._leaf_templates):
+            assert set(table) == set(sst.states)
+            assert all(len(table[q]) == len(sst.alphabet) for q in sst.states)
+        finals, templates, sep = sst._final_templates, sst._templates, sst._sep
         for q in sst.states:
-            assert len(sst._moves[q]) == len(sst.alphabet)
             for a, letter in enumerate(sst.alphabet):
                 ids = sorted(
                     (i for i, t in enumerate(sst.transitions) if t.source == q and t.letter == letter),
                     key=sst.transition_rank,
                 )
-                assert sst._moves[q][a] == tuple((i, sst.transitions[i].target) for i in ids)
+                assert sst._moves[q][a] == [(i, sst.transitions[i].target) for i in ids]
+                into = sorted(
+                    (i for i, t in enumerate(sst.transitions) if t.target == q and t.letter == letter),
+                    key=sst.transition_rank,
+                )
+                assert sst._predecessors[q][a] == [(i, sst.transitions[i].source) for i in into]
+                assert sst._leaf_templates[q][a] == [
+                    finals[t].format(*templates[i].split(sep)) for i, t in sst._moves[q][a] if t in finals]
+
+
+COMPLETE_CASES = [(name, lambda name=name: fixtures.load(name)) for name in fixtures.names()]
+COMPLETE_CASES += [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s))) for s in range(30)]
+
+
+@pytest.mark.parametrize("label, make", COMPLETE_CASES, ids=[c[0] for c in COMPLETE_CASES])
+def test_no_operation_writes_to_a_machine(label, make):
+    """An ``Sst`` is complete when ``__init__`` returns: the scans, the
+    searches and the monoid closure add no attribute to it, replace none
+    and change the contents of none."""
+    sst = make()
+    before = dict(vars(sst))
+    contents = copy.deepcopy(before)
+    valuedness_oracle(sst, 4)
+    ambiguity_oracle(sst, 4)
+    check_equivalence_bounded(sst, sst, 4)
+    outputs(sst, sst.alphabet[0] * 3)
+    reachable_states(sst)
+    coreachable_states(sst)
+    find_dumbbell(sst)
+    analyze_valuedness(sst, SearchBudget(component_length=2, candidates=300))
+    skeleton_monoid(sst)
+    after = vars(sst)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+    assert after == contents

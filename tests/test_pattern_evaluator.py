@@ -129,7 +129,7 @@ def paths_from(sst, state, max_len):
     for _ in range(max_len + 1):
         yield from (path for path, _ in level)
         level = [(path + (i,), target) for path, end in level
-                 for i, target in sst._adjacency[0][end]]
+                 for per_letter in sst._moves[end] for i, target in per_letter]
 
 
 @pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])

@@ -167,8 +167,8 @@ def test_cap_check_is_the_same_on_every_call(label, make, small_first):
         if cap < size:
             assert first is None and again is None, cap
         else:
-            assert first is full and again is full, cap
-        assert skeleton_monoid(sst) is full
+            assert first == full and again == full, cap
+        assert skeleton_monoid(sst) == full
 
 
 def dumbbell_or_stop(sst):
