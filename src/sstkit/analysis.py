@@ -235,7 +235,8 @@ class WPattern:
       exits[i]   consume the common exit input    (r1->q1, r2->q2, r3->q2)
 
     Each loops[i] and each composite entries[i] loops[i] exits[i] must have
-    an idempotent skeleton.  Components may be empty.
+    an idempotent skeleton.  Any component may be empty, all three loops
+    too; such witnesses amplify on the golden corpus: evidence, not proof.
     """
 
     q1: str
@@ -561,13 +562,19 @@ class SearchBudget:
     """Knobs for the valuedness analysis.
 
     Defaults are desk-scale: they make small machines terminate quickly and
-    are not completeness bounds of any kind.
+    are not completeness bounds of any kind.  A negative field raises
+    ``ParameterError``; zero is allowed.
     """
 
     component_length: int = 4
     candidates: int = 1_000_000
     node_budget: int = DEFAULT_NODE_BUDGET
     oracle_max_len: int = 6
+
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if value < 0:
+                raise ParameterError(f"SearchBudget.{name} must not be negative: {value}")
 
     def describe(self) -> dict:
         return asdict(self)

@@ -75,6 +75,6 @@ class NotIdempotentError(SstKitError):
 class ParameterError(SstKitError, ValueError):
     """A bad argument: a cut bound ``C`` below 1, a selector count ``k``
     below 1 (``decompose_selectors``), an output count ``m`` below 1
-    (``amplify_valuedness``), a step or output position outside a run, or a
-    bad parameter structure or assignment in a word inequality.  Also a
-    ``ValueError``."""
+    (``amplify_valuedness``), a negative ``SearchBudget`` field, a step or
+    output position outside a run, or a bad parameter structure or
+    assignment in a word inequality.  Also a ``ValueError``."""

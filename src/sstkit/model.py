@@ -635,21 +635,23 @@ def _scan(
     |u| <= max_len, plus the first such u reaching it in length-lexicographic
     order; (0, None) when there is no such input.
 
-    Walks the prefix trie depth-first in letter order, extending a frontier
-    by one letter with ``step``, so it holds one frontier per depth.  A falsy
-    frontier is dead: it and all its extensions measure 0.  An input of
-    length max_len is measured by ``leaf(frontier, letter)`` on its longest
-    proper prefix's live frontier, which must equal ``measure`` of the step
-    (0 if dead) and charge the budget as ``step`` does, so the deepest
-    frontiers are never built.  Once the maximum reaches ``top``, only
-    shorter inputs can still displace the witness.  A negative ``min_len``
-    raises ``SstKitError``.
+    No input measures below 0, so the least input of length min_len starts
+    as the witness, at 0.  Walks the prefix trie depth-first in letter
+    order, extending a frontier by one letter with ``step``, so it holds
+    one frontier per depth.  A falsy frontier is dead: its extensions
+    measure 0 and cannot displace the witness, so it is not extended.  An
+    input of length max_len is measured by ``leaf(frontier, letter)`` on
+    its longest proper prefix's live frontier, which must equal ``measure``
+    of the step (0 if dead) and charge the budget as ``step`` does, so the
+    deepest frontiers are never built.  Once the maximum reaches ``top``,
+    only shorter inputs can still displace the witness.  A negative
+    ``min_len`` raises ``SstKitError``.
     """
     if min_len < 0:
         raise SstKitError(f"min_len must not be negative: {min_len}")
-    if min_len > max_len:
+    if min_len > max_len or (min_len and not alphabet):
         return 0, None
-    best, witness = (measure(root) if root else 0, "") if min_len == 0 else (-1, None)
+    best, witness = (0, alphabet[0] * min_len) if min_len else (measure(root) if root else 0, "")
     # one (prefix, its frontier, the letters not yet tried after it) per depth
     path = [("", root, iter(alphabet))]
     while path:
@@ -659,11 +661,8 @@ def _scan(
         if (letter is None or not frontier or depth >= max_len
                 or (best == top and depth + 1 >= len(witness))):
             path.pop()
-            if frontier or not alphabet or depth >= min_len:
-                continue
-            # every extension of a dead prefix measures 0: offer the least
-            n, word = 0, word + alphabet[0] * (min_len - depth)
-        elif depth + 1 < max_len:
+            continue
+        if depth + 1 < max_len:
             word += letter
             frontier = step(frontier, letter)
             path.append((word, frontier, iter(alphabet)))
@@ -675,7 +674,7 @@ def _scan(
         # depth-first visits inputs of one length in lexicographic order
         if n > best or (n == best and len(word) < len(witness)):
             best, witness = n, word
-    return (0, None) if best < 0 else (best, witness)
+    return best, witness
 
 
 def valuedness_oracle(

@@ -1,4 +1,5 @@
-"""Seeded random generators and brute-force oracles shared by the tests.
+"""Seeded random generators, the machine corpus, the sweep driver and
+brute-force oracles shared by the tests.
 
 Everything here is deterministic given the Random instance, so failures
 replay exactly.
@@ -7,6 +8,9 @@ replay exactly.
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
+from functools import partial
 
 from sstkit import (
     Inequality,
@@ -17,6 +21,7 @@ from sstkit import (
     Update,
     enumerate_runs,
     find_loops,
+    fixtures,
     is_idempotent,
     skeleton_of,
 )
@@ -156,6 +161,43 @@ def format_letters() -> Sst:
         ),
         initial_assignment={"X": "[", "Y": "!:"},
     )
+
+
+# -- the machine corpus and the sweep driver ----------------------------------
+
+# the bundled machines, as (label, make) pairs
+FIXTURES = [(name, partial(fixtures.load, name)) for name in fixtures.names()]
+
+
+def draws(seeds, max_states: int = 3, max_vars: int = 2) -> list:
+    """``random_sst(Random(s), max_states, max_vars)`` for each seed s, as
+    (label, make) pairs labelled ``random_sst(s)`` at the default sizes and
+    ``random_sst(s, max_states, max_vars)`` otherwise."""
+    sizes = "" if (max_states, max_vars) == (3, 2) else f", {max_states}, {max_vars}"
+    return [(f"random_sst({s}{sizes})",
+             lambda s=s: random_sst(random.Random(s), max_states, max_vars))
+            for s in seeds]
+
+
+def sweep(cases, check) -> Counter:
+    """The sum of the outcome counts ``check(make())`` over the (label,
+    make) cases; on the first AssertionError, prints the case's label and
+    re-raises."""
+    outcomes: Counter = Counter()
+    for label, make in cases:
+        try:
+            outcomes += check(make())
+        except AssertionError:
+            print(f"{label} broke the rule", file=sys.stderr)
+            raise
+    return outcomes
+
+
+def main(run, default: int) -> None:
+    """Print the outcome counts of ``run(n)``, with n the first command-line
+    argument or ``default``."""
+    count = int(sys.argv[1]) if len(sys.argv) > 1 else default
+    print(dict(sorted(run(count).items())))
 
 
 def random_word(rng: random.Random, alphabet, max_len: int) -> str:

@@ -10,12 +10,16 @@ the errors it documents (``ParseError``, ``UnknownSymbolError`` or
 to return a machine that ``spec_of`` -> ``render`` -> ``parse_sst`` gives
 back unchanged.  Any other exception propagates.
 
-``tests/test_parse_sweep.py`` runs a slice of it; run the full sweep with
+The draws are ``random_sst(s)`` and ``random_sst(s, 6, 4)`` of
+``tests/helpers.py`` for s < ``DRAWS``.  ``run(n)`` counts the outcomes
+of ``n`` mutants; ``tests/test_parse_sweep.py`` runs a slice of it.  Run
+the full sweep with
 
     PYTHONPATH=src python3 tests/parse_sweep.py 20000
 
-which prints the count of each outcome and exits non-zero on the first
-mutant that breaks the rule, after printing it.
+which prints the count of each outcome through the shared ``main`` and
+exits non-zero on the first mutant that breaks the rule, after printing
+it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "bench"))
 from sstkit import CopylessError, ParseError, UnknownSymbolError, fixtures, parse_sst  # noqa: E402
 
 from corpus import render, spec_of  # noqa: E402
-from helpers import random_sst  # noqa: E402
+from helpers import draws, main  # noqa: E402
 
 DRAWS = 40  # random_sst draws per size, in addition to the fixtures
 INSERTS = (";", "{", "}", ":=", "->", "=", "#", "trans", "final", "init", "alphabet:",
@@ -44,8 +48,7 @@ INSERTS = (";", "{", "}", ":=", "->", "=", "#", "trans", "final", "init", "alpha
 @lru_cache(maxsize=None)
 def sources() -> tuple[str, ...]:
     docs = [fixtures.source(name) for name in fixtures.names()]
-    for size in ((3, 2), (6, 4)):
-        docs += [render(spec_of(random_sst(random.Random(s), *size))) for s in range(DRAWS)]
+    docs += [render(spec_of(make())) for _, make in draws(range(DRAWS)) + draws(range(DRAWS), 6, 4)]
     return tuple(docs)
 
 
@@ -97,7 +100,7 @@ def check(doc: str) -> str:
     return "parsed"
 
 
-def sweep(n: int, seed: int = 0) -> Counter:
+def run(n: int, seed: int = 0) -> Counter:
     outcomes: Counter = Counter()
     for k, doc in enumerate(mutants(n, seed)):
         try:
@@ -109,5 +112,4 @@ def sweep(n: int, seed: int = 0) -> Counter:
 
 
 if __name__ == "__main__":
-    count = int(sys.argv[1]) if len(sys.argv) > 1 else 20_000
-    print(dict(sorted(sweep(count).items())))
+    main(run, 20_000)

@@ -12,29 +12,29 @@ the same order, the same programs named by each signature, the same
 ``budget.used`` at each candidate, and the same stop: the budget, or the
 end of the candidates.
 
-The machines are the fixtures, the ``no_variables`` and ``format_letters``
-machines of ``tests/helpers.py``, and two draws per seed s,
-``random_sst(Random(s))`` and ``random_sst(Random(s), 4, 3)``.
+``run(n)`` checks the fixtures, the ``no_variables`` and
+``format_letters`` machines and, for s < n, the draws ``random_sst(s)``
+and ``random_sst(s, 4, 3)``, all from ``tests/helpers.py``.
 ``tests/test_pattern_sweep.py`` runs a slice of it; run the full sweep
 with
 
     PYTHONPATH=src python3 tests/pattern_sweep.py 2000
 
-which prints the count of each outcome and exits non-zero on the first
-mismatch, after printing it.
+which prints the count of each outcome and, through the shared ``sweep``
+driver, exits non-zero on the first mismatch, after printing the label of
+its machine.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import sys
 from collections import Counter
 from itertools import chain
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from sstkit import Budget, BudgetExceededError, Sst, fixtures  # noqa: E402
+from sstkit import Budget, BudgetExceededError, Sst  # noqa: E402
 from sstkit.analysis import _pattern_candidates, _UpdatePool  # noqa: E402
 from sstkit.model import (  # noqa: E402
     coreachable_states,
@@ -43,7 +43,7 @@ from sstkit.model import (  # noqa: E402
     shortest_exit_run,
 )
 
-from helpers import format_letters, no_variables, random_sst  # noqa: E402
+from helpers import FIXTURES, draws, format_letters, main, no_variables, sweep  # noqa: E402
 
 LENGTHS = (1, 2, 3)  # component lengths
 LIMITS = (30, 400, 3000)  # candidate budgets
@@ -179,29 +179,12 @@ def check(sst: Sst) -> Counter:
     return outcomes
 
 
-def machines(n: int):
-    """(label, machine): the fixtures, the two hand-built machines and two
-    seeded draws per seed."""
-    for name in fixtures.names():
-        yield name, fixtures.load(name)
-    yield "no-variables", no_variables()
-    yield "format-letters", format_letters()
-    for s in range(n):
-        yield f"random_sst(Random({s}))", random_sst(random.Random(s))
-        yield f"random_sst(Random({s}), 4, 3)", random_sst(random.Random(s), 4, 3)
-
-
-def sweep(n: int) -> Counter:
-    outcomes: Counter = Counter()
-    for label, sst in machines(n):
-        try:
-            outcomes += check(sst)
-        except AssertionError:
-            print(f"{label} broke the rule", file=sys.stderr)
-            raise
-    return outcomes
+def run(n: int) -> Counter:
+    """The outcome counts of ``check`` on the fixtures, the two hand-built
+    machines and two seeded draws per seed below ``n``."""
+    hand_built = [("no-variables", no_variables), ("format-letters", format_letters)]
+    return sweep(FIXTURES + hand_built + draws(range(n)) + draws(range(n), 4, 3), check)
 
 
 if __name__ == "__main__":
-    count = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
-    print(dict(sorted(sweep(count).items())))
+    main(run, 2000)

@@ -14,7 +14,6 @@ import contextlib
 import io
 import json
 import os
-import random
 import sys
 import tempfile
 
@@ -31,7 +30,7 @@ from sstkit import (  # noqa: E402
 )
 from sstkit.cli import main  # noqa: E402
 
-from helpers import random_sst  # noqa: E402
+from helpers import FIXTURES, draws  # noqa: E402
 
 SEEDS = range(40)
 VALUEDNESS_BUDGET = dict(component_length=2, candidates=200, node_budget=5000, oracle_max_len=5)
@@ -45,10 +44,8 @@ WORDS = {"a": "aaa", "0": "0110"}  # eval/runs input, by a fixture's first lette
 
 
 def machines():
-    for name in fixtures.names():
-        yield name, fixtures.load(name)
-    for s in SEEDS:
-        yield f"random_sst({s})", random_sst(random.Random(s))
+    for label, make in FIXTURES + draws(SEEDS):
+        yield label, make()
 
 
 def analyses() -> dict:
@@ -66,16 +63,13 @@ def wide_dumbbells() -> dict:
     """``find_dumbbell`` at a node budget of 1,000 on 6-state, 4-variable
     draws; a budget stop is recorded as such."""
     out = {}
-    for s in SEEDS:
-        m = random_sst(random.Random(s), max_states=6, max_vars=4)
+    for label, make in draws(SEEDS, 6, 4):
         try:
-            dumbbell = find_dumbbell(m, node_budget=SMALL_NODE_BUDGET)
+            dumbbell = find_dumbbell(make(), node_budget=SMALL_NODE_BUDGET)
         except BudgetExceededError as err:
-            out[f"random_sst({s}, 6, 4)"] = {"budget_stop": str(err)}
+            out[label] = {"budget_stop": str(err)}
             continue
-        out[f"random_sst({s}, 6, 4)"] = {
-            "dumbbell": None if dumbbell is None else dumbbell.describe()
-        }
+        out[label] = {"dumbbell": None if dumbbell is None else dumbbell.describe()}
     return out
 
 
@@ -107,10 +101,8 @@ def dumbbell_nodes() -> dict:
     dumbbell, on the fixtures and 6-state, 4-variable draws; "over" when it
     needs more than ``NODE_CEILING``."""
     out = {}
-    for label, m in [(name, fixtures.load(name)) for name in fixtures.names()] + [
-        (f"random_sst({s}, 6, 4)", random_sst(random.Random(s), max_states=6, max_vars=4))
-        for s in SEEDS
-    ]:
+    for label, make in FIXTURES + draws(SEEDS, 6, 4):
+        m = make()
         nodes = _least_node_budget(m)
         out[label] = "over" if nodes is None else {
             "nodes": nodes, "found": find_dumbbell(m, node_budget=nodes) is not None,
@@ -123,22 +115,6 @@ def deep_analyses() -> dict:
         name: analyze_valuedness(fixtures.load(name), SearchBudget(**DEEP_BUDGET)).to_json()
         for name in fixtures.names()
     }
-
-
-def cli_argvs(name: str, path: str) -> dict[str, list[str]]:
-    word = WORDS[fixtures.load(name).alphabet[0]]
-    return {
-        "validate": ["validate", path],
-        "ambiguity": ["ambiguity", path, "--budget", "1000"],
-        "eval": ["eval", path, "--input", word],
-        "runs": ["runs", path, "--input", word],
-        "oracle": ["oracle", path, "--max-len", "4"],
-    }
-
-
-def valuedness_argv(path: str) -> list[str]:
-    return ["valuedness", path, "--budget", "200", "--component-len", "2",
-            "--max-len", "5", "--amplify", "3"]
 
 
 @contextlib.contextmanager
@@ -167,31 +143,6 @@ def _invoke(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _json_reports(argvs) -> dict:
-    """``--json`` reports on the fixtures, minus ``wall_time_s``, keyed by
-    "<command> <fixture>"; ``argvs(name, path)`` maps each command to its
-    argument list."""
-    out = {}
-    with _fixture_dir() as paths:
-        for name, path in paths.items():
-            for command, argv in argvs(name, path).items():
-                code, stdout, _ = _invoke(argv + ["--json"])
-                report = json.loads(stdout)
-                report.pop("wall_time_s")
-                out[f"{command} {name}"] = {"exit_code": code, "report": report}
-    return out
-
-
-def cli_reports() -> dict:
-    return _json_reports(cli_argvs)
-
-
-def valuedness_reports() -> dict:
-    """``valuedness --json`` with amplification on the fixtures, which pins
-    the budget report and the amplified outputs."""
-    return _json_reports(lambda name, path: {"valuedness": valuedness_argv(path)})
-
-
 # equiv's second document, by a fixture's first letter
 PARTNER = {"a": "FIX-AMB", "0": "FIX-TSC1"}
 BAD_DOC = ("alphabet: a\nvars: X1\nstates: q\ninitial: q\n"
@@ -216,12 +167,18 @@ USAGE_ARGVS = {
 
 
 def cli_all_argvs(name: str, path: str, paths: dict[str, str]) -> dict[str, list[str]]:
-    """All nine subcommands on one fixture."""
+    """All nine subcommands on one fixture; ``valuedness`` amplifies, which
+    pins the budget report and the amplified outputs."""
     first = fixtures.load(name).alphabet[0]
     word = WORDS[first]
     return {
-        **cli_argvs(name, path),
-        "valuedness": valuedness_argv(path),
+        "validate": ["validate", path],
+        "ambiguity": ["ambiguity", path, "--budget", "1000"],
+        "eval": ["eval", path, "--input", word],
+        "runs": ["runs", path, "--input", word],
+        "oracle": ["oracle", path, "--max-len", "4"],
+        "valuedness": ["valuedness", path, "--budget", "200", "--component-len", "2",
+                       "--max-len", "5", "--amplify", "3"],
         "delay": ["delay", path, "--input", word, "--C", "1"],
         "decompose": ["decompose", path, "--k", "2", "--max-len", "2"],
         "equiv": ["equiv", path, paths[PARTNER[first]], "--max-len", "4"],
@@ -262,11 +219,9 @@ def cli_all() -> dict:
 def cases() -> dict:
     return {
         "analyses": analyses(),
-        "cli": cli_reports(),
         "cli_all": cli_all(),
         "deep_analyses": deep_analyses(),
         "dumbbell_nodes": dumbbell_nodes(),
-        "valuedness_cli": valuedness_reports(),
         "wide_dumbbells": wide_dumbbells(),
     }
 

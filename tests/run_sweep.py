@@ -13,30 +13,31 @@ input of length 0 to 5 at a grid of node budgets, and requires the same
 runs in the same order, the same ``budget.used``, and the same stop: the
 same exception class, at ``budget.used == limit + 1``.
 
-The machines are the fixtures and, per seed s, the draws
-``random_sst(Random(s))`` and ``random_sst(Random(s), 4, 3)``, each also
-rewritten with its initial states declared in reverse state order and its
-first transition declared again at the end.  ``tests/test_run_sweep.py``
-runs a slice of it; run the full sweep with
+``run(n)`` checks the fixtures and, for s < n, the draws
+``random_sst(s)`` and ``random_sst(s, 4, 3)`` of ``tests/helpers.py``,
+each also rewritten with its initial states declared in reverse state
+order and its first transition declared again at the end (labelled
+``reordered random_sst(s)`` and so on).  ``tests/test_run_sweep.py`` runs
+a slice of it; run the full sweep with
 
     PYTHONPATH=src python3 tests/run_sweep.py 2000
 
-which prints the count of each outcome and exits non-zero on the first
-mismatch, after printing it.
+which prints the count of each outcome and, through the shared ``sweep``
+driver, exits non-zero on the first mismatch, after printing the label of
+its machine.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import sys
 from collections import Counter
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from sstkit import Budget, BudgetExceededError, Sst, enumerate_runs, fixtures, words_over  # noqa: E402
+from sstkit import Budget, BudgetExceededError, Sst, enumerate_runs, words_over  # noqa: E402
 
-from helpers import random_sst  # noqa: E402
+from helpers import FIXTURES, draws, main, sweep  # noqa: E402
 
 MAX_LEN = 5
 LIMITS = (1, 2, 5, 20, 200, None)  # None: the default budget
@@ -99,29 +100,13 @@ def reordered(sst: Sst) -> Sst:
     )
 
 
-def machines(n: int):
-    """(label, machine): the fixtures, then two draws per seed below ``n``,
-    each as drawn and reordered."""
-    for name in fixtures.names():
-        yield name, fixtures.load(name)
-    for s in range(n):
-        for label, sst in ((f"random_sst(Random({s}))", random_sst(random.Random(s))),
-                           (f"random_sst(Random({s}), 4, 3)", random_sst(random.Random(s), 4, 3))):
-            yield label, sst
-            yield f"reordered {label}", reordered(sst)
-
-
-def sweep(n: int) -> Counter:
-    outcomes: Counter = Counter()
-    for label, sst in machines(n):
-        try:
-            outcomes += check(sst)
-        except AssertionError:
-            print(f"{label} broke the rule", file=sys.stderr)
-            raise
-    return outcomes
+def run(n: int) -> Counter:
+    """The outcome counts of ``check`` on the fixtures, then two draws per
+    seed below ``n``, each as drawn and reordered."""
+    drawn = draws(range(n)) + draws(range(n), 4, 3)
+    rewritten = [(f"reordered {label}", lambda make=make: reordered(make())) for label, make in drawn]
+    return sweep(FIXTURES + drawn + rewritten, check)
 
 
 if __name__ == "__main__":
-    count = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
-    print(dict(sorted(sweep(count).items())))
+    main(run, 2000)

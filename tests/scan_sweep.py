@@ -9,22 +9,22 @@ leaf read.  ``check(sst)`` runs each scan and its reference on a grid of
 length ranges and node budgets, and requires the same result, the same
 budget stop or none, and the same ``budget.used``.
 
-The machines are the fixtures, the ``no_variables`` and ``format_letters``
-machines of ``tests/helpers.py``, and one ``random_sst(Random(s), 4, 3)``
-draw per seed s; each is compared for equivalence with itself less its
-last transition.  ``tests/test_scan_sweep.py`` runs a slice of it; run
-the full sweep with
+``run(n)`` checks the fixtures, the ``no_variables`` and
+``format_letters`` machines and the draws ``random_sst(s, 4, 3)`` for
+s < n, all from ``tests/helpers.py``; each is compared for equivalence
+with itself less its last transition.  ``tests/test_scan_sweep.py`` runs
+a slice of it; run the full sweep with
 
     PYTHONPATH=src python3 tests/scan_sweep.py 2000
 
-which prints the count of each outcome and exits non-zero on the first
-mismatch, after printing it.
+which prints the count of each outcome and, through the shared ``sweep``
+driver, exits non-zero on the first mismatch, after printing the label of
+its machine.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import sys
 from collections import Counter
 from typing import Callable
@@ -38,12 +38,19 @@ from sstkit import (  # noqa: E402
     SstKitError,
     ambiguity_oracle,
     check_equivalence_bounded,
-    fixtures,
     valuedness_oracle,
 )
 from sstkit.model import _final_outputs, _start  # noqa: E402
 
-from helpers import format_letters, no_variables, random_sst, without_last_transition  # noqa: E402
+from helpers import (  # noqa: E402
+    FIXTURES,
+    draws,
+    format_letters,
+    main,
+    no_variables,
+    sweep,
+    without_last_transition,
+)
 
 LENGTHS = ((0, 0), (0, 3), (1, 4), (2, 2), (3, 5), (1, 6), (4, 3))  # (min_len, max_len)
 LIMITS = (5, 40, 300, None)  # None: the default budget
@@ -172,28 +179,12 @@ def check(sst: Sst) -> Counter:
     return outcomes
 
 
-def machines(n: int):
-    """(label, machine): the fixtures, the two hand-built machines and ``n``
-    seeded draws."""
-    for name in fixtures.names():
-        yield name, fixtures.load(name)
-    yield "no-variables", no_variables()
-    yield "format-letters", format_letters()
-    for s in range(n):
-        yield f"random_sst(Random({s}), 4, 3)", random_sst(random.Random(s), 4, 3)
-
-
-def sweep(n: int) -> Counter:
-    outcomes: Counter = Counter()
-    for label, sst in machines(n):
-        try:
-            outcomes += check(sst)
-        except AssertionError:
-            print(f"{label} broke the rule", file=sys.stderr)
-            raise
-    return outcomes
+def run(n: int) -> Counter:
+    """The outcome counts of ``check`` on the fixtures, the two hand-built
+    machines and ``n`` seeded draws."""
+    hand_built = [("no-variables", no_variables), ("format-letters", format_letters)]
+    return sweep(FIXTURES + hand_built + draws(range(n), 4, 3), check)
 
 
 if __name__ == "__main__":
-    count = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
-    print(dict(sorted(sweep(count).items())))
+    main(run, 2000)

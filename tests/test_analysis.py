@@ -23,6 +23,7 @@ from sstkit import (
 from sstkit.analysis import _UpdatePool, _confirm_divergence
 
 from helpers import SWAP_DOC
+from regen_golden import VALUEDNESS_BUDGET, machines
 
 EXPECT_FINITE_AMBIGUOUS = {
     "FIX-ID": True,
@@ -392,6 +393,32 @@ def test_amplify_rejects_fewer_than_one_output(fix_tsc1, m):
         amplify_valuedness(fix_tsc1, witness, m)
     assert type(err.value) is ParameterError
     assert str(err.value) == "need m >= 1 outputs"
+
+
+def test_infinite_verdicts_of_the_golden_corpus_amplify():
+    """Every Infinite verdict of the golden corpus, at its budget, amplifies
+    to m = 2..5 distinct outputs of one input.  Each of the 12 witnesses
+    (FIX-AMB, FIX-TSC1 and 10 draws) has three empty loops, so this is
+    evidence that such witnesses are sound, not a proof."""
+    infinite = []
+    for label, sst in machines():
+        verdict = analyze_valuedness(sst, SearchBudget(**VALUEDNESS_BUDGET))
+        if verdict.kind != "Infinite":
+            continue
+        infinite.append(label)
+        for m in (2, 3, 4, 5):
+            result = amplify_valuedness(sst, verdict.witness, m)
+            assert result is not None, (label, m)
+            word, outs = result
+            assert len(set(outs)) == m and set(outs) <= outputs(sst, word), (label, m)
+    assert len(infinite) == 12 and {"FIX-AMB", "FIX-TSC1"} <= set(infinite)
+
+
+@pytest.mark.parametrize("field", ["component_length", "candidates", "node_budget", "oracle_max_len"])
+def test_search_budget_refuses_a_negative_field(field):
+    # a negative field would test nothing and still report a whole search
+    with pytest.raises(ParameterError, match=f"SearchBudget.{field} must not be negative"):
+        SearchBudget(**{field: -1})
 
 
 def test_dumbbells_on_random_machines_pump_to_many_runs():

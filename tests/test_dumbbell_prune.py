@@ -8,13 +8,11 @@ untrimmed breadth-first search of the three-track product whose tracks
 are (state, ``Skeleton``) pairs, which checks loop idempotency on the
 fly."""
 
-import random
 from collections import deque
 from functools import cache
 
 import pytest
 
-import sstkit
 from sstkit import analysis, find_dumbbell
 from sstkit.analysis import Dumbbell
 from sstkit.model import (
@@ -32,15 +30,12 @@ from sstkit.skeletons import (
     transition_skeletons,
 )
 
-from helpers import random_sst
+from helpers import FIXTURES, draws
 
 # above the most nodes any case below needs, trimmed or not
 BUDGET = 20_000
 
-FIXTURES = [(name, lambda name=name: sstkit.fixtures.load(name)) for name in sstkit.fixtures.names()]
-WIDE = [(f"random_sst({s}, 6, 4)", lambda s=s: random_sst(random.Random(s), max_states=6, max_vars=4))
-        for s in range(40)]
-DEFAULT = [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s))) for s in range(200)]
+WIDE = draws(range(40), 6, 4)
 
 
 def reference_bfs(sst, moves, q1, q2, budget):
@@ -114,7 +109,7 @@ def trimmed_find(sst, monkeypatch):
     return dumbbell, budget.used
 
 
-CASES = FIXTURES + WIDE + DEFAULT
+CASES = FIXTURES + WIDE + draws(range(200))
 
 
 @pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])

@@ -9,10 +9,8 @@ from regen_golden import (
     GOLDEN,
     analyses,
     cli_all,
-    cli_reports,
     deep_analyses,
     dumbbell_nodes,
-    valuedness_reports,
     wide_dumbbells,
 )
 
@@ -30,13 +28,6 @@ def test_golden_analyses(golden):
         assert value == golden["analyses"][label], label
 
 
-def test_golden_cli_reports(golden):
-    got = cli_reports()
-    assert sorted(got) == sorted(golden["cli"])
-    for key, value in got.items():
-        assert value == golden["cli"][key], key
-
-
 def test_golden_cli_all(golden):
     """All nine subcommands on the fixtures in text and --json mode, and the
     error paths: exit code, stdout and stderr."""
@@ -50,7 +41,6 @@ def test_golden_cli_all(golden):
     ("deep_analyses", deep_analyses),
     ("dumbbell_nodes", dumbbell_nodes),
     ("wide_dumbbells", wide_dumbbells),
-    ("valuedness_cli", valuedness_reports),
 ])
 def test_golden_budgeted(golden, section, compute):
     got = json.loads(json.dumps(compute()))

@@ -23,7 +23,6 @@ from sstkit import (
     enumerate_runs,
     eval_run,
     find_dumbbell,
-    fixtures,
     output_via_updates,
     outputs,
     parse_sst,
@@ -31,7 +30,7 @@ from sstkit import (
     skeleton_monoid,
     valuedness_oracle,
 )
-from helpers import random_copyless_update, random_sst, random_word
+from helpers import FIXTURES, draws, random_copyless_update, random_sst, random_word
 
 V2 = ("X1", "X2")
 
@@ -274,6 +273,20 @@ def test_ambiguity_oracle_examples(fix_id, fix_amb, fix_tsc):
     assert ambiguity_oracle(fix_tsc, 3) == (16, "000")
 
 
+def test_scans_start_from_the_least_input_past_a_dead_first_prefix():
+    """The first prefix, "a", dies at once and "b" lives on; no state is
+    final, so every input measures 0 and the witness is the least input of
+    length min_len."""
+    identity = Update.identity(("X",))
+    sst = Sst(("a", "b"), ("X",), ("p", "q"), ("p",), (), {}, (
+        Transition("p", "b", identity, "q"),
+        Transition("q", "a", identity, "q"),
+        Transition("q", "b", identity, "q"),
+    ))
+    assert valuedness_oracle(sst, 3, min_len=2) == (0, "aa")
+    assert ambiguity_oracle(sst, 3, min_len=2) == (0, "aa")
+
+
 def test_budget_exceeded(fix_tsc):
     with pytest.raises(BudgetExceededError):
         enumerate_runs(fix_tsc, "000000", budget=10)
@@ -433,8 +446,7 @@ def test_move_table_lists_each_source_and_letter_in_rank_order(all_fixtures):
                     finals[t].format(*templates[i].split(sep)) for i, t in sst._moves[q][a] if t in finals]
 
 
-COMPLETE_CASES = [(name, lambda name=name: fixtures.load(name)) for name in fixtures.names()]
-COMPLETE_CASES += [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s))) for s in range(30)]
+COMPLETE_CASES = FIXTURES + draws(range(30))
 
 
 @pytest.mark.parametrize("label, make", COMPLETE_CASES, ids=[c[0] for c in COMPLETE_CASES])

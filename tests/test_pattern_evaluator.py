@@ -15,19 +15,14 @@ from sstkit import BudgetExceededError, Run, build_wrun
 from sstkit.analysis import _UpdatePool, _build_pattern, _pattern_candidates
 from sstkit.model import Budget, _compile_update
 
-from helpers import random_sst
+from helpers import FIXTURES, draws
 from test_signature_skip import TWINS
 
-CASES = [(name, lambda name=name: sstkit.fixtures.load(name)) for name in sstkit.fixtures.names()]
 # Draws 95 and 196 each have a candidate whose first divergent tuple
 # differs between marks 2 and 3, so a walk that marks the wrong position
-# fails on them; no draw below 40 has one.
-CASES += [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s)))
-          for s in [*range(40), 95, 196]]
-# Larger draws: 21 of them have candidates, with signatures that share
-# legs across up to four variables.
-CASES += [(f"random_sst({s}, 6, 4)", lambda s=s: random_sst(random.Random(s), max_states=6, max_vars=4))
-          for s in range(40)]
+# fails on them; no draw below 40 has one.  Of the larger draws, 21 have
+# candidates, with signatures that share legs across up to four variables.
+CASES = FIXTURES + draws([*range(40), 95, 196]) + draws(range(40), 6, 4)
 
 SIGNATURES = 10
 SEQUENCES = [(2,), (1, 2, 1), (2, 1, 1, 2)]

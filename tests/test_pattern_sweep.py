@@ -4,10 +4,10 @@ triple levels agrees with the one that interns each path through a
 path-prefix memo, on every candidate shape, the programs its signature
 names, ``budget.used`` at each candidate and the stop."""
 
-from pattern_sweep import sweep
+from pattern_sweep import run
 
 
 def test_candidates_match_the_reference_that_interns_paths():
-    outcomes = sweep(40)
+    outcomes = run(40)
     # the slice yields candidates and reaches both stops
     assert set(outcomes) == {"candidates", "end", "stop"}

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-import sstkit
 from sstkit.model import (
     coreachable_states,
     reachable_states,
@@ -13,10 +12,9 @@ from sstkit.model import (
     shortest_exit_run,
 )
 
-from helpers import random_sst
+from helpers import FIXTURES, draws, random_sst
 
-CASES = [(name, lambda name=name: sstkit.fixtures.load(name)) for name in sstkit.fixtures.names()]
-CASES += [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s))) for s in range(40)]
+CASES = FIXTURES + draws(range(40))
 # eight states give access and exit runs of several steps
 CASES += [(f"random_sst({s}, 8 states)", lambda s=s: random_sst(random.Random(s), max_states=8))
           for s in range(40)]

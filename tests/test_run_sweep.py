@@ -3,10 +3,10 @@
 runs explicitly, on the runs and their order, on ``budget.used`` and on
 the budget stop."""
 
-from run_sweep import sweep
+from run_sweep import run
 
 
 def test_runs_match_the_reference_that_sorts_them():
-    outcomes = sweep(40)
+    outcomes = run(40)
     # the slice reaches both outcomes
     assert set(outcomes) == {"runs", "stop"}

@@ -2,8 +2,6 @@
 leaves the W-pattern search's result and budget count exactly as testing
 every candidate does."""
 
-import random
-
 import pytest
 
 import sstkit
@@ -15,10 +13,9 @@ from sstkit.analysis import (
 )
 from sstkit.model import Budget
 
-from helpers import random_sst
+from helpers import FIXTURES, draws
 
-CASES = [(name, lambda name=name: sstkit.fixtures.load(name)) for name in sstkit.fixtures.names()]
-CASES += [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s))) for s in range(40)]
+CASES = FIXTURES + draws(range(40))
 
 # Each machine has a non-divergent candidate followed, at a later state
 # pair, by a divergent one with the same legs; the two signatures differ

@@ -32,7 +32,7 @@ from sstkit.analysis import _search_divergent_pattern
 from sstkit.model import _compile_update
 from sstkit.skeletons import transition_skeletons
 
-from helpers import random_sst
+from helpers import FIXTURES, draws, random_sst
 
 # Letters that are digits: erasing them from a template as characters
 # would also erase the indices of its replacement fields, and read the
@@ -47,13 +47,8 @@ trans p 0 p { X := Y 0 ; Y := X }
 trans p 1 p { X := X 1 ; Y := Y }
 """
 
-CASES = [(name, lambda name=name: sstkit.fixtures.load(name)) for name in sstkit.fixtures.names()]
-CASES += [("swap-01", lambda: parse_sst(SWAP_01))]
-CASES += [(f"random_sst({s})", lambda s=s: random_sst(random.Random(s))) for s in range(40)]
 # six states and four variables give monoids of hundreds of elements
-CASES += [(f"random_sst({s}, 6, 4)",
-           lambda s=s: random_sst(random.Random(s), max_states=6, max_vars=4))
-          for s in range(40)]
+CASES = FIXTURES + [("swap-01", lambda: parse_sst(SWAP_01))] + draws(range(40)) + draws(range(40), 6, 4)
 
 
 def brute_monoid(sst) -> set:
@@ -138,10 +133,7 @@ def test_pool_numbers_the_skeleton_of_every_update(label, make, monkeypatch):
         assert erased == _compile_update(sst, skeleton_of(update).images), k
 
 
-CAP_CASES = [(name, lambda name=name: sstkit.fixtures.load(name)) for name in sstkit.fixtures.names()]
-CAP_CASES += [(f"random_sst({s}, 6, 4)",
-               lambda s=s: random_sst(random.Random(s), max_states=6, max_vars=4))
-              for s in (0, 3, 7)]
+CAP_CASES = FIXTURES + draws((0, 3, 7), 6, 4)
 
 
 def monoid_or_raise(sst, cap):
