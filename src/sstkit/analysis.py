@@ -340,18 +340,12 @@ def _build_pattern(sst: Sst, q1: str, q2: str, stations, entry_paths, loop_paths
     )
 
 
-def _rank(counts: tuple) -> int:
-    """Position of a tuple over {1, 2} among those of its length,
-    lexicographic."""
-    return sum((x - 1) << k for k, x in enumerate(reversed(counts)))
-
-
-# Each tuple in {1,2}^5, lexicographic, with the ranks of its parts: the
-# prefix (n1, n2) and suffix (n3, n4, n5) of the run marked at position 2,
-# and the prefix (n1, n2, n3) and suffix (n4, n5) of the one marked at 4.
+# Each tuple in {1,2}^5, lexicographic, at index i, with the ranks of its
+# parts: the prefix (n1, n2) and suffix (n3, n4, n5) of the run marked at
+# position 2, and the prefix (n1, n2, n3) and suffix (n4, n5) of the one
+# marked at 4.  A part's rank among the tuples of its length is its bits of i.
 _LEAVES = tuple(
-    (t, _rank(t[:2]), _rank(t[2:]), _rank(t[:3]), _rank(t[3:]))
-    for t in product((1, 2), repeat=5)
+    (t, i >> 3, i & 7, i >> 2, i & 3) for i, t in enumerate(product((1, 2), repeat=5))
 )
 
 
@@ -621,7 +615,10 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
     signature.  The signature is what the divergence test depends on: ids
     in ``pool`` of the rho0 update, of the three legs' (entry, loop, exit)
     updates, read off the level entries, and of the rho4 update, found at
-    the first candidate ending at its state, and the end state.
+    the first exit triple ending at its state, and the end state.  Each
+    signature is yielded once: a later triple with the signature of a
+    yielded candidate is skipped untested, though its budget is charged
+    all the same.
 
     Station shapes are pruned by the loop/composite idempotency
     requirements, read off the update templates by ``pool.idempotent``
@@ -630,6 +627,7 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
     sst, idempotent = pool.sst, pool.idempotent
     exits: dict[str, tuple] = {}  # q2 -> (rho4 update id, end state)
     levels_memo: dict = {}
+    yielded: set[tuple] = set()
 
     def levels(starts) -> _TripleLevels:
         if starts not in levels_memo:
@@ -650,38 +648,32 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
                         budget.charge()
                         if ends != goal:
                             continue
-                        legs = tuple(zip(e_ids, l_ids, x_ids))
-                        if not all(map(idempotent, legs)):
-                            continue
-                        if legs[0] == legs[1] == legs[2]:
-                            continue  # every mark gives the same output
                         if q2 not in exits:
                             rho4 = shortest_exit_run(sst, q2)
                             exits[q2] = pool.path_id(rho4.steps), rho4.end
-                        yield ((alpha, legs, *exits[q2]), q1, q2, stations,
-                               e_paths, l_paths, x_paths)
+                        legs = tuple(zip(e_ids, l_ids, x_ids))
+                        signature = (alpha, legs, *exits[q2])
+                        if signature in yielded or not all(map(idempotent, legs)):
+                            continue
+                        if legs[0] == legs[1] == legs[2]:
+                            continue  # every mark gives the same output
+                        yielded.add(signature)
+                        yield (signature, q1, q2, stations, e_paths, l_paths, x_paths)
 
 
 def _search_divergent_pattern(sst: Sst, sb: SearchBudget):
-    """The first candidate with a divergent tuple, in candidate order.  The
-    divergence test depends on the candidate's signature only, so a
-    signature already found non-divergent is skipped untested; the budget
-    is charged for it all the same."""
+    """The first candidate with a divergent tuple, in candidate order."""
     budget = Budget(sb.candidates)
     report = {
         "component_length": sb.component_length,
         "candidate_budget": sb.candidates,
         "exhausted": False,
     }
-    non_divergent: set[tuple] = set()
     try:
         pool = _UpdatePool(sst)
         for signature, *shape in _pattern_candidates(pool, sb.component_length, budget):
-            if signature in non_divergent:
-                continue
             tup = pool.first_divergent_tuple(signature)
             if tup is None:
-                non_divergent.add(signature)
                 continue
             pattern = _build_pattern(sst, *shape)
             pattern.verify(sst)

@@ -121,11 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     p = add("valuedness", _cmd_valuedness, "sound partial finite-valuedness analysis")
-    p.add_argument("--budget", type=_count, default=1_000_000,
+    defaults = SearchBudget()
+    p.add_argument("--budget", type=_count, default=defaults.candidates,
                    help="candidate budget of the W-pattern search, also the --amplify scan's budget")
-    p.add_argument("--component-len", type=_count, default=4,
+    p.add_argument("--component-len", type=_count, default=defaults.component_length,
                    help="max transitions per W-pattern component")
-    p.add_argument("--max-len", type=_count, default=6,
+    p.add_argument("--max-len", type=_count, default=defaults.oracle_max_len,
                    help="oracle scan length for Unknown verdicts")
     p.add_argument("--amplify", type=_count, default=0, metavar="M",
                    help="on Infinite, also search for M pairwise distinct outputs")

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import sstkit
-from sstkit.cli import main
+from sstkit import SearchBudget
+from sstkit.cli import _build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +298,13 @@ def test_parser_is_built_once(docs, capsys, monkeypatch):
     assert main(["validate", docs["FIX-ID"]]) == 0
     assert main(["oracle", docs["FIX-ID"], "--no-such-flag"]) == 2
     capsys.readouterr()
+
+
+def test_valuedness_defaults_are_the_search_budget_defaults():
+    args = _build_parser().parse_args(["valuedness", "machine.sst"])
+    parsed = SearchBudget(component_length=args.component_len, candidates=args.budget,
+                          oracle_max_len=args.max_len)
+    assert parsed == SearchBudget()
 
 
 def test_each_document_is_opened_once(docs, capsys, monkeypatch):

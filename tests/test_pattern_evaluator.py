@@ -6,7 +6,7 @@ grounds composed templates on applied contents, so composing templates is
 checked against applying them here too."""
 
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -29,18 +29,15 @@ SEQUENCES = [(2,), (1, 2, 1), (2, 1, 1, 2)]
 
 
 def distinct_candidates(sst, limit=SIGNATURES, budget=5000):
-    """The first ``limit`` candidates with distinct signatures, at component
-    length 2."""
+    """The first ``limit`` candidates, at component length 2; the generator
+    yields each signature once."""
     pool = _UpdatePool(sst)
-    seen = {}
+    candidates = []
     try:
-        for raw in _pattern_candidates(pool, 2, Budget(budget)):
-            seen.setdefault(raw[0], raw)
-            if len(seen) == limit:
-                break
+        candidates.extend(islice(_pattern_candidates(pool, 2, Budget(budget)), limit))
     except BudgetExceededError:
         pass
-    return pool, list(seen.values())
+    return pool, candidates
 
 
 def reference_tuple(sst, pattern):

@@ -1,19 +1,17 @@
-"""Skipping candidates whose signature was already found non-divergent
-leaves the W-pattern search's result and budget count exactly as testing
-every candidate does."""
+"""Yielding each signature once leaves the W-pattern search's result and
+budget count exactly as testing every candidate, repeats included, does:
+the reference is the pattern sweep's per-path generator."""
 
 import pytest
 
 import sstkit
 from sstkit import BudgetExceededError, SearchBudget
-from sstkit.analysis import (
-    _UpdatePool,
-    _pattern_candidates,
-    _search_divergent_pattern,
-)
+from sstkit.analysis import _UpdatePool, _pattern_candidates, _search_divergent_pattern
 from sstkit.model import Budget
 
 from helpers import FIXTURES, draws
+from pattern_sweep import ReferencePool, reference_candidates
+from regen_golden import machines
 
 CASES = FIXTURES + draws(range(40))
 
@@ -72,12 +70,13 @@ trans C a C { X := X a }
 
 
 def reference_search(sst, sb):
-    """Test every candidate in order and stop at the first divergent one:
-    (candidate, tuple, budget used, exhausted)."""
+    """Test every candidate of the reference generator in order, repeated
+    signatures included, and stop at the first divergent one: (candidate,
+    tuple, budget used, exhausted)."""
     budget = Budget(sb.candidates)
-    pool = _UpdatePool(sst)
+    pool = ReferencePool(sst)
     try:
-        for raw in _pattern_candidates(pool, sb.component_length, budget):
+        for raw in reference_candidates(pool, sb.component_length, budget):
             tup = pool.first_divergent_tuple(raw[0])
             if tup is not None:
                 return raw, tup, budget.used, False
@@ -122,3 +121,21 @@ def test_signature_keeps_every_part(part, component_length):
     witness, _ = _search_divergent_pattern(sst, sb)
     assert witness is not None
     check_against_reference(sst, sb)
+
+
+@pytest.mark.parametrize("component_length", [2, 3])
+def test_no_signature_is_yielded_twice(component_length):
+    """On the golden machines, the generator yields each signature once,
+    up to the end of its candidates or a budget stop."""
+    repeated = []
+    for label, sst in machines():
+        pool, seen = _UpdatePool(sst), set()
+        try:
+            for signature, *_ in _pattern_candidates(pool, component_length, Budget(5000)):
+                if signature in seen:
+                    repeated.append(label)
+                    break
+                seen.add(signature)
+        except BudgetExceededError:
+            pass
+    assert repeated == []
