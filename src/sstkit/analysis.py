@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, product
 
@@ -566,12 +566,12 @@ class SearchBudget:
     oracle_max_len: int = 6
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
+        for name, value in vars(self).items():
             if value < 0:
                 raise ParameterError(f"SearchBudget.{name} must not be negative: {value}")
 
     def describe(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 class _TripleLevels:

@@ -159,11 +159,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_document(path: str, raw: bytes) -> Sst:
+    """The machine of one document; a parse error names the document first."""
     try:
-        text = raw.decode("utf-8")
+        return parse_sst(raw.decode("utf-8"))
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 ({err.reason} at byte {err.start})") from None
-    return parse_sst(text)
+    except ParseError as err:
+        raise ParseError(f"{path}: {err}") from None
 
 
 class _Report:

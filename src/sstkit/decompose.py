@@ -77,8 +77,10 @@ def decompose_selectors(
 
     selector i maps an input to its i-th distinct output in witness order,
     or None when fewer than i outputs exist.  On inputs with at most k
-    outputs the union of the selector graphs equals the relation.  A ``k``
-    below 1 raises ``ParameterError``.
+    outputs the union of the selector graphs equals the relation.  A
+    ``Budget`` passed in is shared by every call of every selector, while
+    an int or None gives each call its own budget.  A ``k`` below 1 raises
+    ``ParameterError``.
     """
     if k < 1:
         raise ParameterError("need at least one selector")

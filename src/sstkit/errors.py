@@ -6,7 +6,10 @@ class SstKitError(Exception):
 
 
 class ParseError(SstKitError):
-    """Malformed transducer document."""
+    """Malformed transducer document.  Every fault that ``parse_sst`` finds
+    is one, with the 1-based ``line`` and, where it points at a token, the
+    ``column`` in code points, both also put first in the message; raised
+    elsewhere, they are None."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
@@ -20,32 +23,18 @@ class ParseError(SstKitError):
         super().__init__(prefix + message)
 
 
-class CopylessError(SstKitError):
-    """A variable occurs more than once across the images of an update.
+class CopylessError(ParseError):
+    """A variable occurs more than once across the images of an update or
+    in a final output; in a document, located at the repeated occurrence."""
 
-    The parser sets ``line`` and ``column`` (1-based) to where the repeated
-    occurrence stands in the document; elsewhere they are None.
-    """
-
-    def __init__(self, variable: str, message: str | None = None,
-                 line: int | None = None, column: int | None = None):
+    def __init__(self, variable: str, message: str | None = None, *location: int | None):
         self.variable = variable
-        self.line = line
-        self.column = column
-        super().__init__(message or f"variable {variable!r} occurs more than once")
+        super().__init__(message or f"variable {variable!r} occurs more than once", *location)
 
 
-class UnknownSymbolError(SstKitError):
-    """Reference to an undeclared state, letter, or variable.
-
-    The parser sets ``line`` and ``column`` (1-based) to where the name
-    stands in the document; elsewhere they are None.
-    """
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        super().__init__(message)
+class UnknownSymbolError(ParseError):
+    """Reference to an undeclared state, letter, or variable; in a document,
+    located at the name."""
 
 
 class VariableSetMismatchError(SstKitError):

@@ -58,8 +58,10 @@ class Budget:
     """Mutable expansion counter shared across one enumeration.
 
     Run enumeration charges one unit per partial-run extension, the
-    frontier functions one per configuration expansion, searches one per
-    node; all fail loudly instead of truncating silently.
+    frontier functions one per configuration expansion, the dumbbell search
+    one per node popped, the W-pattern search one per start triple, per
+    generated triple and per scanned exit triple, and amplification one per
+    marked sequence; all fail loudly instead of truncating silently.
     """
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):

@@ -23,10 +23,11 @@ and ``initial:`` lines must appear before any line that uses them.
 
 Lines are what ``str.splitlines`` yields, and a line's tokens are what
 ``str.split`` yields on the part before its first ``#``.  A leading
-byte-order mark (U+FEFF) is ignored.  An error names the 1-based line and,
-where it points at a token, the token's column: a 1-based offset in code
-points, so a tab or a wide space counts as one.  Columns are worked out
-only when an error is raised.
+byte-order mark (U+FEFF) is ignored.  Every error is a ``ParseError``
+that names the 1-based line and, where it points at a token, the token's
+column: a 1-based offset in code points, so a tab or a wide space counts
+as one.  A header that is never declared has no line.  Columns are worked
+out only when an error is raised.
 """
 
 from __future__ import annotations
@@ -67,17 +68,11 @@ class _Document:
         self.lineno = 0
         self.raw = ""
 
-    def error(self, message: str, i: int | None = None) -> ParseError:
-        """A ParseError at this line, and at its i-th token if given."""
-        return ParseError(message, self.lineno, None if i is None else _column(self.raw, i))
-
-    def unknown(self, message: str, i: int) -> UnknownSymbolError:
-        """An UnknownSymbolError at the i-th token of this line."""
-        return UnknownSymbolError(f"line {self.lineno}: {message}", self.lineno, _column(self.raw, i))
-
-    def copyless(self, variable: str, message: str, i: int) -> CopylessError:
-        """A CopylessError at the i-th token of this line."""
-        return CopylessError(variable, f"line {self.lineno}: {message}", self.lineno, _column(self.raw, i))
+    def error(self, message: str, i: int | None = None,
+              cls: type[ParseError] = ParseError, *lead: str) -> ParseError:
+        """A ``cls`` at this line, and at its i-th token if given; ``lead``
+        are the arguments that ``cls`` takes before the message."""
+        return cls(*lead, message, self.lineno, None if i is None else _column(self.raw, i))
 
     def need(self, attr: str) -> frozenset[str]:
         try:
@@ -113,7 +108,7 @@ class _Document:
         seen = set()
         for i, tok in enumerate(names, 1):
             if tok not in states:
-                raise self.unknown(f"unknown initial state {tok!r}", i)
+                raise self.error(f"unknown initial state {tok!r}", i, UnknownSymbolError)
             if tok in seen:
                 raise self.error(f"duplicate initial state {tok!r}", i)
             seen.add(tok)
@@ -130,12 +125,12 @@ class _Document:
             raise self.error("expected 'init VAR = letters...'")
         var = toks[1]
         if var not in variables:
-            raise self.unknown(f"unknown variable {var!r}", 1)
+            raise self.error(f"unknown variable {var!r}", 1, UnknownSymbolError)
         if var in self.initial_assignment:
             raise self.error(f"duplicate 'init' for {var!r}", 1)
         for i, tok in enumerate(toks[3:], 3):
             if tok not in alphabet:
-                raise self.unknown(f"unknown letter {tok!r} in init", i)
+                raise self.error(f"unknown letter {tok!r} in init", i, UnknownSymbolError)
         self.initial_assignment[var] = "".join(toks[3:])
 
     def final(self, toks: list[str]) -> None:
@@ -146,17 +141,17 @@ class _Document:
             raise self.error("expected 'final STATE -> expression'")
         state = toks[1]
         if state not in states:
-            raise self.unknown(f"unknown state {state!r}", 1)
+            raise self.error(f"unknown state {state!r}", 1, UnknownSymbolError)
         if state in self.final_output:
             raise self.error(f"duplicate 'final' for state {state!r}", 1)
         seen_vars = set()
         for i, tok in enumerate(toks[3:], 3):
             if tok in variables:
                 if tok in seen_vars:
-                    raise self.copyless(tok, f"variable {tok!r} occurs twice in a final output", i)
+                    raise self.error(f"variable {tok!r} occurs twice in a final output", i, CopylessError, tok)
                 seen_vars.add(tok)
             elif tok not in alphabet:
-                raise self.unknown(f"unknown symbol {tok!r} in final output", i)
+                raise self.error(f"unknown symbol {tok!r} in final output", i, UnknownSymbolError)
         self.finals.append(state)
         self.final_output[state] = tuple(toks[3:])
 
@@ -168,11 +163,11 @@ class _Document:
             raise self.error("expected 'trans SRC LETTER TGT { ... }'")
         _, src, letter, tgt, brace = toks[:5]
         if src not in states:
-            raise self.unknown(f"unknown state {src!r}", 1)
+            raise self.error(f"unknown state {src!r}", 1, UnknownSymbolError)
         if letter not in alphabet:
-            raise self.unknown(f"unknown letter {letter!r}", 2)
+            raise self.error(f"unknown letter {letter!r}", 2, UnknownSymbolError)
         if tgt not in states:
-            raise self.unknown(f"unknown state {tgt!r}", 3)
+            raise self.error(f"unknown state {tgt!r}", 3, UnknownSymbolError)
         if brace != "{":
             raise self.error("expected '{' opening the update", 4)
         end = len(toks) - 1
@@ -190,7 +185,7 @@ class _Document:
             if stop > start:
                 var = toks[start]
                 if var not in variables:
-                    raise self.unknown(f"unknown variable {var!r} in update", start)
+                    raise self.error(f"unknown variable {var!r} in update", start, UnknownSymbolError)
                 if stop - start < 2 or toks[start + 1] != ":=":
                     raise self.error(f"expected '{var} := ...'", start)
                 if var in images:
@@ -198,7 +193,7 @@ class _Document:
                 image = tuple(toks[start + 2:stop])
                 if not symbols.issuperset(image):
                     k, tok = next((k, tok) for k, tok in enumerate(image) if tok not in symbols)
-                    raise self.unknown(f"unknown symbol {tok!r} in update", start + 2 + k)
+                    raise self.error(f"unknown symbol {tok!r} in update", start + 2 + k, UnknownSymbolError)
                 images[var] = image
             start = stop + 1
         try:
@@ -207,17 +202,16 @@ class _Document:
             # point at the second occurrence in an image, or at the only one
             # when the other is a variable that the update leaves alone
             seen = [k for k in range(5, end) if toks[k] == err.variable and toks[k + 1] != ":="]
-            raise self.copyless(err.variable, str(err), seen[:2][-1]) from None
+            raise self.error(str(err), seen[:2][-1], CopylessError, err.variable) from None
         self.transitions.append(Transition(src, letter, update, tgt))
 
 
 def parse_sst(text: str) -> Sst:
     """Parse a transducer document, validating as it goes.
 
-    Raises ParseError with line/column for syntax problems, CopylessError
-    naming the offending variable, with the line and column of its repeat,
-    and UnknownSymbolError, with the line and column of the name, for
-    dangling references.
+    Every fault raises a ParseError, located as the module says: an
+    UnknownSymbolError at a dangling reference, and a CopylessError,
+    naming the variable, at its repeat.
     """
     doc = _Document()
     if text.startswith("\ufeff"):

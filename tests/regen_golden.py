@@ -153,6 +153,7 @@ ERROR_ARGVS = {
     "missing file": ["validate", "missing.sst"],
     "missing second file": ["equiv", "fix_tsc.sst", "missing.sst"],
     "copyless violation": ["validate", "bad.sst"],
+    "copyless violation second file": ["equiv", "fix_tsc.sst", "bad.sst"],
     "crlf validate": ["validate", "fix_tsc_crlf.sst"],
     "crlf equiv": ["equiv", "fix_tsc.sst", "fix_tsc_crlf.sst"],
     "delay --run2 99": ["delay", "fix_tsc.sst", "--input", "00", "--run2", "99"],

@@ -1,9 +1,9 @@
 """Skeleton idempotency in the W-pattern search, read off the update
 templates its pool interns: every answer against ``compose_skeletons``,
 the skeleton template of every update, a search whose results do not
-depend on the order in which updates were numbered, and searches that no
-monoid cap stops.  ``skeleton_monoid``, the public closure, is checked
-against brute force and keeps its own cap."""
+depend on the order in which updates were numbered, and analyses that
+no cap on the skeleton monoid stops.  ``skeleton_monoid``, the public
+closure, is checked against brute force and against its own cap."""
 
 import gc
 import random
@@ -206,6 +206,16 @@ def small_verdict(sst):
     return analyze_valuedness(sst, SearchBudget(component_length=2, candidates=2000)).to_json()
 
 
+def cap_the_monoid(monkeypatch, cap):
+    """Make ``skeleton_monoid``, reached through the module or the package,
+    close under ``cap``: the default cap is bound when the module is
+    imported, so patching ``SKELETON_MONOID_CAP`` would reach no call."""
+    full = skeletons.skeleton_monoid
+    capped = lambda sst: full(sst, cap)
+    monkeypatch.setattr(skeletons, "skeleton_monoid", capped)
+    monkeypatch.setattr(sstkit, "skeleton_monoid", capped)
+
+
 @pytest.mark.parametrize("label, make", CAP_CASES, ids=[c[0] for c in CAP_CASES])
 def test_search_cap_counts_the_elements_it_numbered(label, make, monkeypatch):
     # no analysis numbers an element of the skeleton monoid, so not even a
@@ -214,7 +224,9 @@ def test_search_cap_counts_the_elements_it_numbered(label, make, monkeypatch):
     expected = dumbbell_or_stop(make()), small_verdict(make())
     if label in ("FIX-ID", "random_sst(7, 6, 4)"):
         assert expected[1]["kind"] == "Finite"
-    monkeypatch.setattr(skeletons, "SKELETON_MONOID_CAP", 0)
+    cap_the_monoid(monkeypatch, 0)
+    with pytest.raises(BudgetExceededError):
+        sstkit.skeleton_monoid(make())
     assert (dumbbell_or_stop(make()), small_verdict(make())) == expected
 
 
@@ -227,7 +239,9 @@ def test_finite_verdict_ignores_the_monoid_cap(make, cap, monkeypatch):
     below the monoid's size cannot turn it into an error or an Unknown.
     The monoids here have 8 elements and 1."""
     assert len(skeleton_monoid(make())) > cap
-    monkeypatch.setattr(skeletons, "SKELETON_MONOID_CAP", cap)
+    cap_the_monoid(monkeypatch, cap)
+    with pytest.raises(BudgetExceededError):
+        skeletons.skeleton_monoid(make())
     assert analyze_valuedness(make()).kind == "Finite"
     monkeypatch.setattr(analysis, "_UpdatePool", no_pool)
     assert find_dumbbell(make()) is None
@@ -238,7 +252,7 @@ def test_pattern_search_cap_counts_the_elements_it_numbered(label, make, monkeyp
     # the W-pattern search reads idempotency off its pool's templates and
     # numbers no element of the monoid, so a cap of 0 does not stop it
     expected = recorded_search(make(), monkeypatch)[:2]
-    monkeypatch.setattr(skeletons, "SKELETON_MONOID_CAP", 0)
+    cap_the_monoid(monkeypatch, 0)
     assert recorded_search(make(), monkeypatch)[:2] == expected
 
 
