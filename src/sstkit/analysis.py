@@ -551,7 +551,7 @@ class DivergentPattern:
 # -- the W-pattern search ----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchBudget:
     """Knobs for the valuedness analysis.
 

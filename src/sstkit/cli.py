@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .analysis import (
@@ -80,6 +81,41 @@ def _positive(text: str) -> int:
     the number of selectors: an integer, one or more, checked before any
     document is read."""
     return _count(text, low=1)
+
+
+# the JSON text of a scalar, by its type, as ``json.dumps`` writes it
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: json.dumps,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _to_json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a report value:
+    dicts with ``str`` keys, lists, tuples and the scalars of ``_SCALARS``.
+    Any other type raises ``TypeError``.  Each item's text is looked up in
+    ``_SCALARS`` in place, and only containers are recursed into."""
+    scalars, inner = _SCALARS, indent + "  "
+    kind = type(value)
+    if kind is dict:
+        items = [f"{encode_basestring_ascii(key)}: "
+                 f"{text(item) if (text := scalars.get(type(item))) else _to_json(item, inner)}"
+                 for key, item in sorted(value.items())]
+        brackets = "{}"
+    elif kind is list or kind is tuple:
+        items = [text(item) if (text := scalars.get(type(item))) else _to_json(item, inner)
+                 for item in value]
+        brackets = "[]"
+    elif kind in scalars:
+        return scalars[kind](value)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
 
 
 def _check_lengths(low: int, high: int) -> None:
@@ -202,7 +238,7 @@ class _Report:
             self.data.update(payload)
             self.data["exit_code"] = exit_code
             self.data["wall_time_s"] = round(time.monotonic() - self.started, 6)
-            print(json.dumps(self.data, sort_keys=True, indent=2))
+            print(_to_json(self.data))
         else:
             for line in self.lines:
                 print(line)

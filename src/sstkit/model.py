@@ -45,6 +45,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import (
     BudgetExceededError,
     CopylessError,
+    ParameterError,
     RunError,
     SstKitError,
     UnknownSymbolError,
@@ -127,10 +128,6 @@ class Update:
     def _index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.variables)}
 
-    @cached_property
-    def _varset(self) -> frozenset[str]:
-        return frozenset(self.variables)
-
     def image(self, variable: str) -> tuple[str, ...]:
         try:
             return self.images[self._index[variable]]
@@ -139,12 +136,14 @@ class Update:
 
     def apply_to(self, tokens: Sequence[str]) -> tuple[str, ...]:
         """Morphic application: substitute this update's images for variables."""
+        index, images = self._index, self.images
         out: list[str] = []
         for tok in tokens:
-            if tok in self._varset:
-                out.extend(self.image(tok))
-            else:
+            k = index.get(tok)
+            if k is None:
                 out.append(tok)
+            else:
+                out += images[k]
         return tuple(out)
 
     def canonical(self) -> str:
@@ -165,7 +164,7 @@ def compose_updates(a: Update, b: Update) -> Update:
         raise VariableSetMismatchError(
             f"cannot compose updates over {a.variables} and {b.variables}"
         )
-    return Update(a.variables, tuple(b.apply_to(a.image(v)) for v in a.variables))
+    return Update(a.variables, tuple(b.apply_to(image) for image in a.images))
 
 
 @dataclass(frozen=True)
@@ -179,16 +178,21 @@ class Transition:
 class Sst:
     """A nondeterministic copyless streaming string transducer.
 
-    ``__init__`` builds the one compiled form of each update and final
-    output (``_compile_update``): a ``str.format`` template
-    (``_templates``, ``_final_templates``, images joined by ``_sep``; see
-    the module docstring), which the frontier functions and the W-pattern
-    search read.  Run evaluation, skeletons and pumping read the declared
-    images.  Letters may not be ``{`` or ``}``, which a template would read
-    as part of a replacement field.  One pass over the transitions then
-    builds the per-state, per-letter tables ``_moves``, ``_predecessors``
-    and ``_leaf_templates``.  With them ``__init__`` has built every table
-    the package reads, and nothing is added to a machine after it returns.
+    ``__init__`` stores the parts (``_store``), checks them (``_validate``)
+    and builds the tables (``_build``).  ``parse_sst``, whose parser has
+    already rejected every fault that ``_validate`` looks for, calls only
+    ``_store`` and ``_build``, on an instance made with ``Sst.__new__``.
+
+    ``_build`` makes the one compiled form of each update and final output
+    (``_compile_update``): a ``str.format`` template (``_templates``,
+    ``_final_templates``, images joined by ``_sep``; see the module
+    docstring), which the frontier functions and the W-pattern search read.
+    Run evaluation, skeletons and pumping read the declared images.
+    Letters may not be ``{`` or ``}``, which a template would read as part
+    of a replacement field.  One pass over the transitions then builds the
+    per-state, per-letter tables ``_moves``, ``_predecessors`` and
+    ``_leaf_templates``.  With them the machine has every table the package
+    reads, and nothing is added to it afterwards.
 
     The first declared variable is conventionally the output variable, but
     outputs are defined by the per-final-state ``final_output`` expressions,
@@ -206,6 +210,14 @@ class Sst:
         transitions: Sequence[Transition],
         initial_assignment: Mapping[str, str] | None = None,
     ):
+        self._store(alphabet, variables, states, initials, finals, final_output,
+                    transitions, initial_assignment)
+        self._validate()
+        self._build()
+
+    def _store(self, alphabet, variables, states, initials, finals, final_output,
+               transitions, initial_assignment) -> None:
+        """Keep the parts as ``__init__`` takes them, with their indexes."""
         self.alphabet = tuple(alphabet)
         self.variables = tuple(variables)
         self.states = tuple(states)
@@ -220,7 +232,9 @@ class Sst:
         self._state_index = {q: i for i, q in enumerate(self.states)}
         # variable -> (its index, its replacement field in a template)
         self._fields = {v: (k, f"{{{k}}}") for k, v in enumerate(self.variables)}
-        self._validate()
+
+    def _build(self) -> None:
+        """The tables of a machine whose parts are valid."""
         # the initial states in state order, where runs and frontiers start
         self._starts = tuple(sorted(self.initials, key=self._state_index.__getitem__))
 
@@ -391,10 +405,26 @@ class Run:
 
     @cached_property
     def induced_update(self) -> Update:
-        acc = Update.identity(self.sst.variables)
+        """The composite of the steps' updates (``compose_updates``, the
+        earlier images substituted into the later ones), folded on image
+        tuples through ``Sst._fields``; the one ``Update`` built at the end
+        checks that it is copyless."""
+        sst = self.sst
+        fields, transitions = sst._fields, sst.transitions
+        images = [(v,) for v in sst.variables]
         for i in self.steps:
-            acc = compose_updates(self.sst.transitions[i].update, acc)
-        return acc
+            fresh = []
+            for image in transitions[i].update.images:
+                out: list[str] = []
+                for tok in image:
+                    field = fields.get(tok)
+                    if field is None:
+                        out.append(tok)
+                    else:
+                        out += images[field[0]]
+                fresh.append(tuple(out))
+            images = fresh
+        return Update(sst.variables, tuple(images))
 
     @cached_property
     def annotated_output(self) -> tuple[tuple[str, int], ...]:
@@ -465,6 +495,14 @@ def _check_owner(sst: Sst, run: Run) -> None:
 # -- enumeration ----------------------------------------------------------
 
 
+def _check_word(sst: Sst, word: str) -> None:
+    """An input letter outside the alphabet is a bad argument, not a fault
+    of the document: it raises ``ParameterError``."""
+    for c in word:
+        if c not in sst._letter_index:
+            raise ParameterError(f"input letter {c!r} is not in the alphabet")
+
+
 def enumerate_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> list[Run]:
     """All accepting runs on ``word``, in canonical order: by the rank
     sequences of their transitions (``Sst.transition_rank``), with the
@@ -473,9 +511,7 @@ def enumerate_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> l
     them in this order (see the comment on configuration frontiers).  The
     budget is charged one unit per partial run, the empty ones included.
     """
-    for c in word:
-        if c not in sst._letter_index:
-            raise UnknownSymbolError(f"input letter {c!r} is not in the alphabet")
+    _check_word(sst, word)
     b = Budget.ensure(budget)
     finals = set(sst.finals)
     moves = sst._moves
@@ -608,9 +644,7 @@ def _leaf_outputs(sst: Sst, frontier: dict, letter: str, budget: Budget) -> dict
 
 def _frontier(sst: Sst, word: str, budget: Budget | int | None) -> dict:
     """The frontier reached on ``word``."""
-    for c in word:
-        if c not in sst._letter_index:
-            raise UnknownSymbolError(f"input letter {c!r} is not in the alphabet")
+    _check_word(sst, word)
     b = Budget.ensure(budget)
     frontier = _start(sst)
     for letter in word:

@@ -61,7 +61,7 @@ def compose_skeletons(a: Skeleton, b: Skeleton) -> Skeleton:
     """Same orientation as ``compose_updates``: b applied to a's images."""
     if a.variables != b.variables:
         raise SstKitError("cannot compose skeletons over different variable sets")
-    return Skeleton(a.variables, tuple(b.apply_to(a.image(v)) for v in a.variables))
+    return Skeleton(a.variables, tuple(b.apply_to(image) for image in a.images))
 
 
 def is_idempotent(s: Skeleton) -> bool:
@@ -195,7 +195,7 @@ def idempotent_power_words(u: Update, x: str) -> tuple[str, str]:
     if not is_idempotent(skeleton_of(u)):
         raise NotIdempotentError("update does not have an idempotent skeleton")
     image = u.image(x)
-    if all(tok not in u._varset for tok in image):
+    if all(tok not in u._index for tok in image):
         return ("", "")
     # idempotency forces x itself to occur in u(x) whenever any variable does
     if x not in image:
@@ -206,7 +206,7 @@ def idempotent_power_words(u: Update, x: str) -> tuple[str, str]:
     left = u.apply_to(image[:pos])
     right = u.apply_to(image[pos + 1:])
     for tok in left + right:
-        if tok in u._varset:
+        if tok in u._index:
             raise NotIdempotentError(
                 f"context of {x!r} keeps variable {tok!r}; update is not a loop body"
             )

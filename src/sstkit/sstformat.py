@@ -212,6 +212,15 @@ def parse_sst(text: str) -> Sst:
     Every fault raises a ParseError, located as the module says: an
     UnknownSymbolError at a dangling reference, and a CopylessError,
     naming the variable, at its repeat.
+
+    The machine is built without ``Sst._validate``, which would only
+    repeat checks made here: duplicate and reserved names (``declare``,
+    ``initial``, ``final``, ``init``), letters that are not one character
+    (braces are reserved), a name both letter and variable, undeclared
+    states, letters, variables and symbols in every line that names them,
+    a variable twice in a final output or an update (``Update`` checks the
+    latter), and malformed ``init`` lines.  ``Update`` is over the declared
+    variables by construction, and every final state has its one output.
     """
     doc = _Document()
     if text.startswith("\ufeff"):
@@ -244,13 +253,10 @@ def parse_sst(text: str) -> Sst:
     for attr in ("alphabet", "variables", "states", "initials"):
         if getattr(doc, attr) is None:
             raise ParseError(f"document never declares '{attr}'")
-    return Sst(
-        alphabet=doc.alphabet,
-        variables=doc.variables,
-        states=doc.states,
-        initials=doc.initials,
-        finals=doc.finals,
-        final_output=doc.final_output,
-        transitions=doc.transitions,
-        initial_assignment=doc.initial_assignment,
-    )
+    # the checks above reject all that ``Sst._validate`` would (see the
+    # docstring), so the machine is built without it
+    sst = Sst.__new__(Sst)
+    sst._store(doc.alphabet, doc.variables, doc.states, doc.initials, doc.finals,
+               doc.final_output, doc.transitions, doc.initial_assignment)
+    sst._build()
+    return sst

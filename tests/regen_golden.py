@@ -199,18 +199,28 @@ def _pinned(argv: list[str]) -> dict:
     return out
 
 
-def cli_all() -> dict:
-    """Every subcommand on every fixture, plus error and usage paths."""
-    out = {}
+@contextlib.contextmanager
+def cli_argvs():
+    """Write the documents of ``cli_all`` into a temporary working directory
+    and yield each invocation it pins, by label: every subcommand on every
+    fixture, then the error paths (the usage paths are left out)."""
     with _fixture_dir() as paths:
         with open("bad.sst", "w", encoding="utf-8") as handle:
             handle.write(BAD_DOC)
         with open("fix_tsc_crlf.sst", "wb") as handle:
             handle.write(fixtures.source("FIX-TSC").replace("\n", "\r\n").encode("utf-8"))
+        argvs = {}
         for name, path in paths.items():
             for command, argv in cli_all_argvs(name, path, paths).items():
-                out[f"{command} {name}"] = _pinned(argv)
-        for label, argv in ERROR_ARGVS.items():
+                argvs[f"{command} {name}"] = argv
+        yield {**argvs, **ERROR_ARGVS}
+
+
+def cli_all() -> dict:
+    """Every subcommand on every fixture, plus error and usage paths."""
+    out = {}
+    with cli_argvs() as argvs:
+        for label, argv in argvs.items():
             out[label] = _pinned(argv)
         for label, argv in USAGE_ARGVS.items():
             out[label] = {"exit_code": _invoke(argv)[0]}

@@ -421,6 +421,15 @@ def test_search_budget_refuses_a_negative_field(field):
         SearchBudget(**{field: -1})
 
 
+@pytest.mark.parametrize("field", ["component_length", "candidates", "node_budget", "oracle_max_len"])
+def test_search_budget_fields_cannot_be_assigned(field):
+    # an assignment would skip the check of __post_init__
+    budget = SearchBudget()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(budget, field, -5)
+    assert budget == SearchBudget()
+
+
 def test_dumbbells_on_random_machines_pump_to_many_runs():
     """Every dumbbell found must be a genuine witness: sliding the bridge
     across n loop blocks yields n + 1 distinct accepting runs on one

@@ -9,7 +9,9 @@ import pytest
 
 import sstkit
 from sstkit import SearchBudget
-from sstkit.cli import _build_parser, main
+from sstkit.cli import _build_parser, _to_json, main
+
+from regen_golden import _invoke, cli_argvs
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,40 @@ def test_json_reports_are_deterministic(docs, capsys):
     a, b = json.loads(first), json.loads(second)
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
+
+
+def test_json_reports_are_the_bytes_of_json_dumps():
+    """Every ``--json`` report that the golden file pins is byte for byte
+    what ``json.dumps(report, sort_keys=True, indent=2)`` prints; the golden
+    file stores the reports parsed, so only this test sees their bytes."""
+    reports = 0
+    with cli_argvs() as argvs:
+        for label, argv in argvs.items():
+            _, stdout, _ = _invoke(argv + ["--json"])
+            if stdout:
+                reports += 1
+                assert stdout == json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n", label
+    assert reports == 44
+
+
+@pytest.mark.parametrize("value", [
+    {"caf\u00e9 \u2603 \U0001d11e": "\u00ff\u2028\U0001f600", 'say "hi"': "a\\b", "\x00\t\n\x1f\x7f": "\r\x08\x0c"},
+    {}, [], (), {"a": {}, "b": [], "c": [[], {}, ()], "d": {"e": {"f": []}}},
+    [[[]]], ([1, (2, 3)], ()),
+    [True, 1, 0, False, None, 2.5, -0.0, 1e100, 0.1, float("inf")],
+    {"z": None, "a": True, "m": [1.25, "x"], "": 0},
+    "plain \"quoted\" \u00e9", 7, None, False, 3.0,
+])
+def test_report_writer_matches_json_dumps(value):
+    assert _to_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"a": [frozenset()]}, [b"bytes"], {"a": object()}])
+def test_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _to_json(value)
 
 
 def test_unknown_arguments_exit_2(docs, capsys):

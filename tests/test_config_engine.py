@@ -17,12 +17,12 @@ import pytest
 from sstkit import (
     Budget,
     BudgetExceededError,
+    ParameterError,
     SearchBudget,
     Sst,
     SstKitError,
     Transition,
     Update,
-    UnknownSymbolError,
     ambiguity_oracle,
     amplify_valuedness,
     analyze_valuedness,
@@ -191,9 +191,9 @@ def test_negative_min_len_is_an_error():
 
 def test_unknown_input_letter():
     sst = fixtures.load("FIX-TSC")
-    with pytest.raises(UnknownSymbolError):
+    with pytest.raises(ParameterError):
         outputs(sst, "012")
-    with pytest.raises(UnknownSymbolError):
+    with pytest.raises(ParameterError):
         ranked_outputs(sst, "0x")
 
 

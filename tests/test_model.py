@@ -6,6 +6,7 @@ import pytest
 from sstkit import (
     BudgetExceededError,
     CopylessError,
+    ParameterError,
     ParseError,
     RunError,
     SearchBudget,
@@ -293,9 +294,11 @@ def test_budget_exceeded(fix_tsc):
 
 
 def test_enumeration_rejects_a_letter_outside_the_alphabet(fix_amb):
-    with pytest.raises(UnknownSymbolError) as err:
+    """A bad input word is a bad argument, not a malformed document."""
+    with pytest.raises(ParameterError) as err:
         enumerate_runs(fix_amb, "ab")
     assert str(err.value) == "input letter 'b' is not in the alphabet"
+    assert not isinstance(err.value, ParseError)
 
 
 def test_enumeration_is_sorted_and_deterministic(fix_tsc):
