@@ -68,7 +68,7 @@ from .wordcomb import (
     nonsolutions_single,
     primitive_root,
 )
-from .delay import DelayReport, RunProfile, delay, weight
+from .delay import DelayReport, RunProfile, delay, weight, weight_table
 from .decompose import (
     check_equivalence_bounded,
     decompose_selectors,

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .delay import delay
+from .delay import RunProfile, weight_table
 from .errors import InputMismatchError, ParameterError, SstKitError
 from .model import (
-    Budget, Run, Sst, _final_outputs, _frontier, _leaf_outputs, _scan, _start, _step, enumerate_runs,
+    Budget, Run, Sst, _annotate, _final_outputs, _leaf_outputs, _scan, _start, _step, _word_outputs,
+    enumerate_runs,
 )
+from .wordcomb import cuts
 
 
 def lex_compare(r1: Run, r2: Run) -> int:
@@ -44,28 +46,52 @@ def semantic_cover(
 ) -> list[Run]:
     """Accepting runs on ``word`` that survive delay-based deduplication.
 
-    A run is dropped when some lexicographically smaller run has the same
-    output and delay at most D (with cut parameter C).  The survivors
-    produce the same output set as the full run set, and every surviving
-    pair either differs in output or has delay greater than D.  ``C``
-    below 1 raises ``ParameterError``, whatever the runs.
+    A run is dropped when some lexicographically smaller run, dropped or
+    not, has the same output and delay at most D (with cut parameter C).
+    The survivors produce the same output set as the full run set, and
+    every surviving pair either differs in output or has delay greater
+    than D.  ``C`` below 1 raises ``ParameterError``, whatever the runs.
+
+    Each output's cuts and each run's weight table (``weight_table``) are
+    built once, and a delay of at most D is read as no two entries of the
+    tables differing by more than D.  An output without cuts has delay 0,
+    so with D below 0 every run survives.  ``enumerate_runs`` finds the
+    runs depth first, so a run shares its tagged variable contents
+    (``_annotate``) with the run before it up to the step where they part.
     """
     if C < 1:
         raise ParameterError("C must be at least 1")
     survivors: list[Run] = []
-    # the runs so far of each output, in lexicographic order
-    earlier: dict[str, list[Run]] = {}
+    # per output: its cuts, and the weight tables of the runs so far with it
+    earlier: dict[str, tuple[tuple[int, ...], list]] = {}
+    levels: list = []  # the tagged contents along the run before
+    before: tuple[int, ...] = ()
     for run in enumerate_runs(sst, word, budget):  # found in lexicographic order
-        same_output = earlier.setdefault(run.output, [])
-        if not any(delay(e, run, C).delay <= D for e in same_output):
+        shared = 0
+        while shared < len(before) and run.steps[shared] == before[shared]:
+            shared += 1
+        del levels[shared + 1:]
+        annotated = _annotate(sst, run.start, run.steps, levels)
+        output = "".join([c for c, _ in annotated])
+        if output not in earlier:
+            earlier[output] = (tuple(cuts(output, C)), [])
+        positions, tables = earlier[output]
+        table = weight_table(RunProfile(annotated, len(word)), positions)
+        if D < 0 or not any(_within(table, e, D) for e in tables):
             survivors.append(run)
-        same_output.append(run)
+        tables.append(table)
+        before = run.steps
     return survivors
+
+
+def _within(table1, table2, D: int) -> bool:
+    """Whether no two entries of two weight tables differ by more than D."""
+    return all(abs(a - b) <= D for row1, row2 in zip(table1, table2) for a, b in zip(row1, row2))
 
 
 def ranked_outputs(sst: Sst, word: str, budget: Budget | int | None = None) -> list[str]:
     """Distinct outputs of ``word`` ordered by their least witnessing run."""
-    return list(_final_outputs(sst, _frontier(sst, word, budget)))
+    return list(_word_outputs(sst, word, budget))
 
 
 def decompose_selectors(

@@ -8,15 +8,19 @@ first t steps.  The delay aggregates weight differences, but only at the
 cut positions of the output's periodic factorization: inside a factor of
 small period the assembly order is immaterial.
 
-Both functions accept any object exposing ``annotated_output`` (a sequence
-of (letter, producing step) pairs) and ``input_length``, so worked examples
-can be checked without building a transducer; ``RunProfile`` is the plain
-carrier for that.
+``weight_table`` holds the one definition of the weights at a set of
+output positions: ``delay`` builds both runs' tables with it, and
+``semantic_cover`` one table per run, at the cuts of the run's output.
+All three functions accept any object exposing ``annotated_output`` (a
+sequence of (letter, producing step) pairs) and ``input_length``, so
+worked examples can be checked without building a transducer;
+``RunProfile`` is the plain carrier for that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InputMismatchError, OutputMismatchError, ParameterError
 from .wordcomb import cuts
@@ -79,10 +83,8 @@ def delay(r1, r2, C: int) -> DelayReport:
         raise OutputMismatchError("delay requires runs with the same output")
 
     positions = tuple(cuts(out1, C))
-    steps1 = [s for _, s in r1.annotated_output]
-    steps2 = [s for _, s in r2.annotated_output]
-    table1 = _weight_table(steps1, r1.input_length, positions)
-    table2 = _weight_table(steps2, r2.input_length, positions)
+    table1 = weight_table(r1, positions)
+    table2 = weight_table(r2, positions)
 
     best = 0
     argmax = (0, positions[0]) if positions else (0, 0)
@@ -103,11 +105,12 @@ def _inputs_differ(r1, r2) -> bool:
     return in1 != in2
 
 
-def _weight_table(
-    steps: list[int], input_length: int, positions: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
+def weight_table(run, positions: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """``weight(run, t, j)`` for t = 0..input_length (the rows) and j in the
+    increasing output positions ``positions`` (the columns)."""
+    steps = [s for _, s in run.annotated_output]
     rows = []
-    for t in range(input_length + 1):
+    for t in range(run.input_length + 1):
         row = []
         count = 0
         pos = 0

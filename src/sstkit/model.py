@@ -27,12 +27,13 @@ letter, digit or brace.  Applying an update to variable contents is then
 ``then.format(*first.split(sep))``: one C-level call each.  Letters are
 never braces, so a template passes through another unchanged.
 
-The scans read the outputs of an input's last letter without building the
-frontier it leads to (``_leaf_outputs``): ``Sst.__init__`` composes the
-final output template after the update of every move into a final state,
-so one call per configuration and such move grounds an output.  The
-budget is charged as if that frontier were built, one unit per
-configuration of the one before it.
+The scans, ``outputs`` and ``ranked_outputs`` read the outputs of an
+input's last letter without building the frontier it leads to
+(``_leaf_outputs``): ``Sst.__init__`` composes the final output template
+after the update of every move into a final state, so one call per
+configuration and such move grounds an output.  The budget is charged as
+if that frontier were built, one unit per configuration of the one before
+it.
 """
 
 from __future__ import annotations
@@ -437,12 +438,7 @@ class Run:
         """
         if not self.accepting:
             raise RunError("annotated output is only defined for accepting runs")
-        sst = self.sst
-        contents = [[(c, 0) for c in word] for word in sst._initial]
-        for step, i in enumerate(self.steps, start=1):
-            contents = _substitute(sst, sst.transitions[i].update.images, contents, step)
-        (out,) = _substitute(sst, (sst.final_output[self.end],), contents, len(self.steps))
-        return tuple(out)
+        return _annotate(self.sst, self.start, self.steps, [])
 
     @cached_property
     def output(self) -> str:
@@ -601,6 +597,26 @@ def _substitute(sst: Sst, images: Sequence[Sequence[str]], contents: Sequence[li
     return out
 
 
+def _annotate(sst: Sst, start: str, steps: Sequence[int], levels: list) -> tuple[tuple[str, int], ...]:
+    """The output of the accepting run from ``start`` along ``steps``, each
+    letter tagged with the step that produced it: step 0 for
+    initial-assignment letters, step t for the t-th transition's letters,
+    step n = len(steps) for the final output's constants.
+
+    ``levels[k]`` holds the tagged variable contents after the first k
+    steps, for each k < len(levels); runs that share their first k steps
+    share these, whatever their start.  The missing levels, up to n, are
+    appended; ``levels`` must hold none beyond n."""
+    if not levels:
+        levels.append([[(c, 0) for c in word] for word in sst._initial])
+    transitions = sst.transitions
+    for step in range(len(levels), len(steps) + 1):
+        levels.append(_substitute(sst, transitions[steps[step - 1]].update.images, levels[-1], step))
+    end = transitions[steps[-1]].target if steps else start
+    (out,) = _substitute(sst, (sst.final_output[end],), levels[-1], len(steps))
+    return tuple(out)
+
+
 def _start(sst: Sst) -> dict:
     """The frontier of the empty input, initial states in state order."""
     return dict.fromkeys((q, sst._initial) for q in sst._starts)
@@ -642,19 +658,24 @@ def _leaf_outputs(sst: Sst, frontier: dict, letter: str, budget: Budget) -> dict
     ])
 
 
-def _frontier(sst: Sst, word: str, budget: Budget | int | None) -> dict:
-    """The frontier reached on ``word``."""
+def _word_outputs(sst: Sst, word: str, budget: Budget | int | None) -> dict[str, None]:
+    """The outputs on ``word``, in the order of their least runs.  A
+    non-empty word's last letter is read with ``_leaf_outputs`` on the
+    frontier of the rest, as the scans read it.  The whole word is checked
+    before the budget is charged."""
     _check_word(sst, word)
     b = Budget.ensure(budget)
     frontier = _start(sst)
-    for letter in word:
+    if not word:
+        return _final_outputs(sst, frontier)
+    for letter in word[:-1]:
         frontier = _step(sst, frontier, letter, b)
-    return frontier
+    return _leaf_outputs(sst, frontier, word[-1], b)
 
 
 def outputs(sst: Sst, word: str, budget: Budget | int | None = None) -> set[str]:
     """The set of words produced on ``word`` (deduplicated)."""
-    return set(_final_outputs(sst, _frontier(sst, word, budget)))
+    return set(_word_outputs(sst, word, budget))
 
 
 def _scan(

@@ -197,6 +197,40 @@ def test_unknown_input_letter():
         ranked_outputs(sst, "0x")
 
 
+@pytest.mark.parametrize("query", [outputs, ranked_outputs])
+@pytest.mark.parametrize("word", ["x", "0x", "00x", "x00", "0x0"])
+def test_unknown_input_letter_raises_before_any_charge(query, word):
+    # the last letter is read off the composed final templates: a foreign
+    # one, or one anywhere else, is still refused before the budget moves
+    budget = Budget(0)
+    with pytest.raises(ParameterError, match="input letter 'x' is not in the alphabet"):
+        query(fixtures.load("FIX-TSC"), word, budget)
+    assert budget.used == 0
+
+
+# budget.used of outputs and ranked_outputs on the word that cycles through
+# the alphabet, at lengths 0, 1, 3 and 6
+OUTPUT_QUERY_CHARGES = {
+    "FIX-ID": (0, 1, 3, 6),
+    "FIX-AMB": (0, 1, 6, 21),
+    "FIX-TSC": (0, 2, 6, 12),
+    "FIX-TSC1": (0, 2, 10, 30),
+    "FIX-R2": (0, 1, 5, 13),
+}
+
+
+@pytest.mark.parametrize("query", [outputs, ranked_outputs])
+@pytest.mark.parametrize("name", sorted(OUTPUT_QUERY_CHARGES))
+def test_output_queries_charge_one_unit_per_configuration_and_letter(query, name):
+    sst = fixtures.load(name)
+    used = []
+    for n in (0, 1, 3, 6):
+        budget = Budget()
+        query(sst, "".join(sst.alphabet[i % len(sst.alphabet)] for i in range(n)), budget)
+        used.append(budget.used)
+    assert tuple(used) == OUTPUT_QUERY_CHARGES[name]
+
+
 def test_tiny_budget_raises():
     tsc = fixtures.load("FIX-TSC")
     calls = [

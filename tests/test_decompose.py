@@ -26,6 +26,16 @@ trans q a q { X1 := X1 a }
 trans dead a dead { X1 := X1 }
 """
 
+TWO_SILENT_MOVES = """\
+alphabet: a
+vars: X1
+states: q
+initial: q
+final q -> X1
+trans q a q { X1 := X1 }
+trans q a q { X1 := X1 }
+"""
+
 
 def test_lex_compare_reflexive(fix_amb):
     run = fix_amb.run("q", (0, 1))
@@ -83,6 +93,26 @@ def test_cover_checks_c_on_every_input(fix_id, fix_amb):
     for sst in (fix_id, fix_amb):
         with pytest.raises(ParameterError, match="C must be at least 1"):
             semantic_cover(sst, "aa", 0, 1)
+
+
+def test_cover_keeps_every_run_of_the_empty_output_below_delay_zero():
+    # two runs on "a", both with the empty output: it has no cuts, so their
+    # delay is 0, which D = 0 reaches and D = -1 does not
+    sst = parse_sst(TWO_SILENT_MOVES)
+    assert [r.output for r in enumerate_runs(sst, "a")] == ["", ""]
+    assert [r.steps for r in semantic_cover(sst, "a", 1, -1)] == [(0,), (1,)]
+    assert [r.steps for r in semantic_cover(sst, "a", 1, 0)] == [(0,)]
+
+
+def test_cover_compares_a_run_with_the_dropped_runs_too(fix_amb):
+    # (1, 1, 0, 0) is 2 away from the one earlier survivor with its output,
+    # (0, 0, 1, 1), but 1 away from the dropped (0, 1, 0, 1), so it is dropped
+    late = fix_amb.run("q", (1, 1, 0, 0))
+    assert delay(fix_amb.run("q", (0, 0, 1, 1)), late, 1).delay == 2
+    assert delay(fix_amb.run("q", (0, 1, 0, 1)), late, 1).delay == 1
+    cover = semantic_cover(fix_amb, "aaaa", 1, 1)
+    assert [r.steps for r in cover] == [
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1)]
 
 
 def test_cover_preserves_outputs_and_separates(all_fixtures):
