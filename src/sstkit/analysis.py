@@ -34,7 +34,7 @@ outside the search re-checks the absence of dumbbells.
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, product
@@ -484,8 +484,18 @@ class _UpdatePool:
         and legs 0, 0, 0, 1, 2 when it is marked at 4.  Each output is met
         in the middle: the suffix image of the trailing blocks, grounded
         on the prefix contents after the leading ones, so no leaf applies
-        a block."""
+        a block.
+
+        Both runs end with one block on leg 2, at count n5.  When neither
+        suffix image of that last block (n5 = 1, 2) holds a ``{``, it
+        names no variable, since letters are never braces: the output is
+        that image whatever came before it, the same for both marks, and
+        no tuple diverges.  This is decided before the other parts are
+        built."""
         alpha, (leg0, leg1, leg2), omega, end_state = signature
+        last = self.suffix((leg2,), omega, end_state)
+        if "{" not in last[0] and "{" not in last[1]:
+            return None
         mid_prefixes = self.prefix(alpha, (leg0, leg1))
         mid_suffixes = self.suffix((leg2, leg2, leg2), omega, end_state)
         late_prefixes = self.prefix(alpha, (leg0, leg0, leg0))
@@ -574,30 +584,45 @@ class SearchBudget:
         return dict(vars(self))
 
 
+def _charge_each(budget: Budget, amount: int) -> None:
+    """Charge ``amount`` units at once, as ``amount`` single charges would:
+    a charge that crosses the limit stops at ``limit + 1``."""
+    budget.charge(min(amount, budget.limit - budget.used + 1))
+
+
 class _TripleLevels:
     """Synchronized run triples from a fixed start triple of states,
     generated level by level: level d holds every triple over one shared
     input of length exactly d, in lexicographic path order, as (paths, ids
     in ``pool`` of the updates they induce, end states).  Lazy, so shallow
-    candidates are tested before deeper triples are ever generated."""
+    candidates are tested before deeper triples are ever generated.  A new
+    level is charged, one unit per triple, before it is generated; a level
+    that would cross the limit is never built."""
 
     def __init__(self, pool: _UpdatePool, starts: tuple, budget: Budget):
         self.moves, self.step, self.budget = pool.sst._moves, pool.step, budget
+        self.idempotent, self.starts = pool.idempotent, starts
         budget.charge()
         self.levels: list[list[tuple]] = [[(((), (), ()), (0, 0, 0), starts)]]
+        self._loops: list[list[tuple]] = []
+        self._ends: dict[tuple, tuple] = {}
 
     def level(self, depth: int) -> list[tuple]:
-        charge, moves, step = self.budget.charge, self.moves, self.step
+        moves, step = self.moves, self.step
         while len(self.levels) <= depth:
+            last = self.levels[-1]
+            # each end triple's children, times the triples that end there
+            size = sum(n * sum(len(a) * len(b) * len(c) for a, b, c in zip(*map(moves.get, ends)))
+                       for ends, n in Counter([ends for _, _, ends in last]).items())
+            _charge_each(self.budget, size)
             fresh: list[tuple] = []
-            for (p1, p2, p3), (k1, k2, k3), (s1, s2, s3) in self.levels[-1]:
+            for (p1, p2, p3), (k1, k2, k3), (s1, s2, s3) in last:
                 for letter1, letter2, letter3 in zip(moves[s1], moves[s2], moves[s3]):
                     for i1, v1 in letter1:
                         j1 = step(k1, i1)
                         for i2, v2 in letter2:
                             j2 = step(k2, i2)
                             for i3, v3 in letter3:
-                                charge()
                                 fresh.append(((p1 + (i1,), p2 + (i2,), p3 + (i3,)),
                                               (j1, j2, step(k3, i3)), (v1, v2, v3)))
             self.levels.append(fresh)
@@ -607,6 +632,34 @@ class _TripleLevels:
         """Levels 0..max_len in turn; level d+1 is generated once level d is read."""
         return chain.from_iterable(map(self.level, range(max_len + 1)))
 
+    def loops(self, max_len: int):
+        """The (paths, ids) of the triples of levels 0..max_len that end at
+        the start triple and whose three updates have idempotent skeletons,
+        in level order; each level is filtered once."""
+        idempotent = self.idempotent
+        for depth in range(max_len + 1):
+            if depth == len(self._loops):
+                self._loops.append([
+                    (paths, ids) for paths, ids, ends in self.level(depth)
+                    if ends == self.starts and all(idempotent((0, k, 0)) for k in ids)])
+            yield from self._loops[depth]
+
+    def ending_at(self, depth: int, goal: tuple) -> tuple[list[int], list[tuple], int]:
+        """The triples of level ``depth`` that end at ``goal``, in level
+        order, with the units each is charged, one for itself and one for
+        each triple between it and the one before, and the count of the
+        triples after the last of them.  Found once per (depth, goal)."""
+        key = (depth, goal)
+        if key not in self._ends:
+            level, units, found, last = self.level(depth), [], [], -1
+            for i, triple in enumerate(level):
+                if triple[2] == goal:
+                    units.append(i - last)
+                    found.append(triple)
+                    last = i
+            self._ends[key] = units, found, len(level) - 1 - last
+        return self._ends[key]
+
 
 def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
     """Candidate W-pattern shapes in a fixed, deterministic order, as
@@ -615,7 +668,9 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
     signature.  The signature is what the divergence test depends on: ids
     in ``pool`` of the rho0 update, of the three legs' (entry, loop, exit)
     updates, read off the level entries, and of the rho4 update, found at
-    the first exit triple ending at its state, and the end state.  Each
+    the first exit triple ending at its state, and the end state.  For each
+    (entry, loop) pair, every exit triple of the station levels is charged
+    one unit, but only those ending at (q1, q2, q2) are read.  Each
     signature is yielded once: a later triple with the signature of a
     yielded candidate is skipped untested, though its budget is charged
     all the same.
@@ -624,8 +679,8 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
     requirements, read off the update templates by ``pool.idempotent``
     (a loop k as the leg (0, k, 0)), before any pattern object is built.
     """
-    sst, idempotent = pool.sst, pool.idempotent
-    exits: dict[str, tuple] = {}  # q2 -> (rho4 update id, end state)
+    sst, idempotent, charge = pool.sst, pool.idempotent, budget.charge
+    rho4s: dict[str, tuple] = {}  # q2 -> (rho4 update id, end state)
     levels_memo: dict = {}
     yielded: set[tuple] = set()
 
@@ -641,24 +696,25 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
             goal = (q1, q2, q2)
             for e_paths, e_ids, stations in levels((q1, q1, q2)).upto(max_len):
                 station_levels = levels(stations)
-                for l_paths, l_ids, ends in station_levels.upto(max_len):
-                    if ends != stations or not all(idempotent((0, k, 0)) for k in l_ids):
-                        continue
-                    for x_paths, x_ids, ends in station_levels.upto(max_len):
-                        budget.charge()
-                        if ends != goal:
-                            continue
-                        if q2 not in exits:
-                            rho4 = shortest_exit_run(sst, q2)
-                            exits[q2] = pool.path_id(rho4.steps), rho4.end
-                        legs = tuple(zip(e_ids, l_ids, x_ids))
-                        signature = (alpha, legs, *exits[q2])
-                        if signature in yielded or not all(map(idempotent, legs)):
-                            continue
-                        if legs[0] == legs[1] == legs[2]:
-                            continue  # every mark gives the same output
-                        yielded.add(signature)
-                        yield (signature, q1, q2, stations, e_paths, l_paths, x_paths)
+                for l_paths, l_ids in station_levels.loops(max_len):
+                    for depth in range(max_len + 1):
+                        units, exits, tail = station_levels.ending_at(depth, goal)
+                        for n, (x_paths, x_ids, _) in zip(units, exits):
+                            if n > 1:  # the triples skipped before this one
+                                _charge_each(budget, n - 1)
+                            charge()
+                            if q2 not in rho4s:
+                                rho4 = shortest_exit_run(sst, q2)
+                                rho4s[q2] = pool.path_id(rho4.steps), rho4.end
+                            legs = tuple(zip(e_ids, l_ids, x_ids))
+                            signature = (alpha, legs, *rho4s[q2])
+                            if signature in yielded or not all(map(idempotent, legs)):
+                                continue
+                            if legs[0] == legs[1] == legs[2]:
+                                continue  # every mark gives the same output
+                            yielded.add(signature)
+                            yield (signature, q1, q2, stations, e_paths, l_paths, x_paths)
+                        _charge_each(budget, tail)
 
 
 def _search_divergent_pattern(sst: Sst, sb: SearchBudget):

@@ -39,7 +39,6 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import count, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -56,14 +55,36 @@ from .errors import (
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
+class _cached_property:
+    """``functools.cached_property`` without its lock, as in Python 3.12:
+    the first read stores the value in the instance's ``__dict__``, which
+    later reads find first.  On Python 3.11 every first read takes a lock
+    that the property shares across all instances.  Two threads may both
+    compute a value on a first read; each property here is a function of
+    a frozen instance, so both store equal values."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class Budget:
     """Mutable expansion counter shared across one enumeration.
 
     Run enumeration charges one unit per partial-run extension, the
     frontier functions one per configuration expansion, the dumbbell search
     one per node popped, the W-pattern search one per start triple, per
-    generated triple and per scanned exit triple, and amplification one per
-    marked sequence; all fail loudly instead of truncating silently.
+    generated triple and per exit triple charged to an (entry, loop) pair,
+    and amplification one per marked sequence; all fail loudly instead of
+    truncating silently.
     """
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
@@ -125,7 +146,7 @@ class Update:
         variables = tuple(variables)
         return cls(variables, tuple((v,) for v in variables))
 
-    @cached_property
+    @_cached_property
     def _index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.variables)}
 
@@ -380,7 +401,7 @@ class Run:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @cached_property
+    @_cached_property
     def states(self) -> tuple[str, ...]:
         """The n+1 states visited, including start and end."""
         out = [self.start]
@@ -392,7 +413,7 @@ class Run:
     def end(self) -> str:
         return self.states[-1]
 
-    @cached_property
+    @_cached_property
     def input(self) -> str:
         return "".join(self.sst.transitions[i].letter for i in self.steps)
 
@@ -404,7 +425,7 @@ class Run:
     def accepting(self) -> bool:
         return self.start in self.sst.initials and self.end in self.sst.finals
 
-    @cached_property
+    @_cached_property
     def induced_update(self) -> Update:
         """The composite of the steps' updates (``compose_updates``, the
         earlier images substituted into the later ones), folded on image
@@ -427,7 +448,7 @@ class Run:
             images = fresh
         return Update(sst.variables, tuple(images))
 
-    @cached_property
+    @_cached_property
     def annotated_output(self) -> tuple[tuple[str, int], ...]:
         """Output letters tagged with the step that produced them.
 
@@ -440,7 +461,7 @@ class Run:
             raise RunError("annotated output is only defined for accepting runs")
         return _annotate(self.sst, self.start, self.steps, [])
 
-    @cached_property
+    @_cached_property
     def output(self) -> str:
         return "".join(c for c, _ in self.annotated_output)
 

@@ -7,12 +7,16 @@ at its state, and it yields each signature once.  The reference here is
 the generator that keeps paths only on its levels, ``reference_candidates``
 over ``ReferenceLevels``, interns each path's update through a memo of
 every path prefix of its own, ``ReferencePool``, and yields every
-candidate, repeated signatures included.  ``check(sst)`` runs both on a
-grid of component lengths and candidate budgets, keeps the reference's
+candidate, repeated signatures included.  Each candidate's first divergent
+tuple is read off its pool: ``_UpdatePool.first_divergent_tuple``, which
+decides most non-divergent signatures off their last block, against
+``ReferencePool``'s walk over all 32 leaves.  ``check(sst)`` runs both on
+a grid of component lengths and candidate budgets, keeps the reference's
 first occurrence of each signature, keyed by the programs it names, and
 requires the same candidate shapes in the same order, the same programs
-named by each signature, the same ``budget.used`` at each candidate, and
-the same stop: the budget, or the end of the candidates.
+named by each signature, the same first divergent tuple, the same
+``budget.used`` at each candidate, and the same stop: the budget, or the
+end of the candidates.
 
 ``run(n)`` checks the fixtures, the ``no_variables`` and
 ``format_letters`` machines and, for s < n, the draws ``random_sst(s)``
@@ -37,7 +41,7 @@ from itertools import chain
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from sstkit import Budget, BudgetExceededError, Sst  # noqa: E402
-from sstkit.analysis import _pattern_candidates, _UpdatePool  # noqa: E402
+from sstkit.analysis import _LEAVES, _pattern_candidates, _UpdatePool  # noqa: E402
 from sstkit.model import (  # noqa: E402
     coreachable_states,
     reachable_states,
@@ -53,11 +57,28 @@ LIMITS = (30, 400, 3000)  # candidate budgets
 
 class ReferencePool(_UpdatePool):
     """The update pool, with a path's id found through a memo of every
-    path prefix it has interned, and the programs composed here."""
+    path prefix it has interned, and the programs composed here, and the
+    divergence test as a walk over all 32 leaves, memoized per
+    signature."""
 
     def __init__(self, sst: Sst):
         super().__init__(sst)
         self._path_ids: dict[tuple, int] = {(): 0}
+        self._tuples: dict[tuple, tuple | None] = {}
+
+    def first_divergent_tuple(self, signature: tuple) -> tuple | None:
+        """The first divergent tuple of ``signature``, every leaf walked."""
+        if signature not in self._tuples:
+            alpha, (leg0, leg1, leg2), omega, end_state = signature
+            mid_prefixes = self.prefix(alpha, (leg0, leg1))
+            mid_suffixes = self.suffix((leg2, leg2, leg2), omega, end_state)
+            late_prefixes = self.prefix(alpha, (leg0, leg0, leg0))
+            late_suffixes = self.suffix((leg1, leg2), omega, end_state)
+            self._tuples[signature] = next(
+                (tup for tup, mid_p, mid_s, late_p, late_s in _LEAVES
+                 if (mid_suffixes[mid_s].format(*mid_prefixes[mid_p])
+                     != late_suffixes[late_s].format(*late_prefixes[late_p]))), None)
+        return self._tuples[signature]
 
     def path_id(self, path: tuple) -> int:
         ids = self._path_ids
@@ -147,16 +168,17 @@ def reference_candidates(pool: ReferencePool, max_len: int, budget: Budget):
 
 
 def events(generate, pool_class, sst: Sst, max_len: int, limit: int) -> list:
-    """Each candidate as (shape, programs named by its signature,
-    budget.used), then ("stop" or "end", budget.used)."""
+    """Each candidate as (shape, programs named by its signature, its first
+    divergent tuple, budget.used), then ("stop" or "end", budget.used)."""
     pool, budget = pool_class(sst), Budget(limit)
     programs = pool.programs
     out = []
     try:
-        for (alpha, legs, omega, end), *shape in generate(pool, max_len, budget):
+        for signature, *shape in generate(pool, max_len, budget):
+            alpha, legs, omega, end = signature
             named = (programs[alpha], tuple(tuple(programs[k] for k in leg) for leg in legs),
                      programs[omega], end)
-            out.append((shape, named, budget.used))
+            out.append((shape, named, pool.first_divergent_tuple(signature), budget.used))
     except BudgetExceededError:
         return out + [("stop", budget.used)]
     return out + [("end", budget.used)]
@@ -168,7 +190,7 @@ def first_occurrences(events_: list) -> list:
     seen: set = set()
     out = []
     for event in events_:
-        if len(event) == 3:
+        if len(event) == 4:
             if event[1] in seen:
                 continue
             seen.add(event[1])

@@ -73,17 +73,27 @@ def test_candidates_carry_their_signature(label, make):
         assert pool.signature(pattern) == signature, shape
 
 
-def test_corpus_has_both_kinds_of_candidate():
-    """The cases above include candidates that diverge and ones that do not."""
+def last_block_decides(pool, signature):
+    """Whether neither suffix image of the last block, on leg 2, holds a
+    replacement field: the check that decides a signature non-divergent
+    before the walk."""
+    _, legs, omega, end_state = signature
+    return not any("{" in image for image in pool.suffix((legs[2],), omega, end_state))
+
+
+def test_corpus_has_every_kind_of_candidate():
+    """The cases above include non-divergent candidates that the last-block
+    check decides, non-divergent ones that need the walk, and divergent
+    ones; no divergent candidate passes the last-block check."""
     kinds = set()
     for _, make in CASES:
         sst = make()
         pool, candidates = distinct_candidates(sst)
         kinds.update(
-            pool.first_divergent_tuple(raw[0]) is None
+            (pool.first_divergent_tuple(raw[0]) is None, last_block_decides(pool, raw[0]))
             for raw in candidates
         )
-    assert kinds == {True, False}
+    assert kinds == {(True, True), (True, False), (False, False)}
 
 
 # Machines with pairs of signatures, one divergent and one not, that differ

@@ -2,12 +2,57 @@
 (``tests/pattern_sweep.py``): the generator that reads update ids off its
 triple levels agrees with the one that interns each path through a
 path-prefix memo, on every candidate shape, the programs its signature
-names, ``budget.used`` at each candidate and the stop."""
+names, each candidate's first divergent tuple, ``budget.used`` at each
+candidate and the stop."""
 
-from pattern_sweep import run
+import sys
+
+import pytest
+
+from sstkit import BudgetExceededError, analysis
+from sstkit.analysis import _pattern_candidates, _UpdatePool
+
+from helpers import FIXTURES, draws
+from pattern_sweep import ReferencePool, events, first_occurrences, reference_candidates, run
 
 
 def test_candidates_match_the_reference_that_interns_paths():
     outcomes = run(40)
     # the slice yields candidates and reaches both stops
     assert set(outcomes) == {"candidates", "end", "stop"}
+
+
+# At component length 3, each budget runs out strictly inside one bulk
+# charge, after candidates were yielded: FIX-R2's after its 12 candidates,
+# inside a stretch of exit triples that end elsewhere than the goal and are
+# charged unread; the 3-state draw's after 1,576, inside a level charged
+# before it is generated.
+BULK_STOPS = [
+    ("FIX-R2", dict(FIXTURES)["FIX-R2"], 99_400, "_pattern_candidates"),
+    (*draws([19])[0], 20_000, "level"),
+]
+
+
+@pytest.mark.parametrize("label, make, limit, place", BULK_STOPS,
+                         ids=[case[0] for case in BULK_STOPS])
+def test_bulk_charges_stop_where_single_charges_do(label, make, limit, place, monkeypatch):
+    """A bulk charge that crosses the limit leaves ``budget.used`` at
+    limit + 1, as the reference's single charges do, after the same
+    candidates at the same ``budget.used``."""
+    crossings = []
+    charge_each = analysis._charge_each
+
+    def recording(budget, amount):
+        room = budget.limit - budget.used
+        try:
+            charge_each(budget, amount)
+        except BudgetExceededError:
+            crossings.append((sys._getframe(1).f_code.co_name, amount > room + 1))
+            raise
+
+    monkeypatch.setattr(analysis, "_charge_each", recording)
+    sst = make()
+    got = events(_pattern_candidates, _UpdatePool, sst, 3, limit)
+    assert crossings == [(place, True)]
+    assert got[-1] == ("stop", limit + 1) and len(got) > 1
+    assert got == first_occurrences(events(reference_candidates, ReferencePool, sst, 3, limit))
