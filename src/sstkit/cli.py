@@ -8,10 +8,12 @@ schema-stable report; repeated invocations on the same inputs produce
 byte-identical reports except for the wall_time_s field.
 
 Each subcommand is declared once in ``_build_parser``, with its handler
-and its document arguments; the parser is built once per process.  Each
-document is read once: its bytes give the sha256 digest in the report, and
-they are decoded as UTF-8 and parsed before the handler runs.  A document
-that is not UTF-8 is a parse error.
+and its document arguments; the parsers are built once per process.  An
+argv whose first word names a subcommand is read by that subcommand's own
+parser alone; any other argv goes through the top-level parser.  Each
+document is read once: its bytes are decoded as UTF-8 and parsed before
+the handler runs, and only a ``--json`` report hashes them for its sha256
+digests.  A document that is not UTF-8 is a parse error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import json
 import sys
 import time
@@ -43,6 +44,7 @@ from .model import (
     DEFAULT_NODE_BUDGET,
     Budget,
     Sst,
+    _annotated_runs,
     ambiguity_oracle,
     enumerate_runs,
     outputs,
@@ -126,17 +128,20 @@ def _check_lengths(low: int, high: int) -> None:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser.  Its ``commands`` attribute maps each
+    subcommand's name to the subcommand's parser (see ``_parse_args``)."""
     parser = argparse.ArgumentParser(
         prog="sstkit",
         description="Analyze copyless streaming string transducers.",
     )
     parser.add_argument("--version", action="version", version=f"sstkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
     def add(name: str, handler, helptext: str, files=("file",)) -> argparse.ArgumentParser:
         """A subcommand whose handler gets the parsed documents named by
         ``files`` after ``(args, report)``."""
-        p = sub.add_parser(name, help=helptext)
+        p = parser.commands[name] = sub.add_parser(name, help=helptext)
         p.set_defaults(handler=handler, files=files)
         for dest in files:
             p.add_argument(dest, help=_DOCUMENTS[dest])
@@ -194,6 +199,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``.  An argv whose first word names
+    a subcommand goes straight to that subcommand's parser, which is all
+    the top-level parser would do with it; only when words are left over is
+    it parsed the two-level way, for the top-level parser to report them."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def _parse_document(path: str, raw: bytes) -> Sst:
     """The machine of one document; a parse error names the document first."""
     try:
@@ -206,7 +225,8 @@ def _parse_document(path: str, raw: bytes) -> Sst:
 
 class _Report:
     """The report of one command.  Opens each of the command's documents
-    once, for its digest and its parsed machine (``machines``)."""
+    once, for its parsed machine (``machines``) and, in a ``--json``
+    report, its digest."""
 
     _KNOBS = ("budget", "component_len", "max_len", "min_len", "C", "D", "k", "amplify")
 
@@ -216,9 +236,9 @@ class _Report:
         for path in paths:
             with open(path, "rb") as handle:
                 raws.append(handle.read())
+        self.documents = dict(zip(paths, raws))
         self.data: dict = {
             "command": args.command,
-            "files": {path: hashlib.sha256(raw).hexdigest() for path, raw in zip(paths, raws)},
             "knobs": {
                 name: getattr(args, name)
                 for name in self._KNOBS
@@ -235,6 +255,10 @@ class _Report:
 
     def emit(self, payload: dict, exit_code: int) -> int:
         if self.json:
+            import hashlib  # only a --json report prints digests; hashlib maps OpenSSL
+
+            self.data["files"] = {path: hashlib.sha256(raw).hexdigest()
+                                  for path, raw in self.documents.items()}
             self.data.update(payload)
             self.data["exit_code"] = exit_code
             self.data["wall_time_s"] = round(time.monotonic() - self.started, 6)
@@ -247,7 +271,7 @@ class _Report:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
@@ -277,13 +301,14 @@ def _cmd_eval(args, report, sst: Sst) -> int:
 
 
 def _cmd_runs(args, report, sst: Sst) -> int:
-    runs = enumerate_runs(sst, args.input, Budget(args.budget))
+    runs = list(_annotated_runs(sst, args.input, Budget(args.budget)))
     report.say(f"input: {args.input!r}, accepting runs: {len(runs)}")
     payload = []
-    for idx, run in enumerate(runs):
+    for idx, (run, annotated) in enumerate(runs):
+        output = "".join([c for c, _ in annotated])
         payload.append({"index": idx, "start": run.start,
-                        "steps": list(run.steps), "output": run.output})
-        report.say(f"  [{idx}] start={run.start} steps={list(run.steps)} output={run.output!r}")
+                        "steps": list(run.steps), "output": output})
+        report.say(f"  [{idx}] start={run.start} steps={list(run.steps)} output={output!r}")
     return report.emit({"result": {"input": args.input, "runs": payload}}, EXIT_OK)
 
 

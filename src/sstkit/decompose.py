@@ -16,8 +16,8 @@ from typing import Callable
 from .delay import RunProfile, weight_table
 from .errors import InputMismatchError, ParameterError, SstKitError
 from .model import (
-    Budget, Run, Sst, _annotate, _final_outputs, _leaf_outputs, _scan, _start, _step, _word_outputs,
-    enumerate_runs,
+    Budget, Run, Sst, _annotated_runs, _final_outputs, _leaf_outputs, _scan, _start, _step,
+    _word_outputs,
 )
 from .wordcomb import cuts
 
@@ -55,23 +55,16 @@ def semantic_cover(
     Each output's cuts and each run's weight table (``weight_table``) are
     built once, and a delay of at most D is read as no two entries of the
     tables differing by more than D.  An output without cuts has delay 0,
-    so with D below 0 every run survives.  ``enumerate_runs`` finds the
-    runs depth first, so a run shares its tagged variable contents
-    (``_annotate``) with the run before it up to the step where they part.
+    so with D below 0 every run survives.  The runs and their tagged
+    outputs come from ``_annotated_runs``, which tags each shared run prefix
+    once.
     """
     if C < 1:
         raise ParameterError("C must be at least 1")
     survivors: list[Run] = []
     # per output: its cuts, and the weight tables of the runs so far with it
     earlier: dict[str, tuple[tuple[int, ...], list]] = {}
-    levels: list = []  # the tagged contents along the run before
-    before: tuple[int, ...] = ()
-    for run in enumerate_runs(sst, word, budget):  # found in lexicographic order
-        shared = 0
-        while shared < len(before) and run.steps[shared] == before[shared]:
-            shared += 1
-        del levels[shared + 1:]
-        annotated = _annotate(sst, run.start, run.steps, levels)
+    for run, annotated in _annotated_runs(sst, word, budget):  # found in lexicographic order
         output = "".join([c for c, _ in annotated])
         if output not in earlier:
             earlier[output] = (tuple(cuts(output, C)), [])
@@ -80,7 +73,6 @@ def semantic_cover(
         if D < 0 or not any(_within(table, e, D) for e in tables):
             survivors.append(run)
         tables.append(table)
-        before = run.steps
     return survivors
 
 

@@ -638,6 +638,24 @@ def _annotate(sst: Sst, start: str, steps: Sequence[int], levels: list) -> tuple
     return tuple(out)
 
 
+def _annotated_runs(
+    sst: Sst, word: str, budget: Budget | int | None = None,
+) -> Iterator[tuple[Run, tuple[tuple[str, int], ...]]]:
+    """Each accepting run on ``word`` (``enumerate_runs``, in canonical
+    order) with its ``_annotate``d output.  The runs are found depth first,
+    so a run shares its tagged variable contents with the run before it up
+    to the step where they part, and each shared prefix is tagged once."""
+    levels: list = []  # the tagged contents along the run before
+    before: tuple[int, ...] = ()
+    for run in enumerate_runs(sst, word, budget):
+        shared = 0
+        while shared < len(before) and run.steps[shared] == before[shared]:
+            shared += 1
+        del levels[shared + 1:]
+        yield run, _annotate(sst, run.start, run.steps, levels)
+        before = run.steps
+
+
 def _start(sst: Sst) -> dict:
     """The frontier of the empty input, initial states in state order."""
     return dict.fromkeys((q, sst._initial) for q in sst._starts)

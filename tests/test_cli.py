@@ -2,16 +2,24 @@ import builtins
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import sstkit
-from sstkit import SearchBudget
+from sstkit import Run, SearchBudget, enumerate_runs, words_over
+from sstkit import cli
 from sstkit.cli import _build_parser, _to_json, main
 
-from regen_golden import _invoke, cli_argvs
+from helpers import FIXTURES, draws
+from regen_golden import USAGE_ARGVS, _invoke, cli_argvs
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
+from corpus import render, spec_of  # noqa: E402
+
+WALL_TIME = re.compile(r'"wall_time_s": [^,\n]+')
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +72,27 @@ def test_runs_command(docs, capsys):
     code, out = run(capsys, "runs", docs["FIX-AMB"], "--input", "aa")
     assert code == 0
     assert "accepting runs: 4" in out
+
+
+RUNS_CASES = FIXTURES + draws(range(12))
+
+
+@pytest.mark.parametrize("label, make", RUNS_CASES, ids=[label for label, _ in RUNS_CASES])
+def test_runs_lists_each_run_with_its_output(tmp_path, capsys, label, make):
+    """``runs --json`` lists the runs of ``enumerate_runs``, each with the
+    output that ``Run.output`` computes on its own, on every input up to
+    length 4."""
+    sst = make()
+    path = tmp_path / "machine.sst"
+    path.write_text(sstkit.fixtures.source(label) if label in sstkit.fixtures.names()
+                    else render(spec_of(sst)))
+    for word in words_over(sst.alphabet, 0, 4):
+        assert main(["runs", str(path), "--input", word, "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)["result"]["runs"]
+        assert [(r["start"], tuple(r["steps"])) for r in listed] == [
+            (run.start, run.steps) for run in enumerate_runs(sst, word)]
+        for r in listed:
+            assert r["output"] == Run(sst, r["start"], tuple(r["steps"])).output, (word, r)
 
 
 def test_ambiguity_exit_codes(docs, capsys):
@@ -324,6 +353,48 @@ def test_byte_order_mark_is_not_part_of_the_document(docs, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: not UTF-8 (invalid start byte at byte 5)\n"
 
 
+def _two_ways(capsys, monkeypatch, argv):
+    """The exit code, stdout (``wall_time_s`` masked) and stderr of
+    ``main(argv)``, then of the same call on the two-level path that
+    ``main`` shortens: the top-level parser's ``parse_args`` and the
+    handler."""
+    outcomes = []
+    for parse in (cli._parse_args, lambda argv: _build_parser().parse_args(argv)):
+        monkeypatch.setattr(cli, "_parse_args", parse)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        outcomes.append((code, WALL_TIME.sub('"wall_time_s": -', captured.out), captured.err))
+    return outcomes
+
+
+def test_routing_matches_the_two_level_parse_on_the_golden_argvs(capsys, monkeypatch):
+    checked = 0
+    with cli_argvs() as argvs:
+        for label, argv in {**argvs, **USAGE_ARGVS}.items():
+            for extra in ([], ["--json"]):
+                routed, reference = _two_ways(capsys, monkeypatch, argv + extra)
+                assert routed == reference, (label, extra)
+                checked += 1
+    assert checked == 2 * 56
+
+
+# argvs that reach past a subcommand's own parser, with F for a document
+ROUTING_ARGVS = [
+    [], ["-h"], ["--version"], ["no-such-command", "F"], ["-x", "validate", "F"],
+    ["validate"], ["validate", "-h"], ["validate", "F", "F"], ["validate", "F", "--version"],
+    ["validate", "F", "--js"], ["validate", "--", "F"],
+    ["eval", "F", "--input"], ["oracle", "F", "--no-such-flag"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTING_ARGVS, ids=lambda argv: " ".join(argv) or "no argv")
+def test_routing_matches_the_two_level_parse(docs, capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    routed, reference = _two_ways(capsys, monkeypatch, [docs["FIX-TSC"] if a == "F" else a
+                                                        for a in argv])
+    assert routed == reference
+
+
 def test_parser_is_built_once(docs, capsys, monkeypatch):
     assert main(["validate", docs["FIX-ID"]]) == 0
 
@@ -358,18 +429,47 @@ def test_each_document_is_opened_once(docs, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_python_dash_m_sstkit(docs, capsys):
+def _python_dash_m_sstkit(*argv, options=()):
+    """A fresh ``python -m sstkit`` process: ``main()`` reads ``sys.argv``,
+    as the ``sstkit`` console script does."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    argv = ["validate", docs["FIX-TSC"], "--json"]
-    proc = subprocess.run([sys.executable, "-m", "sstkit", *argv],
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    return subprocess.run([sys.executable, *options, "-m", "sstkit", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_sstkit(docs, capsys, monkeypatch):
+    argv = ["validate", docs["FIX-TSC"], "--json"]
+    proc = _python_dash_m_sstkit(*argv)
     assert proc.returncode == 0
     code, out = run(capsys, *argv)
     assert code == 0
     via_module, via_main = json.loads(proc.stdout), json.loads(out)
     via_module.pop("wall_time_s"), via_main.pop("wall_time_s")
     assert via_module == via_main
-    no_command = subprocess.run([sys.executable, "-m", "sstkit"],
-                                capture_output=True, env=env, timeout=60)
-    assert no_command.returncode == 2
+    assert _python_dash_m_sstkit().returncode == 2
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["--version"], ["--help"], ["validate", docs["FIX-TSC"]],
+                 ["oracle", docs["FIX-TSC"], "--max-len", "3"], ["no-such-command"]):
+        proc = _python_dash_m_sstkit(*argv)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err), argv
+
+
+def _imported(*argv) -> set[str]:
+    """The modules that a fresh ``python -m sstkit`` process imports, read
+    off its ``-X importtime`` lines."""
+    proc = _python_dash_m_sstkit(*argv, options=("-X", "importtime"))
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_only_a_json_report_imports_hashlib(docs):
+    """Digests are computed for ``--json`` reports alone, so no other
+    command imports ``hashlib``, which maps OpenSSL."""
+    for argv in (["--version"], ["--help"], ["validate", docs["FIX-TSC"]]):
+        imported = _imported(*argv)
+        assert "sstkit.cli" in imported, argv
+        assert "hashlib" not in imported, argv
+    assert "hashlib" in _imported("validate", docs["FIX-TSC"], "--json")
