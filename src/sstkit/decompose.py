@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import Callable
 
 from .delay import RunProfile, weight_table
-from .errors import InputMismatchError, ParameterError, SstKitError
+from .errors import InputMismatchError, ParameterError
 from .model import (
-    Budget, Run, Sst, _annotated_runs, _final_outputs, _leaf_outputs, _scan, _start, _step,
+    Budget, Run, Sst, _annotated_runs, _final_output_set, _leaf_output_set, _scan, _start, _step,
     _word_outputs,
 )
 from .wordcomb import cuts
@@ -125,23 +125,28 @@ def check_equivalence_bounded(
     """Compare output sets on every input with min_len <= |u| <= max_len.
 
     Returns None when all agree, else the first differing input in
-    length-lexicographic order.  Like the oracles, the scan starts at
-    length 1 by default; pass ``min_len=0`` to include the empty input.
+    length-lexicographic order over ``a``'s letter order (the two
+    alphabets may list the same letters in different orders).  Like the
+    oracles, the scan starts at length 1 by default; pass ``min_len=0`` to
+    include the empty input.  Alphabets with different letters raise
+    ``ParameterError``.
     """
     if set(a.alphabet) != set(b.alphabet):
-        raise SstKitError("transducers must share an alphabet")
+        raise ParameterError("transducers must share an alphabet")
     shared = Budget.ensure(budget)
 
     def step(pair, letter):
         fa, fb = _step(a, pair[0], letter, shared), _step(b, pair[1], letter, shared)
         return (fa, fb) if fa or fb else ()
 
-    def differs(pair) -> int:
-        return int(_final_outputs(a, pair[0]).keys() != _final_outputs(b, pair[1]).keys())
+    def differs(pair, need) -> int:
+        return int(_final_output_set(a, pair[0]) != _final_output_set(b, pair[1]))
 
-    def leaf_differs(pair, letter) -> int:
-        return int(_leaf_outputs(a, pair[0], letter, shared).keys()
-                   != _leaf_outputs(b, pair[1], letter, shared).keys())
+    def leaf_differs(pair, letter, need) -> int:
+        fa, fb = pair
+        shared.charge(len(fa))
+        shared.charge(len(fb))
+        return int(_leaf_output_set(a, fa, letter) != _leaf_output_set(b, fb, letter))
 
     found, witness = _scan(
         a.alphabet, min_len, max_len, (_start(a), _start(b)), step, differs, leaf_differs, top=1)

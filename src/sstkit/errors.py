@@ -66,6 +66,7 @@ class ParameterError(SstKitError, ValueError):
     enumeration, ``outputs`` and what is built on them), a cut bound ``C``
     below 1, a selector count ``k`` below 1 (``decompose_selectors``), an
     output count ``m`` below 1 (``amplify_valuedness``), a negative
-    ``SearchBudget`` field, a step or output position outside a run, or a
-    bad parameter structure or assignment in a word inequality.  Also a
-    ``ValueError``."""
+    ``SearchBudget`` field, a step or output position outside a run, a
+    bad parameter structure or assignment in a word inequality, or two
+    transducers over different alphabets (``check_equivalence_bounded``).
+    Also a ``ValueError``."""

@@ -33,7 +33,9 @@ input's last letter without building the frontier it leads to
 after the update of every move into a final state, so one call per
 configuration and such move grounds an output.  The budget is charged as
 if that frontier were built, one unit per configuration of the one before
-it.
+it.  ``valuedness_oracle`` bounds output counts by cheaper counts first and
+grounds outputs only where they can change its answer (``_scan``'s
+``need``); the units are the same.
 """
 
 from __future__ import annotations
@@ -682,6 +684,18 @@ def _final_outputs(sst: Sst, frontier: dict) -> dict[str, None]:
     ])
 
 
+def _final_output_set(sst: Sst, frontier: dict) -> set[str]:
+    """The outputs of ``_final_outputs``, unordered."""
+    finals = sst._final_templates
+    return {finals[state].format(*values) for state, values in frontier if state in finals}
+
+
+def _leaf_output_set(sst: Sst, frontier: dict, letter: str) -> set[str]:
+    """The outputs of ``_leaf_outputs``, unordered; charges nothing."""
+    a, leaves = sst._letter_index[letter], sst._leaf_templates
+    return {composite.format(*values) for state, values in frontier for composite in leaves[state][a]}
+
+
 def _leaf_outputs(sst: Sst, frontier: dict, letter: str, budget: Budget) -> dict[str, None]:
     """``_final_outputs`` of the frontier one letter further, read without
     building it; charges as ``_step`` does.  Each move into a final state
@@ -736,40 +750,51 @@ def _scan(
     order, extending a frontier by one letter with ``step``, so it holds
     one frontier per depth.  A falsy frontier is dead: its extensions
     measure 0 and cannot displace the witness, so it is not extended.  An
-    input of length max_len is measured by ``leaf(frontier, letter)`` on
-    its longest proper prefix's live frontier, which must equal ``measure``
-    of the step (0 if dead) and charge the budget as ``step`` does, so the
-    deepest frontiers are never built.  Once the maximum reaches ``top``,
-    only shorter inputs can still displace the witness.  A negative
-    ``min_len`` raises ``SstKitError``.
+    input of length max_len is measured by ``leaf(frontier, letter, need)``
+    on its longest proper prefix's live frontier, which must equal
+    ``measure(step(frontier, letter), need)`` (0 if dead) and charge the
+    budget as ``step`` does, so the deepest frontiers are never built.
+    Once the maximum reaches ``top``, only shorter inputs can still
+    displace the witness.  A negative ``min_len`` raises ``SstKitError``.
+
+    ``need`` is the least value that displaces the witness at the input's
+    length: the maximum so far if the input is shorter than the witness,
+    else one more.  Where the true value is below ``need``, ``measure`` and
+    ``leaf`` may return any value below ``need``; otherwise they return
+    the true value.
     """
     if min_len < 0:
         raise SstKitError(f"min_len must not be negative: {min_len}")
     if min_len > max_len or (min_len and not alphabet):
         return 0, None
-    best, witness = (0, alphabet[0] * min_len) if min_len else (measure(root) if root else 0, "")
-    # one (prefix, its frontier, the letters not yet tried after it) per depth
-    path = [("", root, iter(alphabet))]
+    best, witness = (0, alphabet[0] * min_len) if min_len else (measure(root, 0) if root else 0, "")
+    # one (prefix, its live frontier, the letters not yet tried after it) per depth
+    path = [("", root, iter(alphabet))] if root and max_len else []
     while path:
-        word, frontier, letters = path[-1]
-        depth = len(word)
-        letter = next(letters, None)
-        if (letter is None or not frontier or depth >= max_len
-                or (best == top and depth + 1 >= len(witness))):
-            path.pop()
-            continue
-        if depth + 1 < max_len:
-            word += letter
-            frontier = step(frontier, letter)
-            path.append((word, frontier, iter(alphabet)))
-            if depth + 1 < min_len:
-                continue
-            n = measure(frontier) if frontier else 0
+        prefix, frontier, letters = path[-1]
+        depth = len(prefix) + 1  # the length of the inputs tried here
+        for letter in letters:
+            if best == top and depth >= len(witness):
+                path.pop()
+                break
+            word = prefix + letter
+            # depth-first visits inputs of one length in lexicographic order
+            need = best + (depth >= len(witness))
+            if depth < max_len:
+                child = step(frontier, letter)
+                if depth >= min_len:
+                    n = measure(child, need) if child else 0
+                    if n >= need:
+                        best, witness = n, word
+                if child:
+                    path.append((word, child, iter(alphabet)))
+                    break
+            else:
+                n = leaf(frontier, letter, need)
+                if n >= need:
+                    best, witness = n, word
         else:
-            n, word = leaf(frontier, letter), word + letter
-        # depth-first visits inputs of one length in lexicographic order
-        if n > best or (n == best and len(word) < len(witness)):
-            best, witness = n, word
+            path.pop()
     return best, witness
 
 
@@ -786,12 +811,29 @@ def valuedness_oracle(
     input is excluded from the default report.  Pass ``min_len=0`` to
     include it; a negative ``min_len`` raises ``SstKitError``.
     """
-    b = Budget.ensure(budget)
+    b, finals, leaves = Budget.ensure(budget), sst._final_templates, sst._leaf_templates
+    # per letter index, the most moves into final states that leave one state
+    most = [max([len(per[a]) for per in leaves.values()], default=0) for a in range(len(sst.alphabet))]
+
+    # Each count below bounds the outputs from above, coarsest first; the
+    # outputs are grounded only when no count falls below ``need``.
+    def measure(frontier: dict, need: int) -> int:
+        n = len(frontier)
+        if n >= need:
+            n = sum([state in finals for state, _ in frontier])
+        return n if n < need else len(_final_output_set(sst, frontier))
+
+    def leaf(frontier: dict, letter: str, need: int) -> int:
+        b.charge(len(frontier))
+        a = sst._letter_index[letter]
+        n = len(frontier) * most[a]
+        if n >= need:
+            n = sum([len(leaves[state][a]) for state, _ in frontier])
+        return n if n < need else len(_leaf_output_set(sst, frontier, letter))
+
     return _scan(
         sst.alphabet, min_len, max_len, _start(sst),
-        lambda frontier, letter: _step(sst, frontier, letter, b),
-        lambda frontier: len(_final_outputs(sst, frontier)),
-        lambda frontier, letter: len(_leaf_outputs(sst, frontier, letter, b)),
+        lambda frontier, letter: _step(sst, frontier, letter, b), measure, leaf,
     )
 
 
@@ -814,7 +856,7 @@ def ambiguity_oracle(
                 fresh[target] = fresh.get(target, 0) + n
         return fresh
 
-    def leaf(counts: dict[str, int], letter: str) -> int:
+    def leaf(counts: dict[str, int], letter: str, need: int) -> int:
         """Accepting runs one letter further."""
         b.charge(len(counts))
         a = sst._letter_index[letter]
@@ -822,7 +864,7 @@ def ambiguity_oracle(
 
     return _scan(
         sst.alphabet, min_len, max_len, dict.fromkeys(sst.initials, 1), step,
-        lambda counts: sum(n for state, n in counts.items() if state in finals), leaf,
+        lambda counts, need: sum(n for state, n in counts.items() if state in finals), leaf,
     )
 
 

@@ -231,6 +231,36 @@ def test_output_queries_charge_one_unit_per_configuration_and_letter(query, name
     assert tuple(used) == OUTPUT_QUERY_CHARGES[name]
 
 
+# budget.used of valuedness_oracle, ambiguity_oracle and
+# check_equivalence_bounded (each fixture against itself) at max_len 1, 3, 5
+SCAN_CHARGES = {
+    "FIX-ID": ((1, 1, 2), (3, 3, 6), (5, 5, 10)),
+    "FIX-AMB": ((1, 1, 2), (6, 3, 12), (15, 5, 30)),
+    "FIX-TSC": ((4, 4, 8), (28, 28, 56), (124, 124, 248)),
+    "FIX-TSC1": ((4, 4, 8), (48, 28, 96), (320, 124, 640)),
+    "FIX-R2": ((2, 2, 4), (26, 26, 52), (162, 138, 324)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CHARGES))
+def test_scans_charge_one_unit_per_configuration_and_letter(name):
+    sst = fixtures.load(name)
+    scans = (
+        lambda n, b: valuedness_oracle(sst, n, b),
+        lambda n, b: ambiguity_oracle(sst, n, b),
+        lambda n, b: check_equivalence_bounded(sst, sst, n, b),
+    )
+    used = []
+    for n in (1, 3, 5):
+        row = []
+        for scan in scans:
+            budget = Budget()
+            scan(n, budget)
+            row.append(budget.used)
+        used.append(tuple(row))
+    assert tuple(used) == SCAN_CHARGES[name]
+
+
 def test_tiny_budget_raises():
     tsc = fixtures.load("FIX-TSC")
     calls = [

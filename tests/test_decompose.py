@@ -3,7 +3,6 @@ import pytest
 from sstkit import (
     InputMismatchError,
     ParameterError,
-    SstKitError,
     check_equivalence_bounded,
     decompose_selectors,
     delay,
@@ -186,5 +185,5 @@ def test_equivalence_ignores_dead_states(fix_id):
 
 
 def test_equivalence_requires_shared_alphabet(fix_id, fix_tsc):
-    with pytest.raises(SstKitError):
+    with pytest.raises(ParameterError, match="^transducers must share an alphabet$"):
         check_equivalence_bounded(fix_id, fix_tsc, 2)

@@ -274,6 +274,17 @@ def test_ambiguity_oracle_examples(fix_id, fix_amb, fix_tsc):
     assert ambiguity_oracle(fix_tsc, 3) == (16, "000")
 
 
+@pytest.mark.parametrize("seed, expected", [
+    (33, (2, "b")), (20, (3, "bab")), (38, (2, "aba")), (97, (2, "ab")), (98, (4, "aab")),
+])
+def test_valuedness_oracle_keeps_the_shorter_input_on_a_tie(seed, expected):
+    """The depth-first walk meets a longer input reaching the maximum before
+    a shorter one (on draw 33, "aaa" before "b"): a shorter input displaces
+    the witness at the same count, a longer one or one of the same length
+    only with a greater count."""
+    assert valuedness_oracle(random_sst(random.Random(seed)), 4) == expected
+
+
 def test_scans_start_from_the_least_input_past_a_dead_first_prefix():
     """The first prefix, "a", dies at once and "b" lives on; no state is
     final, so every input measures 0 and the witness is the least input of
