@@ -147,22 +147,7 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
     goal is not among its descendants.  ``node_budget`` counts popped
     nodes, at least one per (q1, q2) pair searched.
     """
-    budget, toward = Budget(node_budget), {}
-
-    def moves_toward(goal: str) -> dict:
-        """Each state's moves less those that cannot reach ``goal``, built on
-        first use."""
-        if goal not in toward:
-            reaching = _bfs(sst._predecessors, (goal,))
-            toward[goal] = {q: tuple([m for m in letter if m[1] in reaching] for letter in moves)
-                            for q, moves in sst._moves.items()}
-        return toward[goal]
-
-    for q1, q2 in product(reachable_states(sst), coreachable_states(sst)):
-        found = _dumbbell_bfs(q1, q2, moves_toward(q1), moves_toward(q2), budget)
-        if found is None:
-            continue
-        r1, r2, r3 = found
+    for q1, q2, (r1, r2, r3) in _dumbbell_paths(sst, Budget(node_budget)):
         rho1, rho3 = Run(sst, q1, r1), Run(sst, q2, r3)
         s1, s3 = skeleton_of(rho1.induced_update), skeleton_of(rho3.induced_update)
         p1, p3, e = s1, s3, 1
@@ -177,6 +162,29 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
         dumbbell.verify(sst)
         return dumbbell
     return None
+
+
+def _dumbbell_paths(sst: Sst, budget: Budget, after: tuple | None = None):
+    """Each pair (q1, q2) that has a dumbbell, with the three tracks' paths
+    that ``_dumbbell_bfs`` finds for it, in turn: the reachable states
+    times the coreachable ones, in order, each tested only when it is asked
+    for, and only the pairs after the pair ``after`` when it is given.
+    Popped nodes are charged to ``budget``, and each state's moves less
+    those that cannot reach a goal state are tabled on first use."""
+    toward: dict = {}
+
+    def moves_toward(goal: str) -> dict:
+        if goal not in toward:
+            reaching = _bfs(sst._predecessors, (goal,))
+            toward[goal] = {q: tuple([m for m in letter if m[1] in reaching] for letter in moves)
+                            for q, moves in sst._moves.items()}
+        return toward[goal]
+
+    pairs = list(product(reachable_states(sst), coreachable_states(sst)))
+    for q1, q2 in pairs[pairs.index(after) + 1:] if after else pairs:
+        found = _dumbbell_bfs(q1, q2, moves_toward(q1), moves_toward(q2), budget)
+        if found is not None:
+            yield q1, q2, found
 
 
 def _dumbbell_bfs(q1, q2, moves1, moves2, budget):
@@ -340,13 +348,8 @@ def _build_pattern(sst: Sst, q1: str, q2: str, stations, entry_paths, loop_paths
     )
 
 
-# Each tuple in {1,2}^5, lexicographic, at index i, with the ranks of its
-# parts: the prefix (n1, n2) and suffix (n3, n4, n5) of the run marked at
-# position 2, and the prefix (n1, n2, n3) and suffix (n4, n5) of the one
-# marked at 4.  A part's rank among the tuples of its length is its bits of i.
-_LEAVES = tuple(
-    (t, i >> 3, i & 7, i >> 2, i & 3) for i, t in enumerate(product((1, 2), repeat=5))
-)
+# The tuples in {1,2}^5, lexicographic
+_TUPLES = tuple(product((1, 2), repeat=5))
 
 
 class _UpdatePool:
@@ -484,7 +487,10 @@ class _UpdatePool:
         and legs 0, 0, 0, 1, 2 when it is marked at 4.  Each output is met
         in the middle: the suffix image of the trailing blocks, grounded
         on the prefix contents after the leading ones, so no leaf applies
-        a block.
+        a block.  The suffix images, joined by the separator, are grounded
+        once per prefix, which spells the 32 outputs of each mark in tuple
+        order; outputs hold letters only and the separator is never one,
+        so the two spellings are equal exactly when no tuple diverges.
 
         Both runs end with one block on leg 2, at count n5.  When neither
         suffix image of that last block (n5 = 1, 2) holds a ``{``, it
@@ -500,11 +506,14 @@ class _UpdatePool:
         mid_suffixes = self.suffix((leg2, leg2, leg2), omega, end_state)
         late_prefixes = self.prefix(alpha, (leg0, leg0, leg0))
         late_suffixes = self.suffix((leg1, leg2), omega, end_state)
-        for tup, mid_p, mid_s, late_p, late_s in _LEAVES:
-            if (mid_suffixes[mid_s].format(*mid_prefixes[mid_p])
-                    != late_suffixes[late_s].format(*late_prefixes[late_p])):
-                return tup
-        return None
+        sep = self.sep
+        mid_images, late_images = sep.join(mid_suffixes), sep.join(late_suffixes)
+        mid = sep.join([mid_images.format(*p) for p in mid_prefixes])
+        late = sep.join([late_images.format(*p) for p in late_prefixes])
+        if mid == late:
+            return None
+        both = zip(mid.split(sep), late.split(sep))
+        return next(tup for tup, (a, b) in zip(_TUPLES, both) if a != b)
 
 
 def is_simply_divergent(sst: Sst, pattern: WPattern) -> tuple[int, ...] | None:
@@ -618,13 +627,15 @@ class _TripleLevels:
             fresh: list[tuple] = []
             for (p1, p2, p3), (k1, k2, k3), (s1, s2, s3) in last:
                 for letter1, letter2, letter3 in zip(moves[s1], moves[s2], moves[s3]):
+                    # each track's (path, update id, target) after one move,
+                    # shared by every triple that takes the move
+                    t2 = [(p2 + (i,), step(k2, i), v) for i, v in letter2]
+                    t3 = [(p3 + (i,), step(k3, i), v) for i, v in letter3]
                     for i1, v1 in letter1:
-                        j1 = step(k1, i1)
-                        for i2, v2 in letter2:
-                            j2 = step(k2, i2)
-                            for i3, v3 in letter3:
-                                fresh.append(((p1 + (i1,), p2 + (i2,), p3 + (i3,)),
-                                              (j1, j2, step(k3, i3)), (v1, v2, v3)))
+                        a1, j1 = p1 + (i1,), step(k1, i1)
+                        for a2, j2, v2 in t2:
+                            for a3, j3, v3 in t3:
+                                fresh.append(((a1, a2, a3), (j1, j2, j3), (v1, v2, v3)))
             self.levels.append(fresh)
         return self.levels[depth]
 
@@ -645,41 +656,60 @@ class _TripleLevels:
             yield from self._loops[depth]
 
     def ending_at(self, depth: int, goal: tuple) -> tuple[list[int], list[tuple], int]:
-        """The triples of level ``depth`` that end at ``goal``, in level
-        order, with the units each is charged, one for itself and one for
-        each triple between it and the one before, and the count of the
-        triples after the last of them.  Found once per (depth, goal)."""
+        """The first triple of each triple of update ids among those of
+        level ``depth`` that end at ``goal``, in level order, with the units
+        each is charged, one for itself and one for each triple between it
+        and the one before, and the count of the triples after the last of
+        them.  A later triple with the same ids gives every candidate the
+        signature of an earlier one.  Found once per (depth, goal)."""
         key = (depth, goal)
         if key not in self._ends:
-            level, units, found, last = self.level(depth), [], [], -1
+            level, units, found, last, ids = self.level(depth), [], [], -1, set()
             for i, triple in enumerate(level):
-                if triple[2] == goal:
+                if triple[2] == goal and triple[1] not in ids:
+                    ids.add(triple[1])
                     units.append(i - last)
                     found.append(triple)
                     last = i
             self._ends[key] = units, found, len(level) - 1 - last
         return self._ends[key]
 
+    def size(self, max_len: int) -> int:
+        """The count of the triples of levels 0..max_len."""
+        return sum(len(self.level(depth)) for depth in range(max_len + 1))
 
-def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
-    """Candidate W-pattern shapes in a fixed, deterministic order, as
-    tuples (signature, q1, q2, stations, entry_paths, loop_paths,
-    exit_paths); ``_build_pattern`` takes the shape, the tuple less its
-    signature.  The signature is what the divergence test depends on: ids
-    in ``pool`` of the rho0 update, of the three legs' (entry, loop, exit)
-    updates, read off the level entries, and of the rho4 update, found at
-    the first exit triple ending at its state, and the end state.  For each
-    (entry, loop) pair, every exit triple of the station levels is charged
-    one unit, but only those ending at (q1, q2, q2) are read.  Each
-    signature is yielded once: a later triple with the signature of a
-    yielded candidate is skipped untested, though its budget is charged
-    all the same.
+
+def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget, pairs):
+    """Candidate W-pattern shapes at each (q1, q2) of ``pairs`` in turn, in a
+    fixed, deterministic order, as tuples (signature, q1, q2, stations,
+    entry_paths, loop_paths, exit_paths); ``_build_pattern`` takes the
+    shape, the tuple less its signature.  The signature is what the
+    divergence test depends on: ids in ``pool`` of the rho0 update, of the
+    three legs' (entry, loop, exit) updates, read off the level entries,
+    and of the rho4 update, found at the first exit triple ending at its
+    state, and the end state.  For each (entry, loop) pair, every exit
+    triple of the station levels is charged one unit, but only the first
+    of each update-id triple among those ending at (q1, q2, q2) is read,
+    and none when a pair of the same stations, entry ids and loop ids was
+    met before at this (q1, q2).  Each signature is yielded once: a later
+    triple with the signature of a yielded candidate is skipped untested,
+    though its budget is charged all the same.
+
+    The search calls this with the pairs that have a dumbbell: at any other
+    pair, the three composite runs of a candidate, over one input, go
+    q1 -> q1, q1 -> q2 and q2 -> q2 and are all equal (else they would be
+    a path to (q1, q2, q2, True) in ``_dumbbell_bfs``'s product), so every
+    leg is the same and no mark can diverge.  Skipping such a pair costs no
+    unit and loses no candidate, so a search that ends without a budget
+    stop (``exhausted: false``) has tested every candidate whose
+    components are at most ``max_len`` transitions long.
 
     Station shapes are pruned by the loop/composite idempotency
     requirements, read off the update templates by ``pool.idempotent``
     (a loop k as the leg (0, k, 0)), before any pattern object is built.
     """
     sst, idempotent, charge = pool.sst, pool.idempotent, budget.charge
+    alphas: dict[str, int] = {}  # q1 -> rho0 update id
     rho4s: dict[str, tuple] = {}  # q2 -> (rho4 update id, end state)
     levels_memo: dict = {}
     yielded: set[tuple] = set()
@@ -689,45 +719,56 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
             levels_memo[starts] = _TripleLevels(pool, starts, budget)
         return levels_memo[starts]
 
-    coreachable = coreachable_states(sst)
-    for q1 in reachable_states(sst):
-        alpha = pool.path_id(shortest_access_run(sst, q1).steps)
-        for q2 in coreachable:
-            goal = (q1, q2, q2)
-            for e_paths, e_ids, stations in levels((q1, q1, q2)).upto(max_len):
-                station_levels = levels(stations)
-                for l_paths, l_ids in station_levels.loops(max_len):
-                    for depth in range(max_len + 1):
-                        units, exits, tail = station_levels.ending_at(depth, goal)
-                        for n, (x_paths, x_ids, _) in zip(units, exits):
-                            if n > 1:  # the triples skipped before this one
-                                _charge_each(budget, n - 1)
-                            charge()
-                            if q2 not in rho4s:
-                                rho4 = shortest_exit_run(sst, q2)
-                                rho4s[q2] = pool.path_id(rho4.steps), rho4.end
-                            legs = tuple(zip(e_ids, l_ids, x_ids))
-                            signature = (alpha, legs, *rho4s[q2])
-                            if signature in yielded or not all(map(idempotent, legs)):
-                                continue
-                            if legs[0] == legs[1] == legs[2]:
-                                continue  # every mark gives the same output
-                            yielded.add(signature)
-                            yield (signature, q1, q2, stations, e_paths, l_paths, x_paths)
-                        _charge_each(budget, tail)
+    for q1, q2 in pairs:
+        if q1 not in alphas:
+            alphas[q1] = pool.path_id(shortest_access_run(sst, q1).steps)
+        alpha, goal, classes = alphas[q1], (q1, q2, q2), set()
+        for e_paths, e_ids, stations in levels((q1, q1, q2)).upto(max_len):
+            station_levels = levels(stations)
+            for l_paths, l_ids in station_levels.loops(max_len):
+                if (stations, e_ids, l_ids) in classes:  # every signature met before
+                    _charge_each(budget, station_levels.size(max_len))
+                    continue
+                classes.add((stations, e_ids, l_ids))
+                for depth in range(max_len + 1):
+                    units, exits, tail = station_levels.ending_at(depth, goal)
+                    for n, (x_paths, x_ids, _) in zip(units, exits):
+                        if n > 1:  # the triples skipped before this one
+                            _charge_each(budget, n - 1)
+                        charge()
+                        if q2 not in rho4s:
+                            rho4 = shortest_exit_run(sst, q2)
+                            rho4s[q2] = pool.path_id(rho4.steps), rho4.end
+                        legs = tuple(zip(e_ids, l_ids, x_ids))
+                        signature = (alpha, legs, *rho4s[q2])
+                        if signature in yielded or not all(map(idempotent, legs)):
+                            continue
+                        if legs[0] == legs[1] == legs[2]:
+                            continue  # every mark gives the same output
+                        yielded.add(signature)
+                        yield (signature, q1, q2, stations, e_paths, l_paths, x_paths)
+                    _charge_each(budget, tail)
 
 
-def _search_divergent_pattern(sst: Sst, sb: SearchBudget):
-    """The first candidate with a divergent tuple, in candidate order."""
+def _search_divergent_pattern(sst: Sst, sb: SearchBudget, dumbbell: Dumbbell | None = None):
+    """The first candidate with a divergent tuple, in candidate order, over
+    the (q1, q2) pairs that have a dumbbell, each tested when the search
+    reaches it, with nodes popped under ``sb.node_budget``; a stop there
+    is a budget stop of the search.  ``dumbbell``, ``find_dumbbell``'s on
+    ``sst``, tells that the pairs before its own have none and that its own
+    has one, so only the later pairs are tested."""
     budget = Budget(sb.candidates)
     report = {
         "component_length": sb.component_length,
         "candidate_budget": sb.candidates,
         "exhausted": False,
     }
+    known = [] if dumbbell is None else [(dumbbell.q1, dumbbell.q2)]
+    tested = _dumbbell_paths(sst, Budget(sb.node_budget), *known)
+    pairs = chain(known, ((q1, q2) for q1, q2, _ in tested))
     try:
         pool = _UpdatePool(sst)
-        for signature, *shape in _pattern_candidates(pool, sb.component_length, budget):
+        for signature, *shape in _pattern_candidates(pool, sb.component_length, budget, pairs):
             tup = pool.first_divergent_tuple(signature)
             if tup is None:
                 continue
@@ -802,7 +843,7 @@ def analyze_valuedness(sst: Sst, budget: SearchBudget | None = None) -> Verdict:
             {"certificate": "no dumbbell: the transducer is finitely ambiguous"},
             budgets, None,
         )
-    witness, report = _search_divergent_pattern(sst, sb)
+    witness, report = _search_divergent_pattern(sst, sb, dumbbell)
     if witness is not None:
         return Verdict(
             "Infinite", witness, dumbbell,

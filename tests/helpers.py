@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import Counter
-from functools import partial
+from collections import Counter, deque
+from functools import cache, partial
 
 from sstkit import (
     Inequality,
@@ -19,12 +19,16 @@ from sstkit import (
     Sst,
     Transition,
     Update,
+    analysis,
+    compose_skeletons,
     enumerate_runs,
     find_loops,
     fixtures,
     is_idempotent,
     skeleton_of,
 )
+from sstkit.model import coreachable_states, reachable_states
+from sstkit.skeletons import Skeleton, transition_skeletons
 
 # one state whose one transition swaps two variables: the skeleton of its
 # update is not idempotent
@@ -198,6 +202,59 @@ def main(run, default: int) -> None:
     argument or ``default``."""
     count = int(sys.argv[1]) if len(sys.argv) > 1 else default
     print(dict(sorted(run(count).items())))
+
+
+# -- the reference dumbbell search ---------------------------------------------
+
+
+def skeleton_track_moves(sst):
+    """A track's moves, per letter as ``Sst._moves`` lists them: to each
+    transition's target, with the skeleton of the transition after the
+    track's; a track is a (state, ``Skeleton``) pair."""
+    generators = transition_skeletons(sst)
+
+    @cache
+    def moves(track):
+        q, s = track
+        return tuple([(i, (target, compose_skeletons(generators[i], s))) for i, target in letter]
+                     for letter in sst._moves[q])
+
+    return moves
+
+
+def reference_bfs(sst, moves, q1, q2, budget):
+    """The untrimmed skeleton-track search: every child of a popped node
+    is queued, and the goal is a node at (q1, q2, q2) whose tracks differ
+    and whose loop tracks have idempotent skeletons.  ``moves(track)``
+    lists the track's moves per letter, as ``Sst._moves`` does."""
+    identity = Skeleton.identity(sst.variables)
+    start = ((q1, identity), (q1, identity), (q2, identity), False)
+    parents: dict = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        budget.charge()
+        u1, u2, u3, diff = node
+        if (diff and (u1[0], u2[0], u3[0]) == (q1, q2, q2)
+                and is_idempotent(u1[1]) and is_idempotent(u3[1])):
+            return analysis._rebuild_triple(parents, node)
+        for letter1, letter2, letter3 in zip(moves(u1), moves(u2), moves(u3)):
+            for i1, v1 in letter1:
+                for i2, v2 in letter2:
+                    for i3, v3 in letter3:
+                        child = (v1, v2, v3, diff or not (i1 == i2 == i3))
+                        if child not in parents:
+                            parents[child] = (node, (i1, i2, i3))
+                            queue.append(child)
+    return None
+
+
+def reference_dumbbell_pairs(sst, budget) -> list:
+    """The (q1, q2) pairs, reachable times coreachable states in order, at
+    which ``reference_bfs`` finds a dumbbell."""
+    moves = skeleton_track_moves(sst)
+    return [(q1, q2) for q1 in reachable_states(sst) for q2 in coreachable_states(sst)
+            if reference_bfs(sst, moves, q1, q2, budget) is not None]
 
 
 def random_word(rng: random.Random, alphabet, max_len: int) -> str:

@@ -7,16 +7,20 @@ at its state, and it yields each signature once.  The reference here is
 the generator that keeps paths only on its levels, ``reference_candidates``
 over ``ReferenceLevels``, interns each path's update through a memo of
 every path prefix of its own, ``ReferencePool``, and yields every
-candidate, repeated signatures included.  Each candidate's first divergent
+candidate, repeated signatures included.  The generator scans the (q1, q2)
+pairs of ``_dumbbell_paths``, those with a dumbbell, as the search does,
+and the reference the pairs at which the independent skeleton-track
+search ``helpers.reference_bfs`` finds one.  Each candidate's first divergent
 tuple is read off its pool: ``_UpdatePool.first_divergent_tuple``, which
-decides most non-divergent signatures off their last block, against
-``ReferencePool``'s walk over all 32 leaves.  ``check(sst)`` runs both on
-a grid of component lengths and candidate budgets, keeps the reference's
-first occurrence of each signature, keyed by the programs it names, and
-requires the same candidate shapes in the same order, the same programs
-named by each signature, the same first divergent tuple, the same
-``budget.used`` at each candidate, and the same stop: the budget, or the
-end of the candidates.
+decides most non-divergent signatures off their last block and compares
+the others' outputs as one string per mark, against ``ReferencePool``'s
+walk over all 32 leaves.  ``check(sst)`` runs both on a grid of component
+lengths and candidate budgets, keeps the reference's first occurrence of
+each signature, keyed by the programs it names, and requires the same
+candidate shapes in the same order, the same programs named by each
+signature, the same first divergent tuple, the same ``budget.used`` at
+each candidate, and the same stop: the budget, or the end of the
+candidates.
 
 ``run(n)`` checks the fixtures, the ``no_variables`` and
 ``format_letters`` machines and, for s < n, the draws ``random_sst(s)``
@@ -36,23 +40,40 @@ from __future__ import annotations
 import os
 import sys
 from collections import Counter
-from itertools import chain
+from itertools import chain, product
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from sstkit import Budget, BudgetExceededError, Sst  # noqa: E402
-from sstkit.analysis import _LEAVES, _pattern_candidates, _UpdatePool  # noqa: E402
+from sstkit.analysis import _dumbbell_paths, _pattern_candidates, _UpdatePool  # noqa: E402
 from sstkit.model import (  # noqa: E402
+    DEFAULT_NODE_BUDGET,
     coreachable_states,
     reachable_states,
     shortest_access_run,
     shortest_exit_run,
 )
 
-from helpers import FIXTURES, draws, format_letters, main, no_variables, sweep  # noqa: E402
+from helpers import (  # noqa: E402
+    FIXTURES,
+    draws,
+    format_letters,
+    main,
+    no_variables,
+    reference_dumbbell_pairs,
+    sweep,
+)
 
 LENGTHS = (1, 2, 3)  # component lengths
 LIMITS = (30, 400, 3000)  # candidate budgets
+
+# Each tuple in {1,2}^5, lexicographic, at index i, with the ranks of its
+# parts: the prefix (n1, n2) and suffix (n3, n4, n5) of the run marked at
+# position 2, and the prefix (n1, n2, n3) and suffix (n4, n5) of the one
+# marked at 4.  A part's rank among the tuples of its length is its bits of i.
+LEAVES = tuple(
+    (t, i >> 3, i & 7, i >> 2, i & 3) for i, t in enumerate(product((1, 2), repeat=5))
+)
 
 
 class ReferencePool(_UpdatePool):
@@ -75,7 +96,7 @@ class ReferencePool(_UpdatePool):
             late_prefixes = self.prefix(alpha, (leg0, leg0, leg0))
             late_suffixes = self.suffix((leg1, leg2), omega, end_state)
             self._tuples[signature] = next(
-                (tup for tup, mid_p, mid_s, late_p, late_s in _LEAVES
+                (tup for tup, mid_p, mid_s, late_p, late_s in LEAVES
                  if (mid_suffixes[mid_s].format(*mid_prefixes[mid_p])
                      != late_suffixes[late_s].format(*late_prefixes[late_p]))), None)
         return self._tuples[signature]
@@ -127,10 +148,11 @@ class ReferenceLevels:
         return chain.from_iterable(map(self.level, range(max_len + 1)))
 
 
-def reference_candidates(pool: ReferencePool, max_len: int, budget: Budget):
+def reference_candidates(pool: ReferencePool, max_len: int, budget: Budget, pairs):
     """Every candidate in the order of ``_pattern_candidates``, repeated
     signatures included, each path's update id interned as the candidate
-    is tested, every exit run found before the first candidate."""
+    is tested, every exit run found before the first candidate; only at
+    the (q1, q2) of ``pairs``."""
     sst, idempotent = pool.sst, pool.idempotent
     exit_runs = {q: shortest_exit_run(sst, q) for q in coreachable_states(sst)}
     levels_memo: dict = {}
@@ -143,6 +165,8 @@ def reference_candidates(pool: ReferencePool, max_len: int, budget: Budget):
     for q1 in reachable_states(sst):
         alpha = pool.path_id(shortest_access_run(sst, q1).steps)
         for q2, rho4 in exit_runs.items():
+            if (q1, q2) not in pairs:
+                continue
             omega = pool.path_id(rho4.steps)
             goal = (q1, q2, q2)
             for e_paths, stations in levels((q1, q1, q2)).upto(max_len):
@@ -165,6 +189,19 @@ def reference_candidates(pool: ReferencePool, max_len: int, budget: Budget):
                             continue
                         yield ((alpha, legs, omega, rho4.end), q1, q2, stations,
                                e_paths, l_paths, x_paths)
+
+
+def searched_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
+    """``_pattern_candidates`` over the pairs that the search scans."""
+    tested = _dumbbell_paths(pool.sst, Budget(DEFAULT_NODE_BUDGET))
+    return _pattern_candidates(pool, max_len, budget, ((q1, q2) for q1, q2, _ in tested))
+
+
+def skipped_reference(sst: Sst):
+    """``reference_candidates`` at the pairs with a dumbbell, found by the
+    independent reference search."""
+    pairs = reference_dumbbell_pairs(sst, Budget(DEFAULT_NODE_BUDGET))
+    return lambda pool, max_len, budget: reference_candidates(pool, max_len, budget, pairs)
 
 
 def events(generate, pool_class, sst: Sst, max_len: int, limit: int) -> list:
@@ -202,11 +239,11 @@ def check(sst: Sst) -> Counter:
     """The generator and the first occurrences of its reference on the
     grid; raises AssertionError on the first mismatch."""
     outcomes: Counter = Counter()
+    reference = skipped_reference(sst)
     for max_len in LENGTHS:
         for limit in LIMITS:
-            got = events(_pattern_candidates, _UpdatePool, sst, max_len, limit)
-            want = first_occurrences(
-                events(reference_candidates, ReferencePool, sst, max_len, limit))
+            got = events(searched_candidates, _UpdatePool, sst, max_len, limit)
+            want = first_occurrences(events(reference, ReferencePool, sst, max_len, limit))
             if got != want:
                 at = next((n for n, (g, w) in enumerate(zip(got, want)) if g != w),
                           min(len(got), len(want)))

@@ -397,8 +397,8 @@ def test_amplify_rejects_fewer_than_one_output(fix_tsc1, m):
 
 def test_infinite_verdicts_of_the_golden_corpus_amplify():
     """Every Infinite verdict of the golden corpus, at its budget, amplifies
-    to m = 2..5 distinct outputs of one input.  Each of the 12 witnesses
-    (FIX-AMB, FIX-TSC1 and 10 draws) has three empty loops, so this is
+    to m = 2..5 distinct outputs of one input.  Each of the 14 witnesses
+    (FIX-AMB, FIX-TSC1 and 12 draws) has three empty loops, so this is
     evidence that such witnesses are sound, not a proof."""
     infinite = []
     for label, sst in machines():
@@ -411,7 +411,7 @@ def test_infinite_verdicts_of_the_golden_corpus_amplify():
             assert result is not None, (label, m)
             word, outs = result
             assert len(set(outs)) == m and set(outs) <= outputs(sst, word), (label, m)
-    assert len(infinite) == 12 and {"FIX-AMB", "FIX-TSC1"} <= set(infinite)
+    assert len(infinite) == 14 and {"FIX-AMB", "FIX-TSC1"} <= set(infinite)
 
 
 @pytest.mark.parametrize("field", ["component_length", "candidates", "node_budget", "oracle_max_len"])

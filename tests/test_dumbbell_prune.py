@@ -6,10 +6,7 @@ finds none; its dumbbell must pass ``Dumbbell.verify``; and it must pop
 no more nodes.  The full search is kept here as the reference: the
 untrimmed breadth-first search of the three-track product whose tracks
 are (state, ``Skeleton``) pairs, which checks loop idempotency on the
-fly."""
-
-from collections import deque
-from functools import cache
+fly, ``reference_bfs`` in ``tests/helpers.py``."""
 
 import pytest
 
@@ -23,14 +20,8 @@ from sstkit.model import (
     shortest_access_run,
     shortest_exit_run,
 )
-from sstkit.skeletons import (
-    Skeleton,
-    compose_skeletons,
-    is_idempotent,
-    transition_skeletons,
-)
 
-from helpers import FIXTURES, draws
+from helpers import FIXTURES, draws, reference_bfs, skeleton_track_moves
 
 # above the most nodes any case below needs, trimmed or not
 BUDGET = 20_000
@@ -38,45 +29,9 @@ BUDGET = 20_000
 WIDE = draws(range(40), 6, 4)
 
 
-def reference_bfs(sst, moves, q1, q2, budget):
-    """The untrimmed skeleton-track search: every child of a popped node
-    is queued, and the goal is a node at (q1, q2, q2) whose tracks differ
-    and whose loop tracks have idempotent skeletons.  ``moves(track)``
-    lists the track's moves per letter, as ``Sst._moves`` does."""
-    identity = Skeleton.identity(sst.variables)
-    start = ((q1, identity), (q1, identity), (q2, identity), False)
-    parents: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        budget.charge()
-        u1, u2, u3, diff = node
-        if (diff and (u1[0], u2[0], u3[0]) == (q1, q2, q2)
-                and is_idempotent(u1[1]) and is_idempotent(u3[1])):
-            return analysis._rebuild_triple(parents, node)
-        for letter1, letter2, letter3 in zip(moves(u1), moves(u2), moves(u3)):
-            for i1, v1 in letter1:
-                for i2, v2 in letter2:
-                    for i3, v3 in letter3:
-                        child = (v1, v2, v3, diff or not (i1 == i2 == i3))
-                        if child not in parents:
-                            parents[child] = (node, (i1, i2, i3))
-                            queue.append(child)
-    return None
-
-
 def reference_find(sst):
     """(dumbbell or None, nodes popped) of the untrimmed search."""
-    generators = transition_skeletons(sst)
-
-    @cache
-    def moves(track):
-        """A track's moves: to each transition's target, with the skeleton
-        of the transition after the track's."""
-        q, s = track
-        return tuple([(i, (target, compose_skeletons(generators[i], s))) for i, target in letter]
-                     for letter in sst._moves[q])
-
+    moves = skeleton_track_moves(sst)
     budget = Budget(BUDGET)
     coreach = set(coreachable_states(sst))
     for q1 in reachable_states(sst):

@@ -12,10 +12,11 @@ import pytest
 
 import sstkit
 from sstkit import BudgetExceededError, Run, build_wrun
-from sstkit.analysis import _UpdatePool, _build_pattern, _pattern_candidates
+from sstkit.analysis import _UpdatePool, _build_pattern
 from sstkit.model import Budget, _compile_update
 
 from helpers import FIXTURES, draws
+from pattern_sweep import searched_candidates
 from test_signature_skip import TWINS
 
 # Draws 95 and 196 each have a candidate whose first divergent tuple
@@ -29,12 +30,12 @@ SEQUENCES = [(2,), (1, 2, 1), (2, 1, 1, 2)]
 
 
 def distinct_candidates(sst, limit=SIGNATURES, budget=5000):
-    """The first ``limit`` candidates, at component length 2; the generator
-    yields each signature once."""
+    """The first ``limit`` candidates of the search, at component length 2;
+    the generator yields each signature once."""
     pool = _UpdatePool(sst)
     candidates = []
     try:
-        candidates.extend(islice(_pattern_candidates(pool, 2, Budget(budget)), limit))
+        candidates.extend(islice(searched_candidates(pool, 2, Budget(budget)), limit))
     except BudgetExceededError:
         pass
     return pool, candidates

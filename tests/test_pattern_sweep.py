@@ -10,10 +10,17 @@ import sys
 import pytest
 
 from sstkit import BudgetExceededError, analysis
-from sstkit.analysis import _pattern_candidates, _UpdatePool
+from sstkit.analysis import _UpdatePool
 
 from helpers import FIXTURES, draws
-from pattern_sweep import ReferencePool, events, first_occurrences, reference_candidates, run
+from pattern_sweep import (
+    ReferencePool,
+    events,
+    first_occurrences,
+    run,
+    searched_candidates,
+    skipped_reference,
+)
 
 
 def test_candidates_match_the_reference_that_interns_paths():
@@ -23,12 +30,15 @@ def test_candidates_match_the_reference_that_interns_paths():
 
 
 # At component length 3, each budget runs out strictly inside one bulk
-# charge, after candidates were yielded: FIX-R2's after its 12 candidates,
-# inside a stretch of exit triples that end elsewhere than the goal and are
-# charged unread; the 3-state draw's after 1,576, inside a level charged
-# before it is generated.
+# charge, after candidates were yielded: FIX-R2's at 682 after 4
+# candidates, inside a stretch of exit triples that end elsewhere than the
+# goal and are charged unread, and at 20,000 after its 12 candidates,
+# inside the exits of a station, entry and loop class met before at the
+# same (q1, q2), charged unread; the 3-state draw's after 1,576, inside a
+# level charged before it is generated.
 BULK_STOPS = [
-    ("FIX-R2", dict(FIXTURES)["FIX-R2"], 99_400, "_pattern_candidates"),
+    ("FIX-R2", dict(FIXTURES)["FIX-R2"], 682, "_pattern_candidates"),
+    ("FIX-R2-repeated-class", dict(FIXTURES)["FIX-R2"], 20_000, "_pattern_candidates"),
     (*draws([19])[0], 20_000, "level"),
 ]
 
@@ -52,7 +62,7 @@ def test_bulk_charges_stop_where_single_charges_do(label, make, limit, place, mo
 
     monkeypatch.setattr(analysis, "_charge_each", recording)
     sst = make()
-    got = events(_pattern_candidates, _UpdatePool, sst, 3, limit)
+    got = events(searched_candidates, _UpdatePool, sst, 3, limit)
     assert crossings == [(place, True)]
     assert got[-1] == ("stop", limit + 1) and len(got) > 1
-    assert got == first_occurrences(events(reference_candidates, ReferencePool, sst, 3, limit))
+    assert got == first_occurrences(events(skipped_reference(sst), ReferencePool, sst, 3, limit))

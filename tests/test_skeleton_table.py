@@ -36,7 +36,8 @@ from helpers import FIXTURES, draws, random_sst
 
 # Letters that are digits: erasing them from a template as characters
 # would also erase the indices of its replacement fields, and read the
-# swap of X and Y as the identity.
+# swap of X and Y as the identity.  The two swaps on 0 make a dumbbell at
+# (p, p), so the W-pattern search scans that pair.
 SWAP_01 = """\
 alphabet: 0 1
 vars: X Y
@@ -44,6 +45,7 @@ states: p
 initial: p
 final p -> X Y
 trans p 0 p { X := Y 0 ; Y := X }
+trans p 0 p { X := Y ; Y := X 0 }
 trans p 1 p { X := X 1 ; Y := Y }
 """
 

@@ -4,14 +4,23 @@ path induces, and every signature that the candidate generator yields
 names the updates of its rho0 run, of its three legs' entry, loop and exit
 paths, and of its rho4 run.  Each is checked against ``Run``'s
 ``induced_update``, compiled, on the golden machines at component lengths
-2 and 3."""
+2 and 3.  Levels are built exactly when some (q1, q2) pair has a dumbbell,
+by the independent reference search, since the search scans no other
+pair."""
 
 import pytest
 
 from sstkit import Run, SearchBudget, analysis
 from sstkit.analysis import _search_divergent_pattern
-from sstkit.model import _compile_update, shortest_access_run, shortest_exit_run
+from sstkit.model import (
+    DEFAULT_NODE_BUDGET,
+    Budget,
+    _compile_update,
+    shortest_access_run,
+    shortest_exit_run,
+)
 
+from helpers import reference_dumbbell_pairs
 from regen_golden import machines
 
 CASES = list(machines())
@@ -53,7 +62,7 @@ def test_level_entries_and_signatures_name_induced_updates(label, sst, component
     def named(k, start, path):
         return pool.programs[k] == _compile_update(sst, Run(sst, start, path).induced_update.images)
 
-    assert levels
+    assert bool(levels) == bool(reference_dumbbell_pairs(sst, Budget(DEFAULT_NODE_BUDGET)))
     for triple_levels in levels:
         (_, _, starts), = triple_levels.levels[0]
         for depth, level in enumerate(triple_levels.levels):
