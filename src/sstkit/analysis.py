@@ -29,6 +29,13 @@ Every verdict ships evidence.  Infinite witnesses and dumbbells are
 re-checked through the core evaluator (``Run``) before they are reported.
 A Finite verdict rests on the exhausted dumbbell search itself: nothing
 outside the search re-checks the absence of dumbbells.
+
+One analysis derives each fact about the machine once.  ``find_dumbbell``
+makes the analysis context (``_Analysis``: the (q1, q2) pairs, the moves
+toward each goal state, the shortest access and exit runs), and its
+dumbbell carries the context into the W-pattern search, which adds the
+update pool.  A witness keeps that pool and its signature alive for
+``amplify_valuedness``.
 """
 
 from __future__ import annotations
@@ -36,8 +43,8 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import chain, product
+from functools import partial, reduce
+from itertools import chain, islice, product
 
 from .errors import BudgetExceededError, ParameterError, RunError, SstKitError
 from .model import (
@@ -46,12 +53,12 @@ from .model import (
     Run,
     Sst,
     _bfs,
+    _cached_property,
     _compile_update,
+    _rebuild,
     concat_runs,
     coreachable_states,
     outputs,
-    reachable_states,
-    shortest_access_run,
     shortest_exit_run,
     valuedness_oracle,
 )
@@ -78,6 +85,8 @@ class Dumbbell:
     rho2: Run = field(repr=False)
     rho3: Run = field(repr=False)
     rho4: Run = field(repr=False)
+    # the analysis context that found it, read on by the W-pattern search
+    _context: _Analysis | None = field(default=None, repr=False, compare=False)
 
     def verify(self, sst: Sst) -> None:
         """Raise unless every structural invariant holds."""
@@ -120,6 +129,55 @@ def _expect_endpoints(run: Run, start: str, end: str, name: str) -> None:
         )
 
 
+class _Analysis:
+    """The facts about ``sst`` that several steps of one valuedness analysis
+    read, each derived once: the (q1, q2) pairs that ``_dumbbell_paths``
+    tests, the reachable states times the coreachable ones, in order (one
+    BFS of the initial states gives the reachable states and every
+    shortest access run); and, on first use, each state's moves toward a
+    goal state, its shortest access and exit runs, and the update pool of
+    the W-pattern search."""
+
+    def __init__(self, sst: Sst):
+        self.sst = sst
+        self._parents = parents = _bfs(sst._moves, sst.initials)
+        self.pairs = list(product([q for q in sst.states if q in parents], coreachable_states(sst)))
+        self._toward: dict[str, dict] = {}
+        self._access: dict[str, Run] = {}
+        self._exits: dict[str, Run] = {}
+
+    @_cached_property
+    def pool(self) -> _UpdatePool:
+        return _UpdatePool(self.sst)
+
+    def moves_toward(self, goal: str) -> dict:
+        """Each state's moves less those that cannot reach ``goal``."""
+        toward = self._toward
+        if goal not in toward:
+            sst = self.sst
+            reaching = _bfs(sst._predecessors, (goal,))
+            toward[goal] = {q: tuple([m for m in letter if m[1] in reaching] for letter in moves)
+                            for q, moves in sst._moves.items()}
+        return toward[goal]
+
+    def access_run(self, q: str) -> Run:
+        """``shortest_access_run(sst, q)``, for a reachable ``q``."""
+        if q not in self._access:
+            self._access[q] = _rebuild(self.sst, self._parents, q)
+        return self._access[q]
+
+    def exit_run(self, q: str) -> Run:
+        """``shortest_exit_run(sst, q)``, for a coreachable ``q``."""
+        if q not in self._exits:
+            self._exits[q] = shortest_exit_run(self.sst, q)
+        return self._exits[q]
+
+
+def _context_for(sst: Sst, context: _Analysis | None) -> _Analysis:
+    """``context`` when it is one of ``sst``, else a fresh one."""
+    return context if context is not None and context.sst is sst else _Analysis(sst)
+
+
 def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell | None:
     """Exact search for a dumbbell, or None if the transducer has none.
 
@@ -147,7 +205,8 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
     goal is not among its descendants.  ``node_budget`` counts popped
     nodes, at least one per (q1, q2) pair searched.
     """
-    for q1, q2, (r1, r2, r3) in _dumbbell_paths(sst, Budget(node_budget)):
+    context = _Analysis(sst)
+    for q1, q2, (r1, r2, r3) in _dumbbell_paths(sst, Budget(node_budget), context=context):
         rho1, rho3 = Run(sst, q1, r1), Run(sst, q2, r3)
         s1, s3 = skeleton_of(rho1.induced_update), skeleton_of(rho3.induced_update)
         p1, p3, e = s1, s3, 1
@@ -155,34 +214,24 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
             p1, p3, e = compose_skeletons(p1, s1), compose_skeletons(p3, s3), e + 1
         if e > 1:
             rho1, rho3 = Run(sst, q1, r1 * e), Run(sst, q2, r3 * e)
-        rho0 = shortest_access_run(sst, q1)
-        rho4 = shortest_exit_run(sst, q2)
-        assert rho0 is not None and rho4 is not None
-        dumbbell = Dumbbell(q1, q2, rho0, rho1, Run(sst, q1, r1 * (e - 1) + r2), rho3, rho4)
+        dumbbell = Dumbbell(q1, q2, context.access_run(q1), rho1, Run(sst, q1, r1 * (e - 1) + r2),
+                            rho3, context.exit_run(q2), context)
         dumbbell.verify(sst)
         return dumbbell
     return None
 
 
-def _dumbbell_paths(sst: Sst, budget: Budget, after: tuple | None = None):
+def _dumbbell_paths(sst: Sst, budget: Budget, after: tuple | None = None,
+                    context: _Analysis | None = None):
     """Each pair (q1, q2) that has a dumbbell, with the three tracks' paths
-    that ``_dumbbell_bfs`` finds for it, in turn: the reachable states
-    times the coreachable ones, in order, each tested only when it is asked
-    for, and only the pairs after the pair ``after`` when it is given.
-    Popped nodes are charged to ``budget``, and each state's moves less
-    those that cannot reach a goal state are tabled on first use."""
-    toward: dict = {}
-
-    def moves_toward(goal: str) -> dict:
-        if goal not in toward:
-            reaching = _bfs(sst._predecessors, (goal,))
-            toward[goal] = {q: tuple([m for m in letter if m[1] in reaching] for letter in moves)
-                            for q, moves in sst._moves.items()}
-        return toward[goal]
-
-    pairs = list(product(reachable_states(sst), coreachable_states(sst)))
+    that ``_dumbbell_bfs`` finds for it, in turn: the pairs of ``context``
+    (``_Analysis.pairs``), each tested only when it is asked for, and only
+    the pairs after the pair ``after`` when it is given.  Popped nodes are
+    charged to ``budget``; the trimmed moves are the context's."""
+    context = _context_for(sst, context)
+    pairs = context.pairs
     for q1, q2 in pairs[pairs.index(after) + 1:] if after else pairs:
-        found = _dumbbell_bfs(q1, q2, moves_toward(q1), moves_toward(q2), budget)
+        found = _dumbbell_bfs(q1, q2, context.moves_toward(q1), context.moves_toward(q2), budget)
         if found is not None:
             yield q1, q2, found
 
@@ -336,12 +385,13 @@ def build_wrun(sst: Sst, pattern: WPattern, values, mark: int) -> Run:
 
 
 def _build_pattern(sst: Sst, q1: str, q2: str, stations, entry_paths, loop_paths,
-                   exit_paths) -> WPattern:
-    """The W-pattern of a candidate shape of ``_pattern_candidates``."""
+                   exit_paths, context: _Analysis | None = None) -> WPattern:
+    """The W-pattern of a candidate shape of ``_pattern_candidates``, with
+    the access and exit runs of ``context``."""
+    context = _context_for(sst, context)
     entry_starts = (q1, q1, q2)
     return WPattern(
-        q1, q2, *stations,
-        shortest_access_run(sst, q1), shortest_exit_run(sst, q2),
+        q1, q2, *stations, context.access_run(q1), context.exit_run(q2),
         tuple(Run(sst, entry_starts[i], entry_paths[i]) for i in range(3)),
         tuple(Run(sst, stations[i], loop_paths[i]) for i in range(3)),
         tuple(Run(sst, stations[i], exit_paths[i]) for i in range(3)),
@@ -350,6 +400,30 @@ def _build_pattern(sst: Sst, q1: str, q2: str, stations, entry_paths, loop_paths
 
 # The tuples in {1,2}^5, lexicographic
 _TUPLES = tuple(product((1, 2), repeat=5))
+
+
+class _Memo(dict):
+    """A dict that computes the value of a missing key as ``compute(key)``
+    and keeps it, so that reading a known key is one dict lookup."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _skeleton_idempotent(programs: list[str], sep: str, parts, leg: tuple) -> bool:
+    """Whether entry . loop . exit, for ``leg`` the ids in ``programs`` of
+    the three updates, has an idempotent skeleton.  ``parts`` keeps the
+    fields and separators of a template, erasing its letters; erasing
+    letters commutes with composing, so the skeleton templates compose as
+    the programs do."""
+    entry, loop, exit_ = ("".join(parts(programs[k])) for k in leg)
+    skeleton = exit_.format(*loop.format(*entry.split(sep)).split(sep))
+    return skeleton.format(*skeleton.split(sep)) == skeleton
 
 
 class _UpdatePool:
@@ -361,9 +435,10 @@ class _UpdatePool:
     are equal.  ``step`` finds a path's id one transition at a time,
     memoized per (update id, transition).  A template with its letters
     erased is that of the update's skeleton, which ``idempotent`` composes
-    per leg of a candidate.  The W-runs of a signature (ids of the rho0
-    update and of three legs' (entry, loop, exit) updates, the rho4 update
-    id, the end state) are evaluated here, memoized for the whole search:
+    per leg of a candidate (``_skeleton_idempotent``), memoized per leg.
+    The W-runs of a signature (ids of the rho0 update and of three legs'
+    (entry, loop, exit) updates, the rho4 update id, the end state) are
+    evaluated here, memoized for the whole search:
 
       block   entry . loop^x . exit, per (leg, x);
       prefix  the contents after rho0 and a sequence of blocks, per (rho0
@@ -381,11 +456,15 @@ class _UpdatePool:
         self._steps: dict[tuple, int] = {}
         # letters hold no braces and never the separator, so keeping the
         # fields and separators of a template erases exactly its letters
-        self._skeleton_parts = re.compile(r"\{\d+\}|" + re.escape(self.sep)).findall
-        self._idempotent: dict[tuple, bool] = {}
+        parts = self._skeleton_parts = re.compile(r"\{\d+\}|" + re.escape(self.sep)).findall
+        # leg -> whether it has an idempotent skeleton, computed on first read
+        self._idempotent = _Memo(partial(_skeleton_idempotent, self.programs, self.sep, parts))
+        self.idempotent = self._idempotent.__getitem__
         self._blocks: dict[tuple, str] = {}
         self._prefixes: dict[tuple, list] = {}
         self._suffixes: dict[tuple, list] = {}
+        # the first entry alone of a prefix or suffix table not built whole
+        self._heads: dict[tuple, list] = {}
 
     def step(self, k: int, i: int) -> int:
         """Id of update ``k`` followed by that of transition ``i``, memoized
@@ -402,18 +481,6 @@ class _UpdatePool:
     def path_id(self, path: tuple) -> int:
         """Id of the update induced by a path of transitions."""
         return reduce(self.step, path, 0)
-
-    def idempotent(self, leg: tuple) -> bool:
-        """Whether entry . loop . exit, for ``leg`` the ids of the three
-        updates, has an idempotent skeleton, memoized per leg.  Erasing
-        letters commutes with composing, so the skeleton templates compose
-        as the programs do."""
-        if leg not in self._idempotent:
-            sep = self.sep
-            entry, loop, exit_ = ("".join(self._skeleton_parts(self.programs[k])) for k in leg)
-            skeleton = exit_.format(*loop.format(*entry.split(sep)).split(sep))
-            self._idempotent[leg] = skeleton.format(*skeleton.split(sep)) == skeleton
-        return self._idempotent[leg]
 
     def signature(self, pattern: WPattern) -> tuple:
         return (
@@ -435,38 +502,56 @@ class _UpdatePool:
             self._blocks[key] = exit_.format(*acc.split(self.sep))
         return self._blocks[key]
 
-    def prefix(self, alpha: int, legs: tuple) -> list:
-        """Variable contents after the rho0 update ``alpha`` and then one
-        block on each of ``legs`` in turn, for every tuple of counts in
-        {1,2}^len(legs), lexicographic."""
+    def prefix(self, alpha: int, legs: tuple, head: bool = False) -> list:
+        """Variable contents, as tuples, after the rho0 update ``alpha`` and
+        then one block on each of ``legs`` in turn, for every tuple of counts
+        in {1,2}^len(legs), lexicographic.  With ``head`` the first alone, that
+        of the all-ones tuple, is enough: it is kept apart (``_heads``)
+        until it becomes the first entry of the whole table."""
         key = (alpha, legs)
-        if key not in self._prefixes:
-            sep = self.sep
-            if legs:
-                blocks = self.block(legs[-1], 1), self.block(legs[-1], 2)
-                contents = [b.format(*c).split(sep)
-                            for c in self.prefix(alpha, legs[:-1]) for b in blocks]
-            else:
-                contents = [self.programs[alpha].format(*self.sst._initial).split(sep)]
-            self._prefixes[key] = contents
-        return self._prefixes[key]
+        if key in self._prefixes:
+            return self._prefixes[key]
+        heads, sep = self._heads, self.sep
+        if not legs:
+            contents = [tuple(self.programs[alpha].format(*self.sst._initial).split(sep))]
+        elif head:
+            if key not in heads:
+                before = self.prefix(alpha, legs[:-1], True)[0]
+                heads[key] = [tuple(self.block(legs[-1], 1).format(*before).split(sep))]
+            return heads[key]
+        else:
+            blocks = self.block(legs[-1], 1), self.block(legs[-1], 2)
+            pairs = product(self.prefix(alpha, legs[:-1]), blocks)
+            first = heads.pop(key, [])
+            contents = first + [tuple(b.format(*c).split(sep))
+                                for c, b in islice(pairs, len(first), None)]
+        self._prefixes[key] = contents
+        return contents
 
-    def suffix(self, legs: tuple, omega: int, end_state: str) -> list:
+    def suffix(self, legs: tuple, omega: int, end_state: str, head: bool = False) -> list:
         """The image that reads the output off the contents before one block
         on each of ``legs`` in turn, the rho4 update ``omega`` and the final
         output at ``end_state``, for every tuple of counts in
-        {1,2}^len(legs), lexicographic."""
+        {1,2}^len(legs), lexicographic; ``head`` as in ``prefix``."""
         key = (legs, omega, end_state)
-        if key not in self._suffixes:
-            if legs:
-                blocks = [self.block(legs[0], x).split(self.sep) for x in (1, 2)]
-                images = [i.format(*b) for b in blocks
-                          for i in self.suffix(legs[1:], omega, end_state)]
-            else:
-                final = self.sst._final_templates[end_state]
-                images = [final.format(*self.programs[omega].split(self.sep))]
-            self._suffixes[key] = images
-        return self._suffixes[key]
+        if key in self._suffixes:
+            return self._suffixes[key]
+        heads, sep = self._heads, self.sep
+        if not legs:
+            final = self.sst._final_templates[end_state]
+            images = [final.format(*self.programs[omega].split(sep))]
+        elif head:
+            if key not in heads:
+                after = self.suffix(legs[1:], omega, end_state, True)[0]
+                heads[key] = [after.format(*self.block(legs[0], 1).split(sep))]
+            return heads[key]
+        else:
+            blocks = [self.block(legs[0], x).split(sep) for x in (1, 2)]
+            pairs = product(blocks, self.suffix(legs[1:], omega, end_state))
+            first = heads.pop(key, [])
+            images = first + [i.format(*b) for b, i in islice(pairs, len(first), None)]
+        self._suffixes[key] = images
+        return images
 
     def output(self, signature: tuple, values, mark: int) -> str:
         """Output of the run of ``signature`` marked at ``mark`` (0-based)
@@ -497,11 +582,23 @@ class _UpdatePool:
         names no variable, since letters are never braces: the output is
         that image whatever came before it, the same for both marks, and
         no tuple diverges.  This is decided before the other parts are
-        built."""
+        built.
+
+        Most divergent signatures diverge at the first tuple, (1,1,1,1,1).
+        So when the prefix table of the first two blocks of the mark at 2
+        is not complete, that tuple's two outputs are compared first, off
+        the first entries of the four tables, which the full compare then
+        completes."""
         alpha, (leg0, leg1, leg2), omega, end_state = signature
         last = self.suffix((leg2,), omega, end_state)
         if "{" not in last[0] and "{" not in last[1]:
             return None
+        if (alpha, (leg0, leg1)) not in self._prefixes:
+            mid = self.suffix((leg2, leg2, leg2), omega, end_state, True)[0]
+            late = self.suffix((leg1, leg2), omega, end_state, True)[0]
+            if (mid.format(*self.prefix(alpha, (leg0, leg1), True)[0])
+                    != late.format(*self.prefix(alpha, (leg0, leg0, leg0), True)[0])):
+                return _TUPLES[0]
         mid_prefixes = self.prefix(alpha, (leg0, leg1))
         mid_suffixes = self.suffix((leg2, leg2, leg2), omega, end_state)
         late_prefixes = self.prefix(alpha, (leg0, leg0, leg0))
@@ -536,16 +633,20 @@ def is_simply_divergent(sst: Sst, pattern: WPattern) -> tuple[int, ...] | None:
     return tup
 
 
-def _confirm_divergence(sst: Sst, pattern: WPattern, tup: tuple[int, ...]) -> "DivergentPattern":
+def _confirm_divergence(sst: Sst, pattern: WPattern, tup: tuple[int, ...],
+                        pool: _UpdatePool | None = None, signature: tuple | None = None,
+                        ) -> DivergentPattern:
     """Rebuild the two marked runs of ``tup`` and check through the core
-    evaluator that they read one input and produce different outputs."""
+    evaluator that they read one input and produce different outputs; the
+    witness carries ``pool`` and the pattern's ``signature`` in it."""
     run_mid = build_wrun(sst, pattern, tup, 1)
     run_late = build_wrun(sst, pattern, tup, 3)
     if run_mid.input != run_late.input:
         raise SstKitError("marked runs consumed different inputs; pattern is broken")
     if run_mid.output == run_late.output:
         raise SstKitError("evaluator disagrees with update composition on a witness")
-    return DivergentPattern(pattern, tup, run_mid.input, run_mid.output, run_late.output)
+    return DivergentPattern(pattern, tup, run_mid.input, run_mid.output, run_late.output,
+                            pool, signature)
 
 
 @dataclass(frozen=True)
@@ -557,6 +658,10 @@ class DivergentPattern:
     input: str
     output_mark_mid: str  # mark at position 2 of 5
     output_mark_late: str  # mark at position 4 of 5
+    # the search's update pool and the pattern's signature in it, which
+    # ``amplify_valuedness`` reads on
+    _pool: _UpdatePool | None = field(default=None, repr=False, compare=False)
+    _signature: tuple | None = field(default=None, repr=False, compare=False)
 
     def describe(self) -> dict:
         return {
@@ -679,7 +784,8 @@ class _TripleLevels:
         return sum(len(self.level(depth)) for depth in range(max_len + 1))
 
 
-def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget, pairs):
+def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget, pairs,
+                        context: _Analysis | None = None):
     """Candidate W-pattern shapes at each (q1, q2) of ``pairs`` in turn, in a
     fixed, deterministic order, as tuples (signature, q1, q2, stations,
     entry_paths, loop_paths, exit_paths); ``_build_pattern`` takes the
@@ -707,8 +813,10 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget, pairs):
     Station shapes are pruned by the loop/composite idempotency
     requirements, read off the update templates by ``pool.idempotent``
     (a loop k as the leg (0, k, 0)), before any pattern object is built.
+    The access and exit runs are those of ``context``.
     """
-    sst, idempotent, charge = pool.sst, pool.idempotent, budget.charge
+    context = _context_for(pool.sst, context)
+    idempotent, charge = pool.idempotent, budget.charge
     alphas: dict[str, int] = {}  # q1 -> rho0 update id
     rho4s: dict[str, tuple] = {}  # q2 -> (rho4 update id, end state)
     levels_memo: dict = {}
@@ -721,7 +829,7 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget, pairs):
 
     for q1, q2 in pairs:
         if q1 not in alphas:
-            alphas[q1] = pool.path_id(shortest_access_run(sst, q1).steps)
+            alphas[q1] = pool.path_id(context.access_run(q1).steps)
         alpha, goal, classes = alphas[q1], (q1, q2, q2), set()
         for e_paths, e_ids, stations in levels((q1, q1, q2)).upto(max_len):
             station_levels = levels(stations)
@@ -737,7 +845,7 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget, pairs):
                             _charge_each(budget, n - 1)
                         charge()
                         if q2 not in rho4s:
-                            rho4 = shortest_exit_run(sst, q2)
+                            rho4 = context.exit_run(q2)
                             rho4s[q2] = pool.path_id(rho4.steps), rho4.end
                         legs = tuple(zip(e_ids, l_ids, x_ids))
                         signature = (alpha, legs, *rho4s[q2])
@@ -756,25 +864,28 @@ def _search_divergent_pattern(sst: Sst, sb: SearchBudget, dumbbell: Dumbbell | N
     reaches it, with nodes popped under ``sb.node_budget``; a stop there
     is a budget stop of the search.  ``dumbbell``, ``find_dumbbell``'s on
     ``sst``, tells that the pairs before its own have none and that its own
-    has one, so only the later pairs are tested."""
+    has one, so only the later pairs are tested; the search reads on its
+    analysis context, and the witness carries the context's pool."""
     budget = Budget(sb.candidates)
     report = {
         "component_length": sb.component_length,
         "candidate_budget": sb.candidates,
         "exhausted": False,
     }
+    context = _context_for(sst, dumbbell and dumbbell._context)
     known = [] if dumbbell is None else [(dumbbell.q1, dumbbell.q2)]
-    tested = _dumbbell_paths(sst, Budget(sb.node_budget), *known)
+    tested = _dumbbell_paths(sst, Budget(sb.node_budget), *known, context=context)
     pairs = chain(known, ((q1, q2) for q1, q2, _ in tested))
     try:
-        pool = _UpdatePool(sst)
-        for signature, *shape in _pattern_candidates(pool, sb.component_length, budget, pairs):
+        pool = context.pool
+        candidates = _pattern_candidates(pool, sb.component_length, budget, pairs, context)
+        for signature, *shape in candidates:
             tup = pool.first_divergent_tuple(signature)
             if tup is None:
                 continue
-            pattern = _build_pattern(sst, *shape)
+            pattern = _build_pattern(sst, *shape, context=context)
             pattern.verify(sst)
-            witness = _confirm_divergence(sst, pattern, tup)
+            witness = _confirm_divergence(sst, pattern, tup, pool, signature)
             report["candidates_used"] = budget.used
             return witness, report
     except BudgetExceededError:
@@ -890,6 +1001,8 @@ def amplify_valuedness(
     that first produce m distinct outputs, in mark order.  The budget is
     charged one unit per sequence scanned, and the final check
     ``outputs(sst, word, b)`` charges its configuration expansions to it.
+    The outputs are read off the update pool of the search that found
+    ``divergent`` when it is one of ``sst``, else off a fresh one.
 
     Returns None when the budget runs out, and when no sequence in that
     range gives m distinct outputs.  All reported outputs are re-verified
@@ -900,8 +1013,10 @@ def amplify_valuedness(
         raise ParameterError("need m >= 1 outputs")
     pattern = divergent.pattern
     b = Budget.ensure(budget)
-    pool = _UpdatePool(sst)
-    signature = pool.signature(pattern)
+    pool, signature = divergent._pool, divergent._signature
+    if pool is None or pool.sst is not sst:
+        pool = _UpdatePool(sst)
+        signature = pool.signature(pattern)
     top = max(2, max(divergent.values))
     try:
         for n in range(m, 2 * m + 1):

@@ -1,0 +1,144 @@
+"""One valuedness analysis derives each fact about its machine once:
+``find_dumbbell`` makes the analysis context, its dumbbell carries it into
+the W-pattern search, and the search's witness carries the update pool and
+its signature into ``amplify_valuedness``.  The carried state changes no
+answer: amplification reads the same word, outputs and ``budget.used``
+off the carried pool as off a fresh one, a witness passed with another
+``Sst`` of the same document falls back to a fresh pool, and equality,
+hashes, reprs and descriptions ignore the carried state."""
+
+import dataclasses
+
+import pytest
+
+from sstkit import (
+    Budget,
+    SearchBudget,
+    SstKitError,
+    amplify_valuedness,
+    analyze_valuedness,
+    find_dumbbell,
+)
+from sstkit import analysis, model
+
+from helpers import FIXTURES, draws
+from regen_golden import VALUEDNESS_BUDGET
+
+CASES = FIXTURES + draws(range(40)) + draws(range(300, 400))
+
+
+def verdict(sst):
+    return analyze_valuedness(sst, SearchBudget(**VALUEDNESS_BUDGET))
+
+
+def amplified(sst, witness, m=3):
+    """The answer of ``amplify_valuedness`` (or the error it raised) and
+    the units it used."""
+    budget = Budget(200_000)
+    try:
+        answer = amplify_valuedness(sst, witness, m, budget)
+    except SstKitError as err:
+        answer = (type(err).__name__, str(err))
+    return answer, budget.used
+
+
+def bare(witness):
+    """A copy of ``witness`` that carries no pool."""
+    return dataclasses.replace(witness, _pool=None, _signature=None)
+
+
+def no_pool(sst):
+    raise AssertionError("amplification built an update pool")
+
+
+@pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
+def test_carried_pool_changes_no_amplification(label, make, monkeypatch):
+    sst = make()
+    v = verdict(sst)
+    if v.kind != "Infinite":
+        return
+    w = v.witness
+    assert w._pool is v.dumbbell._context.pool and w._pool.sst is sst
+    assert w._signature == w._pool.signature(w.pattern)
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_UpdatePool", no_pool)
+        carried = [amplified(sst, w, m) for m in (2, 3, 4)]
+    assert carried == [amplified(sst, bare(w), m) for m in (2, 3, 4)]
+
+    # another instance of the same document: a fresh pool, and the answer
+    # of a witness without one (its runs belong to ``sst``, so rebuilding
+    # them raises RunError, after the same scan)
+    other, pools = make(), []
+
+    class Recorded(analysis._UpdatePool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_UpdatePool", Recorded)
+        fallback = amplified(other, w)
+    assert len(pools) == 1 and pools[0].sst is other
+    assert fallback == amplified(other, bare(w))
+
+
+@pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
+def test_carried_state_is_ignored_by_eq_hash_repr_describe(label, make):
+    sst = make()
+    v = verdict(sst)
+    pairs = []
+    if v.dumbbell is not None:
+        assert v.dumbbell._context is not None
+        pairs.append((v.dumbbell, dataclasses.replace(v.dumbbell, _context=None)))
+    if v.witness is not None:
+        pairs.append((v.witness, bare(v.witness)))
+    for carried, plain in pairs:
+        assert carried == plain and hash(carried) == hash(plain)
+        assert repr(carried) == repr(plain)
+        assert carried.describe() == plain.describe()
+
+
+def test_find_dumbbell_describes_the_analysis_dumbbell():
+    for _, make in CASES:
+        sst = make()
+        found, v = find_dumbbell(sst), verdict(sst)
+        assert (found is None) == (v.dumbbell is None)
+        if found is not None:
+            assert found.describe() == v.dumbbell.describe()
+
+
+@pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
+def test_each_fact_is_derived_once(label, make, monkeypatch):
+    """On an Infinite verdict and its amplification: one BFS from the
+    initial states, one exit BFS per state, one update pool."""
+    sst = make()
+    bfs, exits, pools = [], [], []
+    real_bfs, real_exit, real_pool = analysis._bfs, analysis.shortest_exit_run, analysis._UpdatePool
+
+    def counted_bfs(adjacency, sources):
+        bfs.append((adjacency is sst._moves, tuple(sources)))
+        return real_bfs(adjacency, sources)
+
+    def counted_exit(sst_, q):
+        exits.append(q)
+        return real_exit(sst_, q)
+
+    class Counted(real_pool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
+
+    monkeypatch.setattr(analysis, "_bfs", counted_bfs)
+    monkeypatch.setattr(analysis, "shortest_exit_run", counted_exit)
+    monkeypatch.setattr(analysis, "_UpdatePool", Counted)
+    v = verdict(sst)
+    if v.kind != "Infinite":
+        return
+    amplify_valuedness(sst, v.witness, 3, Budget(200_000))
+    assert bfs.count((True, tuple(sst.initials))) == 1
+    assert sorted(exits) == sorted(set(exits))
+    assert len(pools) == 1
+    # the pattern's access run is the one the dumbbell's context keeps
+    pattern = v.witness.pattern
+    assert pattern.rho0 is v.dumbbell._context.access_run(pattern.q1)
+    assert model.shortest_access_run(sst, pattern.q1) == pattern.rho0

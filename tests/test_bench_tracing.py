@@ -62,3 +62,22 @@ def test_every_traced_name_resolves_and_is_restored():
     after = namespaces()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_valuedness_chain_is_traced_once_per_call():
+    """The analysis hands its context on from the dumbbell to amplification
+    without bypassing a traced name: one Infinite verdict and its
+    amplification record one call each of the chain's public steps."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.active = True
+        sst = sstkit.fixtures.load("FIX-TSC1")
+        verdict = sstkit.analyze_valuedness(sst)
+        assert verdict.kind == "Infinite"
+        assert sstkit.amplify_valuedness(sst, verdict.witness, 3) is not None
+        tracer.active = False
+    calls = tracer.summary()["calls"]
+    for name in ("analysis.find_dumbbell", "analysis.analyze_valuedness",
+                 "analysis.amplify_valuedness", "analysis.WPattern.verify"):
+        assert calls[name] == 1, name
