@@ -26,7 +26,8 @@ The analyzer therefore answers:
   Unknown   -- neither certificate found within the search budget.
 
 Every verdict ships evidence.  Infinite witnesses and dumbbells are
-re-checked through the core evaluator (``Run``) before they are reported.
+re-checked through the core evaluator (``Run``; the marked runs of one
+input together, ``_wrun_outputs``) before they are reported.
 A Finite verdict rests on the exhausted dumbbell search itself: nothing
 outside the search re-checks the absence of dumbbells.
 
@@ -54,8 +55,10 @@ from .model import (
     Sst,
     _bfs,
     _cached_property,
+    _check_owner,
     _compile_update,
     _rebuild,
+    _shared_annotations,
     concat_runs,
     coreachable_states,
     outputs,
@@ -365,6 +368,10 @@ def build_wrun(sst: Sst, pattern: WPattern, values, mark: int) -> Run:
     mark cycle at q1 via station r1, the marked block crosses to q2 via r2,
     blocks after it cycle at q2 via r3.  The consumed input depends only on
     the unmarked sequence.
+
+    The segments' steps, each run's owner checked as ``concat_runs`` does,
+    form one ``Run``, which validates the whole chain in one walk; the
+    endpoints of an empty segment are left to ``WPattern.verify``.
     """
     values = tuple(values)
     if not values:
@@ -374,14 +381,25 @@ def build_wrun(sst: Sst, pattern: WPattern, values, mark: int) -> Run:
     for x in values:
         if x < 1:
             raise RunError(f"loop counts must be positive, got {x}")
-    segments = [pattern.rho0]
+    for run in (pattern.rho0, *pattern.entries, *pattern.loops, *pattern.exits, pattern.rho4):
+        _check_owner(sst, run)
+    steps = list(pattern.rho0.steps)
     for idx, x in enumerate(values):
         leg = 0 if idx < mark else (1 if idx == mark else 2)
-        segments.append(pattern.entries[leg])
-        segments.extend([pattern.loops[leg]] * x)
-        segments.append(pattern.exits[leg])
-    segments.append(pattern.rho4)
-    return concat_runs(sst, segments)
+        steps += pattern.entries[leg].steps
+        steps += pattern.loops[leg].steps * x
+        steps += pattern.exits[leg].steps
+    steps += pattern.rho4.steps
+    return Run(sst, pattern.rho0.start, tuple(steps))
+
+
+def _wrun_outputs(sst: Sst, runs) -> list[str]:
+    """The outputs of marked runs of one input, off ``_annotate`` with each
+    shared step prefix tagged once (``_shared_annotations``); a run that is
+    not accepting raises ``RunError``, as ``Run.annotated_output`` does."""
+    if not all(run.accepting for run in runs):
+        raise RunError("annotated output is only defined for accepting runs")
+    return ["".join([c for c, _ in out]) for out in _shared_annotations(sst, runs)]
 
 
 def _build_pattern(sst: Sst, q1: str, q2: str, stations, entry_paths, loop_paths,
@@ -438,7 +456,8 @@ class _UpdatePool:
     per leg of a candidate (``_skeleton_idempotent``), memoized per leg.
     The W-runs of a signature (ids of the rho0 update and of three legs'
     (entry, loop, exit) updates, the rho4 update id, the end state) are
-    evaluated here, memoized for the whole search:
+    evaluated here (``outputs``, ``first_divergent_tuple``), off tables
+    memoized for the whole search:
 
       block   entry . loop^x . exit, per (leg, x);
       prefix  the contents after rho0 and a sequence of blocks, per (rho0
@@ -553,15 +572,21 @@ class _UpdatePool:
         self._suffixes[key] = images
         return images
 
-    def output(self, signature: tuple, values, mark: int) -> str:
-        """Output of the run of ``signature`` marked at ``mark`` (0-based)
-        on the loop counts ``values``, as ``build_wrun`` builds it."""
-        alpha, legs, omega, end_state = signature
-        contents = self.prefix(alpha, ())[0]
-        for idx, x in enumerate(values):
-            leg = 0 if idx < mark else (1 if idx == mark else 2)
-            contents = self.block(legs[leg], x).format(*contents).split(self.sep)
-        return self.suffix((), omega, end_state)[0].format(*contents)
+    def outputs(self, signature: tuple, values) -> list[str]:
+        """The output of the run of ``signature`` on the loop counts
+        ``values`` marked at each position (0-based) as ``build_wrun``
+        builds it, off the contents before each mark and the image after
+        it, each built once: O(n) block applications for n counts."""
+        alpha, (leg0, leg1, leg2), omega, end_state = signature
+        sep, block = self.sep, self.block
+        before = [self.prefix(alpha, ())[0]]
+        for x in values[:-1]:
+            before.append(block(leg0, x).format(*before[-1]).split(sep))
+        after = [self.suffix((), omega, end_state)[0]]
+        for x in values[:0:-1]:
+            after.append(after[-1].format(*block(leg2, x).split(sep)))
+        return [image.format(*block(leg1, x).format(*contents).split(sep))
+                for contents, image, x in zip(before, reversed(after), values)]
 
     def first_divergent_tuple(self, signature: tuple) -> tuple[int, ...] | None:
         """The first tuple in {1,2}^5, lexicographic, whose runs of
@@ -639,14 +664,13 @@ def _confirm_divergence(sst: Sst, pattern: WPattern, tup: tuple[int, ...],
     """Rebuild the two marked runs of ``tup`` and check through the core
     evaluator that they read one input and produce different outputs; the
     witness carries ``pool`` and the pattern's ``signature`` in it."""
-    run_mid = build_wrun(sst, pattern, tup, 1)
-    run_late = build_wrun(sst, pattern, tup, 3)
+    run_mid, run_late = build_wrun(sst, pattern, tup, 1), build_wrun(sst, pattern, tup, 3)
     if run_mid.input != run_late.input:
         raise SstKitError("marked runs consumed different inputs; pattern is broken")
-    if run_mid.output == run_late.output:
+    mid, late = _wrun_outputs(sst, (run_mid, run_late))
+    if mid == late:
         raise SstKitError("evaluator disagrees with update composition on a witness")
-    return DivergentPattern(pattern, tup, run_mid.input, run_mid.output, run_late.output,
-                            pool, signature)
+    return DivergentPattern(pattern, tup, run_mid.input, mid, late, pool, signature)
 
 
 @dataclass(frozen=True)
@@ -1002,16 +1026,19 @@ def amplify_valuedness(
     charged one unit per sequence scanned, and the final check
     ``outputs(sst, word, b)`` charges its configuration expansions to it.
     The outputs are read off the update pool of the search that found
-    ``divergent`` when it is one of ``sst``, else off a fresh one.
+    ``divergent`` when it carries one of ``sst``, else off a fresh one.
 
     Returns None when the budget runs out, and when no sequence in that
     range gives m distinct outputs.  All reported outputs are re-verified
     by rebuilding their runs and against the output set of the input.  An
-    ``m`` below 1 raises ``ParameterError``.
+    ``m`` below 1, and a witness not found by an analysis of this very
+    ``sst`` instance, raise ``ParameterError`` before any unit is charged.
     """
     if m < 1:
         raise ParameterError("need m >= 1 outputs")
     pattern = divergent.pattern
+    if pattern.rho0.sst is not sst:
+        raise ParameterError("the witness must come from an analysis of this Sst instance")
     b = Budget.ensure(budget)
     pool, signature = divergent._pool, divergent._signature
     if pool is None or pool.sst is not sst:
@@ -1025,15 +1052,13 @@ def amplify_valuedness(
                     if max(values) < vmax:
                         continue  # already scanned under a smaller cap
                     b.charge()
-                    first_mark: dict[str, int] = {}
-                    for h in range(n):
-                        first_mark.setdefault(pool.output(signature, values, h), h)
-                    if len(first_mark) < m:
+                    marked = pool.outputs(signature, values)
+                    outs = list(dict.fromkeys(marked))[:m]
+                    if len(outs) < m:
                         continue
-                    outs = list(first_mark)[:m]
-                    runs = [build_wrun(sst, pattern, values, first_mark[o]) for o in outs]
+                    runs = [build_wrun(sst, pattern, values, marked.index(o)) for o in outs]
                     word = runs[0].input
-                    real = [r.output for r in runs]
+                    real = _wrun_outputs(sst, runs)
                     if real != outs or any(r.input != word for r in runs):
                         raise SstKitError("amplified runs failed re-evaluation")
                     if not set(real) <= outputs(sst, word, b):

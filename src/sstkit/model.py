@@ -413,11 +413,13 @@ class Run:
 
     @property
     def end(self) -> str:
-        return self.states[-1]
+        """``states[-1]``, read off the last step."""
+        return self.sst.transitions[self.steps[-1]].target if self.steps else self.start
 
     @_cached_property
     def input(self) -> str:
-        return "".join(self.sst.transitions[i].letter for i in self.steps)
+        transitions = self.sst.transitions
+        return "".join([transitions[i].letter for i in self.steps])
 
     @property
     def input_length(self) -> int:
@@ -640,22 +642,27 @@ def _annotate(sst: Sst, start: str, steps: Sequence[int], levels: list) -> tuple
     return tuple(out)
 
 
-def _annotated_runs(
-    sst: Sst, word: str, budget: Budget | int | None = None,
-) -> Iterator[tuple[Run, tuple[tuple[str, int], ...]]]:
-    """Each accepting run on ``word`` (``enumerate_runs``, in canonical
-    order) with its ``_annotate``d output.  The runs are found depth first,
-    so a run shares its tagged variable contents with the run before it up
-    to the step where they part, and each shared prefix is tagged once."""
+def _shared_annotations(sst: Sst, runs: Iterable[Run]) -> Iterator[tuple[tuple[str, int], ...]]:
+    """The ``_annotate``d output of each of ``runs``, accepting runs of
+    ``sst``, in turn; a run shares the tagged variable contents of the run
+    before it up to the step where they part, so each shared prefix is
+    tagged once."""
     levels: list = []  # the tagged contents along the run before
     before: tuple[int, ...] = ()
-    for run in enumerate_runs(sst, word, budget):
-        shared = 0
-        while shared < len(before) and run.steps[shared] == before[shared]:
+    for run in runs:
+        shared, most = 0, min(len(before), len(run.steps))
+        while shared < most and run.steps[shared] == before[shared]:
             shared += 1
         del levels[shared + 1:]
-        yield run, _annotate(sst, run.start, run.steps, levels)
+        yield _annotate(sst, run.start, run.steps, levels)
         before = run.steps
+
+
+def _annotated_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> Iterator[tuple]:
+    """Each accepting run on ``word`` (``enumerate_runs``, depth first, so
+    neighbours share long prefixes) with its ``_shared_annotations`` output."""
+    runs = enumerate_runs(sst, word, budget)
+    yield from zip(runs, _shared_annotations(sst, runs))
 
 
 def _start(sst: Sst) -> dict:
@@ -924,7 +931,8 @@ def _rebuild(sst: Sst, parents: dict, state: str) -> Run:
 
 
 def concat_runs(sst: Sst, runs: Sequence[Run]) -> Run:
-    """Concatenate chained runs into one run."""
+    """Concatenate chained runs of ``sst``, each checked against the end of
+    the one before it, and then validate the joined steps again as a whole."""
     if not runs:
         raise RunError("cannot concatenate an empty sequence of runs")
     steps: list[int] = []

@@ -65,7 +65,9 @@ def compose_skeletons(a: Skeleton, b: Skeleton) -> Skeleton:
 
 
 def is_idempotent(s: Skeleton) -> bool:
-    return compose_skeletons(s, s) == s
+    """``compose_skeletons(s, s) == s`` without building the square, which
+    as a composite of copyless skeletons needs no copyless check."""
+    return all([s.apply_to(image) == image for image in s.images])
 
 
 def skeleton_monoid(sst: Sst, cap: int = SKELETON_MONOID_CAP) -> frozenset[Skeleton]:

@@ -20,7 +20,11 @@ each signature, keyed by the programs it names, and requires the same
 candidate shapes in the same order, the same programs named by each
 signature, the same first divergent tuple, the same ``budget.used`` at
 each candidate, and the same stop: the budget, or the end of the
-candidates.
+candidates.  At each candidate with a divergent tuple it also requires
+``_UpdatePool.outputs``, which builds the contents before each mark and
+the image after it once for all marks, to equal ``reference_output``,
+which applies every block of each marked run in turn, on that tuple and
+on two longer count vectors (the ``divergent`` count).
 
 ``run(n)`` checks the fixtures, the ``no_variables`` and
 ``format_letters`` machines and, for s < n, the draws ``random_sst(s)``
@@ -148,6 +152,28 @@ class ReferenceLevels:
         return chain.from_iterable(map(self.level, range(max_len + 1)))
 
 
+def reference_output(pool: _UpdatePool, signature: tuple, values, mark: int) -> str:
+    """The output of the run of ``signature`` marked at ``mark`` (0-based)
+    on the loop counts ``values``, each block applied in turn to the
+    contents after rho0, then the output read off the rho4 update and the
+    final output."""
+    alpha, legs, omega, end_state = signature
+    contents = pool.prefix(alpha, ())[0]
+    for idx, x in enumerate(values):
+        leg = 0 if idx < mark else (1 if idx == mark else 2)
+        contents = pool.block(legs[leg], x).format(*contents).split(pool.sep)
+    return pool.suffix((), omega, end_state)[0].format(*contents)
+
+
+def check_outputs(pool: _UpdatePool, signature: tuple, tup: tuple) -> None:
+    """``pool.outputs`` against ``reference_output`` at every mark, on the
+    divergent tuple ``tup`` and on two longer count vectors."""
+    for values in (tup, tup + (2,), tup + (3, 1)):
+        want = [reference_output(pool, signature, values, mark) for mark in range(len(values))]
+        if pool.outputs(signature, values) != want:
+            raise AssertionError(f"outputs of {signature} on {values}: the reference gives {want}")
+
+
 def reference_candidates(pool: ReferencePool, max_len: int, budget: Budget, pairs):
     """Every candidate in the order of ``_pattern_candidates``, repeated
     signatures included, each path's update id interned as the candidate
@@ -204,9 +230,11 @@ def skipped_reference(sst: Sst):
     return lambda pool, max_len, budget: reference_candidates(pool, max_len, budget, pairs)
 
 
-def events(generate, pool_class, sst: Sst, max_len: int, limit: int) -> list:
+def events(generate, pool_class, sst: Sst, max_len: int, limit: int, outputs: bool = False) -> list:
     """Each candidate as (shape, programs named by its signature, its first
-    divergent tuple, budget.used), then ("stop" or "end", budget.used)."""
+    divergent tuple, budget.used), then ("stop" or "end", budget.used).
+    With ``outputs``, each candidate with a divergent tuple goes through
+    ``check_outputs``."""
     pool, budget = pool_class(sst), Budget(limit)
     programs = pool.programs
     out = []
@@ -215,7 +243,10 @@ def events(generate, pool_class, sst: Sst, max_len: int, limit: int) -> list:
             alpha, legs, omega, end = signature
             named = (programs[alpha], tuple(tuple(programs[k] for k in leg) for leg in legs),
                      programs[omega], end)
-            out.append((shape, named, pool.first_divergent_tuple(signature), budget.used))
+            tup = pool.first_divergent_tuple(signature)
+            if outputs and tup is not None:
+                check_outputs(pool, signature, tup)
+            out.append((shape, named, tup, budget.used))
     except BudgetExceededError:
         return out + [("stop", budget.used)]
     return out + [("end", budget.used)]
@@ -242,7 +273,7 @@ def check(sst: Sst) -> Counter:
     reference = skipped_reference(sst)
     for max_len in LENGTHS:
         for limit in LIMITS:
-            got = events(searched_candidates, _UpdatePool, sst, max_len, limit)
+            got = events(searched_candidates, _UpdatePool, sst, max_len, limit, outputs=True)
             want = first_occurrences(events(reference, ReferencePool, sst, max_len, limit))
             if got != want:
                 at = next((n for n, (g, w) in enumerate(zip(got, want)) if g != w),
@@ -251,6 +282,7 @@ def check(sst: Sst) -> Counter:
                     f"component length {max_len}, budget {limit}, event {at}: got "
                     f"{got[at:at + 1]}, the reference gives {want[at:at + 1]}")
             outcomes["candidates"] += len(got) - 1
+            outcomes["divergent"] += sum(event[2] is not None for event in got[:-1])
             outcomes[got[-1][0]] += 1
     return outcomes
 

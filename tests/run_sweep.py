@@ -11,7 +11,9 @@ charges the budget one unit per start and one per partial run of each
 length, as ``enumerate_runs`` documents.  ``check(sst)`` runs both on every
 input of length 0 to 5 at a grid of node budgets, and requires the same
 runs in the same order, the same ``budget.used``, and the same stop: the
-same exception class, at ``budget.used == limit + 1``.
+same exception class, at ``budget.used == limit + 1``.  It also requires
+``run.end``, read off the last step, to equal ``run.states[-1]`` on every
+run it compares; the reference reads only ``states``.
 
 ``run(n)`` checks the fixtures and, for s < n, the draws
 ``random_sst(s)`` and ``random_sst(s, 4, 3)`` of ``tests/helpers.py``,
@@ -55,11 +57,11 @@ def reference_runs(sst: Sst, word: str, budget: Budget) -> list:
         longer = []
         for run in partial:
             for i, t in enumerate(sst.transitions):
-                if t.source == run.end and t.letter == letter:
+                if t.source == run.states[-1] and t.letter == letter:
                     budget.charge()
                     longer.append(sst.run(run.start, run.steps + (i,)))
         partial = longer
-    return sorted((run for run in partial if run.accepting), key=sst.run_sort_key)
+    return sorted((run for run in partial if run.states[-1] in sst.finals), key=sst.run_sort_key)
 
 
 def outcome(enumerator, sst: Sst, word: str, limit: int | None):
@@ -67,7 +69,11 @@ def outcome(enumerator, sst: Sst, word: str, limit: int | None):
     that stopped the enumeration; budget.used)."""
     budget = Budget() if limit is None else Budget(limit)
     try:
-        result = [(run.start, run.steps) for run in enumerator(sst, word, budget)]
+        runs = enumerator(sst, word, budget)
+        ends = [run.end for run in runs]
+        if ends != [run.states[-1] for run in runs]:
+            raise AssertionError(f"run ends {ends} differ from their last states")
+        result = [(run.start, run.steps) for run in runs]
     except BudgetExceededError as err:
         if budget.used != budget.limit + 1:
             raise AssertionError(f"stopped at {budget.used} units of {budget.limit}") from None

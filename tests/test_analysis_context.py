@@ -4,8 +4,9 @@ the W-pattern search, and the search's witness carries the update pool and
 its signature into ``amplify_valuedness``.  The carried state changes no
 answer: amplification reads the same word, outputs and ``budget.used``
 off the carried pool as off a fresh one, a witness passed with another
-``Sst`` of the same document falls back to a fresh pool, and equality,
-hashes, reprs and descriptions ignore the carried state."""
+``Sst`` of the same document raises ``ParameterError`` before any unit is
+charged or any pool is built, and equality, hashes, reprs and
+descriptions ignore the carried state."""
 
 import dataclasses
 
@@ -65,21 +66,13 @@ def test_carried_pool_changes_no_amplification(label, make, monkeypatch):
         carried = [amplified(sst, w, m) for m in (2, 3, 4)]
     assert carried == [amplified(sst, bare(w), m) for m in (2, 3, 4)]
 
-    # another instance of the same document: a fresh pool, and the answer
-    # of a witness without one (its runs belong to ``sst``, so rebuilding
-    # them raises RunError, after the same scan)
-    other, pools = make(), []
-
-    class Recorded(analysis._UpdatePool):
-        def __init__(self, *args):
-            super().__init__(*args)
-            pools.append(self)
-
+    # another instance of the same document: the witness's runs belong to
+    # ``sst``, so it is refused before the scan, with or without its pool
+    other = make()
+    refused = (("ParameterError", "the witness must come from an analysis of this Sst instance"), 0)
     with monkeypatch.context() as patch:
-        patch.setattr(analysis, "_UpdatePool", Recorded)
-        fallback = amplified(other, w)
-    assert len(pools) == 1 and pools[0].sst is other
-    assert fallback == amplified(other, bare(w))
+        patch.setattr(analysis, "_UpdatePool", no_pool)
+        assert [amplified(other, x, m) for x in (w, bare(w)) for m in (2, 3)] == [refused] * 4
 
 
 @pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])

@@ -57,9 +57,9 @@ def test_evaluator_matches_runs(label, make):
         pattern.verify(sst)
         assert pool.first_divergent_tuple(raw[0]) == reference_tuple(sst, pattern), raw
         for values in SEQUENCES:
-            for mark in range(len(values)):
-                assert (pool.output(raw[0], values, mark)
-                        == build_wrun(sst, pattern, values, mark).output)
+            outputs = pool.outputs(raw[0], values)
+            assert outputs == [build_wrun(sst, pattern, values, mark).output
+                               for mark in range(len(values))]
 
 
 @pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])

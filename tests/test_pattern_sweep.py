@@ -3,7 +3,8 @@
 triple levels agrees with the one that interns each path through a
 path-prefix memo, on every candidate shape, the programs its signature
 names, each candidate's first divergent tuple, ``budget.used`` at each
-candidate and the stop."""
+candidate and the stop; and the update pool's marked outputs agree with
+the per-mark reference at each candidate with a divergent tuple."""
 
 import sys
 
@@ -25,8 +26,9 @@ from pattern_sweep import (
 
 def test_candidates_match_the_reference_that_interns_paths():
     outcomes = run(40)
-    # the slice yields candidates and reaches both stops
-    assert set(outcomes) == {"candidates", "end", "stop"}
+    # the slice yields candidates, divergent ones among them, and reaches
+    # both stops
+    assert set(outcomes) == {"candidates", "divergent", "end", "stop"}
 
 
 # At component length 3, each budget runs out strictly inside one bulk
