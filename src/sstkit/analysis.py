@@ -26,8 +26,7 @@ The analyzer therefore answers:
   Unknown   -- neither certificate found within the search budget.
 
 Every verdict ships evidence.  Infinite witnesses and dumbbells are
-re-checked through the core evaluator (``Run``; the marked runs of one
-input together, ``_wrun_outputs``) before they are reported.
+re-checked through the core evaluator (``Run``) before they are reported.
 A Finite verdict rests on the exhausted dumbbell search itself: nothing
 outside the search re-checks the absence of dumbbells.
 
@@ -45,7 +44,7 @@ import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import chain, islice, product
+from itertools import chain, product
 
 from .errors import BudgetExceededError, ParameterError, RunError, SstKitError
 from .model import (
@@ -58,7 +57,6 @@ from .model import (
     _check_owner,
     _compile_update,
     _rebuild,
-    _shared_annotations,
     concat_runs,
     coreachable_states,
     outputs,
@@ -176,11 +174,6 @@ class _Analysis:
         return self._exits[q]
 
 
-def _context_for(sst: Sst, context: _Analysis | None) -> _Analysis:
-    """``context`` when it is one of ``sst``, else a fresh one."""
-    return context if context is not None and context.sst is sst else _Analysis(sst)
-
-
 def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell | None:
     """Exact search for a dumbbell, or None if the transducer has none.
 
@@ -209,7 +202,7 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
     nodes, at least one per (q1, q2) pair searched.
     """
     context = _Analysis(sst)
-    for q1, q2, (r1, r2, r3) in _dumbbell_paths(sst, Budget(node_budget), context=context):
+    for q1, q2, (r1, r2, r3) in _dumbbell_paths(context, Budget(node_budget)):
         rho1, rho3 = Run(sst, q1, r1), Run(sst, q2, r3)
         s1, s3 = skeleton_of(rho1.induced_update), skeleton_of(rho3.induced_update)
         p1, p3, e = s1, s3, 1
@@ -224,14 +217,12 @@ def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell 
     return None
 
 
-def _dumbbell_paths(sst: Sst, budget: Budget, after: tuple | None = None,
-                    context: _Analysis | None = None):
+def _dumbbell_paths(context: _Analysis, budget: Budget, after: tuple | None = None):
     """Each pair (q1, q2) that has a dumbbell, with the three tracks' paths
     that ``_dumbbell_bfs`` finds for it, in turn: the pairs of ``context``
     (``_Analysis.pairs``), each tested only when it is asked for, and only
     the pairs after the pair ``after`` when it is given.  Popped nodes are
     charged to ``budget``; the trimmed moves are the context's."""
-    context = _context_for(sst, context)
     pairs = context.pairs
     for q1, q2 in pairs[pairs.index(after) + 1:] if after else pairs:
         found = _dumbbell_bfs(q1, q2, context.moves_toward(q1), context.moves_toward(q2), budget)
@@ -393,21 +384,11 @@ def build_wrun(sst: Sst, pattern: WPattern, values, mark: int) -> Run:
     return Run(sst, pattern.rho0.start, tuple(steps))
 
 
-def _wrun_outputs(sst: Sst, runs) -> list[str]:
-    """The outputs of marked runs of one input, off ``_annotate`` with each
-    shared step prefix tagged once (``_shared_annotations``); a run that is
-    not accepting raises ``RunError``, as ``Run.annotated_output`` does."""
-    if not all(run.accepting for run in runs):
-        raise RunError("annotated output is only defined for accepting runs")
-    return ["".join([c for c, _ in out]) for out in _shared_annotations(sst, runs)]
-
-
-def _build_pattern(sst: Sst, q1: str, q2: str, stations, entry_paths, loop_paths,
-                   exit_paths, context: _Analysis | None = None) -> WPattern:
+def _build_pattern(context: _Analysis, q1: str, q2: str, stations, entry_paths, loop_paths,
+                   exit_paths) -> WPattern:
     """The W-pattern of a candidate shape of ``_pattern_candidates``, with
     the access and exit runs of ``context``."""
-    context = _context_for(sst, context)
-    entry_starts = (q1, q1, q2)
+    sst, entry_starts = context.sst, (q1, q1, q2)
     return WPattern(
         q1, q2, *stations, context.access_run(q1), context.exit_run(q2),
         tuple(Run(sst, entry_starts[i], entry_paths[i]) for i in range(3)),
@@ -482,8 +463,6 @@ class _UpdatePool:
         self._blocks: dict[tuple, str] = {}
         self._prefixes: dict[tuple, list] = {}
         self._suffixes: dict[tuple, list] = {}
-        # the first entry alone of a prefix or suffix table not built whole
-        self._heads: dict[tuple, list] = {}
 
     def step(self, k: int, i: int) -> int:
         """Id of update ``k`` followed by that of transition ``i``, memoized
@@ -521,56 +500,39 @@ class _UpdatePool:
             self._blocks[key] = exit_.format(*acc.split(self.sep))
         return self._blocks[key]
 
-    def prefix(self, alpha: int, legs: tuple, head: bool = False) -> list:
-        """Variable contents, as tuples, after the rho0 update ``alpha`` and
-        then one block on each of ``legs`` in turn, for every tuple of counts
-        in {1,2}^len(legs), lexicographic.  With ``head`` the first alone, that
-        of the all-ones tuple, is enough: it is kept apart (``_heads``)
-        until it becomes the first entry of the whole table."""
+    def prefix(self, alpha: int, legs: tuple) -> list:
+        """Variable contents after the rho0 update ``alpha`` and then one
+        block on each of ``legs`` in turn, for every tuple of counts in
+        {1,2}^len(legs), lexicographic."""
         key = (alpha, legs)
-        if key in self._prefixes:
-            return self._prefixes[key]
-        heads, sep = self._heads, self.sep
-        if not legs:
-            contents = [tuple(self.programs[alpha].format(*self.sst._initial).split(sep))]
-        elif head:
-            if key not in heads:
-                before = self.prefix(alpha, legs[:-1], True)[0]
-                heads[key] = [tuple(self.block(legs[-1], 1).format(*before).split(sep))]
-            return heads[key]
-        else:
-            blocks = self.block(legs[-1], 1), self.block(legs[-1], 2)
-            pairs = product(self.prefix(alpha, legs[:-1]), blocks)
-            first = heads.pop(key, [])
-            contents = first + [tuple(b.format(*c).split(sep))
-                                for c, b in islice(pairs, len(first), None)]
-        self._prefixes[key] = contents
-        return contents
+        if key not in self._prefixes:
+            sep = self.sep
+            if legs:
+                blocks = self.block(legs[-1], 1), self.block(legs[-1], 2)
+                contents = [b.format(*c).split(sep)
+                            for c in self.prefix(alpha, legs[:-1]) for b in blocks]
+            else:
+                contents = [self.programs[alpha].format(*self.sst._initial).split(sep)]
+            self._prefixes[key] = contents
+        return self._prefixes[key]
 
-    def suffix(self, legs: tuple, omega: int, end_state: str, head: bool = False) -> list:
+    def suffix(self, legs: tuple, omega: int, end_state: str) -> list:
         """The image that reads the output off the contents before one block
         on each of ``legs`` in turn, the rho4 update ``omega`` and the final
         output at ``end_state``, for every tuple of counts in
-        {1,2}^len(legs), lexicographic; ``head`` as in ``prefix``."""
+        {1,2}^len(legs), lexicographic."""
         key = (legs, omega, end_state)
-        if key in self._suffixes:
-            return self._suffixes[key]
-        heads, sep = self._heads, self.sep
-        if not legs:
-            final = self.sst._final_templates[end_state]
-            images = [final.format(*self.programs[omega].split(sep))]
-        elif head:
-            if key not in heads:
-                after = self.suffix(legs[1:], omega, end_state, True)[0]
-                heads[key] = [after.format(*self.block(legs[0], 1).split(sep))]
-            return heads[key]
-        else:
-            blocks = [self.block(legs[0], x).split(sep) for x in (1, 2)]
-            pairs = product(blocks, self.suffix(legs[1:], omega, end_state))
-            first = heads.pop(key, [])
-            images = first + [i.format(*b) for b, i in islice(pairs, len(first), None)]
-        self._suffixes[key] = images
-        return images
+        if key not in self._suffixes:
+            sep = self.sep
+            if legs:
+                blocks = [self.block(legs[0], x).split(sep) for x in (1, 2)]
+                images = [i.format(*b) for b in blocks
+                          for i in self.suffix(legs[1:], omega, end_state)]
+            else:
+                final = self.sst._final_templates[end_state]
+                images = [final.format(*self.programs[omega].split(sep))]
+            self._suffixes[key] = images
+        return self._suffixes[key]
 
     def outputs(self, signature: tuple, values) -> list[str]:
         """The output of the run of ``signature`` on the loop counts
@@ -611,18 +573,15 @@ class _UpdatePool:
 
         Most divergent signatures diverge at the first tuple, (1,1,1,1,1).
         So when the prefix table of the first two blocks of the mark at 2
-        is not complete, that tuple's two outputs are compared first, off
-        the first entries of the four tables, which the full compare then
-        completes."""
+        is not built yet, that tuple's outputs at marks 2 and 4, read off
+        ``outputs``, are compared first, before any table is built."""
         alpha, (leg0, leg1, leg2), omega, end_state = signature
         last = self.suffix((leg2,), omega, end_state)
         if "{" not in last[0] and "{" not in last[1]:
             return None
         if (alpha, (leg0, leg1)) not in self._prefixes:
-            mid = self.suffix((leg2, leg2, leg2), omega, end_state, True)[0]
-            late = self.suffix((leg1, leg2), omega, end_state, True)[0]
-            if (mid.format(*self.prefix(alpha, (leg0, leg1), True)[0])
-                    != late.format(*self.prefix(alpha, (leg0, leg0, leg0), True)[0])):
+            first = self.outputs(signature, _TUPLES[0])
+            if first[1] != first[3]:
                 return _TUPLES[0]
         mid_prefixes = self.prefix(alpha, (leg0, leg1))
         mid_suffixes = self.suffix((leg2, leg2, leg2), omega, end_state)
@@ -667,7 +626,7 @@ def _confirm_divergence(sst: Sst, pattern: WPattern, tup: tuple[int, ...],
     run_mid, run_late = build_wrun(sst, pattern, tup, 1), build_wrun(sst, pattern, tup, 3)
     if run_mid.input != run_late.input:
         raise SstKitError("marked runs consumed different inputs; pattern is broken")
-    mid, late = _wrun_outputs(sst, (run_mid, run_late))
+    mid, late = run_mid.output, run_late.output
     if mid == late:
         raise SstKitError("evaluator disagrees with update composition on a witness")
     return DivergentPattern(pattern, tup, run_mid.input, mid, late, pool, signature)
@@ -808,14 +767,13 @@ class _TripleLevels:
         return sum(len(self.level(depth)) for depth in range(max_len + 1))
 
 
-def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget, pairs,
-                        context: _Analysis | None = None):
+def _pattern_candidates(context: _Analysis, max_len: int, budget: Budget, pairs):
     """Candidate W-pattern shapes at each (q1, q2) of ``pairs`` in turn, in a
     fixed, deterministic order, as tuples (signature, q1, q2, stations,
     entry_paths, loop_paths, exit_paths); ``_build_pattern`` takes the
     shape, the tuple less its signature.  The signature is what the
-    divergence test depends on: ids in ``pool`` of the rho0 update, of the
-    three legs' (entry, loop, exit) updates, read off the level entries,
+    divergence test depends on: ids in ``context.pool`` of the rho0 update,
+    of the three legs' (entry, loop, exit) updates, read off the level entries,
     and of the rho4 update, found at the first exit triple ending at its
     state, and the end state.  For each (entry, loop) pair, every exit
     triple of the station levels is charged one unit, but only the first
@@ -839,7 +797,7 @@ def _pattern_candidates(pool: _UpdatePool, max_len: int, budget: Budget, pairs,
     (a loop k as the leg (0, k, 0)), before any pattern object is built.
     The access and exit runs are those of ``context``.
     """
-    context = _context_for(pool.sst, context)
+    pool = context.pool
     idempotent, charge = pool.idempotent, budget.charge
     alphas: dict[str, int] = {}  # q1 -> rho0 update id
     rho4s: dict[str, tuple] = {}  # q2 -> (rho4 update id, end state)
@@ -896,18 +854,17 @@ def _search_divergent_pattern(sst: Sst, sb: SearchBudget, dumbbell: Dumbbell | N
         "candidate_budget": sb.candidates,
         "exhausted": False,
     }
-    context = _context_for(sst, dumbbell and dumbbell._context)
+    context = _Analysis(sst) if dumbbell is None else dumbbell._context
     known = [] if dumbbell is None else [(dumbbell.q1, dumbbell.q2)]
-    tested = _dumbbell_paths(sst, Budget(sb.node_budget), *known, context=context)
+    tested = _dumbbell_paths(context, Budget(sb.node_budget), *known)
     pairs = chain(known, ((q1, q2) for q1, q2, _ in tested))
     try:
         pool = context.pool
-        candidates = _pattern_candidates(pool, sb.component_length, budget, pairs, context)
-        for signature, *shape in candidates:
+        for signature, *shape in _pattern_candidates(context, sb.component_length, budget, pairs):
             tup = pool.first_divergent_tuple(signature)
             if tup is None:
                 continue
-            pattern = _build_pattern(sst, *shape, context=context)
+            pattern = _build_pattern(context, *shape)
             pattern.verify(sst)
             witness = _confirm_divergence(sst, pattern, tup, pool, signature)
             report["candidates_used"] = budget.used
@@ -1058,7 +1015,7 @@ def amplify_valuedness(
                         continue
                     runs = [build_wrun(sst, pattern, values, marked.index(o)) for o in outs]
                     word = runs[0].input
-                    real = _wrun_outputs(sst, runs)
+                    real = [run.output for run in runs]
                     if real != outs or any(r.input != word for r in runs):
                         raise SstKitError("amplified runs failed re-evaluation")
                     if not set(real) <= outputs(sst, word, b):

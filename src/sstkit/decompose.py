@@ -16,7 +16,7 @@ from typing import Callable
 from .delay import RunProfile, weight_table
 from .errors import InputMismatchError, ParameterError
 from .model import (
-    Budget, Run, Sst, _annotated_runs, _final_output_set, _leaf_output_set, _scan, _start, _step,
+    Budget, Run, Sst, _annotated_runs, _final_outputs, _leaf_outputs, _scan, _start, _step,
     _word_outputs,
 )
 from .wordcomb import cuts
@@ -139,14 +139,16 @@ def check_equivalence_bounded(
         fa, fb = _step(a, pair[0], letter, shared), _step(b, pair[1], letter, shared)
         return (fa, fb) if fa or fb else ()
 
+    # output dicts map every output to None, so they are equal exactly when
+    # their sets of outputs are
     def differs(pair, need) -> int:
-        return int(_final_output_set(a, pair[0]) != _final_output_set(b, pair[1]))
+        return int(_final_outputs(a, pair[0]) != _final_outputs(b, pair[1]))
 
     def leaf_differs(pair, letter, need) -> int:
         fa, fb = pair
         shared.charge(len(fa))
         shared.charge(len(fb))
-        return int(_leaf_output_set(a, fa, letter) != _leaf_output_set(b, fb, letter))
+        return int(_leaf_outputs(a, fa, letter) != _leaf_outputs(b, fb, letter))
 
     found, witness = _scan(
         a.alphabet, min_len, max_len, (_start(a), _start(b)), step, differs, leaf_differs, top=1)

@@ -686,43 +686,26 @@ def _final_outputs(sst: Sst, frontier: dict) -> dict[str, None]:
     """Outputs of the final configurations, in the order of their least
     runs."""
     finals = sst._final_templates
-    return dict.fromkeys([
-        finals[state].format(*values) for state, values in frontier if state in finals
-    ])
+    return {finals[state].format(*values): None for state, values in frontier if state in finals}
 
 
-def _final_output_set(sst: Sst, frontier: dict) -> set[str]:
-    """The outputs of ``_final_outputs``, unordered."""
-    finals = sst._final_templates
-    return {finals[state].format(*values) for state, values in frontier if state in finals}
-
-
-def _leaf_output_set(sst: Sst, frontier: dict, letter: str) -> set[str]:
-    """The outputs of ``_leaf_outputs``, unordered; charges nothing."""
-    a, leaves = sst._letter_index[letter], sst._leaf_templates
-    return {composite.format(*values) for state, values in frontier for composite in leaves[state][a]}
-
-
-def _leaf_outputs(sst: Sst, frontier: dict, letter: str, budget: Budget) -> dict[str, None]:
+def _leaf_outputs(sst: Sst, frontier: dict, letter: str) -> dict[str, None]:
     """``_final_outputs`` of the frontier one letter further, read without
-    building it; charges as ``_step`` does.  Each move into a final state
-    applies its composed template (``Sst._leaf_templates``) to the contents
-    it leaves; listed per configuration and move in frontier order, the
+    building it; charges nothing, where building it would charge one unit
+    per configuration (``_step``).  Each move into a final state applies
+    its composed template (``Sst._leaf_templates``) to the contents it
+    leaves; listed per configuration and move in frontier order, the
     outputs keep the order of first occurrences that ``_step`` gives."""
-    budget.charge(len(frontier))
     a, leaves = sst._letter_index[letter], sst._leaf_templates
-    return dict.fromkeys([
-        composite.format(*values)
-        for state, values in frontier
-        for composite in leaves[state][a]
-    ])
+    return {composite.format(*values): None
+            for state, values in frontier for composite in leaves[state][a]}
 
 
 def _word_outputs(sst: Sst, word: str, budget: Budget | int | None) -> dict[str, None]:
     """The outputs on ``word``, in the order of their least runs.  A
     non-empty word's last letter is read with ``_leaf_outputs`` on the
-    frontier of the rest, as the scans read it.  The whole word is checked
-    before the budget is charged."""
+    frontier of the rest, charged as ``_step`` charges, as the scans read
+    it.  The whole word is checked before the budget is charged."""
     _check_word(sst, word)
     b = Budget.ensure(budget)
     frontier = _start(sst)
@@ -730,7 +713,8 @@ def _word_outputs(sst: Sst, word: str, budget: Budget | int | None) -> dict[str,
         return _final_outputs(sst, frontier)
     for letter in word[:-1]:
         frontier = _step(sst, frontier, letter, b)
-    return _leaf_outputs(sst, frontier, word[-1], b)
+    b.charge(len(frontier))
+    return _leaf_outputs(sst, frontier, word[-1])
 
 
 def outputs(sst: Sst, word: str, budget: Budget | int | None = None) -> set[str]:
@@ -828,7 +812,7 @@ def valuedness_oracle(
         n = len(frontier)
         if n >= need:
             n = sum([state in finals for state, _ in frontier])
-        return n if n < need else len(_final_output_set(sst, frontier))
+        return n if n < need else len(_final_outputs(sst, frontier))
 
     def leaf(frontier: dict, letter: str, need: int) -> int:
         b.charge(len(frontier))
@@ -836,7 +820,7 @@ def valuedness_oracle(
         n = len(frontier) * most[a]
         if n >= need:
             n = sum([len(leaves[state][a]) for state, _ in frontier])
-        return n if n < need else len(_leaf_output_set(sst, frontier, letter))
+        return n if n < need else len(_leaf_outputs(sst, frontier, letter))
 
     return _scan(
         sst.alphabet, min_len, max_len, _start(sst),

@@ -49,7 +49,7 @@ from itertools import chain, product
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from sstkit import Budget, BudgetExceededError, Sst  # noqa: E402
-from sstkit.analysis import _dumbbell_paths, _pattern_candidates, _UpdatePool  # noqa: E402
+from sstkit.analysis import _Analysis, _dumbbell_paths, _pattern_candidates, _UpdatePool  # noqa: E402
 from sstkit.model import (  # noqa: E402
     DEFAULT_NODE_BUDGET,
     coreachable_states,
@@ -218,9 +218,12 @@ def reference_candidates(pool: ReferencePool, max_len: int, budget: Budget, pair
 
 
 def searched_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
-    """``_pattern_candidates`` over the pairs that the search scans."""
-    tested = _dumbbell_paths(pool.sst, Budget(DEFAULT_NODE_BUDGET))
-    return _pattern_candidates(pool, max_len, budget, ((q1, q2) for q1, q2, _ in tested))
+    """``_pattern_candidates`` over the pairs that the search scans, on an
+    analysis context whose update pool is ``pool``."""
+    context = _Analysis(pool.sst)
+    context.pool = pool
+    tested = _dumbbell_paths(context, Budget(DEFAULT_NODE_BUDGET))
+    return _pattern_candidates(context, max_len, budget, ((q1, q2) for q1, q2, _ in tested))
 
 
 def skipped_reference(sst: Sst):

@@ -22,8 +22,10 @@ GOLDEN = os.path.join(HERE, "golden_witnesses.json")
 sys.path.insert(0, HERE)
 
 from sstkit import (  # noqa: E402
+    Budget,
     BudgetExceededError,
     SearchBudget,
+    amplify_valuedness,
     analyze_valuedness,
     find_dumbbell,
     fixtures,
@@ -40,6 +42,12 @@ DEEP_BUDGET = dict(component_length=3, candidates=2000, node_budget=5000, oracle
 SMALL_NODE_BUDGET = 1000
 # the largest node budget dumbbell_nodes() tries
 NODE_CEILING = 20_000
+# draws whose Infinite witnesses have non-empty loops, by seed, with the
+# search budget of each; their witnesses are amplified to AMPLIFY_M outputs
+# within AMPLIFY_UNITS
+LOOPING_DRAWS = {418: VALUEDNESS_BUDGET, 444: VALUEDNESS_BUDGET, 388: DEEP_BUDGET}
+AMPLIFY_M = 3
+AMPLIFY_UNITS = 100_000
 WORDS = {"a": "aaa", "0": "0110"}  # eval/runs input, by a fixture's first letter
 
 
@@ -55,6 +63,24 @@ def analyses() -> dict:
         out[label] = {
             "dumbbell": None if dumbbell is None else dumbbell.describe(),
             "valuedness": analyze_valuedness(m, SearchBudget(**VALUEDNESS_BUDGET)).to_json(),
+        }
+    return out
+
+
+def looping_witnesses() -> dict:
+    """The verdicts of ``LOOPING_DRAWS``, whose witnesses' entries, loops
+    and exits take 0, 2, 2 (seed 418), 1, 2, 1 (444) and 1, 2, 3 (388)
+    transitions, so that the loop counts move every output; and the input,
+    outputs and units of amplifying each witness."""
+    out = {}
+    for seed, knobs in LOOPING_DRAWS.items():
+        ((label, make),) = draws([seed])
+        m, budget = make(), Budget(AMPLIFY_UNITS)
+        verdict = analyze_valuedness(m, SearchBudget(**knobs))
+        out[label] = {
+            "valuedness": verdict.to_json(),
+            "amplified": amplify_valuedness(m, verdict.witness, AMPLIFY_M, budget),
+            "amplify_units": budget.used,
         }
     return out
 
@@ -233,6 +259,7 @@ def cases() -> dict:
         "cli_all": cli_all(),
         "deep_analyses": deep_analyses(),
         "dumbbell_nodes": dumbbell_nodes(),
+        "looping_witnesses": looping_witnesses(),
         "wide_dumbbells": wide_dumbbells(),
     }
 

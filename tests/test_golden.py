@@ -11,6 +11,7 @@ from regen_golden import (
     cli_all,
     deep_analyses,
     dumbbell_nodes,
+    looping_witnesses,
     wide_dumbbells,
 )
 
@@ -40,6 +41,7 @@ def test_golden_cli_all(golden):
 @pytest.mark.parametrize("section, compute", [
     ("deep_analyses", deep_analyses),
     ("dumbbell_nodes", dumbbell_nodes),
+    ("looping_witnesses", looping_witnesses),
     ("wide_dumbbells", wide_dumbbells),
 ])
 def test_golden_budgeted(golden, section, compute):

@@ -16,7 +16,7 @@ from itertools import product
 import pytest
 
 from sstkit import SearchBudget, analyze_valuedness
-from sstkit.analysis import _dumbbell_paths, _search_divergent_pattern
+from sstkit.analysis import _Analysis, _dumbbell_paths, _search_divergent_pattern
 from sstkit.model import DEFAULT_NODE_BUDGET, Budget, coreachable_states, reachable_states
 
 from helpers import draws, reference_dumbbell_pairs
@@ -43,10 +43,11 @@ class EveryLeg(ReferencePool):
 @pytest.mark.parametrize("label, sst", CASES, ids=[c[0] for c in CASES])
 def test_skipped_pairs_hold_no_candidate(label, sst):
     with_dumbbell = reference_dumbbell_pairs(sst, Budget(DEFAULT_NODE_BUDGET))
-    tested = _dumbbell_paths(sst, Budget(DEFAULT_NODE_BUDGET))
+    context = _Analysis(sst)
+    tested = _dumbbell_paths(context, Budget(DEFAULT_NODE_BUDGET))
     assert [(q1, q2) for q1, q2, _ in tested] == with_dumbbell
     for n, pair in enumerate(with_dumbbell):  # as analyze_valuedness hands on a pair
-        later = _dumbbell_paths(sst, Budget(DEFAULT_NODE_BUDGET), pair)
+        later = _dumbbell_paths(context, Budget(DEFAULT_NODE_BUDGET), pair)
         assert [(q1, q2) for q1, q2, _ in later] == with_dumbbell[n + 1:]
     skipped = [pair for pair in product(reachable_states(sst), coreachable_states(sst))
                if pair not in with_dumbbell]

@@ -12,7 +12,7 @@ import pytest
 
 import sstkit
 from sstkit import BudgetExceededError, Run, build_wrun
-from sstkit.analysis import _UpdatePool, _build_pattern
+from sstkit.analysis import _Analysis, _UpdatePool, _build_pattern
 from sstkit.model import Budget, _compile_update
 
 from helpers import FIXTURES, draws
@@ -52,8 +52,9 @@ def reference_tuple(sst, pattern):
 def test_evaluator_matches_runs(label, make):
     sst = make()
     pool, candidates = distinct_candidates(sst)
+    context = _Analysis(sst)
     for raw in candidates:
-        pattern = _build_pattern(sst, *raw[1:])
+        pattern = _build_pattern(context, *raw[1:])
         pattern.verify(sst)
         assert pool.first_divergent_tuple(raw[0]) == reference_tuple(sst, pattern), raw
         for values in SEQUENCES:
@@ -68,8 +69,9 @@ def test_candidates_carry_their_signature(label, make):
     builds, so the divergence test reads the pattern that is reported."""
     sst = make()
     pool, candidates = distinct_candidates(sst)
+    context = _Analysis(sst)
     for signature, *shape in candidates:
-        pattern = _build_pattern(sst, *shape)
+        pattern = _build_pattern(context, *shape)
         pattern.verify(sst)
         assert pool.signature(pattern) == signature, shape
 
@@ -114,7 +116,8 @@ def test_shared_pool_matches_fresh_pools(label, make, limit):
     tuples that a fresh pool per signature gives."""
     sst = make()
     _, candidates = distinct_candidates(sst, limit, budget=20_000)
-    patterns = [_build_pattern(sst, *raw[1:]) for raw in candidates]
+    context = _Analysis(sst)
+    patterns = [_build_pattern(context, *raw[1:]) for raw in candidates]
 
     def walk(pool, pattern):
         return pool.first_divergent_tuple(pool.signature(pattern))

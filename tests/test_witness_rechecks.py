@@ -8,15 +8,16 @@ references:
 - ``_UpdatePool.outputs``, which builds the contents before each mark and
   the image after it once per sequence, gives each mark's output as
   ``reference_output`` does, one block applied after another;
-- ``_shared_annotations`` and ``_wrun_outputs``, which tag each shared
-  step prefix once, give each run's ``Run.output``;
+- ``_shared_annotations``, which tags each shared step prefix once (for
+  ``_annotated_runs``), gives each run's ``Run.annotated_output``;
 - ``build_wrun``, which joins its segments' steps into one ``Run``, gives
   the run that ``concat_runs`` builds over its segments.
 
-The patterns are the golden corpus's Infinite witnesses, whose entries and
-loops are all empty, and, so that loop counts matter, the first divergent
-candidate with a non-empty loop of each of the pattern evaluator's cases
-that has one."""
+The patterns are the Infinite witnesses of the golden file's ``analyses``
+section, whose entries and loops are all empty, and, so that loop counts
+matter, the first divergent candidate with a non-empty loop of each of the
+pattern evaluator's cases that has one (the golden file's
+``looping_witnesses`` pin three such witnesses as well)."""
 
 import dataclasses
 import random
@@ -36,7 +37,7 @@ from sstkit import (
     skeleton_monoid,
     words_over,
 )
-from sstkit.analysis import _build_pattern, _wrun_outputs
+from sstkit.analysis import _Analysis, _build_pattern
 from sstkit.model import _shared_annotations
 
 from helpers import FIXTURES, draws
@@ -66,7 +67,7 @@ def patterns():
         pool, candidates = distinct_candidates(sst)
         for signature, *shape in candidates:
             if any(shape[4]) and pool.first_divergent_tuple(signature) is not None:
-                pattern = _build_pattern(sst, *shape)
+                pattern = _build_pattern(_Analysis(sst), *shape)
                 pattern.verify(sst)
                 out.append((f"looping {label}", make, sst, pool, signature, pattern, 5))
                 break
@@ -115,26 +116,6 @@ def test_shared_annotations_match_each_run(label, make):
     shuffled = random.Random(label).sample(runs, len(runs))
     for order in (runs, runs[::-1], shuffled):
         assert list(_shared_annotations(sst, order)) == [run.annotated_output for run in order]
-
-
-@pytest.mark.parametrize("label, make, sst, pool, signature, pattern, longest", PATTERNS, ids=IDS)
-def test_wrun_outputs_match_each_run(label, make, sst, pool, signature, pattern, longest):
-    for values in [(1,), (2, 1), (1, 1, 1, 1, 1), (2, 1, 3, 1)]:
-        runs = [build_wrun(sst, pattern, values, mark) for mark in range(len(values))]
-        assert _wrun_outputs(sst, runs) == [run.output for run in runs]
-        assert _wrun_outputs(sst, runs[::-1]) == [run.output for run in runs[::-1]]
-
-
-@pytest.mark.parametrize("label, make, sst, pool, signature, pattern, longest", PATTERNS, ids=IDS)
-def test_wrun_outputs_refuse_a_run_that_is_not_accepting(label, make, sst, pool, signature, pattern,
-                                                         longest):
-    run = build_wrun(sst, pattern, (1, 1, 1), 1)
-    cut = sst.run(run.start, run.steps[:-1]) if run.steps[:-1] else None
-    refused = [sst.empty_run(q) for q in sst.states if q not in sst.finals]
-    for bad in [r for r in [cut, *refused] if r is not None and not r.accepting]:
-        for runs in ([bad], [run, bad], [bad, run]):
-            with pytest.raises(RunError):
-                _wrun_outputs(sst, runs)
 
 
 def reference_wrun(sst, pattern, values, mark):
