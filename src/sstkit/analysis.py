@@ -33,9 +33,10 @@ outside the search re-checks the absence of dumbbells.
 One analysis derives each fact about the machine once.  ``find_dumbbell``
 makes the analysis context (``_Analysis``: the (q1, q2) pairs, the moves
 toward each goal state, the shortest access and exit runs), and its
-dumbbell carries the context into the W-pattern search, which adds the
-update pool.  A witness keeps that pool and its signature alive for
-``amplify_valuedness``.
+dumbbell carries the context into the W-pattern search.  The search
+builds its own update pool; an Infinite witness keeps that pool and its
+signature alive for ``amplify_valuedness``, and an Unknown verdict keeps
+none.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ from .model import (
     Run,
     Sst,
     _bfs,
-    _cached_property,
     _check_owner,
     _compile_update,
     _rebuild,
+    _walk_back,
     concat_runs,
     coreachable_states,
     outputs,
@@ -130,48 +131,44 @@ def _expect_endpoints(run: Run, start: str, end: str, name: str) -> None:
         )
 
 
+class _Memo(dict):
+    """A dict that computes the value of a missing key as ``compute(key)``
+    and keeps it, so that reading a known key is one dict lookup."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
 class _Analysis:
     """The facts about ``sst`` that several steps of one valuedness analysis
     read, each derived once: the (q1, q2) pairs that ``_dumbbell_paths``
     tests, the reachable states times the coreachable ones, in order (one
     BFS of the initial states gives the reachable states and every
     shortest access run); and, on first use, each state's moves toward a
-    goal state, its shortest access and exit runs, and the update pool of
-    the W-pattern search."""
+    goal state (``moves_toward``), and its shortest access and exit runs
+    (``access_run``, for a reachable state, and ``exit_run``, for a
+    coreachable one).  Each memo computes through a module function: one
+    that held the context would make a reference cycle."""
 
     def __init__(self, sst: Sst):
         self.sst = sst
-        self._parents = parents = _bfs(sst._moves, sst.initials)
+        parents = _bfs(sst._moves, sst.initials)
         self.pairs = list(product([q for q in sst.states if q in parents], coreachable_states(sst)))
-        self._toward: dict[str, dict] = {}
-        self._access: dict[str, Run] = {}
-        self._exits: dict[str, Run] = {}
+        self.moves_toward = _Memo(partial(_moves_toward, sst)).__getitem__
+        self.access_run = _Memo(partial(_rebuild, sst, parents)).__getitem__
+        self.exit_run = _Memo(partial(shortest_exit_run, sst)).__getitem__
 
-    @_cached_property
-    def pool(self) -> _UpdatePool:
-        return _UpdatePool(self.sst)
 
-    def moves_toward(self, goal: str) -> dict:
-        """Each state's moves less those that cannot reach ``goal``."""
-        toward = self._toward
-        if goal not in toward:
-            sst = self.sst
-            reaching = _bfs(sst._predecessors, (goal,))
-            toward[goal] = {q: tuple([m for m in letter if m[1] in reaching] for letter in moves)
-                            for q, moves in sst._moves.items()}
-        return toward[goal]
-
-    def access_run(self, q: str) -> Run:
-        """``shortest_access_run(sst, q)``, for a reachable ``q``."""
-        if q not in self._access:
-            self._access[q] = _rebuild(self.sst, self._parents, q)
-        return self._access[q]
-
-    def exit_run(self, q: str) -> Run:
-        """``shortest_exit_run(sst, q)``, for a coreachable ``q``."""
-        if q not in self._exits:
-            self._exits[q] = shortest_exit_run(self.sst, q)
-        return self._exits[q]
+def _moves_toward(sst: Sst, goal: str) -> dict:
+    """Each state's moves less those that cannot reach ``goal``."""
+    reaching = _bfs(sst._predecessors, (goal,))
+    return {q: tuple([m for m in letter if m[1] in reaching] for letter in moves)
+            for q, moves in sst._moves.items()}
 
 
 def find_dumbbell(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> Dumbbell | None:
@@ -245,7 +242,7 @@ def _dumbbell_bfs(q1, q2, moves1, moves2, budget):
         node = queue.popleft()
         budget.charge()
         if node == goal:
-            return _rebuild_triple(parents, node)
+            return tuple(zip(*_walk_back(parents, node)[1]))
         p1, p2, p3, diff = node
         for letter1, letter2, letter3 in zip(moves1[p1], moves2[p2], moves2[p3]):
             for i1, v1 in letter1:
@@ -256,15 +253,6 @@ def _dumbbell_bfs(q1, q2, moves1, moves2, budget):
                             parents[child] = (node, (i1, i2, i3))
                             queue.append(child)
     return None
-
-
-def _rebuild_triple(parents, node):
-    paths: tuple[list[int], list[int], list[int]] = ([], [], [])
-    while parents[node] is not None:
-        node, ids = parents[node]
-        for path, i in zip(paths, ids):
-            path.append(i)
-    return tuple(tuple(reversed(p)) for p in paths)
 
 
 def is_finite_ambiguous(sst: Sst, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -399,19 +387,6 @@ def _build_pattern(context: _Analysis, q1: str, q2: str, stations, entry_paths, 
 
 # The tuples in {1,2}^5, lexicographic
 _TUPLES = tuple(product((1, 2), repeat=5))
-
-
-class _Memo(dict):
-    """A dict that computes the value of a missing key as ``compute(key)``
-    and keeps it, so that reading a known key is one dict lookup."""
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
 
 
 def _skeleton_idempotent(programs: list[str], sep: str, parts, leg: tuple) -> bool:
@@ -606,11 +581,7 @@ def is_simply_divergent(sst: Sst, pattern: WPattern) -> tuple[int, ...] | None:
     their evaluated outputs before it is returned.
     """
     pool = _UpdatePool(sst)
-    signature = pool.signature(pattern)
-    legs = signature[1]
-    if legs[0] == legs[1] == legs[2]:  # every mark gives the same output
-        return None
-    tup = pool.first_divergent_tuple(signature)
+    tup = pool.first_divergent_tuple(pool.signature(pattern))
     if tup is None:
         return None
     _confirm_divergence(sst, pattern, tup)
@@ -681,12 +652,6 @@ class SearchBudget:
         return dict(vars(self))
 
 
-def _charge_each(budget: Budget, amount: int) -> None:
-    """Charge ``amount`` units at once, as ``amount`` single charges would:
-    a charge that crosses the limit stops at ``limit + 1``."""
-    budget.charge(min(amount, budget.limit - budget.used + 1))
-
-
 class _TripleLevels:
     """Synchronized run triples from a fixed start triple of states,
     generated level by level: level d holds every triple over one shared
@@ -711,7 +676,7 @@ class _TripleLevels:
             # each end triple's children, times the triples that end there
             size = sum(n * sum(len(a) * len(b) * len(c) for a, b, c in zip(*map(moves.get, ends)))
                        for ends, n in Counter([ends for _, _, ends in last]).items())
-            _charge_each(self.budget, size)
+            self.budget.charge(size)
             fresh: list[tuple] = []
             for (p1, p2, p3), (k1, k2, k3), (s1, s2, s3) in last:
                 for letter1, letter2, letter3 in zip(moves[s1], moves[s2], moves[s3]):
@@ -743,23 +708,20 @@ class _TripleLevels:
                     if ends == self.starts and all(idempotent((0, k, 0)) for k in ids)])
             yield from self._loops[depth]
 
-    def ending_at(self, depth: int, goal: tuple) -> tuple[list[int], list[tuple], int]:
+    def ending_at(self, depth: int, goal: tuple) -> tuple[list[tuple], int]:
         """The first triple of each triple of update ids among those of
-        level ``depth`` that end at ``goal``, in level order, with the units
-        each is charged, one for itself and one for each triple between it
-        and the one before, and the count of the triples after the last of
-        them.  A later triple with the same ids gives every candidate the
+        level ``depth`` that end at ``goal``, in level order, as (position,
+        triple) pairs, the position counted from 1; and the level's size.
+        A later triple with the same ids gives every candidate the
         signature of an earlier one.  Found once per (depth, goal)."""
         key = (depth, goal)
         if key not in self._ends:
-            level, units, found, last, ids = self.level(depth), [], [], -1, set()
-            for i, triple in enumerate(level):
+            level, found, ids = self.level(depth), [], set()
+            for at, triple in enumerate(level, 1):
                 if triple[2] == goal and triple[1] not in ids:
                     ids.add(triple[1])
-                    units.append(i - last)
-                    found.append(triple)
-                    last = i
-            self._ends[key] = units, found, len(level) - 1 - last
+                    found.append((at, triple))
+            self._ends[key] = found, len(level)
         return self._ends[key]
 
     def size(self, max_len: int) -> int:
@@ -767,19 +729,20 @@ class _TripleLevels:
         return sum(len(self.level(depth)) for depth in range(max_len + 1))
 
 
-def _pattern_candidates(context: _Analysis, max_len: int, budget: Budget, pairs):
+def _pattern_candidates(context: _Analysis, pool: _UpdatePool, max_len: int, budget: Budget,
+                        pairs):
     """Candidate W-pattern shapes at each (q1, q2) of ``pairs`` in turn, in a
     fixed, deterministic order, as tuples (signature, q1, q2, stations,
     entry_paths, loop_paths, exit_paths); ``_build_pattern`` takes the
     shape, the tuple less its signature.  The signature is what the
-    divergence test depends on: ids in ``context.pool`` of the rho0 update,
-    of the three legs' (entry, loop, exit) updates, read off the level entries,
-    and of the rho4 update, found at the first exit triple ending at its
-    state, and the end state.  For each (entry, loop) pair, every exit
-    triple of the station levels is charged one unit, but only the first
-    of each update-id triple among those ending at (q1, q2, q2) is read,
-    and none when a pair of the same stations, entry ids and loop ids was
-    met before at this (q1, q2).  Each signature is yielded once: a later
+    divergence test depends on: ids in ``pool`` of the rho0 update, of the
+    three legs' (entry, loop, exit) updates, read off the level entries,
+    and of the rho4 update, and the end state.  For each (entry, loop)
+    pair, every exit triple of the station levels is charged one unit, but
+    only the first of each update-id triple among those ending at (q1, q2,
+    q2) is read, and none when a pair of the same stations, entry ids and
+    loop ids was met before at this (q1, q2); the triples before a read
+    one are charged with it.  Each signature is yielded once: a later
     triple with the signature of a yielded candidate is skipped untested,
     though its budget is charged all the same.
 
@@ -797,47 +760,34 @@ def _pattern_candidates(context: _Analysis, max_len: int, budget: Budget, pairs)
     (a loop k as the leg (0, k, 0)), before any pattern object is built.
     The access and exit runs are those of ``context``.
     """
-    pool = context.pool
     idempotent, charge = pool.idempotent, budget.charge
-    alphas: dict[str, int] = {}  # q1 -> rho0 update id
-    rho4s: dict[str, tuple] = {}  # q2 -> (rho4 update id, end state)
-    levels_memo: dict = {}
+    levels = _Memo(lambda starts: _TripleLevels(pool, starts, budget))
     yielded: set[tuple] = set()
-
-    def levels(starts) -> _TripleLevels:
-        if starts not in levels_memo:
-            levels_memo[starts] = _TripleLevels(pool, starts, budget)
-        return levels_memo[starts]
-
     for q1, q2 in pairs:
-        if q1 not in alphas:
-            alphas[q1] = pool.path_id(context.access_run(q1).steps)
-        alpha, goal, classes = alphas[q1], (q1, q2, q2), set()
-        for e_paths, e_ids, stations in levels((q1, q1, q2)).upto(max_len):
-            station_levels = levels(stations)
+        rho4, goal, classes = context.exit_run(q2), (q1, q2, q2), set()
+        alpha, omega = pool.path_id(context.access_run(q1).steps), pool.path_id(rho4.steps)
+        for e_paths, e_ids, stations in levels[q1, q1, q2].upto(max_len):
+            station_levels = levels[stations]
             for l_paths, l_ids in station_levels.loops(max_len):
                 if (stations, e_ids, l_ids) in classes:  # every signature met before
-                    _charge_each(budget, station_levels.size(max_len))
+                    charge(station_levels.size(max_len))
                     continue
                 classes.add((stations, e_ids, l_ids))
                 for depth in range(max_len + 1):
-                    units, exits, tail = station_levels.ending_at(depth, goal)
-                    for n, (x_paths, x_ids, _) in zip(units, exits):
-                        if n > 1:  # the triples skipped before this one
-                            _charge_each(budget, n - 1)
-                        charge()
-                        if q2 not in rho4s:
-                            rho4 = context.exit_run(q2)
-                            rho4s[q2] = pool.path_id(rho4.steps), rho4.end
+                    exits, size = station_levels.ending_at(depth, goal)
+                    done = 0  # the triples of the level charged so far
+                    for at, (x_paths, x_ids, _) in exits:
+                        charge(at - done)
+                        done = at
                         legs = tuple(zip(e_ids, l_ids, x_ids))
-                        signature = (alpha, legs, *rho4s[q2])
+                        signature = (alpha, legs, omega, rho4.end)
                         if signature in yielded or not all(map(idempotent, legs)):
                             continue
                         if legs[0] == legs[1] == legs[2]:
                             continue  # every mark gives the same output
                         yielded.add(signature)
                         yield (signature, q1, q2, stations, e_paths, l_paths, x_paths)
-                    _charge_each(budget, tail)
+                    charge(size - done)
 
 
 def _search_divergent_pattern(sst: Sst, sb: SearchBudget, dumbbell: Dumbbell | None = None):
@@ -847,7 +797,8 @@ def _search_divergent_pattern(sst: Sst, sb: SearchBudget, dumbbell: Dumbbell | N
     is a budget stop of the search.  ``dumbbell``, ``find_dumbbell``'s on
     ``sst``, tells that the pairs before its own have none and that its own
     has one, so only the later pairs are tested; the search reads on its
-    analysis context, and the witness carries the context's pool."""
+    analysis context.  The search builds its own update pool, which the
+    witness carries, so that a search that finds none keeps none."""
     budget = Budget(sb.candidates)
     report = {
         "component_length": sb.component_length,
@@ -858,9 +809,10 @@ def _search_divergent_pattern(sst: Sst, sb: SearchBudget, dumbbell: Dumbbell | N
     known = [] if dumbbell is None else [(dumbbell.q1, dumbbell.q2)]
     tested = _dumbbell_paths(context, Budget(sb.node_budget), *known)
     pairs = chain(known, ((q1, q2) for q1, q2, _ in tested))
+    pool = _UpdatePool(sst)
     try:
-        pool = context.pool
-        for signature, *shape in _pattern_candidates(context, sb.component_length, budget, pairs):
+        for signature, *shape in _pattern_candidates(context, pool, sb.component_length, budget,
+                                                     pairs):
             tup = pool.first_divergent_tuple(signature)
             if tup is None:
                 continue

@@ -86,7 +86,9 @@ class Budget:
     one per node popped, the W-pattern search one per start triple, per
     generated triple and per exit triple charged to an (entry, loop) pair,
     and amplification one per marked sequence; all fail loudly instead of
-    truncating silently.
+    truncating silently.  A charge that crosses the limit raises and leaves
+    ``used`` at ``limit + 1``, as many single charges would, so every stop
+    reads the same ``used`` however its units were charged.
     """
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
@@ -96,6 +98,7 @@ class Budget:
     def charge(self, amount: int = 1) -> None:
         self.used += amount
         if self.used > self.limit:
+            self.used = self.limit + 1
             raise BudgetExceededError(
                 f"budget of {self.limit} expansion nodes exceeded"
             )
@@ -904,14 +907,22 @@ def shortest_exit_run(sst: Sst, source: str) -> Run | None:
     return None if end is None else _rebuild(sst, parents, end)
 
 
+def _walk_back(parents: dict, node) -> tuple:
+    """The source that a breadth-first search reached ``node`` from, and
+    the labels along the way, in order, off ``parents``: each node reached
+    mapped to the (node, label) pair it was first reached by, or to None
+    for a source."""
+    labels = []
+    while parents[node] is not None:
+        node, label = parents[node]
+        labels.append(label)
+    labels.reverse()
+    return node, labels
+
+
 def _rebuild(sst: Sst, parents: dict, state: str) -> Run:
-    steps: list[int] = []
-    q = state
-    while parents[q] is not None:
-        q, i = parents[q]
-        steps.append(i)
-    steps.reverse()
-    return Run(sst, q, tuple(steps))
+    start, steps = _walk_back(parents, state)
+    return Run(sst, start, tuple(steps))
 
 
 def concat_runs(sst: Sst, runs: Sequence[Run]) -> Run:

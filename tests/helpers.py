@@ -19,7 +19,6 @@ from sstkit import (
     Sst,
     Transition,
     Update,
-    analysis,
     compose_skeletons,
     enumerate_runs,
     find_loops,
@@ -27,7 +26,7 @@ from sstkit import (
     is_idempotent,
     skeleton_of,
 )
-from sstkit.model import coreachable_states, reachable_states
+from sstkit.model import _walk_back, coreachable_states, reachable_states
 from sstkit.skeletons import Skeleton, transition_skeletons
 
 # one state whose one transition swaps two variables: the skeleton of its
@@ -237,7 +236,7 @@ def reference_bfs(sst, moves, q1, q2, budget):
         u1, u2, u3, diff = node
         if (diff and (u1[0], u2[0], u3[0]) == (q1, q2, q2)
                 and is_idempotent(u1[1]) and is_idempotent(u3[1])):
-            return analysis._rebuild_triple(parents, node)
+            return tuple(zip(*_walk_back(parents, node)[1]))
         for letter1, letter2, letter3 in zip(moves(u1), moves(u2), moves(u3)):
             for i1, v1 in letter1:
                 for i2, v2 in letter2:

@@ -218,12 +218,11 @@ def reference_candidates(pool: ReferencePool, max_len: int, budget: Budget, pair
 
 
 def searched_candidates(pool: _UpdatePool, max_len: int, budget: Budget):
-    """``_pattern_candidates`` over the pairs that the search scans, on an
-    analysis context whose update pool is ``pool``."""
+    """``_pattern_candidates`` over the pairs that the search scans, with
+    the update pool ``pool``."""
     context = _Analysis(pool.sst)
-    context.pool = pool
     tested = _dumbbell_paths(context, Budget(DEFAULT_NODE_BUDGET))
-    return _pattern_candidates(context, max_len, budget, ((q1, q2) for q1, q2, _ in tested))
+    return _pattern_candidates(context, pool, max_len, budget, ((q1, q2) for q1, q2, _ in tested))
 
 
 def skipped_reference(sst: Sst):

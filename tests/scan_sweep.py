@@ -7,7 +7,8 @@ frontier.  The reference here is the walk that builds every frontier,
 ``reference_scan`` over ``reference_step``, kept as it stood before the
 leaf read.  ``check(sst)`` runs each scan and its reference on a grid of
 length ranges and node budgets, and requires the same result, the same
-budget stop or none, and the same ``budget.used``.
+budget stop or none, and the same ``budget.used``; every stop must leave
+``budget.used == limit + 1``.
 
 ``run(n)`` checks the fixtures, the ``no_variables`` and
 ``format_letters`` machines and the draws ``random_sst(s, 4, 3)`` for
@@ -152,6 +153,8 @@ def outcome(scan: Callable, args: tuple, limit: int | None, min_len: int, max_le
     try:
         result = scan(*args, max_len, budget, min_len=min_len)
     except BudgetExceededError:
+        if budget.used != budget.limit + 1:
+            raise AssertionError(f"stopped at {budget.used} units of {budget.limit}") from None
         result = "stop"
     return result, budget.used
 

@@ -1,14 +1,18 @@
 """One valuedness analysis derives each fact about its machine once:
 ``find_dumbbell`` makes the analysis context, its dumbbell carries it into
-the W-pattern search, and the search's witness carries the update pool and
-its signature into ``amplify_valuedness``.  The carried state changes no
-answer: amplification reads the same word, outputs and ``budget.used``
-off the carried pool as off a fresh one, a witness passed with another
-``Sst`` of the same document raises ``ParameterError`` before any unit is
-charged or any pool is built, and equality, hashes, reprs and
-descriptions ignore the carried state."""
+the W-pattern search, and the search's witness carries the update pool
+that the search built, and its signature, into ``amplify_valuedness``.
+The carried state changes no answer: amplification reads the same word,
+outputs and ``budget.used`` off the carried pool as off a fresh one, a
+witness passed with another ``Sst`` of the same document raises
+``ParameterError`` before any unit is charged or any pool is built, and
+equality, hashes, reprs and descriptions ignore the carried state.  Only
+an Infinite witness keeps a pool, and no table of an analysis refers back
+to its owner, so the analysis leaves no garbage for the cycle collector."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -59,7 +63,7 @@ def test_carried_pool_changes_no_amplification(label, make, monkeypatch):
     if v.kind != "Infinite":
         return
     w = v.witness
-    assert w._pool is v.dumbbell._context.pool and w._pool.sst is sst
+    assert w._pool.sst is sst
     assert w._signature == w._pool.signature(w.pattern)
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "_UpdatePool", no_pool)
@@ -135,3 +139,62 @@ def test_each_fact_is_derived_once(label, make, monkeypatch):
     pattern = v.witness.pattern
     assert pattern.rho0 is v.dumbbell._context.access_run(pattern.q1)
     assert model.shortest_access_run(sst, pattern.q1) == pattern.rho0
+
+
+def test_only_an_infinite_witness_keeps_an_update_pool(monkeypatch):
+    """With the collector off, so that only references keep a pool alive:
+    each fixture's search builds one pool, an Infinite witness carries that
+    very pool, and the pool of an Unknown verdict is freed once the
+    analysis returns."""
+    pools = []
+
+    class Recorded(analysis._UpdatePool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(weakref.ref(self))
+
+    monkeypatch.setattr(analysis, "_UpdatePool", Recorded)
+    kinds, enabled = {}, gc.isenabled()
+    gc.disable()
+    try:
+        for label, make in FIXTURES:
+            pools.clear()
+            v = verdict(make())
+            kinds[label] = v.kind
+            assert len(pools) == (v.dumbbell is not None), label
+            if v.kind == "Infinite":
+                assert v.witness._pool is pools[0](), label
+            elif pools:
+                assert pools[0]() is None, label
+    finally:
+        if enabled:
+            gc.enable()
+    assert kinds["FIX-TSC"] == kinds["FIX-R2"] == "Unknown"
+
+
+def test_analysis_leaves_no_cyclic_garbage():
+    """With the collector off, analysing the fixtures and 40 draws and
+    amplifying each Infinite verdict at m = 3 leaves no sstkit object for
+    the collector to free: no memo holds a bound method of its owner.
+    Garbage that the test harness itself makes is not sstkit's and is
+    ignored."""
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    kept = len(gc.garbage)
+    gc.disable()
+    try:
+        for _, make in FIXTURES + draws(range(40)):
+            sst = make()
+            v = verdict(sst)
+            if v.kind == "Infinite":
+                amplify_valuedness(sst, v.witness, 3, Budget(200_000))
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = {type(o).__qualname__ for o in gc.garbage[kept:]
+                  if type(o).__module__.startswith("sstkit")}
+        assert leaked == set()
+    finally:
+        gc.set_debug(debug)
+        del gc.garbage[kept:]
+        if enabled:
+            gc.enable()

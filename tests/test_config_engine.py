@@ -276,6 +276,25 @@ def test_tiny_budget_raises():
         call(10_000)
 
 
+@pytest.mark.parametrize("limit", [0, 3, 20, 101])
+def test_every_stop_leaves_used_one_past_the_limit(limit):
+    """The queries charge a whole frontier at a time, yet each stops with
+    ``budget.used`` at limit + 1, as one charge per configuration would."""
+    tsc, word = fixtures.load("FIX-TSC"), "0" * 60
+    calls = [
+        lambda b: outputs(tsc, word, b),
+        lambda b: ranked_outputs(tsc, word, b),
+        lambda b: valuedness_oracle(tsc, 6, b),
+        lambda b: ambiguity_oracle(tsc, 6, b),
+        lambda b: check_equivalence_bounded(tsc, fixtures.load("FIX-TSC"), 6, b),
+    ]
+    for call in calls:
+        budget = Budget(limit)
+        with pytest.raises(BudgetExceededError):
+            call(budget)
+        assert budget.used == limit + 1
+
+
 def test_sst_is_freed_without_the_cycle_collector():
     """A machine taken through every evaluator is freed by reference counting
     alone: nothing it owns or caches refers back to it."""

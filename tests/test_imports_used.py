@@ -1,5 +1,5 @@
 """Every name a module imports is used in that module: the package
-modules, the tests and the demos.
+modules, the tests, the tools and the demos.
 
 No linter ships with the toolchain, so this stdlib check keeps a deletion
 from leaving a dead import behind.  The package's ``__init__.py`` is left
@@ -18,8 +18,8 @@ import sstkit
 
 PACKAGE = sorted(p for p in Path(sstkit.__file__).parent.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
-# package modules by file name, tests and demos by path from the repo root
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("tools/*.py"), *ROOT.glob("demos/*.py")])
+# package modules by file name, the other scripts by path from the repo root
 MODULES = ([pytest.param(p, id=p.name) for p in PACKAGE]
            + [pytest.param(p, id=p.relative_to(ROOT).as_posix()) for p in SCRIPTS])
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from sstkit import BudgetExceededError, analysis
+from sstkit import Budget, BudgetExceededError
 from sstkit.analysis import _UpdatePool
 
 from helpers import FIXTURES, draws
@@ -52,19 +52,20 @@ def test_bulk_charges_stop_where_single_charges_do(label, make, limit, place, mo
     limit + 1, as the reference's single charges do, after the same
     candidates at the same ``budget.used``."""
     crossings = []
-    charge_each = analysis._charge_each
+    charge = Budget.charge
 
-    def recording(budget, amount):
+    def recording(budget, amount=1):
         room = budget.limit - budget.used
         try:
-            charge_each(budget, amount)
+            charge(budget, amount)
         except BudgetExceededError:
             crossings.append((sys._getframe(1).f_code.co_name, amount > room + 1))
             raise
 
-    monkeypatch.setattr(analysis, "_charge_each", recording)
     sst = make()
-    got = events(searched_candidates, _UpdatePool, sst, 3, limit)
+    with monkeypatch.context() as patch:
+        patch.setattr(Budget, "charge", recording)
+        got = events(searched_candidates, _UpdatePool, sst, 3, limit)
     assert crossings == [(place, True)]
     assert got[-1] == ("stop", limit + 1) and len(got) > 1
     assert got == first_occurrences(events(skipped_reference(sst), ReferencePool, sst, 3, limit))

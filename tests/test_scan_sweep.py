@@ -1,6 +1,7 @@
 """A slice of the scans' differential sweep (``tests/scan_sweep.py``): each
 scan agrees with the walk that builds every frontier on its result, on
-whether the budget stops it, and on ``budget.used``."""
+whether the budget stops it, and on ``budget.used``, and every stop leaves
+``budget.used`` at limit + 1."""
 
 from scan_sweep import run
 

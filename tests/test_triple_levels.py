@@ -38,9 +38,9 @@ def recorded_levels(sst, component_length, monkeypatch):
 
     candidates = analysis._pattern_candidates
 
-    def recorded_candidates(context, *args):
-        pools.append(context.pool)
-        for candidate in candidates(context, *args):
+    def recorded_candidates(context, pool, *args):
+        pools.append(pool)
+        for candidate in candidates(context, pool, *args):
             yielded.append(candidate)
             yield candidate
 
