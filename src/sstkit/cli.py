@@ -14,6 +14,12 @@ parser alone; any other argv goes through the top-level parser.  Each
 document is read once: its bytes are decoded as UTF-8 and parsed before
 the handler runs, and only a ``--json`` report hashes them for its sha256
 digests.  A document that is not UTF-8 is a parse error.
+
+The digests come from the SHA-256 of the interpreter's built-in hash
+module (``_sha2`` from Python 3.12 on, ``_sha256`` before), the way
+CPython's own ``random`` takes its SHA-512: ``hashlib`` maps OpenSSL,
+which adds megabytes to a fresh process's peak memory, so it is imported
+only by a build without built-in hashes.
 """
 
 from __future__ import annotations
@@ -118,6 +124,20 @@ def _to_json(value, indent: str = "\n") -> str:
     if not items:
         return brackets
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
+
+
+@functools.cache
+def _sha256():
+    """The SHA-256 constructor of the built-in hash module, resolved once
+    per process (see the module docstring)."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256  # a build without built-in hashes
+    return sha256
 
 
 def _check_lengths(low: int, high: int) -> None:
@@ -255,9 +275,8 @@ class _Report:
 
     def emit(self, payload: dict, exit_code: int) -> int:
         if self.json:
-            import hashlib  # only a --json report prints digests; hashlib maps OpenSSL
-
-            self.data["files"] = {path: hashlib.sha256(raw).hexdigest()
+            sha256 = _sha256()
+            self.data["files"] = {path: sha256(raw).hexdigest()
                                   for path, raw in self.documents.items()}
             self.data.update(payload)
             self.data["exit_code"] = exit_code

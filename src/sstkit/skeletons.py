@@ -49,12 +49,18 @@ class Skeleton(Update):
 
 
 def skeleton_of(update: Update) -> Skeleton:
-    """Erase all letters from the images of ``update``."""
-    varset = set(update.variables)
-    return Skeleton(
-        update.variables,
-        tuple(tuple(t for t in image if t in varset) for image in update.images),
+    """Erase all letters from the images of ``update``.  An update is
+    copyless and erasing letters keeps it so, so the skeleton skips the
+    check that a direct ``Skeleton(...)`` runs; it shares the update's
+    variable index, a function of the variables alone."""
+    index = update._index
+    skeleton = object.__new__(Skeleton)
+    skeleton.__dict__.update(
+        variables=update.variables,
+        images=tuple([tuple([t for t in image if t in index]) for image in update.images]),
+        _index=index,
     )
+    return skeleton
 
 
 def compose_skeletons(a: Skeleton, b: Skeleton) -> Skeleton:

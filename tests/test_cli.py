@@ -1,5 +1,6 @@
 import builtins
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -461,15 +462,41 @@ def _imported(*argv) -> set[str]:
     """The modules that a fresh ``python -m sstkit`` process imports, read
     off its ``-X importtime`` lines."""
     proc = _python_dash_m_sstkit(*argv, options=("-X", "importtime"))
+    assert proc.returncode == 0, (argv, proc.stderr[-300:])
     return {line.rsplit("|", 1)[1].strip()
             for line in proc.stderr.splitlines() if line.startswith("import time:")}
 
 
-def test_only_a_json_report_imports_hashlib(docs):
-    """Digests are computed for ``--json`` reports alone, so no other
-    command imports ``hashlib``, which maps OpenSSL."""
-    for argv in (["--version"], ["--help"], ["validate", docs["FIX-TSC"]]):
+# the built-in SHA-256 modules of Python 3.12 and later, and of 3.10 and 3.11
+BUILT_IN_SHA256 = [name for name in ("_sha2", "_sha256") if importlib.util.find_spec(name)]
+
+
+def test_digest_is_the_sha256_of_the_bytes(docs):
+    """The report's digest constructor, resolved once per process, is the
+    built-in module's where there is one, and agrees with ``hashlib``."""
+    sha256 = cli._sha256()
+    assert cli._sha256() is sha256
+    if BUILT_IN_SHA256:
+        assert sha256 is importlib.import_module(BUILT_IN_SHA256[0]).sha256
+    raws = [b"", b"\xef\xbb\xbf" + sstkit.fixtures.source("FIX-TSC").encode("utf-8"),
+            b"\xef\xbb\xbfab\xff", bytes(range(256))]
+    for name in sstkit.fixtures.names():
+        with open(docs[name], "rb") as handle:
+            raws.append(handle.read())
+    with open(docs["not_utf8"], "rb") as handle:
+        raws.append(handle.read())
+    for raw in raws:
+        assert sha256(raw).hexdigest() == hashlib.sha256(raw).hexdigest(), raw[:20]
+
+
+@pytest.mark.skipif(not BUILT_IN_SHA256, reason="no built-in SHA-256 module")
+def test_no_command_imports_hashlib(docs):
+    """The digests come from the built-in hash module, so no command, a
+    ``--json`` report included, imports ``hashlib`` or ``_hashlib``, which
+    map OpenSSL."""
+    for argv in (["--version"], ["--help"], ["validate", docs["FIX-TSC"]],
+                 ["validate", docs["FIX-TSC"], "--json"]):
         imported = _imported(*argv)
         assert "sstkit.cli" in imported, argv
-        assert "hashlib" not in imported, argv
-    assert "hashlib" in _imported("validate", docs["FIX-TSC"], "--json")
+        assert not imported & {"hashlib", "_hashlib"}, argv
+    assert BUILT_IN_SHA256[0] in imported

@@ -23,8 +23,9 @@ from sstkit import (
     pumped_output_expr,
     skeleton_monoid,
     skeleton_of,
+    words_over,
 )
-from helpers import SWAP_DOC, random_copyless_update, sample_run_with_loops, random_sst
+from helpers import FIXTURES, SWAP_DOC, draws, random_copyless_update, sample_run_with_loops, random_sst
 
 V2 = ("X1", "X2")
 
@@ -64,6 +65,26 @@ def test_skeleton_is_an_update_without_letters():
         Skeleton(V2, (("X1",),))
     with pytest.raises(UnknownSymbolError):
         ident.image("X3")
+
+
+def test_skeleton_of_equals_the_checked_skeleton():
+    """``skeleton_of`` skips the copyless check: on every transition update,
+    and every induced update of the runs up to length 4, it equals the
+    checked ``Skeleton`` of the erased images.  A direct ``Skeleton`` still
+    checks."""
+    for label, make in FIXTURES + draws(range(40)):
+        sst = make()
+        updates = [t.update for t in sst.transitions]
+        for word in words_over(sst.alphabet, 0, 4):
+            updates += [run.induced_update for run in enumerate_runs(sst, word)]
+        for u in updates:
+            erased = tuple(tuple(t for t in image if t in u.variables) for image in u.images)
+            checked = Skeleton(u.variables, erased)
+            got = skeleton_of(u)
+            assert type(got) is Skeleton, label
+            assert (got, hash(got), got._index) == (checked, hash(checked), checked._index), label
+    with pytest.raises(CopylessError):
+        Skeleton(V2, (("X1", "X2"), ("X2",)))
 
 
 def test_skeleton_homomorphism():
