@@ -11,13 +11,15 @@ relation while separating the survivors by output or by delay.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import sub
 from typing import Callable
 
 from .delay import RunProfile, weight_table
 from .errors import InputMismatchError, ParameterError
 from .model import (
     Budget, Run, Sst, _annotated_runs, _final_outputs, _leaf_outputs, _scan, _start, _step,
-    _word_outputs,
+    _word_outputs, enumerate_runs,
 )
 from .wordcomb import cuts
 
@@ -52,33 +54,55 @@ def semantic_cover(
     every surviving pair either differs in output or has delay greater
     than D.  ``C`` below 1 raises ``ParameterError``, whatever the runs.
 
-    Each output's cuts and each run's weight table (``weight_table``) are
-    built once, and a delay of at most D is read as no two entries of the
-    tables differing by more than D.  An output without cuts has delay 0,
-    so with D below 0 every run survives.  The runs and their tagged
-    outputs come from ``_annotated_runs``, which tags each shared run prefix
-    once.
+    With D below 0 every run survives: the runs are ``enumerate_runs``'s,
+    and no weight table is built.  Otherwise a run whose tagged output
+    (``Run.annotated_output``) repeats an earlier run's has delay 0 from
+    it and is dropped, so only the least run of each distinct tagged
+    output is compared.  ``_annotated_runs`` lists these runs and walks
+    each distinct tagged run prefix once, charging the budget as
+    ``enumerate_runs`` does: the cost follows the distinct tagged run
+    prefixes, and ``budget.used`` and every stop are those of comparing
+    every pair of runs.  The first run of an output survives unmeasured;
+    once a second run has the output, its cuts and each such run's weight
+    table (``weight_table``) are built once, and a delay of at most D is
+    read as no two entries of the tables differing by more than D.
     """
     if C < 1:
         raise ParameterError("C must be at least 1")
+    if D < 0:
+        return enumerate_runs(sst, word, budget)
     survivors: list[Run] = []
-    # per output: its cuts, and the weight tables of the runs so far with it
+    firsts: dict[str, tuple] = {}  # per output, the tagged output of its first run
+    # per output met again: its cuts, and the weight tables of its runs so far
     earlier: dict[str, tuple[tuple[int, ...], list]] = {}
-    for run, annotated in _annotated_runs(sst, word, budget):  # found in lexicographic order
+    # found in lexicographic order
+    for run, annotated in _annotated_runs(sst, word, budget, distinct=True):
         output = "".join([c for c, _ in annotated])
+        if output not in firsts:
+            firsts[output] = annotated
+            survivors.append(run)
+            continue
         if output not in earlier:
-            earlier[output] = (tuple(cuts(output, C)), [])
+            positions = tuple(cuts(output, C))
+            earlier[output] = (positions, [_entries(firsts[output], len(word), positions)])
         positions, tables = earlier[output]
-        table = weight_table(RunProfile(annotated, len(word)), positions)
-        if D < 0 or not any(_within(table, e, D) for e in tables):
+        table = _entries(annotated, len(word), positions)
+        if not any(_within(table, e, D) for e in tables):
             survivors.append(run)
         tables.append(table)
     return survivors
 
 
-def _within(table1, table2, D: int) -> bool:
-    """Whether no two entries of two weight tables differ by more than D."""
-    return all(abs(a - b) <= D for row1, row2 in zip(table1, table2) for a, b in zip(row1, row2))
+def _entries(annotated, n: int, positions: tuple[int, ...]) -> tuple[int, ...]:
+    """The entries of the weight table at ``positions`` of a run of n steps
+    with the tagged output ``annotated``, row after row."""
+    return tuple(chain.from_iterable(weight_table(RunProfile(annotated, n), positions)))
+
+
+def _within(entries1, entries2, D: int) -> bool:
+    """Whether no two entries of two weight tables (``_entries``) differ by
+    more than D."""
+    return max(map(abs, map(sub, entries1, entries2)), default=0) <= D
 
 
 def ranked_outputs(sst: Sst, word: str, budget: Budget | int | None = None) -> list[str]:

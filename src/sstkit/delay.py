@@ -10,7 +10,8 @@ small period the assembly order is immaterial.
 
 ``weight_table`` holds the one definition of the weights at a set of
 output positions: ``delay`` builds both runs' tables with it, and
-``semantic_cover`` one table per run, at the cuts of the run's output.
+``semantic_cover`` one table per compared run, at the cuts of the run's
+output.
 All three functions accept any object exposing ``annotated_output`` (a
 sequence of (letter, producing step) pairs) and ``input_length``, so
 worked examples can be checked without building a transducer;
@@ -20,6 +21,7 @@ worked examples can be checked without building a transducer;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import InputMismatchError, OutputMismatchError, ParameterError
@@ -107,18 +109,22 @@ def _inputs_differ(r1, r2) -> bool:
 
 def weight_table(run, positions: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """``weight(run, t, j)`` for t = 0..input_length (the rows) and j in the
-    increasing output positions ``positions`` (the columns)."""
-    steps = [s for _, s in run.annotated_output]
-    rows = []
-    for t in range(run.input_length + 1):
-        row = []
-        count = 0
-        pos = 0
-        for j in positions:
-            while pos < j:
-                if steps[pos] <= t:
-                    count += 1
-                pos += 1
-            row.append(count)
-        rows.append(tuple(row))
-    return tuple(rows)
+    increasing output positions ``positions`` (the columns).
+
+    Built column by column: ``counts[t]`` holds how many of the output
+    letters before the column's position were produced at step t (a step
+    below 0 counts as 0, one past the input length nowhere), and the
+    column is its running sum."""
+    n = run.input_length
+    annotated = run.annotated_output
+    counts = [0] * (n + 1)
+    columns, done = [], 0
+    for j in positions:
+        for _, step in annotated[done:j]:
+            if step <= n:
+                counts[max(step, 0)] += 1
+        done = j
+        columns.append(tuple(accumulate(counts)))
+    if not columns:
+        return ((),) * (n + 1)
+    return tuple(zip(*columns))

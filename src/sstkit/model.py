@@ -466,7 +466,7 @@ class Run:
         """
         if not self.accepting:
             raise RunError("annotated output is only defined for accepting runs")
-        return _annotate(self.sst, self.start, self.steps, [])
+        return _annotate(self.sst, self.start, self.steps)
 
     @_cached_property
     def output(self) -> str:
@@ -608,10 +608,12 @@ def _compile_update(sst: Sst, images: Sequence[Sequence[str]]) -> str:
     ])
 
 
-def _substitute(sst: Sst, images: Sequence[Sequence[str]], contents: Sequence[list], tag) -> list[list]:
-    """``images`` applied to variable contents held as item lists: each
+def _substitute(sst: Sst, images: Sequence[Sequence[str]], contents: Sequence[tuple],
+                tag) -> tuple[tuple, ...]:
+    """``images`` applied to variable contents held as item tuples: each
     variable is replaced by its items and each letter by the pair (letter,
-    ``tag``)."""
+    ``tag``).  The initial words are images without variables, so
+    ``_substitute(sst, sst._initial, (), tag)`` tags the initial contents."""
     fields, out = sst._fields, []
     for image in images:
         items: list = []
@@ -621,51 +623,125 @@ def _substitute(sst: Sst, images: Sequence[Sequence[str]], contents: Sequence[li
                 items.append((tok, tag))
             else:
                 items += contents[field[0]]
-        out.append(items)
-    return out
-
-
-def _annotate(sst: Sst, start: str, steps: Sequence[int], levels: list) -> tuple[tuple[str, int], ...]:
-    """The output of the accepting run from ``start`` along ``steps``, each
-    letter tagged with the step that produced it: step 0 for
-    initial-assignment letters, step t for the t-th transition's letters,
-    step n = len(steps) for the final output's constants.
-
-    ``levels[k]`` holds the tagged variable contents after the first k
-    steps, for each k < len(levels); runs that share their first k steps
-    share these, whatever their start.  The missing levels, up to n, are
-    appended; ``levels`` must hold none beyond n."""
-    if not levels:
-        levels.append([[(c, 0) for c in word] for word in sst._initial])
-    transitions = sst.transitions
-    for step in range(len(levels), len(steps) + 1):
-        levels.append(_substitute(sst, transitions[steps[step - 1]].update.images, levels[-1], step))
-    end = transitions[steps[-1]].target if steps else start
-    (out,) = _substitute(sst, (sst.final_output[end],), levels[-1], len(steps))
+        out.append(tuple(items))
     return tuple(out)
 
 
-def _shared_annotations(sst: Sst, runs: Iterable[Run]) -> Iterator[tuple[tuple[str, int], ...]]:
-    """The ``_annotate``d output of each of ``runs``, accepting runs of
-    ``sst``, in turn; a run shares the tagged variable contents of the run
-    before it up to the step where they part, so each shared prefix is
-    tagged once."""
-    levels: list = []  # the tagged contents along the run before
-    before: tuple[int, ...] = ()
-    for run in runs:
-        shared, most = 0, min(len(before), len(run.steps))
-        while shared < most and run.steps[shared] == before[shared]:
-            shared += 1
-        del levels[shared + 1:]
-        yield _annotate(sst, run.start, run.steps, levels)
-        before = run.steps
+def _annotate(sst: Sst, start: str, steps: Sequence[int]) -> tuple[tuple[str, int], ...]:
+    """The output of the accepting run from ``start`` along ``steps``, each
+    letter tagged with the step that produced it: step 0 for
+    initial-assignment letters, step t for the t-th transition's letters,
+    step n = len(steps) for the final output's constants."""
+    transitions = sst.transitions
+    contents = _substitute(sst, sst._initial, (), 0)
+    for step, i in enumerate(steps, 1):
+        contents = _substitute(sst, transitions[i].update.images, contents, step)
+    end = transitions[steps[-1]].target if steps else start
+    (out,) = _substitute(sst, (sst.final_output[end],), contents, len(steps))
+    return out
 
 
-def _annotated_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> Iterator[tuple]:
-    """Each accepting run on ``word`` (``enumerate_runs``, depth first, so
-    neighbours share long prefixes) with its ``_shared_annotations`` output."""
-    runs = enumerate_runs(sst, word, budget)
-    yield from zip(runs, _shared_annotations(sst, runs))
+def _annotated_runs(sst: Sst, word: str, budget: Budget | int | None = None,
+                    distinct: bool = False) -> Iterator[tuple]:
+    """Each accepting run on ``word`` with its tagged output
+    (``Run.annotated_output``), in canonical order.
+
+    One depth-first walk on an explicit stack, as in ``enumerate_runs``,
+    charged as it charges.  The tagged variable contents after the first k
+    steps of a partial run are built when a run through that prefix is
+    first found accepting, once however many runs share the prefix, and
+    never for a prefix that no accepting run extends.
+
+    With ``distinct``, only the least run of each distinct tagged output
+    is listed.  When a prefix of k < n - 1 steps is tagged and an earlier
+    partial run reached the same (length, state, tagged contents), the
+    partial run is not extended further: each of its completions repeats
+    the tagged output of the earlier one's completion by the same steps, a
+    smaller run.  The rest of its extensions is charged in one step: both
+    end in one state at one length, so they have as many extensions as
+    the earlier one's walk charged, and ``budget.used`` and every stop stay
+    those of ``enumerate_runs``.  A finished run whose tagged output was
+    listed before is dropped; that also drops the repeats of a prefix of
+    n - 1 steps, which only last steps extend.  The cost thus follows the
+    distinct tagged prefixes of accepting runs, not the runs.
+    """
+    _check_word(sst, word)
+    b = Budget.ensure(budget)
+    n, finals, moves, transitions = len(word), sst.final_output, sst._moves, sst.transitions
+    letters = [sst._letter_index[c] for c in word]
+    initial = _substitute(sst, sst._initial, (), 0)
+    units = 0  # charged by this walk
+    # with distinct: the tagged outputs listed so far, and the units charged
+    # below each (length, state, tagged contents) whose walk is done
+    listed: set = set()
+    reached: dict = {}
+
+    for start in sst._starts:
+        b.charge()
+        units += 1
+        if not n:
+            if start in finals:
+                (out,) = _substitute(sst, (finals[start],), initial, 0)
+                if distinct:
+                    if out in listed:
+                        continue
+                    listed.add(out)
+                yield Run(sst, start, ()), out
+            continue
+        # the partial run, and per prefix of k steps the transitions not yet
+        # tried after it and the units charged up to reaching it; for k <
+        # len(levels), the tagged contents after the first k steps and,
+        # with distinct and 0 < k < n - 1, their key in ``reached``
+        steps: list[int] = []
+        last = n - 1  # the length of a partial run before its last step
+        path = [(iter(moves[start][letters[0]]), units)]
+        levels, keys = [initial], [None]
+        while path:
+            move = next(path[-1][0], None)
+            if move is None:
+                _, before = path.pop()
+                k = len(path)
+                if k < len(levels):
+                    if keys[k] is not None:
+                        reached[keys[k]] = units - before
+                    del levels[k:], keys[k:]
+                if steps:
+                    steps.pop()
+                continue
+            b.charge()
+            units += 1
+            i, target = move
+            if len(steps) < last:
+                steps.append(i)
+                path.append((iter(moves[target][letters[len(steps)]]), units))
+                continue
+            if target not in finals:
+                continue
+            # tag the contents after the first n - 1 steps, then this run's
+            while len(levels) < n:
+                k = len(levels)
+                t = transitions[steps[k - 1]]
+                contents = _substitute(sst, t.update.images, levels[-1], k)
+                key = None
+                if distinct and k < last:
+                    key = (k, t.target, contents)
+                    below = reached.get(key)
+                    if below is not None:
+                        before = path[k][1]
+                        b.charge(below - (units - before))
+                        units = before + below
+                        del path[k:], steps[k - 1:]
+                        break
+                levels.append(contents)
+                keys.append(key)
+            else:
+                contents = _substitute(sst, transitions[i].update.images, levels[-1], n)
+                (out,) = _substitute(sst, (finals[target],), contents, n)
+                if distinct:
+                    if out in listed:
+                        continue
+                    listed.add(out)
+                yield Run(sst, start, (*steps, i)), out
 
 
 def _start(sst: Sst) -> dict:

@@ -258,18 +258,17 @@ def pumped_output_expr(sst: Sst, run: Run, loops: LoopSet) -> PumpedOutputExpr:
 
     # items are (word, param) pairs: a power word^param, or a literal letter
     # when param is None
-    contents = [[(c, None) for c in word] for word in sst._initial]
+    contents = _substitute(sst, sst._initial, (), None)
 
     def apply(update: Update, sides=(), param: str | None = None) -> None:
         """One step; a pumped loop puts its repeated side words around each
         image, a plain step has no sides."""
         nonlocal contents
         contents = _substitute(sst, update.images, contents, None)
-        for items, (left, right) in zip(contents, sides):
-            if left:
-                items.insert(0, (left, param))
-            if right:
-                items.append((right, param))
+        if sides:
+            contents = tuple(
+                (((left, param),) if left else ()) + items + (((right, param),) if right else ())
+                for items, (left, right) in zip(contents, sides))
 
     pos = 0
     for (i, j), update, param in zip(loops.intervals, loops.updates, params):

@@ -1,6 +1,8 @@
 import pytest
 
 from sstkit import (
+    Budget,
+    BudgetExceededError,
     InputMismatchError,
     ParameterError,
     check_equivalence_bounded,
@@ -14,6 +16,7 @@ from sstkit import (
     semantic_cover,
     words_over,
 )
+from sstkit import decompose
 
 ID_WITH_DEAD_STATE = """\
 alphabet: a
@@ -23,6 +26,20 @@ initial: q
 final q -> X1
 trans q a q { X1 := X1 a }
 trans dead a dead { X1 := X1 }
+"""
+
+# two equal first steps into a deterministic loop whose every step also
+# has a move into a dead end
+TWO_WAYS_INTO_A_LOOP = """\
+alphabet: a
+vars: X1
+states: p q dead
+initial: p
+final q -> X1
+trans p a q { X1 := a }
+trans p a q { X1 := a }
+trans q a q { X1 := X1 }
+trans q a dead { X1 := X1 }
 """
 
 TWO_SILENT_MOVES = """\
@@ -112,6 +129,54 @@ def test_cover_compares_a_run_with_the_dropped_runs_too(fix_amb):
     cover = semantic_cover(fix_amb, "aaaa", 1, 1)
     assert [r.steps for r in cover] == [
         (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1)]
+
+
+def test_cover_of_a_long_word_charges_a_repeated_prefix_in_one_step():
+    # the second first step repeats the first one's tagged contents, so its
+    # 4,999 moves into the dead end are charged in one step; nothing in the
+    # walk or the charge recurses on the word's length
+    sst = parse_sst(TWO_WAYS_INTO_A_LOOP)
+    word = "a" * 5000
+    units = Budget()
+    runs = enumerate_runs(sst, word, units)
+    assert len(runs) == 2 and units.used == 4 * len(word) - 1
+    budget = Budget()
+    assert [r.steps for r in semantic_cover(sst, word, 1, 0, budget)] == [runs[0].steps]
+    assert budget.used == units.used
+    # a limit inside that one charge stops the cover where it stops the runs
+    for limit in (units.used - 1, units.used - len(word) + 1):
+        for walk in (enumerate_runs, lambda *args: semantic_cover(*args[:2], 1, 0, args[2])):
+            budget = Budget(limit)
+            with pytest.raises(BudgetExceededError):
+                walk(sst, word, budget)
+            assert budget.used == limit + 1
+
+
+def test_cover_builds_a_weight_table_per_distinct_tagged_output_at_most(fix_tsc, monkeypatch):
+    # FIX-TSC on a word of 10 letters has 2,048 runs but 2 survivors: a run
+    # that repeats an earlier run's tagged output gets no weight table, and
+    # below D = 0 no run gets one
+    built = []
+
+    def counted(run, positions):
+        built.append(run.annotated_output)
+        return weight_table(run, positions)
+
+    weight_table = decompose.weight_table
+    monkeypatch.setattr(decompose, "weight_table", counted)
+    word = "0110100110"
+    runs = enumerate_runs(fix_tsc, word)
+    tagged = {run.annotated_output for run in runs}
+    assert len(runs) == 2048 and len(tagged) < len(runs)
+    budget = Budget()
+    cover = semantic_cover(fix_tsc, word, 2, 2, budget)
+    assert [(r.start, r.steps) for r in cover] == [
+        ("qA", (0, 2, 2, 0, 2, 0, 0, 2, 2, 0)), ("qB", (4, 6, 6, 4, 6, 4, 4, 6, 6, 4))]
+    assert budget.used == 4094
+    assert 0 < len(built) <= len(tagged) and len(set(built)) == len(built)
+    built.clear()
+    assert len(semantic_cover(fix_tsc, word, 2, -1)) == len(runs)
+    assert built == []
 
 
 def test_cover_preserves_outputs_and_separates(all_fixtures):

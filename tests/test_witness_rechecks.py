@@ -8,8 +8,10 @@ references:
 - ``_UpdatePool.outputs``, which builds the contents before each mark and
   the image after it once per sequence, gives each mark's output as
   ``reference_output`` does, one block applied after another;
-- ``_shared_annotations``, which tags each shared step prefix once (for
-  ``_annotated_runs``), gives each run's ``Run.annotated_output``;
+- ``_annotated_runs``, which tags each shared step prefix once, gives
+  each run of ``enumerate_runs`` with its ``Run.annotated_output``, and
+  with ``distinct`` each distinct tagged output with its least run, at
+  ``enumerate_runs``'s units;
 - ``build_wrun``, which joins its segments' steps into one ``Run``, gives
   the run that ``concat_runs`` builds over its segments.
 
@@ -20,12 +22,12 @@ pattern evaluator's cases that has one (the golden file's
 ``looping_witnesses`` pin three such witnesses as well)."""
 
 import dataclasses
-import random
 from itertools import product
 
 import pytest
 
 from sstkit import (
+    Budget,
     RunError,
     SearchBudget,
     analyze_valuedness,
@@ -38,7 +40,7 @@ from sstkit import (
     words_over,
 )
 from sstkit.analysis import _Analysis, _build_pattern
-from sstkit.model import _shared_annotations
+from sstkit.model import _annotated_runs
 
 from helpers import FIXTURES, draws
 from pattern_sweep import reference_output
@@ -109,13 +111,24 @@ def test_outputs_match_the_per_mark_reference(label, make, sst, pool, signature,
 
 @pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
 def test_shared_annotations_match_each_run(label, make):
-    """In canonical order, where neighbours share long prefixes, and in two
-    other orders."""
+    """``_annotated_runs`` on every input of length 0 to 4: plain, every
+    run of ``enumerate_runs`` in order with its ``Run.annotated_output``;
+    distinct, the same distinct tagged outputs, each with its least run;
+    both at ``enumerate_runs``'s units."""
     sst = make()
-    runs = accepting_runs(sst)
-    shuffled = random.Random(label).sample(runs, len(runs))
-    for order in (runs, runs[::-1], shuffled):
-        assert list(_shared_annotations(sst, order)) == [run.annotated_output for run in order]
+    for word in words_over(sst.alphabet, 0, MAX_LEN):
+        units = Budget()
+        runs = enumerate_runs(sst, word, units)
+        least: dict = {}
+        for run in runs:
+            least.setdefault(run.annotated_output, run)
+        for distinct, want in ((False, [(run, run.annotated_output) for run in runs]),
+                               (True, [(run, tagged) for tagged, run in least.items()])):
+            budget = Budget()
+            got = list(_annotated_runs(sst, word, budget, distinct))
+            assert [(r.start, r.steps, tagged) for r, tagged in got] == [
+                (r.start, r.steps, tagged) for r, tagged in want], (word, distinct)
+            assert budget.used == units.used, (word, distinct)
 
 
 def reference_wrun(sst, pattern, values, mark):
