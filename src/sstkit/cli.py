@@ -50,7 +50,7 @@ from .model import (
     DEFAULT_NODE_BUDGET,
     Budget,
     Sst,
-    _annotated_runs,
+    _shared_annotations,
     ambiguity_oracle,
     enumerate_runs,
     outputs,
@@ -320,10 +320,10 @@ def _cmd_eval(args, report, sst: Sst) -> int:
 
 
 def _cmd_runs(args, report, sst: Sst) -> int:
-    runs = list(_annotated_runs(sst, args.input, Budget(args.budget)))
+    runs = enumerate_runs(sst, args.input, Budget(args.budget))
     report.say(f"input: {args.input!r}, accepting runs: {len(runs)}")
     payload = []
-    for idx, (run, annotated) in enumerate(runs):
+    for idx, (run, annotated) in enumerate(zip(runs, _shared_annotations(sst, runs))):
         output = "".join([c for c, _ in annotated])
         payload.append({"index": idx, "start": run.start,
                         "steps": list(run.steps), "output": output})

@@ -18,7 +18,7 @@ from typing import Callable
 from .delay import RunProfile, weight_table
 from .errors import InputMismatchError, ParameterError
 from .model import (
-    Budget, Run, Sst, _annotated_runs, _final_outputs, _leaf_outputs, _scan, _start, _step,
+    Budget, Run, Sst, _final_outputs, _leaf_outputs, _least_tagged_runs, _scan, _start, _step,
     _word_outputs, enumerate_runs,
 )
 from .wordcomb import cuts
@@ -58,14 +58,14 @@ def semantic_cover(
     and no weight table is built.  Otherwise a run whose tagged output
     (``Run.annotated_output``) repeats an earlier run's has delay 0 from
     it and is dropped, so only the least run of each distinct tagged
-    output is compared.  ``_annotated_runs`` lists these runs and walks
-    each distinct tagged run prefix once, charging the budget as
-    ``enumerate_runs`` does: the cost follows the distinct tagged run
-    prefixes, and ``budget.used`` and every stop are those of comparing
-    every pair of runs.  The first run of an output survives unmeasured;
-    once a second run has the output, its cuts and each such run's weight
-    table (``weight_table``) are built once, and a delay of at most D is
-    read as no two entries of the tables differing by more than D.
+    output is compared.  ``_least_tagged_runs`` reads these runs off a
+    frontier of tagged configurations, which keeps the least run into
+    each, and charges the budget as ``enumerate_runs`` does, so
+    ``budget.used`` and every stop are those of comparing every pair of
+    runs.  The first run of an output survives unmeasured; once a second
+    run has the output, its cuts and each such run's weight table
+    (``weight_table``) are built once, and a delay of at most D is read
+    as no two entries of the tables differing by more than D.
     """
     if C < 1:
         raise ParameterError("C must be at least 1")
@@ -76,7 +76,7 @@ def semantic_cover(
     # per output met again: its cuts, and the weight tables of its runs so far
     earlier: dict[str, tuple[tuple[int, ...], list]] = {}
     # found in lexicographic order
-    for run, annotated in _annotated_runs(sst, word, budget, distinct=True):
+    for annotated, run in _least_tagged_runs(sst, word, budget).items():
         output = "".join([c for c, _ in annotated])
         if output not in firsts:
             firsts[output] = annotated

@@ -595,7 +595,11 @@ def words_over(alphabet: Sequence[str], min_len: int, max_len: int) -> Iterator[
 # yields them in canonical order: depth-first in ``enumerate_runs``, which
 # needs no sort, and level by level here.  A frontier is a dict whose keys
 # are the configurations reached on one input prefix, each first reached
-# through its least run, so in the canonical order of their least runs.
+# through its least run, so in the canonical order of their least runs:
+# the least run into a key extends the least run into a key of the
+# frontier before, whose keys are expanded in order, each with its moves
+# in rank order.  The same holds for configurations whose contents tag
+# each letter with its step (``_least_tagged_runs``), which keep that run.
 
 
 def _compile_update(sst: Sst, images: Sequence[Sequence[str]]) -> str:
@@ -641,107 +645,24 @@ def _annotate(sst: Sst, start: str, steps: Sequence[int]) -> tuple[tuple[str, in
     return out
 
 
-def _annotated_runs(sst: Sst, word: str, budget: Budget | int | None = None,
-                    distinct: bool = False) -> Iterator[tuple]:
-    """Each accepting run on ``word`` with its tagged output
-    (``Run.annotated_output``), in canonical order.
-
-    One depth-first walk on an explicit stack, as in ``enumerate_runs``,
-    charged as it charges.  The tagged variable contents after the first k
-    steps of a partial run are built when a run through that prefix is
-    first found accepting, once however many runs share the prefix, and
-    never for a prefix that no accepting run extends.
-
-    With ``distinct``, only the least run of each distinct tagged output
-    is listed.  When a prefix of k < n - 1 steps is tagged and an earlier
-    partial run reached the same (length, state, tagged contents), the
-    partial run is not extended further: each of its completions repeats
-    the tagged output of the earlier one's completion by the same steps, a
-    smaller run.  The rest of its extensions is charged in one step: both
-    end in one state at one length, so they have as many extensions as
-    the earlier one's walk charged, and ``budget.used`` and every stop stay
-    those of ``enumerate_runs``.  A finished run whose tagged output was
-    listed before is dropped; that also drops the repeats of a prefix of
-    n - 1 steps, which only last steps extend.  The cost thus follows the
-    distinct tagged prefixes of accepting runs, not the runs.
-    """
-    _check_word(sst, word)
-    b = Budget.ensure(budget)
-    n, finals, moves, transitions = len(word), sst.final_output, sst._moves, sst.transitions
-    letters = [sst._letter_index[c] for c in word]
-    initial = _substitute(sst, sst._initial, (), 0)
-    units = 0  # charged by this walk
-    # with distinct: the tagged outputs listed so far, and the units charged
-    # below each (length, state, tagged contents) whose walk is done
-    listed: set = set()
-    reached: dict = {}
-
-    for start in sst._starts:
-        b.charge()
-        units += 1
-        if not n:
-            if start in finals:
-                (out,) = _substitute(sst, (finals[start],), initial, 0)
-                if distinct:
-                    if out in listed:
-                        continue
-                    listed.add(out)
-                yield Run(sst, start, ()), out
-            continue
-        # the partial run, and per prefix of k steps the transitions not yet
-        # tried after it and the units charged up to reaching it; for k <
-        # len(levels), the tagged contents after the first k steps and,
-        # with distinct and 0 < k < n - 1, their key in ``reached``
-        steps: list[int] = []
-        last = n - 1  # the length of a partial run before its last step
-        path = [(iter(moves[start][letters[0]]), units)]
-        levels, keys = [initial], [None]
-        while path:
-            move = next(path[-1][0], None)
-            if move is None:
-                _, before = path.pop()
-                k = len(path)
-                if k < len(levels):
-                    if keys[k] is not None:
-                        reached[keys[k]] = units - before
-                    del levels[k:], keys[k:]
-                if steps:
-                    steps.pop()
-                continue
-            b.charge()
-            units += 1
-            i, target = move
-            if len(steps) < last:
-                steps.append(i)
-                path.append((iter(moves[target][letters[len(steps)]]), units))
-                continue
-            if target not in finals:
-                continue
-            # tag the contents after the first n - 1 steps, then this run's
-            while len(levels) < n:
-                k = len(levels)
-                t = transitions[steps[k - 1]]
-                contents = _substitute(sst, t.update.images, levels[-1], k)
-                key = None
-                if distinct and k < last:
-                    key = (k, t.target, contents)
-                    below = reached.get(key)
-                    if below is not None:
-                        before = path[k][1]
-                        b.charge(below - (units - before))
-                        units = before + below
-                        del path[k:], steps[k - 1:]
-                        break
-                levels.append(contents)
-                keys.append(key)
-            else:
-                contents = _substitute(sst, transitions[i].update.images, levels[-1], n)
-                (out,) = _substitute(sst, (finals[target],), contents, n)
-                if distinct:
-                    if out in listed:
-                        continue
-                    listed.add(out)
-                yield Run(sst, start, (*steps, i)), out
+def _shared_annotations(sst: Sst, runs: Iterable[Run]) -> Iterator[tuple[tuple[str, int], ...]]:
+    """The tagged output (``Run.annotated_output``) of each of ``runs``,
+    accepting runs of ``sst`` on one input, in turn.  A run shares the
+    tagged variable contents of the run before it up to the step where
+    their steps part, so each shared step prefix is tagged once."""
+    transitions = sst.transitions
+    levels = [_substitute(sst, sst._initial, (), 0)]  # the tagged contents along the run before
+    before: tuple[int, ...] = ()
+    for run in runs:
+        steps, shared = run.steps, 0
+        while shared < len(before) and steps[shared] == before[shared]:
+            shared += 1
+        del levels[shared + 1:]
+        for k in range(shared, len(steps)):
+            levels.append(_substitute(sst, transitions[steps[k]].update.images, levels[-1], k + 1))
+        (out,) = _substitute(sst, (sst.final_output[run.end],), levels[-1], len(steps))
+        yield out
+        before = steps
 
 
 def _start(sst: Sst) -> dict:
@@ -759,6 +680,16 @@ def _step(sst: Sst, frontier: dict, letter: str, budget: Budget) -> dict:
         for state, values in frontier
         for i, target in moves[state][a]
     ])
+
+
+def _count_step(sst: Sst, counts: dict[str, int], a: int) -> dict[str, int]:
+    """Run counts per state, one letter (of index ``a``) further; charges
+    nothing."""
+    moves, fresh = sst._moves, {}
+    for state, n in counts.items():
+        for _, target in moves[state][a]:
+            fresh[target] = fresh.get(target, 0) + n
+    return fresh
 
 
 def _final_outputs(sst: Sst, frontier: dict) -> dict[str, None]:
@@ -799,6 +730,50 @@ def _word_outputs(sst: Sst, word: str, budget: Budget | int | None) -> dict[str,
 def outputs(sst: Sst, word: str, budget: Budget | int | None = None) -> set[str]:
     """The set of words produced on ``word`` (deduplicated)."""
     return set(_word_outputs(sst, word, budget))
+
+
+def _least_tagged_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> dict:
+    """The least accepting run on ``word`` of each distinct tagged output
+    (``Run.annotated_output``), by that output, in canonical order.
+
+    The budget is charged first, as ``enumerate_runs`` charges it: one
+    unit per start, then per letter one per partial run one letter longer,
+    counted per state (``_count_step``).  If some partial run ends in a
+    final state, a frontier of tagged configurations is then stepped: a key
+    is a state and its tagged variable contents (``_substitute``), there is
+    one dict per input prefix, and each key keeps the least run that
+    reaches it, as the tuple (start, *steps).  The last letter takes only
+    moves into final states.  Each final key's tagged output is grounded
+    once, and the first key of each tagged output gives its run.
+    """
+    _check_word(sst, word)
+    b = Budget.ensure(budget)
+    n, finals, moves, transitions = len(word), sst.final_output, sst._moves, sst.transitions
+    letters = [sst._letter_index[c] for c in word]
+    counts = dict.fromkeys(sst._starts, 1)
+    b.charge(len(counts))
+    for a in letters:
+        counts = _count_step(sst, counts, a)
+        b.charge(sum(counts.values()))
+    if not any(state in finals for state in counts):
+        return {}
+    initial = _substitute(sst, sst._initial, (), 0)
+    frontier = {(q, initial): (q,) for q in sst._starts if n or q in finals}
+    for k, a in enumerate(letters, 1):
+        fresh: dict = {}
+        for (state, contents), run in frontier.items():
+            for i, target in moves[state][a]:
+                if k < n or target in finals:
+                    key = (target, _substitute(sst, transitions[i].update.images, contents, k))
+                    if key not in fresh:
+                        fresh[key] = (*run, i)
+        frontier = fresh
+    least: dict = {}
+    for (state, contents), run in frontier.items():
+        (out,) = _substitute(sst, (finals[state],), contents, n)
+        if out not in least:
+            least[out] = Run(sst, run[0], run[1:])
+    return least
 
 
 def _scan(
@@ -917,14 +892,8 @@ def ambiguity_oracle(
     b, moves, finals = Budget.ensure(budget), sst._moves, sst._final_templates
 
     def step(counts: dict[str, int], letter: str) -> dict[str, int]:
-        """Run counts per state, one letter further."""
         b.charge(len(counts))
-        a = sst._letter_index[letter]
-        fresh: dict[str, int] = {}
-        for state, n in counts.items():
-            for _, target in moves[state][a]:
-                fresh[target] = fresh.get(target, 0) + n
-        return fresh
+        return _count_step(sst, counts, sst._letter_index[letter])
 
     def leaf(counts: dict[str, int], letter: str, need: int) -> int:
         """Accepting runs one letter further."""

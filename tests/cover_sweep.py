@@ -1,21 +1,22 @@
 """A seeded differential sweep of the semantic cover.
 
 ``semantic_cover`` compares only the least run of each distinct tagged
-output, walks each distinct tagged run prefix once, charging the rest of
-a repeated prefix's extensions in one step, and builds each output's cuts
-and each compared run's weight table once.  The reference here,
-``reference_cover``, is the loop it replaced, kept verbatim: each run of
-``enumerate_runs`` is compared with every earlier run of the same output,
-dropped or not, through the public ``delay``, which builds the cuts and
-both weight tables again, and each run is grouped by ``run.output``,
-which tags the run from step 0.  ``check(sst)`` runs both on every input
-of length 0 to 4, for each C in ``CS`` and D in ``DS`` and at a grid of
-node budgets, and requires the same survivors, as (start, steps) pairs in
-the same order, the same ``budget.used``, and the same stop: the same
-exception class, at ``budget.used == limit + 1``.  ``check_long(sst)``
-asks the same on a few longer words, where more runs repeat an earlier
-run's tagged output, and on one of them at every limit up to the units of
-the whole walk, so that some stops fall inside a one-step charge.
+output, reads these runs off a frontier of tagged configurations, charges
+per letter the partial runs one letter longer in one charge, and builds
+each output's cuts and each compared run's weight table once.  The
+reference here, ``reference_cover``, is the loop it replaced, kept
+verbatim: each run of ``enumerate_runs`` is compared with every earlier
+run of the same output, dropped or not, through the public ``delay``,
+which builds the cuts and both weight tables again, and each run is
+grouped by ``run.output``, which tags the run from step 0.  ``check(sst)``
+runs both on every input of length 0 to 4, for each C in ``CS`` and D in
+``DS`` and at a grid of node budgets, and requires the same survivors, as
+(start, steps) pairs in the same order, the same ``budget.used``, and the
+same stop: the same exception class, at ``budget.used == limit + 1``.
+``check_long(sst)`` asks the same on a few longer words, where more runs
+repeat an earlier run's tagged output, and on one of them at every limit
+up to the units of the whole cover, so that stops fall inside the
+charges of several units as well as at their ends.
 
 ``run(n)`` checks the fixtures and, for s < n, the draws ``random_sst(s)``
 and ``random_sst(s, 4, 3)`` of ``tests/helpers.py``, then runs
@@ -146,9 +147,9 @@ def check_long(sst: Sst) -> Counter:
     where more runs repeat an earlier run's tagged output; its outcomes
     are counted as "long pruned", "long whole" and "long stop".  Then the
     shortest of these words at ``GRID_CD`` and at every limit from 0 to
-    the units of the whole walk: a stopped limit counts as "limit stop",
-    or as "skipped-subtree stop" when the charge that stopped it was one
-    for the rest of a repeated prefix's extensions."""
+    the units of the whole cover: a stopped limit counts as "bulk-charge
+    stop" when the charge that stopped it was of several units, as a
+    letter's charge mostly is, else as "limit stop"."""
     rng = random.Random(repr(sst.describe()))
     words = ["".join(rng.choice(sst.alphabet) for _ in range(n)) for n in LONG_LENGTHS]
     outcomes = check(sst, words, LONG_DS, "long ")
@@ -158,7 +159,7 @@ def check_long(sst: Sst) -> Counter:
         budget = _Recording(limit)
         got = compare(sst, words[0], *GRID_CD, budget)
         if isinstance(got[0], type):
-            outcomes["skipped-subtree stop" if budget.stopped_by > 1 else "limit stop"] += 1
+            outcomes["bulk-charge stop" if budget.stopped_by > 1 else "limit stop"] += 1
     return outcomes
 
 

@@ -11,9 +11,11 @@ a deliberate change of behaviour only, with
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -29,6 +31,7 @@ from sstkit import (  # noqa: E402
     analyze_valuedness,
     find_dumbbell,
     fixtures,
+    semantic_cover,
 )
 from sstkit.cli import main  # noqa: E402
 
@@ -49,6 +52,8 @@ LOOPING_DRAWS = {418: VALUEDNESS_BUDGET, 444: VALUEDNESS_BUDGET, 388: DEEP_BUDGE
 AMPLIFY_M = 3
 AMPLIFY_UNITS = 100_000
 WORDS = {"a": "aaa", "0": "0110"}  # eval/runs input, by a fixture's first letter
+# FIX-TSC has 2,048 accepting runs on it, with 512 distinct tagged outputs
+LONG_WORD = "0110100110"
 
 
 def machines():
@@ -253,12 +258,30 @@ def cli_all() -> dict:
     return out
 
 
+def long_word() -> dict:
+    """On FIX-TSC and ``LONG_WORD``: the survivors and units of
+    ``semantic_cover`` at C = D = 2, and the exit code, run count and
+    sha256 of the ``runs --json`` report with ``wall_time_s`` masked."""
+    sst, budget = fixtures.load("FIX-TSC"), Budget()
+    cover = semantic_cover(sst, LONG_WORD, 2, 2, budget)
+    with _fixture_dir() as paths:
+        code, stdout, _ = _invoke(["runs", paths["FIX-TSC"], "--input", LONG_WORD, "--json"])
+    masked = re.sub(r'"wall_time_s": [^,\n}]*', '"wall_time_s": null', stdout)
+    return {
+        "cover": [[run.start, list(run.steps)] for run in cover],
+        "cover_used": budget.used,
+        "runs": {"exit_code": code, "count": len(json.loads(stdout)["result"]["runs"]),
+                 "sha256": hashlib.sha256(masked.encode("utf-8")).hexdigest()},
+    }
+
+
 def cases() -> dict:
     return {
         "analyses": analyses(),
         "cli_all": cli_all(),
         "deep_analyses": deep_analyses(),
         "dumbbell_nodes": dumbbell_nodes(),
+        "long_word": long_word(),
         "looping_witnesses": looping_witnesses(),
         "wide_dumbbells": wide_dumbbells(),
     }

@@ -1,7 +1,8 @@
 """``tools/bench_pairs.py`` on canned benchmark results: the pairs alternate
 which tree runs first, and the summary reads each metric's medians,
-quartiles, change and won pairs in the metric's own direction.  No
-benchmark is started."""
+quartiles, change and won pairs in the metric's own direction, and marks
+a claimable gain and a regression past the metric's bound.  No benchmark
+is started."""
 
 import json
 import sys
@@ -55,3 +56,22 @@ def test_summary_reads_each_metric_in_its_direction():
     assert len(lines) == 5
     assert lines[3:] == ["  parent: correct True, failed 0 of 400",
                          "  change: correct True, failed 2 of 400"]
+
+
+def test_summary_marks_a_claimable_gain_and_a_regression():
+    # ops_per_s: the change wins 9 of 10 pairs and its median, 125, beats
+    # the parent's, 102, by more than the parent's quartile spread, 101-103
+    parent = [(100 + i % 5, 1.0 + i / 100) for i in range(10)]
+    change = [(125, 1.5)] * 9 + [(99, 1.5)]
+    results = [(result(*p), result(*c)) for p, c in zip(parent, change)]
+    lines = bench_pairs.summarize(results, METRICS)
+    assert lines[1].endswith(", +22.5%, 9/10 pairs better, claimable")
+    # op_p50_ms: 1.5 ms against 1.045 ms is 43.5% worse, past the 25% bound
+    assert lines[2].endswith(", +43.5%, 0/10 pairs better, regression")
+    # a gain in 8 of 10 pairs, or one within the parent's spread, is not
+    # claimable; a loss within the bound is no regression
+    for ops in ((125,) * 8 + (99, 99), (103,) * 10):
+        change = [(x, 1.2) for x in ops]
+        results = [(result(*p), result(*c)) for p, c in zip(parent, change)]
+        lines = bench_pairs.summarize(results, METRICS)
+        assert lines[1].endswith("pairs better") and lines[2].endswith("pairs better"), lines

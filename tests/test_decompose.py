@@ -131,10 +131,10 @@ def test_cover_compares_a_run_with_the_dropped_runs_too(fix_amb):
         (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1)]
 
 
-def test_cover_of_a_long_word_charges_a_repeated_prefix_in_one_step():
-    # the second first step repeats the first one's tagged contents, so its
-    # 4,999 moves into the dead end are charged in one step; nothing in the
-    # walk or the charge recurses on the word's length
+def test_cover_of_a_long_word_charges_each_letter_in_one_step():
+    # the two first steps reach one tagged configuration, so each later
+    # letter steps one key but charges its 4 partial runs, 2 of them into
+    # the dead end, in one charge; nothing recurses on the word's length
     sst = parse_sst(TWO_WAYS_INTO_A_LOOP)
     word = "a" * 5000
     units = Budget()
@@ -143,7 +143,7 @@ def test_cover_of_a_long_word_charges_a_repeated_prefix_in_one_step():
     budget = Budget()
     assert [r.steps for r in semantic_cover(sst, word, 1, 0, budget)] == [runs[0].steps]
     assert budget.used == units.used
-    # a limit inside that one charge stops the cover where it stops the runs
+    # a limit inside a letter's charge stops the cover where it stops the runs
     for limit in (units.used - 1, units.used - len(word) + 1):
         for walk in (enumerate_runs, lambda *args: semantic_cover(*args[:2], 1, 0, args[2])):
             budget = Budget(limit)

@@ -11,6 +11,7 @@ from regen_golden import (
     cli_all,
     deep_analyses,
     dumbbell_nodes,
+    long_word,
     looping_witnesses,
     wide_dumbbells,
 )
@@ -41,6 +42,7 @@ def test_golden_cli_all(golden):
 @pytest.mark.parametrize("section, compute", [
     ("deep_analyses", deep_analyses),
     ("dumbbell_nodes", dumbbell_nodes),
+    ("long_word", long_word),
     ("looping_witnesses", looping_witnesses),
     ("wide_dumbbells", wide_dumbbells),
 ])

@@ -8,10 +8,12 @@ references:
 - ``_UpdatePool.outputs``, which builds the contents before each mark and
   the image after it once per sequence, gives each mark's output as
   ``reference_output`` does, one block applied after another;
-- ``_annotated_runs``, which tags each shared step prefix once, gives
-  each run of ``enumerate_runs`` with its ``Run.annotated_output``, and
-  with ``distinct`` each distinct tagged output with its least run, at
-  ``enumerate_runs``'s units;
+- ``_least_tagged_runs``, which steps a frontier of tagged
+  configurations, gives the least run of each distinct
+  ``Run.annotated_output`` of ``enumerate_runs``, in order, at
+  ``enumerate_runs``'s units, and ``_shared_annotations``, which tags each
+  step prefix that a run shares with the run before it once, gives each
+  run's ``Run.annotated_output``;
 - ``build_wrun``, which joins its segments' steps into one ``Run``, gives
   the run that ``concat_runs`` builds over its segments.
 
@@ -40,7 +42,7 @@ from sstkit import (
     words_over,
 )
 from sstkit.analysis import _Analysis, _build_pattern
-from sstkit.model import _annotated_runs
+from sstkit.model import _least_tagged_runs, _shared_annotations
 
 from helpers import FIXTURES, draws
 from pattern_sweep import reference_output
@@ -111,24 +113,24 @@ def test_outputs_match_the_per_mark_reference(label, make, sst, pool, signature,
 
 @pytest.mark.parametrize("label, make", CASES, ids=[c[0] for c in CASES])
 def test_shared_annotations_match_each_run(label, make):
-    """``_annotated_runs`` on every input of length 0 to 4: plain, every
-    run of ``enumerate_runs`` in order with its ``Run.annotated_output``;
-    distinct, the same distinct tagged outputs, each with its least run;
-    both at ``enumerate_runs``'s units."""
+    """On every input of length 0 to 4: ``_shared_annotations`` gives every
+    run of ``enumerate_runs`` its ``Run.annotated_output``, and
+    ``_least_tagged_runs`` the same distinct tagged outputs, each with its
+    least run, in order and at ``enumerate_runs``'s units."""
     sst = make()
     for word in words_over(sst.alphabet, 0, MAX_LEN):
         units = Budget()
         runs = enumerate_runs(sst, word, units)
+        tagged = [run.annotated_output for run in runs]
+        assert list(_shared_annotations(sst, runs)) == tagged, word
         least: dict = {}
-        for run in runs:
-            least.setdefault(run.annotated_output, run)
-        for distinct, want in ((False, [(run, run.annotated_output) for run in runs]),
-                               (True, [(run, tagged) for tagged, run in least.items()])):
-            budget = Budget()
-            got = list(_annotated_runs(sst, word, budget, distinct))
-            assert [(r.start, r.steps, tagged) for r, tagged in got] == [
-                (r.start, r.steps, tagged) for r, tagged in want], (word, distinct)
-            assert budget.used == units.used, (word, distinct)
+        for run, out in zip(runs, tagged):
+            least.setdefault(out, run)
+        budget = Budget()
+        got = _least_tagged_runs(sst, word, budget)
+        assert [(out, r.start, r.steps) for out, r in got.items()] == [
+            (out, r.start, r.steps) for out, r in least.items()], word
+        assert budget.used == units.used, word
 
 
 def reference_wrun(sst, pattern, values, mark):

@@ -15,8 +15,12 @@ For each end-to-end metric of the parent's ``BENCHMARK.json``, the summary
 gives each side's median, the parent's first and third quartiles, the
 change of the median in percent, and the pairs in which the change read
 better, in the direction that the metric declares; a tie counts for
-neither side.  It ends with whether every run of each side was correct and
-how many operations failed.  Standard library only.
+neither side.  A line is marked "claimable" when the change won at least
+9 in 10 pairs and its median is better than the parent's by more than the
+parent's quartile spread, and "regression" when its median is worse than
+the parent's by more than the metric's ``bound``.  The summary ends with
+whether every run of each side was correct and how many operations
+failed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -82,9 +86,15 @@ def summarize(results: list[tuple[dict, dict]], metrics: list[dict]) -> list[str
         ma, mb = statistics.median(a), statistics.median(b)
         q1, q3 = quartiles(a)
         change = f"{(mb - ma) / ma:+.1%}" if ma else "n/a"
+        gain = ma - mb if lower else mb - ma
+        marks = ""
+        if 10 * won >= 9 * len(results) and gain > q3 - q1:
+            marks += ", claimable"
+        if -gain > metric["bound"] * abs(ma):
+            marks += ", regression"
         lines.append(f"  {name} ({metric['unit']}, {metric['better']} is better): "
                      f"{ma:.6g} [{q1:.6g}, {q3:.6g}] -> {mb:.6g}, {change}, "
-                     f"{won}/{len(results)} pairs better")
+                     f"{won}/{len(results)} pairs better{marks}")
     for side, label in ((0, "parent"), (1, "change")):
         runs = [pair[side] for pair in results]
         lines.append(f"  {label}: correct {all(r['correct'] for r in runs)}, "
