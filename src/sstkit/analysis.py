@@ -42,7 +42,7 @@ none.
 from __future__ import annotations
 
 import re
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import chain, product
@@ -673,9 +673,9 @@ class _TripleLevels:
         moves, step = self.moves, self.step
         while len(self.levels) <= depth:
             last = self.levels[-1]
-            # each end triple's children, times the triples that end there
-            size = sum(n * sum(len(a) * len(b) * len(c) for a, b, c in zip(*map(moves.get, ends)))
-                       for ends, n in Counter([ends for _, _, ends in last]).items())
+            # each parent triple's children
+            size = sum(len(a) * len(b) * len(c)
+                       for _, _, ends in last for a, b, c in zip(*map(moves.get, ends)))
             self.budget.charge(size)
             fresh: list[tuple] = []
             for (p1, p2, p3), (k1, k2, k3), (s1, s2, s3) in last:

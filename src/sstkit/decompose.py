@@ -16,7 +16,7 @@ from operator import sub
 from typing import Callable
 
 from .delay import RunProfile, weight_table
-from .errors import InputMismatchError, ParameterError
+from .errors import InputMismatchError, ParameterError, RunError
 from .model import (
     Budget, Run, Sst, _final_outputs, _leaf_outputs, _least_tagged_runs, _scan, _start, _step,
     _word_outputs, enumerate_runs,
@@ -30,8 +30,10 @@ def lex_compare(r1: Run, r2: Run) -> int:
     Runs are compared by the rank sequences of their transitions (rank =
     source index, letter index, target index, declaration position), with
     the start-state index breaking the tie between empty runs.  Only
-    defined for runs on the same input.
+    defined for runs of one transducer instance on the same input.
     """
+    if r1.sst is not r2.sst:
+        raise RunError("run belongs to a different transducer instance")
     if r1.input != r2.input:
         raise InputMismatchError("lexicographic comparison requires equal inputs")
     k1 = r1.sst.run_sort_key(r1)
@@ -170,8 +172,7 @@ def check_equivalence_bounded(
 
     def leaf_differs(pair, letter, need) -> int:
         fa, fb = pair
-        shared.charge(len(fa))
-        shared.charge(len(fb))
+        shared.charge(len(fa) + len(fb))
         return int(_leaf_outputs(a, fa, letter) != _leaf_outputs(b, fb, letter))
 
     found, witness = _scan(

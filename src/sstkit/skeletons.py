@@ -24,7 +24,7 @@ from .errors import (
     RunError,
     SstKitError,
 )
-from .model import Run, Sst, Update, _substitute
+from .model import Run, Sst, Update, _check_owner, _substitute
 from .wordcomb import ParamWord
 
 SKELETON_MONOID_CAP = 1_000_000
@@ -109,6 +109,7 @@ def transition_skeletons(sst: Sst) -> tuple[Skeleton, ...]:
 
 def interval_update(sst: Sst, run: Run, i: int, j: int) -> Update:
     """Induced update of the interval [i, j] of ``run`` (steps i+1..j)."""
+    _check_owner(sst, run)
     if not (0 <= i <= j <= len(run)):
         raise RunError(f"interval [{i}, {j}] outside run of length {len(run)}")
     return Run(sst, run.states[i], run.steps[i:j]).induced_update
@@ -117,6 +118,7 @@ def interval_update(sst: Sst, run: Run, i: int, j: int) -> Update:
 def find_loops(sst: Sst, run: Run) -> list[tuple[int, int]]:
     """All intervals [i, j] with i < j that are loops of ``run``: equal
     states at both ends and a skeleton-idempotent induced update."""
+    _check_owner(sst, run)
     skels = transition_skeletons(sst)
     states = run.states
     loops: list[tuple[int, int]] = []
@@ -143,6 +145,7 @@ class LoopSet:
 
     @classmethod
     def build(cls, sst: Sst, run: Run, intervals: Sequence[tuple[int, int]]) -> "LoopSet":
+        _check_owner(sst, run)
         ordered = tuple(tuple(iv) for iv in intervals)
         prev_end = None
         states = run.states
@@ -171,6 +174,7 @@ def pump(sst: Sst, run: Run, loops: LoopSet, counts: Sequence[int]) -> Run:
     Counts are positive; count 1 leaves the block untouched, so an
     all-ones vector reproduces the original run.
     """
+    _check_owner(sst, run)
     if loops.run is not run:
         raise RunError("loop set was built for a different run")
     if len(counts) != len(loops.intervals):
@@ -250,6 +254,7 @@ def pumped_output_expr(sst: Sst, run: Run, loops: LoopSet) -> PumpedOutputExpr:
     of positive counts.  At most 2 * len(loops) * len(variables) repeated
     factors appear.
     """
+    _check_owner(sst, run)
     if loops.run is not run:
         raise RunError("loop set was built for a different run")
     if not run.accepting:

@@ -1,12 +1,16 @@
 """Seeded random generators, the machine corpus, the sweep driver and
 brute-force oracles shared by the tests.
 
+The random machines and updates are the benchmark corpus's draws:
+``random_sst`` builds ``bench/corpus.random_spec``'s machine, and
+``random_copyless_update`` deals images with its ``_random_images``.
 Everything here is deterministic given the Random instance, so failures
 replay exactly.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 from collections import Counter, deque
@@ -29,6 +33,9 @@ from sstkit import (
 from sstkit.model import _walk_back, coreachable_states, reachable_states
 from sstkit.skeletons import Skeleton, transition_skeletons
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
+from corpus import _random_images, build, random_spec  # noqa: E402
+
 # one state whose one transition swaps two variables: the skeleton of its
 # update is not idempotent
 SWAP_DOC = """\
@@ -49,22 +56,7 @@ def random_copyless_update(
 ) -> Update:
     """Random copyless update: a shuffled subset of the variables is dealt
     into the images, then letters are sprinkled in."""
-    dealt: dict[str, list[str]] = {v: [] for v in variables}
-    pool = [v for v in variables if rng.random() < 0.75]
-    rng.shuffle(pool)
-    for v in pool:
-        dealt[rng.choice(variables)].append(v)
-    images: dict[str, list[str]] = {}
-    for v in variables:
-        img: list[str] = []
-        for tok in dealt[v]:
-            img.extend(rng.choice(alphabet) for _ in range(rng.randint(0, 2)))
-            img.append(tok)
-        img.extend(rng.choice(alphabet) for _ in range(rng.randint(0, 2)))
-        if len(img) > max_image_len:
-            img = [t for t in img if t in variables][: max_image_len]
-        images[v] = img
-    return Update.make(variables, images)
+    return Update(tuple(variables), _random_images(rng, variables, alphabet, max_image_len))
 
 
 def random_idempotent_update(
@@ -84,40 +76,7 @@ def random_idempotent_update(
 
 def random_sst(rng: random.Random, max_states: int = 3, max_vars: int = 2) -> Sst:
     """Small random transducer over {a, b} with random copyless updates."""
-    states = tuple(f"s{i}" for i in range(rng.randint(1, max_states)))
-    variables = tuple(f"X{i + 1}" for i in range(rng.randint(1, max_vars)))
-    alphabet = ("a", "b")
-    transitions = []
-    for q in states:
-        for a in alphabet:
-            for _ in range(rng.randint(0, 2)):
-                transitions.append(
-                    Transition(
-                        q, a,
-                        random_copyless_update(rng, variables, "ab", 3),
-                        rng.choice(states),
-                    )
-                )
-    initials = tuple(q for q in states if rng.random() < 0.7) or (states[0],)
-    finals = tuple(q for q in states if rng.random() < 0.7) or (states[-1],)
-    final_output = {}
-    for q in finals:
-        expr: list[str] = []
-        for v in variables:
-            if rng.random() < 0.85:
-                if rng.random() < 0.25:
-                    expr.append(rng.choice(alphabet))
-                expr.append(v)
-        final_output[q] = tuple(expr)
-    initial_assignment = {}
-    if rng.random() < 0.35:
-        initial_assignment[rng.choice(variables)] = "".join(
-            rng.choice(alphabet) for _ in range(rng.randint(1, 2))
-        )
-    return Sst(
-        alphabet, variables, states, initials, finals,
-        final_output, transitions, initial_assignment,
-    )
+    return build(random_spec(rng, max_states, max_vars))
 
 
 def without_last_transition(sst: Sst) -> Sst:

@@ -2,8 +2,8 @@
 templates its pool interns: every answer against ``compose_skeletons``,
 the skeleton template of every update, a search whose results do not
 depend on the order in which updates were numbered, and analyses that
-no cap on the skeleton monoid stops.  ``skeleton_monoid``, the public
-closure, is checked against brute force and against its own cap."""
+never call ``skeleton_monoid``.  That public closure is checked against
+brute force and against its own cap."""
 
 import gc
 import random
@@ -208,54 +208,53 @@ def small_verdict(sst):
     return analyze_valuedness(sst, SearchBudget(component_length=2, candidates=2000)).to_json()
 
 
-def cap_the_monoid(monkeypatch, cap):
-    """Make ``skeleton_monoid``, reached through the module or the package,
-    close under ``cap``: the default cap is bound when the module is
-    imported, so patching ``SKELETON_MONOID_CAP`` would reach no call."""
-    full = skeletons.skeleton_monoid
-    capped = lambda sst: full(sst, cap)
-    monkeypatch.setattr(skeletons, "skeleton_monoid", capped)
-    monkeypatch.setattr(sstkit, "skeleton_monoid", capped)
+def no_monoid(sst, cap=None):
+    raise AssertionError("an analysis called skeleton_monoid")
+
+
+def same_without_the_monoid(answers, monkeypatch):
+    """Return ``answers()`` after checking that it is the same when
+    ``skeleton_monoid`` raises, reached through the package, its module
+    or a module that imported it."""
+    expected = answers()
+    for module in (sstkit, skeletons, analysis):
+        monkeypatch.setattr(module, "skeleton_monoid", no_monoid, raising=False)
+    assert answers() == expected
+    return expected
 
 
 @pytest.mark.parametrize("label, make", CAP_CASES, ids=[c[0] for c in CAP_CASES])
 def test_search_cap_counts_the_elements_it_numbered(label, make, monkeypatch):
-    # no analysis numbers an element of the skeleton monoid, so not even a
-    # cap that the identity alone exceeds changes a dumbbell or a verdict;
-    # FIX-ID and random_sst(7, 6, 4) are Finite, with monoids of 1 and 8
-    expected = dumbbell_or_stop(make()), small_verdict(make())
+    """The dumbbell search and the valuedness verdict never call
+    ``skeleton_monoid``.  FIX-ID and random_sst(7, 6, 4) are Finite."""
+    expected = same_without_the_monoid(
+        lambda: (dumbbell_or_stop(make()), small_verdict(make())), monkeypatch)
     if label in ("FIX-ID", "random_sst(7, 6, 4)"):
         assert expected[1]["kind"] == "Finite"
-    cap_the_monoid(monkeypatch, 0)
-    with pytest.raises(BudgetExceededError):
-        sstkit.skeleton_monoid(make())
-    assert (dumbbell_or_stop(make()), small_verdict(make())) == expected
 
 
-@pytest.mark.parametrize("make, cap", [
-    (lambda: random_sst(random.Random(7), max_states=6, max_vars=4), 7),
-    (lambda: sstkit.fixtures.load("FIX-ID"), 0),
+@pytest.mark.parametrize("make", [
+    lambda: random_sst(random.Random(7), max_states=6, max_vars=4),
+    lambda: sstkit.fixtures.load("FIX-ID"),
 ], ids=["random_sst(7,6,4)-cap7", "FIX-ID-cap0"])
-def test_finite_verdict_ignores_the_monoid_cap(make, cap, monkeypatch):
-    """A Finite verdict uses no element of the skeleton monoid, so a cap
-    below the monoid's size cannot turn it into an error or an Unknown.
-    The monoids here have 8 elements and 1."""
-    assert len(skeleton_monoid(make())) > cap
-    cap_the_monoid(monkeypatch, cap)
-    with pytest.raises(BudgetExceededError):
-        skeletons.skeleton_monoid(make())
-    assert analyze_valuedness(make()).kind == "Finite"
-    monkeypatch.setattr(analysis, "_UpdatePool", no_pool)
-    assert find_dumbbell(make()) is None
+def test_finite_verdict_ignores_the_monoid_cap(make, monkeypatch):
+    """A Finite verdict at the default budget, and the dumbbell search
+    without an update pool, never call ``skeleton_monoid``.  The monoids
+    here have 8 elements and 1."""
+
+    def answers():
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_UpdatePool", no_pool)
+            return analyze_valuedness(make()).kind, find_dumbbell(make())
+
+    assert same_without_the_monoid(answers, monkeypatch) == ("Finite", None)
 
 
 @pytest.mark.parametrize("label, make", CAP_CASES, ids=[c[0] for c in CAP_CASES])
 def test_pattern_search_cap_counts_the_elements_it_numbered(label, make, monkeypatch):
     # the W-pattern search reads idempotency off its pool's templates and
-    # numbers no element of the monoid, so a cap of 0 does not stop it
-    expected = recorded_search(make(), monkeypatch)[:2]
-    cap_the_monoid(monkeypatch, 0)
-    assert recorded_search(make(), monkeypatch)[:2] == expected
+    # never calls skeleton_monoid
+    same_without_the_monoid(lambda: recorded_search(make(), monkeypatch)[:2], monkeypatch)
 
 
 def test_search_frees_its_pool_without_the_cycle_collector(monkeypatch):

@@ -16,8 +16,11 @@ from sstkit import (
     compose_updates,
     enumerate_runs,
     find_loops,
+    fixtures,
     idempotent_power_words,
+    interval_update,
     is_idempotent,
+    lex_compare,
     parse_sst,
     pump,
     pumped_output_expr,
@@ -163,6 +166,29 @@ def test_loopset_rejects_overlap(fix_id):
     (run,) = enumerate_runs(fix_id, "aaa")
     with pytest.raises(RunError):
         LoopSet.build(fix_id, run, [(0, 2), (1, 3)])
+
+
+# each function given FIX-ID and a run of another FIX-ID instance, with
+# that run's loop set built by the run's own instance
+FOREIGN_RUN_CALLS = {
+    "interval_update": lambda sst, run, loops: interval_update(sst, run, 0, 1),
+    "find_loops": lambda sst, run, loops: find_loops(sst, run),
+    "LoopSet.build": lambda sst, run, loops: LoopSet.build(sst, run, [(0, 1)]),
+    "pump": lambda sst, run, loops: pump(sst, run, loops, [2, 1]),
+    "pumped_output_expr": lambda sst, run, loops: pumped_output_expr(sst, run, loops),
+    "lex_compare": lambda sst, run, loops: lex_compare(sst.run(run.start, run.steps), run),
+}
+
+
+@pytest.mark.parametrize("call", FOREIGN_RUN_CALLS.values(), ids=FOREIGN_RUN_CALLS)
+def test_a_run_of_another_instance_is_refused(fix_id, call):
+    """The other instance has the same states and transitions, so nothing
+    but the owner check tells its runs apart."""
+    other = fixtures.load("FIX-ID")
+    (run,) = enumerate_runs(other, "aa")
+    loops = LoopSet.build(other, run, [(0, 1), (1, 2)])
+    with pytest.raises(RunError, match="run belongs to a different transducer instance"):
+        call(fix_id, run, loops)
 
 
 def test_pumped_input_repeats_loop_factors(all_fixtures):
