@@ -634,8 +634,9 @@ class SearchBudget:
     """Knobs for the valuedness analysis.
 
     Defaults are desk-scale: they make small machines terminate quickly and
-    are not completeness bounds of any kind.  A negative field raises
-    ``ParameterError``; zero is allowed.
+    are not completeness bounds of any kind.  A field that is not an
+    ``int`` (a ``bool`` included) or is negative raises ``ParameterError``;
+    zero is allowed.
     """
 
     component_length: int = 4
@@ -645,6 +646,8 @@ class SearchBudget:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParameterError(f"SearchBudget.{name} must be an int: {value!r}")
             if value < 0:
                 raise ParameterError(f"SearchBudget.{name} must not be negative: {value}")
 

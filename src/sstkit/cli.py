@@ -41,7 +41,6 @@ from .analysis import (
 )
 from .decompose import (
     check_equivalence_bounded,
-    ranked_outputs,
     semantic_cover,
 )
 from .delay import delay as run_delay
@@ -396,7 +395,9 @@ def _cmd_decompose(args, report, sst: Sst) -> int:
     report.say(header)
     for u in words_over(sst.alphabet, 0, args.max_len):
         cover = semantic_cover(sst, u, args.C, args.D, Budget(args.budget))
-        ranked = ranked_outputs(sst, u, Budget(args.budget))
+        # at D >= 0 the survivors' distinct outputs, in order, are the
+        # ranked outputs: each output's least run survives
+        ranked = list(dict.fromkeys([run.output for run in cover]))
         picks = [ranked[i] if i < len(ranked) else None for i in range(args.k)]
         if not cover and all(p is None for p in picks):
             continue

@@ -19,7 +19,6 @@ from typing import Sequence
 
 from .errors import (
     BudgetExceededError,
-    CopylessError,
     NotIdempotentError,
     RunError,
     SstKitError,
@@ -36,16 +35,11 @@ class Skeleton(Update):
     of variables.  A skeleton equals only skeletons, never an update."""
 
     def __post_init__(self):
-        if len(self.images) != len(self.variables):
-            raise SstKitError("skeleton must define an image for every variable")
-        seen: set[str] = set()
+        Update.__post_init__(self)
         for image in self.images:
             for tok in image:
                 if tok not in self.variables:
                     raise SstKitError(f"skeleton image contains non-variable {tok!r}")
-                if tok in seen:
-                    raise CopylessError(tok)
-                seen.add(tok)
 
 
 def skeleton_of(update: Update) -> Skeleton:
@@ -175,7 +169,7 @@ def pump(sst: Sst, run: Run, loops: LoopSet, counts: Sequence[int]) -> Run:
     all-ones vector reproduces the original run.
     """
     _check_owner(sst, run)
-    if loops.run is not run:
+    if loops.run != run:
         raise RunError("loop set was built for a different run")
     if len(counts) != len(loops.intervals):
         raise RunError("need exactly one count per loop")
@@ -255,7 +249,7 @@ def pumped_output_expr(sst: Sst, run: Run, loops: LoopSet) -> PumpedOutputExpr:
     factors appear.
     """
     _check_owner(sst, run)
-    if loops.run is not run:
+    if loops.run != run:
         raise RunError("loop set was built for a different run")
     if not run.accepting:
         raise RunError("pumped outputs are only defined for accepting runs")

@@ -1,9 +1,25 @@
 """Golden witnesses: the dumbbells, valuedness verdicts and CLI reports that
 refactoring sstkit must leave unchanged.
 
-``cases()`` computes every golden value; ``tests/test_golden.py`` compares
-it with the committed ``golden_witnesses.json``.  Regenerate the file, after
-a deliberate change of behaviour only, with
+``cases()`` computes every golden value, one section each:
+
+- ``analyses``: dumbbells and valuedness verdicts on the fixtures and
+  draws, at a small search budget;
+- ``cli_all``: every subcommand on every fixture in text and ``--json``
+  mode, and the error and usage paths;
+- ``deep_analyses``: verdicts on the fixtures at a deeper search budget;
+- ``default_budget``: ``sstkit valuedness --amplify 3 --json`` on every
+  fixture at the default search budget;
+- ``dumbbell_nodes``: the nodes each dumbbell search pops;
+- ``long_word``: the semantic cover and the ``runs`` report on a long word;
+- ``looping_witnesses``: draws whose witnesses' loops move every output,
+  amplified;
+- ``wide_dumbbells``: dumbbell searches on wider draws at a tight budget.
+
+``tests/test_golden.py`` compares them with the committed
+``golden_witnesses.json``, and the file's bytes with what ``text`` writes.
+A pinned ``--json`` report must be byte for byte ``json.dumps`` output.
+Regenerate the file, after a deliberate change of behaviour only, with
 
     PYTHONPATH=src python3 tests/regen_golden.py
 """
@@ -217,15 +233,20 @@ def cli_all_argvs(name: str, path: str, paths: dict[str, str]) -> dict[str, list
     }
 
 
-def _pinned(argv: list[str]) -> dict:
-    """Exit code, stdout and stderr of one invocation in text mode and in
-    ``--json`` mode; a JSON report is stored parsed, without wall_time_s."""
+def _pinned(argv: list[str], modes=("text", "json")) -> dict:
+    """Exit code, stdout and stderr of one invocation in each of ``modes``,
+    text and ``--json``; a JSON report is stored parsed, without
+    wall_time_s, and raises ValueError unless its bytes are exactly what
+    ``json.dumps(report, sort_keys=True, indent=2)`` prints."""
     out = {}
-    for mode, extra in (("text", []), ("json", ["--json"])):
-        code, stdout, stderr = _invoke(argv + extra)
+    for mode in modes:
+        code, stdout, stderr = _invoke(argv + (["--json"] if mode == "json" else []))
         if mode == "json" and stdout:
-            stdout = json.loads(stdout)
-            stdout.pop("wall_time_s")
+            report = json.loads(stdout)
+            if stdout != json.dumps(report, sort_keys=True, indent=2) + "\n":
+                raise ValueError(f"{argv}: the --json report is not json.dumps output")
+            report.pop("wall_time_s")
+            stdout = report
         out[mode] = {"exit_code": code, "stdout": stdout, "stderr": stderr}
     return out
 
@@ -258,6 +279,17 @@ def cli_all() -> dict:
     return out
 
 
+def default_budget() -> dict:
+    """``sstkit valuedness --amplify 3`` at the default search budget on
+    every fixture, in ``--json`` mode only: FIX-TSC spends the whole
+    budget and FIX-R2 tests every candidate up to the default component
+    length, both Unknown, and the Infinite witnesses of FIX-TSC1 and
+    FIX-AMB are amplified at the defaults."""
+    with _fixture_dir() as paths:
+        return {name: _pinned(["valuedness", path, "--amplify", "3"], modes=("json",))
+                for name, path in paths.items()}
+
+
 def long_word() -> dict:
     """On FIX-TSC and ``LONG_WORD``: the survivors and units of
     ``semantic_cover`` at C = D = 2, and the exit code, run count and
@@ -280,6 +312,7 @@ def cases() -> dict:
         "analyses": analyses(),
         "cli_all": cli_all(),
         "deep_analyses": deep_analyses(),
+        "default_budget": default_budget(),
         "dumbbell_nodes": dumbbell_nodes(),
         "long_word": long_word(),
         "looping_witnesses": looping_witnesses(),
@@ -287,8 +320,12 @@ def cases() -> dict:
     }
 
 
+def text(golden: dict) -> str:
+    """The text of the golden file that holds ``golden``."""
+    return json.dumps(golden, indent=1, sort_keys=True) + "\n"
+
+
 if __name__ == "__main__":
     with open(GOLDEN, "w", encoding="utf-8") as handle:
-        json.dump(cases(), handle, indent=1, sort_keys=True)
-        handle.write("\n")
+        handle.write(text(cases()))
     print(f"wrote {GOLDEN}")

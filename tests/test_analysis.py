@@ -421,6 +421,14 @@ def test_search_budget_refuses_a_negative_field(field):
         SearchBudget(**{field: -1})
 
 
+@pytest.mark.parametrize("value", [1.5, "3", None, True])
+@pytest.mark.parametrize("field", ["component_length", "candidates", "node_budget", "oracle_max_len"])
+def test_search_budget_refuses_a_field_that_is_not_an_int(field, value):
+    # a float would construct and fail deep inside the search
+    with pytest.raises(ParameterError, match=f"SearchBudget.{field} must be an int"):
+        SearchBudget(**{field: value})
+
+
 @pytest.mark.parametrize("field", ["component_length", "candidates", "node_budget", "oracle_max_len"])
 def test_search_budget_fields_cannot_be_assigned(field):
     # an assignment would skip the check of __post_init__

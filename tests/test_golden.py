@@ -1,20 +1,19 @@
 """Verdicts, witnesses, budget counts and CLI reports equal the committed
-golden file (see ``regen_golden.py``)."""
+golden file (see ``regen_golden.py``), and so do its bytes."""
 
 import json
 
 import pytest
 
-from regen_golden import (
-    GOLDEN,
-    analyses,
-    cli_all,
-    deep_analyses,
-    dumbbell_nodes,
-    long_word,
-    looping_witnesses,
-    wide_dumbbells,
-)
+from regen_golden import GOLDEN, cases, text
+
+BUDGETED = ["deep_analyses", "default_budget", "dumbbell_nodes", "long_word",
+            "looping_witnesses", "wide_dumbbells"]
+
+
+@pytest.fixture(scope="module")
+def computed():
+    return cases()
 
 
 @pytest.fixture(scope="module")
@@ -23,31 +22,31 @@ def golden():
         return json.load(handle)
 
 
-def test_golden_analyses(golden):
-    got = json.loads(json.dumps(analyses()))
-    assert sorted(got) == sorted(golden["analyses"])
-    for label, value in got.items():
-        assert value == golden["analyses"][label], label
-
-
-def test_golden_cli_all(golden):
-    """All nine subcommands on the fixtures in text and --json mode, and the
-    error paths: exit code, stdout and stderr."""
-    got = cli_all()
-    assert sorted(got) == sorted(golden["cli_all"])
-    for key, value in got.items():
-        assert value == golden["cli_all"][key], key
-
-
-@pytest.mark.parametrize("section, compute", [
-    ("deep_analyses", deep_analyses),
-    ("dumbbell_nodes", dumbbell_nodes),
-    ("long_word", long_word),
-    ("looping_witnesses", looping_witnesses),
-    ("wide_dumbbells", wide_dumbbells),
-])
-def test_golden_budgeted(golden, section, compute):
-    got = json.loads(json.dumps(compute()))
+def check_section(golden, computed, section):
+    got = json.loads(json.dumps(computed[section]))
     assert sorted(got) == sorted(golden[section])
     for label, value in got.items():
         assert value == golden[section][label], label
+
+
+def test_golden_analyses(golden, computed):
+    check_section(golden, computed, "analyses")
+
+
+def test_golden_cli_all(golden, computed):
+    """All nine subcommands on the fixtures in text and --json mode, and the
+    error paths: exit code, stdout and stderr."""
+    check_section(golden, computed, "cli_all")
+
+
+# each id names the section twice, as the ids of these tests always have
+@pytest.mark.parametrize("section", BUDGETED, ids=lambda section: f"{section}-{section}")
+def test_golden_budgeted(golden, computed, section):
+    check_section(golden, computed, section)
+
+
+def test_golden_file_is_the_writers_text(computed):
+    """The committed file is byte for byte what ``regen_golden.py`` writes,
+    so it regenerates unchanged."""
+    with open(GOLDEN, "rb") as handle:
+        assert handle.read() == text(computed).encode("utf-8")

@@ -191,6 +191,30 @@ def test_a_run_of_another_instance_is_refused(fix_id, call):
         call(fix_id, run, loops)
 
 
+# each function given a run and a loop set built on a run of the same
+# instance, and the output of pumping the loop twice
+LOOP_SET_CALLS = {
+    "pump": lambda sst, run, loops: pump(sst, run, loops, [2]).output,
+    "pumped_output_expr": lambda sst, run, loops:
+        pumped_output_expr(sst, run, loops).output_for_counts([2]),
+}
+
+
+@pytest.mark.parametrize("call", LOOP_SET_CALLS.values(), ids=LOOP_SET_CALLS)
+def test_a_loop_set_serves_every_equal_run(fix_id, call):
+    """A loop set built on a run of one ``enumerate_runs`` call serves the
+    equal run of a second call, and is refused for a run with other
+    steps."""
+    (run,) = enumerate_runs(fix_id, "aa")
+    (equal,) = enumerate_runs(fix_id, "aa")
+    assert equal == run and equal is not run
+    loops = LoopSet.build(fix_id, run, [(0, 1)])
+    assert call(fix_id, equal, loops) == "aaa"
+    (longer,) = enumerate_runs(fix_id, "aaa")
+    with pytest.raises(RunError, match="loop set was built for a different run"):
+        call(fix_id, longer, loops)
+
+
 def test_pumped_input_repeats_loop_factors(all_fixtures):
     rng = random.Random(37)
     pool = [all_fixtures["FIX-TSC"], all_fixtures["FIX-TSC1"], all_fixtures["FIX-AMB"]]

@@ -3,17 +3,12 @@ equals the one that ``Sst(...)`` builds from the same parts.  And
 ``Run.induced_update``, which folds image tuples, equals the step by step
 ``compose_updates`` fold that it replaced, kept here as the reference."""
 
-import os
-import sys
-
 import pytest
 
 from sstkit import Update, compose_updates, enumerate_runs, parse_sst, words_over
 
 from helpers import FIXTURES, draws
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
-from corpus import build, render, spec_of  # noqa: E402
+from corpus import build, render, spec_of  # helpers puts bench/ on sys.path
 
 MACHINES = FIXTURES + draws(range(40)) + draws(range(40), 6, 4)
 TABLES = ("_moves", "_predecessors", "_leaf_templates", "_templates", "_final_templates",
