@@ -395,12 +395,12 @@ def _cmd_decompose(args, report, sst: Sst) -> int:
     report.say(header)
     for u in words_over(sst.alphabet, 0, args.max_len):
         cover = semantic_cover(sst, u, args.C, args.D, Budget(args.budget))
+        if not cover:  # then every pick is None
+            continue
         # at D >= 0 the survivors' distinct outputs, in order, are the
         # ranked outputs: each output's least run survives
         ranked = list(dict.fromkeys([run.output for run in cover]))
         picks = [ranked[i] if i < len(ranked) else None for i in range(args.k)]
-        if not cover and all(p is None for p in picks):
-            continue
         row = {"input": u, "cover_size": len(cover), "selected": picks}
         table.append(row)
         rendered = " | ".join("-" if p is None else repr(p) for p in picks)

@@ -11,11 +11,10 @@ relation while separating the survivors by output or by delay.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import sub
 from typing import Callable
 
-from .delay import RunProfile, weight_table
+from .delay import _weight_columns
 from .errors import InputMismatchError, ParameterError, RunError
 from .model import (
     Budget, Run, Sst, _final_outputs, _leaf_outputs, _least_tagged_runs, _scan, _start, _step,
@@ -57,7 +56,7 @@ def semantic_cover(
     than D.  ``C`` below 1 raises ``ParameterError``, whatever the runs.
 
     With D below 0 every run survives: the runs are ``enumerate_runs``'s,
-    and no weight table is built.  Otherwise a run whose tagged output
+    and no weight is computed.  Otherwise a run whose tagged output
     (``Run.annotated_output``) repeats an earlier run's has delay 0 from
     it and is dropped, so only the least run of each distinct tagged
     output is compared.  ``_least_tagged_runs`` reads these runs off a
@@ -65,45 +64,40 @@ def semantic_cover(
     each, and charges the budget as ``enumerate_runs`` does, so
     ``budget.used`` and every stop are those of comparing every pair of
     runs.  The first run of an output survives unmeasured; once a second
-    run has the output, its cuts and each such run's weight table
-    (``weight_table``) are built once, and a delay of at most D is read
-    as no two entries of the tables differing by more than D.
+    run has the output, its cuts and each such run's flat weight table
+    (``_weight_columns``) are built once, and a delay of at most D is read
+    as no two entries of the tables differing by more than D.  Only a
+    survivor is built as a ``Run``, holding the tagged output read here.
     """
     if C < 1:
         raise ParameterError("C must be at least 1")
     if D < 0:
         return enumerate_runs(sst, word, budget)
-    survivors: list[Run] = []
+    n, survivors = len(word), []
     firsts: dict[str, tuple] = {}  # per output, the tagged output of its first run
     # per output met again: its cuts, and the weight tables of its runs so far
     earlier: dict[str, tuple[tuple[int, ...], list]] = {}
     # found in lexicographic order
-    for annotated, run in _least_tagged_runs(sst, word, budget).items():
+    for annotated, (start, *steps) in _least_tagged_runs(sst, word, budget).items():
         output = "".join([c for c, _ in annotated])
-        if output not in firsts:
-            firsts[output] = annotated
-            survivors.append(run)
-            continue
-        if output not in earlier:
-            positions = tuple(cuts(output, C))
-            earlier[output] = (positions, [_entries(firsts[output], len(word), positions)])
-        positions, tables = earlier[output]
-        table = _entries(annotated, len(word), positions)
-        if not any(_within(table, e, D) for e in tables):
-            survivors.append(run)
-        tables.append(table)
+        if output in firsts:
+            if output not in earlier:
+                positions = tuple(cuts(output, C))
+                earlier[output] = (positions, [_weight_columns(firsts[output], n, positions)])
+            positions, tables = earlier[output]
+            tables.append(_weight_columns(annotated, n, positions))
+            if any(_within(tables[-1], e, D) for e in tables[:-1]):
+                continue
+        firsts.setdefault(output, annotated)
+        run = Run(sst, start, tuple(steps))
+        run.__dict__.update(annotated_output=annotated, output=output)  # as _cached_property would
+        survivors.append(run)
     return survivors
 
 
-def _entries(annotated, n: int, positions: tuple[int, ...]) -> tuple[int, ...]:
-    """The entries of the weight table at ``positions`` of a run of n steps
-    with the tagged output ``annotated``, row after row."""
-    return tuple(chain.from_iterable(weight_table(RunProfile(annotated, n), positions)))
-
-
 def _within(entries1, entries2, D: int) -> bool:
-    """Whether no two entries of two weight tables (``_entries``) differ by
-    more than D."""
+    """Whether no two entries of two flat weight tables
+    (``_weight_columns``) differ by more than D."""
     return max(map(abs, map(sub, entries1, entries2)), default=0) <= D
 
 

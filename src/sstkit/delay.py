@@ -8,14 +8,14 @@ first t steps.  The delay aggregates weight differences, but only at the
 cut positions of the output's periodic factorization: inside a factor of
 small period the assembly order is immaterial.
 
-``weight_table`` holds the one definition of the weights at a set of
-output positions: ``delay`` builds both runs' tables with it, and
-``semantic_cover`` one table per compared run, at the cuts of the run's
-output.
-All three functions accept any object exposing ``annotated_output`` (a
-sequence of (letter, producing step) pairs) and ``input_length``, so
-worked examples can be checked without building a transducer;
-``RunProfile`` is the plain carrier for that.
+``_weight_columns`` holds the one formula of the weights, a run's table
+as one flat tuple: ``weight`` reads one entry off it, ``weight_table``
+its rows, which ``delay`` compares, and ``semantic_cover`` compares the
+flat tables of its runs, at the cuts of their output.
+The three public functions accept any object exposing
+``annotated_output`` (a sequence of (letter, producing step) pairs) and
+``input_length``, so worked examples can be checked without building a
+transducer; ``RunProfile`` is the plain carrier for that.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def weight(run, t: int, j: int) -> int:
         raise ParameterError(f"step {t} outside 0..{run.input_length}")
     if not 1 <= j <= len(annotated):
         raise ParameterError(f"output position {j} outside 1..{len(annotated)}")
-    return sum(1 for _, step in annotated[:j] if step <= t)
+    return _weight_columns(annotated, run.input_length, (j,))[t]
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,19 @@ def _inputs_differ(r1, r2) -> bool:
 
 def weight_table(run, positions: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """``weight(run, t, j)`` for t = 0..input_length (the rows) and j in the
-    increasing output positions ``positions`` (the columns).
-
-    Built column by column: ``counts[t]`` holds how many of the output
-    letters before the column's position were produced at step t (a step
-    below 0 counts as 0, one past the input length nowhere), and the
-    column is its running sum."""
+    increasing output positions ``positions`` (the columns)."""
     n = run.input_length
-    annotated = run.annotated_output
+    columns = _weight_columns(run.annotated_output, n, positions)
+    return tuple(columns[t::n + 1] for t in range(n + 1))
+
+
+def _weight_columns(annotated, n: int, positions: Sequence[int]) -> tuple[int, ...]:
+    """The weight table of a run of n steps with the tagged output
+    ``annotated`` at the increasing output positions ``positions``, column
+    after column in one tuple.  ``counts[t]`` holds how many of the output
+    letters before a column's position were produced at step t (a step
+    below 0 counts as 0, one past n nowhere), and the column is its
+    running sum."""
     counts = [0] * (n + 1)
     columns, done = [], 0
     for j in positions:
@@ -124,7 +129,5 @@ def weight_table(run, positions: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             if step <= n:
                 counts[max(step, 0)] += 1
         done = j
-        columns.append(tuple(accumulate(counts)))
-    if not columns:
-        return ((),) * (n + 1)
-    return tuple(zip(*columns))
+        columns += accumulate(counts)
+    return tuple(columns)

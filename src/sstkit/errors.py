@@ -66,7 +66,8 @@ class ParameterError(SstKitError, ValueError):
     enumeration, ``outputs`` and what is built on them), a cut bound ``C``
     below 1, a selector count ``k`` below 1 (``decompose_selectors``), an
     output count ``m`` below 1 (``amplify_valuedness``), a ``SearchBudget``
-    field that is negative or not an ``int``, a step or output position
+    field or ``Budget`` limit that is negative or not an ``int``, a negative
+    ``min_len`` (``words_over`` and the scans), a step or output position
     outside a run, a bad parameter structure or assignment in a word
     inequality, or two transducers over different alphabets
     (``check_equivalence_bounded``).  Also a ``ValueError``."""

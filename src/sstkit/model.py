@@ -88,11 +88,14 @@ class Budget:
     and amplification one per marked sequence; all fail loudly instead of
     truncating silently.  A charge that crosses the limit raises and leaves
     ``used`` at ``limit + 1``, as many single charges would, so every stop
-    reads the same ``used`` however its units were charged.
+    reads the same ``used`` however its units were charged.  A limit that
+    is not an ``int`` of at least 0, or is a ``bool``, raises ``ParameterError``.
     """
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
-        self.limit = int(limit)
+        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
+            raise ParameterError(f"budget limit must be an int of at least 0: {limit!r}")
+        self.limit = limit
         self.used = 0
 
     def charge(self, amount: int = 1) -> None:
@@ -105,11 +108,9 @@ class Budget:
 
     @classmethod
     def ensure(cls, budget: "Budget | int | None") -> "Budget":
-        if budget is None:
-            return cls()
         if isinstance(budget, Budget):
             return budget
-        return cls(int(budget))
+        return cls() if budget is None else cls(budget)
 
 
 @dataclass(frozen=True)
@@ -573,9 +574,9 @@ def enumerate_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> l
 
 def words_over(alphabet: Sequence[str], min_len: int, max_len: int) -> Iterator[str]:
     """Words in length-lexicographic order, letters in declared order.  A
-    negative ``min_len`` raises ``SstKitError``."""
+    negative ``min_len`` raises ``ParameterError``."""
     if min_len < 0:
-        raise SstKitError(f"min_len must not be negative: {min_len}")
+        raise ParameterError(f"min_len must not be negative: {min_len}")
     for n in range(min_len, max_len + 1):
         for tup in product(alphabet, repeat=n):
             yield "".join(tup)
@@ -734,7 +735,8 @@ def outputs(sst: Sst, word: str, budget: Budget | int | None = None) -> set[str]
 
 def _least_tagged_runs(sst: Sst, word: str, budget: Budget | int | None = None) -> dict:
     """The least accepting run on ``word`` of each distinct tagged output
-    (``Run.annotated_output``), by that output, in canonical order.
+    (``Run.annotated_output``), by that output, in canonical order, as the
+    tuple (start, *steps): no ``Run`` is built here.
 
     The budget is charged first, as ``enumerate_runs`` charges it: one
     unit per start, then per letter one per partial run one letter longer,
@@ -742,9 +744,9 @@ def _least_tagged_runs(sst: Sst, word: str, budget: Budget | int | None = None) 
     final state, a frontier of tagged configurations is then stepped: a key
     is a state and its tagged variable contents (``_substitute``), there is
     one dict per input prefix, and each key keeps the least run that
-    reaches it, as the tuple (start, *steps).  The last letter takes only
-    moves into final states.  Each final key's tagged output is grounded
-    once, and the first key of each tagged output gives its run.
+    reaches it.  The last letter takes only moves into final states.  Each
+    final key's tagged output is grounded once, and the first key of each
+    tagged output gives its run.
     """
     _check_word(sst, word)
     b = Budget.ensure(budget)
@@ -771,8 +773,7 @@ def _least_tagged_runs(sst: Sst, word: str, budget: Budget | int | None = None) 
     least: dict = {}
     for (state, contents), run in frontier.items():
         (out,) = _substitute(sst, (finals[state],), contents, n)
-        if out not in least:
-            least[out] = Run(sst, run[0], run[1:])
+        least.setdefault(out, run)
     return least
 
 
@@ -800,7 +801,7 @@ def _scan(
     ``measure(step(frontier, letter), need)`` (0 if dead) and charge the
     budget as ``step`` does, so the deepest frontiers are never built.
     Once the maximum reaches ``top``, only shorter inputs can still
-    displace the witness.  A negative ``min_len`` raises ``SstKitError``.
+    displace the witness.  A negative ``min_len`` raises ``ParameterError``.
 
     ``need`` is the least value that displaces the witness at the input's
     length: the maximum so far if the input is shorter than the witness,
@@ -809,7 +810,7 @@ def _scan(
     the true value.
     """
     if min_len < 0:
-        raise SstKitError(f"min_len must not be negative: {min_len}")
+        raise ParameterError(f"min_len must not be negative: {min_len}")
     if min_len > max_len or (min_len and not alphabet):
         return 0, None
     best, witness = (0, alphabet[0] * min_len) if min_len else (measure(root, 0) if root else 0, "")
@@ -854,7 +855,7 @@ def valuedness_oracle(
 
     ``min_len`` defaults to 1: the scan probes output growth, and the empty
     input is excluded from the default report.  Pass ``min_len=0`` to
-    include it; a negative ``min_len`` raises ``SstKitError``.
+    include it; a negative ``min_len`` raises ``ParameterError``.
     """
     b, finals, leaves = Budget.ensure(budget), sst._final_templates, sst._leaf_templates
     # per letter index, the most moves into final states that leave one state

@@ -2,8 +2,9 @@
 
 ``semantic_cover`` compares only the least run of each distinct tagged
 output, reads these runs off a frontier of tagged configurations, charges
-per letter the partial runs one letter longer in one charge, and builds
-each output's cuts and each compared run's weight table once.  The
+per letter the partial runs one letter longer in one charge, builds each
+output's cuts and each compared run's weight table once, and builds a
+``Run`` only for a survivor, storing in it the tagged output it read.  The
 reference here, ``reference_cover``, is the loop it replaced, kept
 verbatim: each run of ``enumerate_runs`` is compared with every earlier
 run of the same output, dropped or not, through the public ``delay``,
@@ -11,8 +12,10 @@ which builds the cuts and both weight tables again, and each run is
 grouped by ``run.output``, which tags the run from step 0.  ``check(sst)``
 runs both on every input of length 0 to 4, for each C in ``CS`` and D in
 ``DS`` and at a grid of node budgets, and requires the same survivors, as
-(start, steps) pairs in the same order, the same ``budget.used``, and the
-same stop: the same exception class, at ``budget.used == limit + 1``.
+(start, steps) pairs in the same order, each with the tagged output and
+output of the reference's run, which tags it from step 0, the same
+``budget.used``, and the same stop: the same exception class, at
+``budget.used == limit + 1``.
 ``check_long(sst)`` asks the same on a few longer words, where more runs
 repeat an earlier run's tagged output, and on one of them at every limit
 up to the units of the whole cover, so that stops fall inside the
@@ -81,12 +84,13 @@ def reference_cover(sst: Sst, word: str, C: int, D: int, budget: Budget) -> list
 
 
 def outcome(cover, sst: Sst, word: str, C: int, D: int, limit: int | Budget | None):
-    """(the survivors as (start, steps) pairs, or the class of the exception
-    that stopped the cover; budget.used), under ``limit`` or a fresh budget
-    of that limit."""
+    """(the survivors as (start, steps, tagged output, output) tuples, or
+    the class of the exception that stopped the cover; budget.used), under
+    ``limit`` or a fresh budget of that limit."""
     budget = limit if isinstance(limit, Budget) else Budget() if limit is None else Budget(limit)
     try:
-        result = [(run.start, run.steps) for run in cover(sst, word, C, D, budget)]
+        result = [(run.start, run.steps, run.annotated_output, run.output)
+                  for run in cover(sst, word, C, D, budget)]
     except BudgetExceededError as err:
         if budget.used != budget.limit + 1:
             raise AssertionError(f"stopped at {budget.used} units of {budget.limit}") from None

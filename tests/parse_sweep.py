@@ -31,14 +31,13 @@ import sys
 from collections import Counter
 from functools import lru_cache
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, HERE)
-sys.path.insert(0, os.path.join(os.path.dirname(HERE), "bench"))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from sstkit import ParseError, fixtures, parse_sst  # noqa: E402
 
-from corpus import render, spec_of  # noqa: E402
+# helpers, imported first, puts bench/ on the path for corpus
 from helpers import draws, main  # noqa: E402
+from corpus import render, spec_of  # noqa: E402
 
 DRAWS = 40  # random_sst draws per size, in addition to the fixtures
 INSERTS = (";", "{", "}", ":=", "->", "=", "#", "trans", "final", "init", "alphabet:",

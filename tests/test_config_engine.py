@@ -189,6 +189,17 @@ def test_negative_min_len_is_an_error():
             scan()
 
 
+def test_negative_min_len_is_a_parameter_error():
+    """A negative ``min_len`` is a bad argument, as a bad ``Budget`` limit is."""
+    sst = fixtures.load("FIX-TSC")
+    for scan in (lambda: ambiguity_oracle(sst, 0, min_len=-1),
+                 lambda: valuedness_oracle(sst, 1, min_len=-1),
+                 lambda: check_equivalence_bounded(sst, sst, 1, min_len=-1),
+                 lambda: list(words_over(sst.alphabet, -1, 1))):
+        with pytest.raises(ParameterError, match="min_len must not be negative: -1"):
+            scan()
+
+
 def test_unknown_input_letter():
     sst = fixtures.load("FIX-TSC")
     with pytest.raises(ParameterError):

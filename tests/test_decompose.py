@@ -5,6 +5,7 @@ from sstkit import (
     BudgetExceededError,
     InputMismatchError,
     ParameterError,
+    Run,
     check_equivalence_bounded,
     decompose_selectors,
     delay,
@@ -158,12 +159,12 @@ def test_cover_builds_a_weight_table_per_distinct_tagged_output_at_most(fix_tsc,
     # below D = 0 no run gets one
     built = []
 
-    def counted(run, positions):
-        built.append(run.annotated_output)
-        return weight_table(run, positions)
+    def counted(annotated, n, positions):
+        built.append(annotated)
+        return weight_columns(annotated, n, positions)
 
-    weight_table = decompose.weight_table
-    monkeypatch.setattr(decompose, "weight_table", counted)
+    weight_columns = decompose._weight_columns
+    monkeypatch.setattr(decompose, "_weight_columns", counted)
     word = "0110100110"
     runs = enumerate_runs(fix_tsc, word)
     tagged = {run.annotated_output for run in runs}
@@ -177,6 +178,27 @@ def test_cover_builds_a_weight_table_per_distinct_tagged_output_at_most(fix_tsc,
     built.clear()
     assert len(semantic_cover(fix_tsc, word, 2, -1)) == len(runs)
     assert built == []
+
+
+@pytest.mark.parametrize("C, D", [(1, 0), (2, 2), (3, 10)])
+def test_cover_builds_each_survivor_once_with_its_tagging(all_fixtures, monkeypatch, C, D):
+    # the cover builds a Run only for a survivor, and the tagged output it
+    # stores there is the one the run itself would compute
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Run(*args)
+
+    monkeypatch.setattr(decompose, "Run", counted)
+    for sst in all_fixtures.values():
+        for word in words_over(sst.alphabet, 0, 5):
+            built.clear()
+            cover = semantic_cover(sst, word, C, D)
+            assert len(built) == len(cover), word
+            for r in cover:
+                fresh = Run(sst, r.start, r.steps)
+                assert (r.annotated_output, r.output) == (fresh.annotated_output, fresh.output), word
 
 
 def test_cover_preserves_outputs_and_separates(all_fixtures):

@@ -10,6 +10,8 @@ from sstkit import (
     delay,
     enumerate_runs,
     weight,
+    weight_table,
+    words_over,
 )
 from helpers import random_word
 
@@ -40,6 +42,25 @@ def test_weight_extremes(fix_tsc1):
             assert weight(run, len(run), j) == j
         init_letters = sum(1 for _, s in run.annotated_output if s == 0)
         assert weight(run, 0, total) == init_letters == 1
+
+
+def test_weight_and_weight_table_agree(all_fixtures):
+    """On every fixture run up to length 5, each entry of the table at every
+    output position is ``weight``'s, which counts the letters it names; an
+    empty output has no positions and a table of empty rows."""
+    empty = 0
+    for sst in all_fixtures.values():
+        for word in words_over(sst.alphabet, 0, 5):
+            for run in enumerate_runs(sst, word):
+                annotated, n = run.annotated_output, len(run)
+                positions = range(1, len(annotated) + 1)
+                table = weight_table(run, positions)
+                assert len(table) == n + 1
+                empty += not positions
+                for t, row in enumerate(table):
+                    assert row == tuple(weight(run, t, j) for j in positions)
+                    assert row == tuple(sum(step <= t for _, step in annotated[:j]) for j in positions)
+    assert empty
 
 
 def test_weight_range_errors():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sstkit import (
+    Budget,
     BudgetExceededError,
     CopylessError,
     ParameterError,
@@ -302,6 +303,25 @@ def test_scans_start_from_the_least_input_past_a_dead_first_prefix():
 def test_budget_exceeded(fix_tsc):
     with pytest.raises(BudgetExceededError):
         enumerate_runs(fix_tsc, "000000", budget=10)
+
+
+@pytest.mark.parametrize("limit", [-5, -1, 2.7, "3", True, False, None])
+def test_budget_refuses_a_limit_that_is_not_an_int_of_at_least_0(fix_tsc, limit):
+    # a negative limit would stop at the first charge, a float be cut down
+    # to an int, and a string or a bool be taken as a count
+    with pytest.raises(ParameterError, match="budget limit must be an int of at least 0"):
+        Budget(limit)
+    if limit is not None:  # None is the default budget
+        with pytest.raises(ParameterError, match="budget limit must be an int of at least 0"):
+            enumerate_runs(fix_tsc, "0", limit)
+
+
+def test_budget_takes_an_int_limit_as_it_is(fix_tsc):
+    assert Budget.ensure(7).limit == 7 and type(Budget.ensure(7).limit) is int
+    zero = Budget(0)
+    with pytest.raises(BudgetExceededError):
+        enumerate_runs(fix_tsc, "0", zero)
+    assert zero.used == 1
 
 
 def test_enumeration_rejects_a_letter_outside_the_alphabet(fix_amb):

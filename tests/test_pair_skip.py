@@ -34,10 +34,13 @@ REFERENCE_UNITS = 10_000_000
 
 class EveryLeg(ReferencePool):
     """The reference pool with every leg and loop taken as idempotent, so
-    that its generator yields every shape whose legs are not all equal."""
+    that its generator yields every shape whose legs are not all equal.
+    The pool binds ``idempotent`` on the instance, so the override is
+    bound there too, after it."""
 
-    def idempotent(self, leg: tuple) -> bool:
-        return True
+    def __init__(self, sst):
+        super().__init__(sst)
+        self.idempotent = lambda leg: True
 
 
 @pytest.mark.parametrize("label, sst", CASES, ids=[c[0] for c in CASES])

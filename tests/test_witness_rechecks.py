@@ -128,8 +128,7 @@ def test_shared_annotations_match_each_run(label, make):
             least.setdefault(out, run)
         budget = Budget()
         got = _least_tagged_runs(sst, word, budget)
-        assert [(out, r.start, r.steps) for out, r in got.items()] == [
-            (out, r.start, r.steps) for out, r in least.items()], word
+        assert list(got.items()) == [(out, (r.start, *r.steps)) for out, r in least.items()], word
         assert budget.used == units.used, word
 
 
