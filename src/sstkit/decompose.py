@@ -170,5 +170,6 @@ def check_equivalence_bounded(
         return int(_leaf_outputs(a, fa, letter) != _leaf_outputs(b, fb, letter))
 
     found, witness = _scan(
-        a.alphabet, min_len, max_len, (_start(a), _start(b)), step, differs, leaf_differs, top=1)
+        a.alphabet, min_len, max_len, (_start(a), _start(b)), step, differs, leaf_differs,
+        lambda pair: (frozenset(pair[0]), frozenset(pair[1])), top=1)
     return witness if found else None

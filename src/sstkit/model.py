@@ -36,6 +36,19 @@ if that frontier were built, one unit per configuration of the one before
 it.  ``valuedness_oracle`` bounds output counts by cheaper counts first and
 grounds outputs only where they can change its answer (``_scan``'s
 ``need``); the units are the same.
+
+The scans do not walk a prefix whose frontier the walk already holds
+(``_scan``): each depth keeps the keys of the children it descended into,
+so a child whose key a prefix of at least ``min_len`` letters, or of its
+own length, holds is neither measured nor extended, since each of its
+extensions measures as the same extension of the held prefix, which is no
+longer and, at equal length, lexicographically earlier.  The equivalence
+scan, which stops at its first difference, does not skip a child for its
+own ancestor's key.  A unit is still one configuration carried over one
+letter, charged only for the frontiers the walk builds, so a scan charges
+at most what walking every prefix charges, with the same answer.  The
+walk holds one frontier per depth and at most one key per letter at each
+depth.
 """
 
 from __future__ import annotations
@@ -785,6 +798,7 @@ def _scan(
     step: Callable,
     measure: Callable,
     leaf: Callable,
+    key: Callable,
     top: int | None = None,
 ) -> tuple[int, str | None]:
     """Max of ``measure`` over the frontiers of the inputs u with min_len <=
@@ -808,38 +822,83 @@ def _scan(
     else one more.  Where the true value is below ``need``, ``measure`` and
     ``leaf`` may return any value below ``need``; otherwise they return
     the true value.
+
+    A frontier the walk already holds is not walked again.  ``key`` maps a
+    live frontier to a hashable value such that frontiers of equal keys
+    measure alike, and so do their extensions by any word: ``step``,
+    ``measure`` and ``leaf`` read only what the key holds.  Each depth
+    keeps the keys of the children it descended into, unless a shallower
+    depth keeps them already; ``held`` maps each key kept to its depth, and
+    a depth's keys go when the walk pops it.
+    A child v whose key is held at depth d0 is neither measured nor
+    extended when d0 >= min_len or d0 = |v|.  This is exact.  Let u be the
+    held prefix and w any word: v.w measures as u.w does; u.w is no longer
+    than v.w, and at equal length it is lexicographically earlier, because
+    the walk visits one depth in letter order; and u.w is measured
+    wherever v.w would be, because |u| >= min_len or |u| = |v| (without
+    that condition u.w could be shorter than min_len, and never measured).
+    So v.w can neither raise the maximum nor become the first witness, and
+    ``need`` carries over unchanged.  With ``top``, a child is not skipped
+    for the key of its own ancestor, whose subtree is not done: the walk
+    that skips nothing could meet a witness below the child before it meets
+    the shorter one below the ancestor, and cut by it inputs that this walk
+    would then try.
+
+    Units: a skipped child's frontier is built, to read its key, and
+    charged as ``step`` charges; nothing below it is built or charged.
+    Without ``top`` no charge depends on the maximum or the witness, and
+    with ``top`` every subtree whose key skips is done, so the walk charges
+    what the walk that skips nothing charges, less the skipped subtrees:
+    ``budget.used`` never rises, a result is never changed, and a stop may
+    become a result.  Memory: at most len(alphabet) keys per depth, so the
+    walk holds one frontier per depth and at most max_len * len(alphabet)
+    keys.
     """
     if min_len < 0:
         raise ParameterError(f"min_len must not be negative: {min_len}")
     if min_len > max_len or (min_len and not alphabet):
         return 0, None
     best, witness = (0, alphabet[0] * min_len) if min_len else (measure(root, 0) if root else 0, "")
-    # one (prefix, its live frontier, the letters not yet tried after it) per depth
-    path = [("", root, iter(alphabet))] if root and max_len else []
+    held: dict = {}  # the depth of each key held
+    # one (prefix, its live frontier, the letters not yet tried after it,
+    # the keys of the children it descended into, its own key) per depth
+    path = [("", root, iter(alphabet), [], None)] if root and max_len else []
     while path:
-        prefix, frontier, letters = path[-1]
+        prefix, frontier, letters, kept, _ = path[-1]
         depth = len(prefix) + 1  # the length of the inputs tried here
         for letter in letters:
             if best == top and depth >= len(witness):
-                path.pop()
-                break
-            word = prefix + letter
+                continue  # no input left here can displace the witness
             # depth-first visits inputs of one length in lexicographic order
             need = best + (depth >= len(witness))
-            if depth < max_len:
-                child = step(frontier, letter)
-                if depth >= min_len:
-                    n = measure(child, need) if child else 0
-                    if n >= need:
-                        best, witness = n, word
-                if child:
-                    path.append((word, child, iter(alphabet)))
-                    break
-            else:
+            if depth == max_len:
                 n = leaf(frontier, letter, need)
                 if n >= need:
-                    best, witness = n, word
+                    best, witness = n, prefix + letter
+                continue
+            child = step(frontier, letter)
+            if not child:  # dead: it measures 0 and is not extended
+                if depth >= min_len and need == 0:
+                    witness = prefix + letter
+                continue
+            k = key(child)
+            d0 = held.get(k)
+            if d0 is not None:
+                # path[d0] is the ancestor at depth d0
+                if d0 == depth or d0 >= min_len and (top is None or path[d0][4] != k):
+                    continue
+            else:
+                held[k] = depth
+                kept.append(k)
+            if depth >= min_len:
+                n = measure(child, need)
+                if n >= need:
+                    best, witness = n, prefix + letter
+            path.append((prefix + letter, child, iter(alphabet), [], k))
+            break
         else:
+            for k in kept:
+                del held[k]
             path.pop()
     return best, witness
 
@@ -879,7 +938,7 @@ def valuedness_oracle(
 
     return _scan(
         sst.alphabet, min_len, max_len, _start(sst),
-        lambda frontier, letter: _step(sst, frontier, letter, b), measure, leaf,
+        lambda frontier, letter: _step(sst, frontier, letter, b), measure, leaf, frozenset,
     )
 
 
@@ -905,6 +964,7 @@ def ambiguity_oracle(
     return _scan(
         sst.alphabet, min_len, max_len, dict.fromkeys(sst.initials, 1), step,
         lambda counts, need: sum(n for state, n in counts.items() if state in finals), leaf,
+        lambda counts: frozenset(counts.items()),
     )
 
 

@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .errors import (
     BudgetExceededError,
+    CopylessError,
     NotIdempotentError,
     RunError,
     SstKitError,
@@ -35,11 +36,19 @@ class Skeleton(Update):
     of variables.  A skeleton equals only skeletons, never an update."""
 
     def __post_init__(self):
-        Update.__post_init__(self)
+        """``Update.__post_init__``'s checks and the non-variable check in
+        one pass over the tokens: a token raises for the first fault it
+        shows, so of two faults the earlier token's is raised."""
+        if len(self.images) != len(self.variables):
+            raise SstKitError("update must define an image for every variable")
+        varset, seen = set(self.variables), set()
         for image in self.images:
             for tok in image:
-                if tok not in self.variables:
+                if tok not in varset:
                     raise SstKitError(f"skeleton image contains non-variable {tok!r}")
+                if tok in seen:
+                    raise CopylessError(tok)
+                seen.add(tok)
 
 
 def skeleton_of(update: Update) -> Skeleton:

@@ -30,10 +30,12 @@ from sstkit import (
     enumerate_runs,
     fixtures,
     outputs,
+    parse_sst,
     ranked_outputs,
     valuedness_oracle,
     words_over,
 )
+from sstkit import decompose, model
 from sstkit.cli import main
 
 from helpers import format_letters, no_variables, random_sst, without_last_transition
@@ -243,13 +245,15 @@ def test_output_queries_charge_one_unit_per_configuration_and_letter(query, name
 
 
 # budget.used of valuedness_oracle, ambiguity_oracle and
-# check_equivalence_bounded (each fixture against itself) at max_len 1, 3, 5
+# check_equivalence_bounded (each fixture against itself) at max_len 1, 3, 5,
+# as tests/scan_sweep.py's reference gives them: a prefix whose frontier the
+# walk holds is not walked
 SCAN_CHARGES = {
-    "FIX-ID": ((1, 1, 2), (3, 3, 6), (5, 5, 10)),
+    "FIX-ID": ((1, 1, 2), (3, 2, 6), (5, 2, 10)),
     "FIX-AMB": ((1, 1, 2), (6, 3, 12), (15, 5, 30)),
-    "FIX-TSC": ((4, 4, 8), (28, 28, 56), (124, 124, 248)),
-    "FIX-TSC1": ((4, 4, 8), (48, 28, 96), (320, 124, 640)),
-    "FIX-R2": ((2, 2, 4), (26, 26, 52), (162, 138, 324)),
+    "FIX-TSC": ((4, 4, 8), (28, 12, 56), (124, 20, 248)),
+    "FIX-TSC1": ((4, 4, 8), (48, 12, 96), (320, 20, 640)),
+    "FIX-R2": ((2, 2, 4), (26, 10, 52), (146, 20, 324)),
 }
 
 
@@ -290,13 +294,15 @@ def test_tiny_budget_raises():
 @pytest.mark.parametrize("limit", [0, 3, 20, 101])
 def test_every_stop_leaves_used_one_past_the_limit(limit):
     """The queries charge a whole frontier at a time, yet each stops with
-    ``budget.used`` at limit + 1, as one charge per configuration would."""
+    ``budget.used`` at limit + 1, as one charge per configuration would.
+    FIX-TSC's run counts repeat across siblings, so its ambiguity scan
+    charges 4 units per length: at max_len 30 it needs 120."""
     tsc, word = fixtures.load("FIX-TSC"), "0" * 60
     calls = [
         lambda b: outputs(tsc, word, b),
         lambda b: ranked_outputs(tsc, word, b),
         lambda b: valuedness_oracle(tsc, 6, b),
-        lambda b: ambiguity_oracle(tsc, 6, b),
+        lambda b: ambiguity_oracle(tsc, 30, b),
         lambda b: check_equivalence_bounded(tsc, fixtures.load("FIX-TSC"), 6, b),
     ]
     for call in calls:
@@ -304,6 +310,86 @@ def test_every_stop_leaves_used_one_past_the_limit(limit):
         with pytest.raises(BudgetExceededError):
             call(budget)
         assert budget.used == limit + 1
+
+
+def test_a_held_frontier_is_not_walked_again():
+    """A prefix whose frontier the walk holds is neither measured nor
+    extended.  FIX-TSC1's run counts repeat across siblings, and FIX-R2's
+    configurations repeat once a block is copied; the walk that skips
+    nothing charges 16,380 and 72,802 units here."""
+    budget = Budget()
+    assert ambiguity_oracle(fixtures.load("FIX-TSC1"), 12, budget) == (4096 * 2, "0" * 12)
+    assert budget.used == 48
+    budget = Budget()
+    assert valuedness_oracle(fixtures.load("FIX-R2"), 13, budget) == (4, "00011011")
+    assert budget.used == 1_826
+
+
+def test_equivalence_does_not_skip_below_an_ancestor_with_its_key():
+    """Below "a" on this pair, "a" leaves both frontiers as they are.  The
+    walk that skips nothing meets a difference below "aa" first and cuts
+    every longer input by it, at 96 units; skipping "aa" for its ancestor's
+    key would walk all of "ab"'s subtree before "ac" (8,200 units)."""
+    text = """\
+alphabet: a b e c
+vars: X
+states: p q r
+initial: p
+final q -> X
+final r -> X
+trans p a q { X := X }
+trans q a q { X := X }
+trans q b r { X := X b }
+trans r b r { X := X b }
+trans r e r { X := X e }
+trans q c q { X := X %s }
+"""
+    budget = Budget()
+    assert check_equivalence_bounded(
+        parse_sst(text % "c"), parse_sst(text % "c c"), 12, budget) == "ac"
+    assert budget.used == 96
+
+
+@pytest.mark.parametrize("name", ["FIX-TSC", "FIX-R2", "FIX-AMB"])
+def test_scans_hold_at_most_one_key_per_letter_at_each_depth(name, monkeypatch):
+    """The keys a scan holds are dropped as the walk pops their depth: at
+    most len(alphabet) per depth held, plus one per depth on the path and
+    the child being looked at.  A memo of every frontier the walk met would
+    keep the keys of finished subtrees too, one per distinct frontier."""
+    live = [0, 0]  # keys alive now, most keys alive at once
+
+    class Counted:
+        def __init__(self, k):
+            self.k = k
+            live[0] += 1
+            live[1] = max(live)
+
+        def __del__(self):
+            live[0] -= 1
+
+        def __hash__(self):
+            return hash(self.k)
+
+        def __eq__(self, other):
+            return self.k == other.k
+
+    def counting(scan):
+        def wrapped(*args, **kwargs):
+            *front, key = args
+            return scan(*front, lambda frontier: Counted(key(frontier)), **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(model, "_scan", counting(model._scan))
+    monkeypatch.setattr(decompose, "_scan", counting(decompose._scan))
+    sst, max_len = fixtures.load(name), 12
+    for scan in (
+        lambda: valuedness_oracle(sst, max_len),
+        lambda: ambiguity_oracle(sst, max_len),
+        lambda: check_equivalence_bounded(sst, sst, max_len),
+    ):
+        live[1] = 0
+        scan()
+        assert live == [0, live[1]] and 0 < live[1] <= max_len * (len(sst.alphabet) + 1)
 
 
 def test_sst_is_freed_without_the_cycle_collector():

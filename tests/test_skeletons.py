@@ -64,6 +64,11 @@ def test_skeleton_is_an_update_without_letters():
         Skeleton(V2, (("X1", "a"), ("X2",)))
     with pytest.raises(CopylessError):
         Skeleton(V2, (("X1", "X1"), ()))
+    # one pass over the tokens: of two faults, the earlier token's raises
+    with pytest.raises(SstKitError, match="non-variable"):
+        Skeleton(V2, (("a",), ("X1", "X1")))
+    with pytest.raises(CopylessError):
+        Skeleton(V2, (("X1", "X1", "a"), ()))
     with pytest.raises(SstKitError, match="every variable"):
         Skeleton(V2, (("X1",),))
     with pytest.raises(UnknownSymbolError):
